@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
 
+from . import __version__
 from .certify import Certificate, verify_certificate
 from .exact import MultiPoly, parse_rational
 from .hermite import Hermite
@@ -28,9 +28,7 @@ from .pipeline import (
 )
 from .spectral import intertwine_residual
 from .symbols import t_conjugate
-from .wigner import Grid2D, read_grid, wig_forward, wig_inverse, write_grid
-
-__version__ = "0.1.0"
+from .wigner import Grid2D, read_grid, read_manifest, wig_forward, wig_inverse, write_grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,21 +61,6 @@ def _parse_windows(text: str):
     if m < 0 or n < 0:
         raise ValueError("window indices must be non-negative")
     return Hermite(m), Hermite(n)
-
-
-def _check_threads() -> Optional[str]:
-    raw = os.environ.get("WIGREG_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return f"WIGREG_THREADS must be a positive integer, got {raw!r}"
-    if value < 1:
-        return f"WIGREG_THREADS must be a positive integer, got {raw!r}"
-    # All operations run serially and deterministically; the cap is validated
-    # so scripts can set it uniformly, and never exceeded.
-    return None
 
 
 def _cmd_certify(args) -> int:
@@ -169,6 +152,10 @@ def _cmd_transform(args) -> int:
         else:
             if args.infile is None:
                 return _fail("--inverse needs --in <grid file>")
+            grid_p = read_manifest(args.infile).get("p")
+            if grid_p is not None and parse_rational(grid_p) != spec.p:
+                return _fail(f"{args.infile} was transformed with p = {grid_p}, "
+                             f"but the inverse asks for p = {spec.p}")
             gf = read_grid(args.infile)
             pair = wig_inverse(gf, p)
             write_grid(pair, args.out, fmt=args.format, extra={"p": str(spec.p)})
@@ -306,9 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    threads_error = _check_threads()
-    if threads_error is not None:
-        return _fail(threads_error)
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

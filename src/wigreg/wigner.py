@@ -14,10 +14,12 @@ so one FFT per x row evaluates the integral exactly up to truncation:
 Samples are stored row-major with the first index on the x axis and both axes
 ascending.  The inverse undoes the same DFT exactly and reads the pair
 function off the plane: G(x, z) = f(x + q z, x - p z) gives
-f(s, t) = G(p s + q t, s - t), with s - t landing on a z node whenever it
-falls inside the window [-L, L) (outside, the true value is below the decay
-floor and is set to zero) and the off-grid first argument evaluated by
-trigonometric interpolation.
+f(s, t) = G(p s + q t, s - t).  On nodes s = x_a, t = x_b the difference is
+the z node z_l with l = a - b + N/2 whenever it falls inside the window
+[-L, L) (outside, the true value is below the decay floor and is set to
+zero), and the first argument is x_a - q z_l: column l shifted by q z_l,
+which one FFT along x, a phase factor and one inverse FFT give for every
+point at once.
 """
 
 from __future__ import annotations
@@ -138,66 +140,31 @@ def wig_forward(u: Callable, v: Callable, p: float, grid: Grid2D,
     return GridFunction2D(grid, samples, dual_y=True)
 
 
-def _trig_upsample(arr: np.ndarray, factor: int, axis: int) -> np.ndarray:
-    """Zero-padded spectral interpolation onto a grid ``factor`` times finer."""
-    moved = np.moveaxis(arr, axis, 0)
-    n = moved.shape[0]
-    spectrum = np.fft.fft(moved, axis=0)
-    out = np.zeros((n * factor,) + moved.shape[1:], dtype=complex)
-    half = n // 2
-    out[:half] = spectrum[:half]
-    out[half] = 0.5 * spectrum[half]
-    out[n * factor - half] = 0.5 * spectrum[half]
-    out[n * factor - half + 1:] = spectrum[half + 1:]
-    fine = np.fft.ifft(out, axis=0) * factor
-    return np.moveaxis(fine, 0, axis)
-
-
 def wig_inverse(transform: GridFunction2D, p: float) -> GridFunction2D:
     """Recover the pair function f(s, t) from a forward transform.
 
     The DFT inversion is exact; the reconstruction evaluates the pair
     function at (s, t) through G(p s + q t, s - t), zeroing points whose
-    difference falls outside the z window.  When 4 p is an integer the
-    needed first arguments all lie on a 4x refined node set, matching the
-    zero-padded interpolation exactly; otherwise each row is evaluated by a
-    direct trigonometric sum.
+    difference falls outside the z window.  Each column of G is needed at
+    its x nodes shifted by a constant, so it is evaluated by its
+    trigonometric interpolant: an FFT along x, the phase exp(-i w q z_l),
+    and an inverse FFT.  This is exact for any p on band-limited columns.
     """
     if not transform.dual_y:
         raise ValueError("wig_inverse expects a transform with a dual second axis")
-    p = float(p)
-    q = 1.0 - p
+    q = 1.0 - float(p)
     grid = transform.grid
     n = grid.N
     spectrum = transform.samples / ((grid.dx / TWO_PI_SQRT) * _alternating_phase(n)[None, :])
     g = np.fft.ifft(np.fft.ifftshift(spectrum, axes=1), axis=1)
 
-    a_idx = np.arange(n)[:, None]
-    b_idx = np.arange(n)[None, :]
-    l_idx = a_idx - b_idx + n // 2
+    omega = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
+    phase = np.exp(-1j * q * np.outer(omega, grid.x_nodes))
+    shifted = np.fft.ifft(np.fft.fft(g, axis=0) * phase, axis=0)
+
+    l_idx = np.arange(n)[:, None] - np.arange(n)[None, :] + n // 2
     window = (l_idx >= 0) & (l_idx < n)
-    l_safe = np.clip(l_idx, 0, n - 1)
-
-    fine_count = np.rint(4.0 * p)
-    if abs(4.0 * p - fine_count) < 1e-12:
-        fine = _trig_upsample(g, 4, axis=0)
-        pos = 4.0 * (p * a_idx + q * b_idx)
-        pos_i = np.rint(pos).astype(int) % (4 * n)
-        values = fine[pos_i, l_safe]
-    else:
-        spectrum_x = np.fft.fft(g, axis=0)
-        omega = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
-        x = grid.x_nodes
-        values = np.zeros((n, n), dtype=complex)
-        for a in range(n):
-            valid = window[a]
-            if not valid.any():
-                continue
-            cols = l_safe[a, valid]
-            xstar = p * x[a] + q * x[valid]
-            waves = np.exp(1j * np.outer(xstar + grid.L, omega)) / n
-            values[a, valid] = np.einsum("bm,mb->b", waves, spectrum_x[:, cols])
-
+    values = np.take_along_axis(shifted, np.clip(l_idx, 0, n - 1), axis=1)
     return GridFunction2D(grid, np.where(window, values, 0.0), dual_y=False)
 
 
@@ -208,6 +175,22 @@ def wig_inverse(transform: GridFunction2D, p: float) -> GridFunction2D:
 
 def manifest_path(data_path: str) -> str:
     return data_path + ".manifest.json"
+
+
+def _write_csv(gf: GridFunction2D, path: str) -> None:
+    """Write x,y,re,im rows, byte for byte as np.savetxt with fmt="%.17g".
+
+    Each node coordinate is formatted once; one %-format per x row then
+    fills in that row's samples, so only one row of Python floats is alive
+    at a time.
+    """
+    cells = [("%.17g" % y) + ",%.17g,%.17g" for y in gf.grid.axis_nodes(gf.dual_y).tolist()]
+    pairs = np.ascontiguousarray(gf.samples).view(np.float64)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("x,y,re,im\n")
+        for x, row in zip(gf.grid.x_nodes.tolist(), pairs):
+            lead = "%.17g," % x
+            fh.write((lead + ("\n" + lead).join(cells) + "\n") % tuple(row.tolist()))
 
 
 def write_grid(gf: GridFunction2D, path: str, fmt: str = "csv",
@@ -223,15 +206,8 @@ def write_grid(gf: GridFunction2D, path: str, fmt: str = "csv",
     }
     if extra:
         manifest.update(extra)
-    xs = gf.grid.x_nodes
-    ys = gf.grid.axis_nodes(gf.dual_y)
     if fmt == "csv":
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        table = np.column_stack([
-            gx.ravel(), gy.ravel(),
-            gf.samples.real.ravel(), gf.samples.imag.ravel(),
-        ])
-        np.savetxt(path, table, delimiter=",", header="x,y,re,im", comments="", fmt="%.17g")
+        _write_csv(gf, path)
     else:
         pairs = np.empty(gf.samples.shape + (2,), dtype="<f8")
         pairs[..., 0] = gf.samples.real
@@ -242,13 +218,18 @@ def write_grid(gf: GridFunction2D, path: str, fmt: str = "csv",
         fh.write("\n")
 
 
-def read_grid(path: str) -> GridFunction2D:
-    """Read a grid file written by write_grid (manifest sidecar required)."""
+def read_manifest(path: str) -> dict:
+    """Read the manifest sidecar of a grid file written by write_grid."""
     mpath = manifest_path(path)
     if not os.path.exists(mpath):
         raise FileNotFoundError(f"missing grid manifest {mpath}")
     with open(mpath, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        return json.load(fh)
+
+
+def read_grid(path: str) -> GridFunction2D:
+    """Read a grid file written by write_grid (manifest sidecar required)."""
+    manifest = read_manifest(path)
     grid = Grid2D(float(manifest["L"]), int(manifest["N"]))
     dual_y = manifest.get("axis_y", "dual") == "dual"
     fmt = manifest.get("format", "csv")

@@ -1,5 +1,9 @@
 """Independent reference implementations used only by the tests.
 
+The inverse-transform oracle evaluates every reconstructed point by its own
+direct trigonometric sum, one row at a time in O(N^3), where the library
+shifts whole columns with FFTs.
+
 The quadratic-injectivity oracle scans the full two-dimensional grid of
 square splits (s1^2, s0^2) = (i/D * c0, j/D * c0) with i + j <= D, in exact
 integer arithmetic, and reports whether ANY admissible split produces a
@@ -86,3 +90,30 @@ def hermite_quadrature_values(n: int, t: np.ndarray) -> np.ndarray:
     poly = np.polynomial.hermite.Hermite(coeffs)
     norm = 1.0 / sqrt(float(2 ** n) * factorial(n) * sqrt(pi))
     return norm * poly(t) * np.exp(-0.5 * t * t)
+
+
+def direct_wig_inverse(transform, p: float) -> np.ndarray:
+    """Pair-function samples f(x_a, x_b) from a dual-axis transform.
+
+    Undoes the forward DFT along y, then evaluates G(p x_a + q x_b, z_l) at
+    every in-window point by summing the trigonometric interpolant of
+    column l = a - b + N/2 term by term, with the frequencies of fftfreq.
+    Points whose difference leaves the z window are zero.
+    """
+    grid = transform.grid
+    n, L, dx = grid.N, grid.L, grid.dx
+    q = 1.0 - p
+    k = np.arange(-n // 2, n // 2)
+    spectrum = transform.samples * (np.sqrt(2.0 * np.pi) / dx) * np.where(k % 2 == 0, 1.0, -1.0)
+    g = np.fft.ifft(np.fft.ifftshift(spectrum, axes=1), axis=1)
+    spectrum_x = np.fft.fft(g, axis=0)
+    omega = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+    x = -L + dx * np.arange(n)
+    values = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        cols = a - np.arange(n) + n // 2
+        valid = (cols >= 0) & (cols < n)
+        xstar = p * x[a] + q * x[valid]
+        waves = np.exp(1j * np.outer(xstar + L, omega)) / n
+        values[a, valid] = np.einsum("bm,mb->b", waves, spectrum_x[:, cols[valid]])
+    return values

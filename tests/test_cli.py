@@ -132,8 +132,9 @@ def test_verify_intertwine_bad_window(spec_file, capsys):
 def test_transform_forward_then_inverse(spec_file, tmp_path, capsys):
     spec = spec_file(EQ44)
     fwd = tmp_path / "fwd.csv"
-    # N = 128 keeps the x-axis Nyquist error of the inverse's 4x upsample
-    # below 1e-10; N = 64 would cap the round trip near 2e-8
+    # N = 128 keeps the x-axis Nyquist content that the inverse's
+    # trigonometric interpolation drops below 1e-10; N = 64 would cap the
+    # round trip near 2e-8
     assert main(["transform", spec, "--forward", "--w", "hermite:0,1",
                  "--N", "128", "--out", str(fwd)]) == 0
     gf = read_grid(str(fwd))
@@ -161,6 +162,22 @@ def test_transform_raw_format(spec_file, tmp_path):
 def test_transform_inverse_needs_input(spec_file, capsys):
     assert main(["transform", spec_file(EQ44), "--inverse", "--out", "x.csv"]) == 1
     assert "--in" in capsys.readouterr().err
+
+
+def test_transform_inverse_rejects_other_p(spec_file, tmp_path, capsys):
+    spec = spec_file(EQ44)
+    fwd = tmp_path / "fwd.csv"
+    assert main(["transform", spec, "--forward", "--N", "16", "--p", "1/2",
+                 "--out", str(fwd)]) == 0
+    inv = tmp_path / "inv.csv"
+    assert main(["transform", spec, "--inverse", "--in", str(fwd), "--p", "1/3",
+                 "--out", str(inv)]) == 1
+    err = capsys.readouterr().err
+    assert "p = 1/2" in err and "p = 1/3" in err
+    assert not inv.exists()
+    # an equal rational in another spelling is the same p
+    assert main(["transform", spec, "--inverse", "--in", str(fwd), "--p", "2/4",
+                 "--out", str(inv)]) == 0
 
 
 def test_transform_records_p_in_manifest(spec_file, tmp_path):
@@ -276,16 +293,6 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1
-
-
-def test_threads_env_validation(spec_file, monkeypatch, capsys):
-    monkeypatch.setenv("WIGREG_THREADS", "abc")
-    assert main(["certify", spec_file(EQ44)]) == 1
-    assert "WIGREG_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("WIGREG_THREADS", "0")
-    assert main(["certify", spec_file(EQ44)]) == 1
-    monkeypatch.setenv("WIGREG_THREADS", "4")
-    assert main(["certify", spec_file(EQ44), "--quiet"]) == 0
 
 
 def test_version_flag(capsys):

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from oracles import direct_wig_inverse
 from wigreg.hermite import GaussianPacket, Hermite
 from wigreg.wigner import (
     BoundaryDecayError,
     Grid2D,
     GridFunction2D,
     _alternating_phase,
-    _trig_upsample,
     manifest_path,
     read_grid,
     wig_forward,
@@ -155,22 +155,36 @@ def test_round_trip_generic_p():
     assert max_err(out, expected) < 1e-12
 
 
+@pytest.mark.parametrize("p", [1.0 / 3.0, 0.7])
+def test_round_trip_generic_p_at_n512(p):
+    grid = Grid2D(12.0, 512)
+    out = wig_inverse(wig_forward(H2, H1, p, grid), p)
+    gs, gt = mesh(grid, dual=False)
+    expected = np.where(np.abs(gs - gt) < grid.L, H2(gs) * H1(gt), 0.0)
+    assert max_err(out, expected) < 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("p", [0.0, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0, 1.25])
+def test_inverse_matches_direct_sum(n, p):
+    transform = wig_forward(H2, H1, p, Grid2D(12.0, n))
+    out = wig_inverse(transform, p)
+    assert max_err(out, direct_wig_inverse(transform, p)) <= 1e-13
+
+
+def test_inverse_matches_direct_sum_off_band():
+    # random samples carry full-band content, up to the x-axis Nyquist frequency
+    rng = np.random.default_rng(7)
+    grid = Grid2D(4.0, 32)
+    transform = GridFunction2D(grid, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
+    for p in (1.0 / 3.0, 0.5, 0.7):
+        assert max_err(wig_inverse(transform, p), direct_wig_inverse(transform, p)) <= 1e-13
+
+
 def test_inverse_rejects_spatial_axis():
     gf = GridFunction2D(GRID, np.zeros((256, 256)), dual_y=False)
     with pytest.raises(ValueError):
         wig_inverse(gf, 0.5)
-
-
-def test_trig_upsample_is_exact_on_bandlimited_rows():
-    n, factor = 16, 4
-    coarse_t = np.arange(n) * (2 * np.pi / n)
-    fine_t = np.arange(n * factor) * (2 * np.pi / (n * factor))
-
-    def f(t):
-        return np.cos(3 * t) + 0.5j * np.sin(5 * t) + 2.0
-
-    up = _trig_upsample(f(coarse_t), factor, axis=0)
-    assert np.max(np.abs(up - f(fine_t))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +207,41 @@ def test_grid_file_round_trip(tmp_path, fmt):
         manifest = json.load(fh)
     assert manifest["p"] == "1/2"
     assert manifest["axis_y"] == "dual"
+
+
+def savetxt_bytes(gf, path):
+    gx, gy = mesh(gf.grid, gf.dual_y)
+    table = np.column_stack([gx.ravel(), gy.ravel(),
+                             gf.samples.real.ravel(), gf.samples.imag.ravel()])
+    np.savetxt(path, table, delimiter=",", header="x,y,re,im", comments="", fmt="%.17g")
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def special_values_grid():
+    values = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.7976931348623157e308,
+                       1.0 / 3.0])
+    samples = np.resize(values, 64).reshape(8, 8) + 1j * np.resize(values[::-1], 64).reshape(8, 8)
+    return GridFunction2D(Grid2D(np.e, 8), samples, dual_y=False)
+
+
+CSV_CASES = {
+    # smallest grid: 4 x rows, 16 lines
+    "N4": lambda: GridFunction2D(Grid2D(np.pi, 4), np.arange(16).reshape(4, 4) * (0.1 - 0.3j)),
+    # 128 x rows of 128 samples, 16384 lines
+    "N128": lambda: wig_forward(H2, H1, 1.0 / 3.0, Grid2D(12.0, 128)),
+    "special": special_values_grid,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_csv_bytes_match_savetxt(tmp_path, case):
+    gf = CSV_CASES[case]()
+    path = str(tmp_path / "grid.csv")
+    write_grid(gf, path)
+    with open(path, "rb") as fh:
+        written = fh.read()
+    assert written == savetxt_bytes(gf, str(tmp_path / "reference.csv"))
 
 
 def test_read_grid_requires_manifest(tmp_path):
