@@ -487,11 +487,14 @@ def recognize_first_order(a: MultiPoly) -> Optional[FirstOrderShape]:
     return FirstOrderShape(alpha=gamma / beta, m=mx, scale=beta)
 
 
-def hypo_certify_first_order(a: MultiPoly) -> Optional[Certificate]:
+def hypo_certify_first_order(a: MultiPoly,
+                             shape: Optional[FirstOrderShape] = None) -> Optional[Certificate]:
     """For a = scale*(xi + alpha x^m): hypo-elliptic whenever Im(alpha) != 0,
     because |xi + alpha x^m| >= |Im alpha| |x|^m keeps zeros compact and tames
-    derivative ratios."""
-    shape = recognize_first_order(a)
+    derivative ratios.  ``shape`` is recognize_first_order(a) when the caller
+    already has it."""
+    if shape is None:
+        shape = recognize_first_order(a)
     if shape is None or shape.alpha.im == 0:
         return None
     return Certificate(

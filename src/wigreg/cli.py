@@ -91,20 +91,21 @@ def _cmd_symbol(args) -> int:
     if unknown:
         return _fail(f"unknown symbol name(s) {', '.join(unknown)}; "
                      f"choose from {', '.join(sorted(available))}")
+    if "conjugated" in names and change is None:
+        return _fail("--emit conjugated needs a \"T\" entry in the spec")
+    b = build_b_symbol(spec) if {"b", "conjugated"} & set(names) else None
     out: dict[str, MultiPoly] = {}
     for name in names:
         if name == "a":
             out[name] = spec.a_symbol()
         elif name == "b":
-            out[name] = build_b_symbol(spec)
+            out[name] = b
         elif name == "atilde":
             out[name] = a_tilde(spec)
         elif name == "wick":
             out[name] = weyl_wick(spec.a_symbol())
         elif name == "conjugated":
-            if change is None:
-                return _fail("--emit conjugated needs a \"T\" entry in the spec")
-            out[name] = t_conjugate(build_b_symbol(spec), change)
+            out[name] = t_conjugate(b, change)
     if args.json:
         doc = {name: poly.to_json() for name, poly in out.items()}
         print(json.dumps(doc, indent=2, sort_keys=True))

@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
@@ -34,6 +35,8 @@ from .certify import (
     EVIDENCE,
     EXACT,
     Certificate,
+    FirstOrderShape,
+    NewtonFamilyParams,
     RegularityVerdict,
     extract_quadratic_coeffs,
     first_order_certify,
@@ -128,7 +131,23 @@ def _attempt(stage: str, method: str, outcome: str, detail: str) -> dict:
     return {"stage": stage, "method": method, "outcome": outcome, "detail": detail}
 
 
-def _run_hypo_chain(a: MultiPoly, attempts: list[dict]):
+class _Recognized:
+    """The model symbol's recognized shapes, each matched at most once and only
+    when a certifier first asks for it."""
+
+    def __init__(self, a: MultiPoly):
+        self.a = a
+
+    @cached_property
+    def newton(self) -> Optional[NewtonFamilyParams]:
+        return recognize_newton_family(self.a)
+
+    @cached_property
+    def first_order(self) -> Optional[FirstOrderShape]:
+        return recognize_first_order(self.a)
+
+
+def _run_hypo_chain(a: MultiPoly, shapes: _Recognized, attempts: list[dict]):
     """Returns (exact certificate or None, evidence certificate or None)."""
     cert = hypo_certify_quadratic(a)
     if cert is None:
@@ -141,7 +160,7 @@ def _run_hypo_chain(a: MultiPoly, attempts: list[dict]):
         attempts.append(_attempt("hypo", "quadratic_form", "certified", cert.kind))
         return cert, None
 
-    params = recognize_newton_family(a)
+    params = shapes.newton
     if params is None:
         attempts.append(_attempt("hypo", "newton_polygon", "not_applicable",
                                  "symbol is not in the two-block family"))
@@ -157,7 +176,8 @@ def _run_hypo_chain(a: MultiPoly, attempts: list[dict]):
             attempts.append(_attempt("hypo", "newton_polygon", "certified", cert.kind))
             return cert, None
 
-    cert = hypo_certify_first_order(a)
+    shape = shapes.first_order
+    cert = None if shape is None else hypo_certify_first_order(a, shape)
     if cert is None:
         attempts.append(_attempt("hypo", "first_order", "not_applicable",
                                  "symbol is not scale*(xi + alpha x^m) with Im(alpha) != 0"))
@@ -176,7 +196,7 @@ def _run_hypo_chain(a: MultiPoly, attempts: list[dict]):
     return None, evidence
 
 
-def _run_inj_chain(a: MultiPoly, attempts: list[dict]):
+def _run_inj_chain(a: MultiPoly, shapes: _Recognized, attempts: list[dict]):
     """Returns (injectivity certificate or None, kernel witness or None)."""
     qc = extract_quadratic_coeffs(a)
     if qc is None:
@@ -194,7 +214,7 @@ def _run_inj_chain(a: MultiPoly, attempts: list[dict]):
             attempts.append(_attempt("injectivity", "quadratic_estimate", "certified", cert.kind))
             return cert, None
 
-    params = recognize_newton_family(a)
+    params = shapes.newton
     if params is None:
         attempts.append(_attempt("injectivity", "sum_of_squares", "not_applicable",
                                  "symbol is not in the two-block family"))
@@ -216,7 +236,7 @@ def _run_inj_chain(a: MultiPoly, attempts: list[dict]):
                                  f"{cert.kind} (evidence only)"))
         return cert, None
 
-    shape = recognize_first_order(a)
+    shape = shapes.first_order
     if shape is None:
         attempts.append(_attempt("injectivity", "first_order_kernel", "not_applicable",
                                  "symbol is not scale*(xi + alpha x^m)"))
@@ -234,14 +254,13 @@ def _run_inj_chain(a: MultiPoly, attempts: list[dict]):
     return cert, None
 
 
-def _adjoint_analysis(a: MultiPoly) -> Optional[dict]:
+def _adjoint_analysis(shape: Optional[FirstOrderShape]) -> Optional[dict]:
     """Kernel analysis of the adjoint model for first-order shapes.
 
     The adjoint of scale*(D + alpha x^m) conjugates alpha; a Schwartz kernel
     element on the adjoint side means the operator misses a one-dimensional
     subspace (index -1) even when it is injective.
     """
-    shape = recognize_first_order(a)
     if shape is None or shape.alpha.im == 0:
         return None
     operator = first_order_certify(shape.alpha, shape.m, side="operator")
@@ -274,20 +293,18 @@ def certify(spec: OperatorSpec, change: Optional[LinearChange] = None) -> Report
     attempted method and its outcome in the report.
     """
     a = spec.a_symbol().promote(MODEL_VARS)
-    symbols: dict[str, MultiPoly] = {
-        "a": a,
-        "b": build_b_symbol(spec),
-        "atilde": a_tilde(spec),
-        "wick": weyl_wick(a),
-    }
+    atilde = a_tilde(spec)
+    b = build_b_symbol(spec, atilde)
+    symbols: dict[str, MultiPoly] = {"a": a, "b": b, "atilde": atilde, "wick": weyl_wick(a)}
     if change is not None:
-        symbols["conjugated"] = t_conjugate(symbols["b"], change)
-    degeneracy = verify_degeneracy(spec)
+        symbols["conjugated"] = t_conjugate(b, change)
+    degeneracy = verify_degeneracy(spec, b, atilde)
 
     attempts: list[dict] = []
-    hypo_cert, hypo_evidence = _run_hypo_chain(a, attempts)
-    inj_cert, kernel_witness = _run_inj_chain(a, attempts)
-    adjoint = _adjoint_analysis(a)
+    shapes = _Recognized(a)
+    hypo_cert, hypo_evidence = _run_hypo_chain(a, shapes, attempts)
+    inj_cert, kernel_witness = _run_inj_chain(a, shapes, attempts)
+    adjoint = _adjoint_analysis(shapes.first_order)
 
     if hypo_cert is not None:
         if kernel_witness is not None:
@@ -472,7 +489,8 @@ def generate_quasi_homogeneous(rho, tau, h: int, k: int) -> QuasiHomogeneousResu
     lam = (rho - tau) ** (2 * h)
     spec = OperatorSpec({(2 * h, 0): GaussianRational(lam), (0, 2 * k): GR_ONE}, p)
     change = LinearChange(((p, Fraction(0)), (Fraction(0), tau)))
-    conjugated = t_conjugate(build_b_symbol(spec), change)
+    report = certify(spec, change)
+    conjugated = report.symbols["conjugated"]
 
     x = MultiPoly.variable("x").promote(PHASE_VARS)
     y = MultiPoly.variable("y").promote(PHASE_VARS)
@@ -481,8 +499,6 @@ def generate_quasi_homogeneous(rho, tau, h: int, k: int) -> QuasiHomogeneousResu
     target = (eta + x.scale(rho)) ** (2 * h) + (xi + y.scale(tau)) ** (2 * k)
     if conjugated != target:
         raise RuntimeError("conjugated symbol failed its closed-form identity; this is a bug")
-
-    report = certify(spec, change)
     return QuasiHomogeneousResult(spec=spec, change=change, conjugated=conjugated, report=report)
 
 

@@ -18,9 +18,21 @@ All symbols here are left (Kohn-Nirenberg) symbols: for P with symbol
     sigma_{P o Q} = sum_beta (-i)^{|beta|}/beta! *
                     d^beta_{(xi,eta)} sigma_P * d^beta_{(x,y)} sigma_Q,
 
-a finite sum for polynomial symbols.  The Weyl-Wick transform ``W`` and its
-inverse are the finite expansions of exp(-Lap/4) exp(-(i/2) d_x d_xi) and its
-reciprocal, exactly invertible on polynomials.
+a finite sum for polynomial symbols.  The planar symbol needs no composition.
+On a symbol f(sigma_X, sigma_Y) of the factor symbols sigma_X = x - q eta and
+sigma_Y = y + p xi, the factors act by Y # f = sigma_Y f and
+X # f = sigma_X f + i q d_{sigma_Y} f, so the left symbol of B is the
+degenerate model symbol a~ evaluated at the factor symbols,
+
+    b(x, y, xi, eta) = a~(x - q eta, y + p xi),
+
+expanded term by term.  Degeneracy along the planes (x0 + q eta, y0 - p xi)
+is checked by two first-order transport identities, in time linear in the
+terms of b.
+
+The Weyl-Wick transform ``W`` and its inverse are the finite expansions of
+exp(-Lap/4) exp(-(i/2) d_x d_xi) and its reciprocal, exactly invertible on
+polynomials.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .exact import (
     GR_I,
@@ -41,6 +53,10 @@ from .exact import (
 
 PHASE_VARS = ("x", "y", "xi", "eta")
 MODEL_VARS = ("x", "xi")
+# Largest operator order a spec may have.  The planar symbol of an order-d
+# spec has up to C(d + 4, 4) terms, so larger orders fail fast instead of
+# running for hours.
+MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -61,6 +77,9 @@ class OperatorSpec:
                 cleaned[(j, k)] = c
         if not cleaned:
             raise ValueError("empty operator: no nonzero coefficients")
+        order = max(j + k for j, k in cleaned)
+        if order > MAX_ORDER:
+            raise ValueError(f"operator order {order} exceeds the limit of {MAX_ORDER}")
         object.__setattr__(self, "coeffs", cleaned)
         object.__setattr__(self, "p", Fraction(self.p))
 
@@ -134,29 +153,6 @@ def symbol_compose(p_sym: MultiPoly, q_sym: MultiPoly) -> MultiPoly:
     return total
 
 
-def factor_symbols(spec: OperatorSpec) -> tuple[MultiPoly, MultiPoly]:
-    """Left symbols of the two first-order factors (x - q*eta, y + p*xi)."""
-    x = MultiPoly.variable("x")
-    y = MultiPoly.variable("y")
-    xi = MultiPoly.variable("xi")
-    eta = MultiPoly.variable("eta")
-    return x - eta.scale(spec.q), y + xi.scale(spec.p)
-
-
-def build_b_symbol(spec: OperatorSpec) -> MultiPoly:
-    """Left symbol of B, composing factor symbols in operator order."""
-    xf, yf = factor_symbols(spec)
-    total = MultiPoly.zero(PHASE_VARS)
-    for (j, k), c in sorted(spec.coeffs.items()):
-        term = MultiPoly.constant(GR_ONE, PHASE_VARS)
-        for _ in range(k):
-            term = symbol_compose(yf, term)
-        for _ in range(j):
-            term = symbol_compose(xf, term)
-        total = total + term.scale(c)
-    return total
-
-
 def a_tilde(spec: OperatorSpec) -> MultiPoly:
     """Degenerate model symbol: the value of the full symbol along the planes.
 
@@ -174,6 +170,31 @@ def a_tilde(spec: OperatorSpec) -> MultiPoly:
     return MultiPoly(MODEL_VARS, {e: c for e, c in terms.items() if not c.is_zero()})
 
 
+def build_b_symbol(spec: OperatorSpec, atilde: Optional[MultiPoly] = None) -> MultiPoly:
+    """Left symbol of B in closed form: b = a~(x - q*eta, y + p*xi).
+
+    Each term c x^m xi^n of a~ spreads into the monomials
+    x^a y^b xi^(n-b) eta^(m-a) with coefficient
+    c C(m,a) C(n,b) (-q)^(m-a) p^(n-b); distinct (m, n, a, b) give distinct
+    exponents, so no two contributions meet.  ``atilde`` is a_tilde(spec)
+    when the caller already has it.
+    """
+    if atilde is None:
+        atilde = a_tilde(spec)
+    minus_q, p = -spec.q, spec.p
+    terms: dict[tuple[int, int, int, int], GaussianRational] = {}
+    for (m, n), c in atilde.terms.items():
+        for a in range(m + 1):
+            x_part = comb(m, a) * minus_q ** (m - a)
+            if x_part == 0:
+                continue
+            for b in range(n + 1):
+                f = x_part * comb(n, b) * p ** (n - b)
+                if f != 0:
+                    terms[(a, b, n - b, m - a)] = GaussianRational(c.re * f, c.im * f)
+    return MultiPoly(PHASE_VARS, terms)
+
+
 @dataclass(frozen=True)
 class DegeneracyCheck:
     holds: bool
@@ -181,27 +202,55 @@ class DegeneracyCheck:
     residual: MultiPoly   # difference against the degenerate model symbol
 
 
-def verify_degeneracy(spec: OperatorSpec) -> DegeneracyCheck:
+def _transport_residuals_vanish(b: MultiPoly, p: Fraction, q: Fraction) -> bool:
+    """True when q*d_x b + d_eta b and d_xi b - p*d_y b are identically zero.
+
+    Each term c x^i y^j xi^s eta^t of b (over PHASE_VARS) adds its derivative
+    terms to the two residuals, kept per exponent as (re, im) pairs.
+    """
+    eta_flow: dict[tuple, tuple] = {}
+    xi_flow: dict[tuple, tuple] = {}
+    for (i, j, s, t), c in b.terms.items():
+        for acc, key, f in ((eta_flow, (i - 1, j, s, t), q * i),
+                            (eta_flow, (i, j, s, t - 1), t),
+                            (xi_flow, (i, j, s - 1, t), s),
+                            (xi_flow, (i, j - 1, s, t), -p * j)):
+            if f:
+                re, im = acc.get(key, (0, 0))
+                acc[key] = (re + f * c.re, im + f * c.im)
+    return not any(re or im for acc in (eta_flow, xi_flow) for re, im in acc.values())
+
+
+def verify_degeneracy(spec: OperatorSpec, b: Optional[MultiPoly] = None,
+                      atilde: Optional[MultiPoly] = None) -> DegeneracyCheck:
     """Check that the full symbol is constant along x -> x0 + q*eta, y -> y0 - p*xi.
 
-    The base point (x0, y0) is encoded by reusing the names (x, y) in the
-    substituted result; the degenerate model symbol is compared with xi
-    renamed to y.
+    For a polynomial b, b(x0 + q*eta, y0 - p*xi, xi, eta) is independent of
+    (xi, eta) exactly when the transport residuals q*d_x b + d_eta b and
+    d_xi b - p*d_y b vanish identically; its value is then b(x0, y0, 0, 0).
+    The base point (x0, y0) reuses the names (x, y), and the degenerate model
+    symbol is compared with xi renamed to y.  Only when a transport residual
+    is nonzero is b substituted in full, to report the value it takes.
+
+    ``b`` defaults to build_b_symbol(spec) and ``atilde`` to a_tilde(spec).
     """
-    b = build_b_symbol(spec)
-    x = MultiPoly.variable("x")
-    y = MultiPoly.variable("y")
-    xi = MultiPoly.variable("xi")
-    eta = MultiPoly.variable("eta")
-    value = b.substitute({
-        "x": x + eta.scale(spec.q),
-        "y": y - xi.scale(spec.p),
-        "xi": xi,
-        "eta": eta,
-    })
-    model = a_tilde(spec).substitute({"x": x, "xi": y})
+    if atilde is None:
+        atilde = a_tilde(spec)
+    if b is None:
+        b = build_b_symbol(spec, atilde)
+    b = b.promote(PHASE_VARS)
+    transported = _transport_residuals_vanish(b, spec.p, spec.q)
+    if transported:
+        value = MultiPoly(PHASE_VARS, {e: c for e, c in b.terms.items()
+                                       if e[2] == 0 and e[3] == 0})
+    else:
+        x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+        xi, eta = MultiPoly.variable("xi"), MultiPoly.variable("eta")
+        value = b.substitute({"x": x + eta.scale(spec.q), "y": y - xi.scale(spec.p),
+                              "xi": xi, "eta": eta})
+    model = MultiPoly(PHASE_VARS, {(m, n, 0, 0): c for (m, n), c in atilde.terms.items()})
     residual = value - model
-    return DegeneracyCheck(residual.is_zero(), value, residual)
+    return DegeneracyCheck(transported and residual.is_zero(), value, residual)
 
 
 def _mixed_series(a: MultiPoly, unit: GaussianRational) -> MultiPoly:

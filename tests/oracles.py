@@ -4,6 +4,10 @@ The inverse-transform oracle evaluates every reconstructed point by its own
 direct trigonometric sum, one row at a time in O(N^3), where the library
 shifts whole columns with FFTs.
 
+The planar-symbol oracle composes the left symbols of the two first-order
+factors one factor at a time with the general composition formula, where the
+library expands the closed form b = a~(x - q eta, y + p xi).
+
 The quadratic-injectivity oracle scans the full two-dimensional grid of
 square splits (s1^2, s0^2) = (i/D * c0, j/D * c0) with i + j <= D, in exact
 integer arithmetic, and reports whether ANY admissible split produces a
@@ -19,7 +23,33 @@ from math import lcm
 
 import numpy as np
 
+from wigreg.exact import GR_ONE, MultiPoly
+from wigreg.symbols import PHASE_VARS, symbol_compose
+
 ORACLE_DEPTH = 512
+
+
+def factor_symbols(spec) -> tuple[MultiPoly, MultiPoly]:
+    """Left symbols of the two first-order factors (x - q*eta, y + p*xi)."""
+    x = MultiPoly.variable("x")
+    y = MultiPoly.variable("y")
+    xi = MultiPoly.variable("xi")
+    eta = MultiPoly.variable("eta")
+    return x - eta.scale(spec.q), y + xi.scale(spec.p)
+
+
+def composed_b_symbol(spec) -> MultiPoly:
+    """Left symbol of B, composing factor symbols in operator order."""
+    xf, yf = factor_symbols(spec)
+    total = MultiPoly.zero(PHASE_VARS)
+    for (j, k), c in sorted(spec.coeffs.items()):
+        term = MultiPoly.constant(GR_ONE, PHASE_VARS)
+        for _ in range(k):
+            term = symbol_compose(yf, term)
+        for _ in range(j):
+            term = symbol_compose(xf, term)
+        total = total + term.scale(c)
+    return total
 
 
 def _integerize(qc) -> tuple[int, int, int, int, int, int]:

@@ -28,7 +28,7 @@ from wigreg.symbols import (
 )
 from wigreg.wigner import wig_forward, wig_inverse
 
-from oracles import quadratic_split_exists
+from oracles import composed_b_symbol, quadratic_split_exists
 
 
 @contextmanager
@@ -103,6 +103,7 @@ def test_criterion_2_exact_degeneracy_identity():
             spec = OperatorSpec(coeffs, p)
             check = verify_degeneracy(spec)
             assert check.holds and check.residual.is_zero(), spec
+            assert build_b_symbol(spec) == composed_b_symbol(spec), spec
 
 
 def test_criterion_3_twisted_laplacian_chain():

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, and error paths."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +60,16 @@ def test_certify_missing_and_malformed_spec(tmp_path, capsys):
     bad.write_text("{broken")
     assert main(["certify", str(bad)]) == 1
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_certify_rejects_oversized_order_fast(spec_file, capsys):
+    huge = {"p": "1/2", "coeffs": [{"j": 1000000, "k": 0, "re": "1"}]}
+    start = time.perf_counter()
+    code = main(["certify", spec_file(huge)])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert "operator order 1000000 exceeds the limit of 64" in capsys.readouterr().err
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------

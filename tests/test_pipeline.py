@@ -1,10 +1,12 @@
 """End-to-end certification pipeline, generators, and report emission."""
 
+import importlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from wigreg import pipeline
 from wigreg.certify import verify_certificate
 from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
 from wigreg.pipeline import (
@@ -21,6 +23,10 @@ from wigreg.pipeline import (
     render_summary,
 )
 from wigreg.symbols import MODEL_VARS, OperatorSpec
+
+
+# the package exports the pipeline's certify under the module's name
+certify_module = importlib.import_module("wigreg.certify")
 
 
 def gr(re, im=0):
@@ -153,6 +159,40 @@ def test_report_symbols_and_json_shape():
     assert doc["verdict"]["status"] == "Regular"
 
 
+def test_order_60_monomial_certifies_with_degeneracy():
+    spec = OperatorSpec({(30, 30): GR_ONE}, Fraction(1, 3))
+    report = certify(spec)
+    assert report.verdict.status == "Unknown"
+    assert report.degeneracy_holds
+    assert len(report.symbols["b"].terms) == sum((n + 1) ** 2 for n in range(31))
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("spec_json", [EQ44_JSON, FIRST_MINUS_JSON, FIRST_PLUS_JSON,
+                                       SEXTIC_JSON, QUARTIC_JSON])
+def test_certify_runs_each_recognizer_and_symbol_builder_once(monkeypatch, spec_json):
+    spec, _ = parse_spec(spec_json)
+    expected = certify(spec).to_json()
+    counts = {}
+    for name in ("recognize_newton_family", "recognize_first_order", "a_tilde",
+                 "build_b_symbol"):
+        _count_calls(monkeypatch, pipeline, name, counts)
+    _count_calls(monkeypatch, certify_module, "recognize_first_order", counts)
+    assert certify(spec).to_json() == expected
+    assert counts["a_tilde"] == counts["build_b_symbol"] == 1
+    assert counts["recognize_first_order"] == 1
+    assert counts.get("recognize_newton_family", 0) <= 1
+
+
 def test_every_emitted_certificate_reverifies():
     for spec_json in [EQ44_JSON, FIRST_MINUS_JSON, FIRST_PLUS_JSON,
                       SEXTIC_JSON, QUARTIC_JSON]:
@@ -231,6 +271,15 @@ def test_quasi_homogeneous_integer_weights():
     assert c.coefficient({"x": 1, "eta": 1}) == gr(4)
     assert c.coefficient({"eta": 2}) == gr(1)
     assert result.report.verdict.status == "Regular"
+
+
+def test_quasi_homogeneous_reuses_the_report_symbols(monkeypatch):
+    counts = {}
+    _count_calls(monkeypatch, pipeline, "build_b_symbol", counts)
+    _count_calls(monkeypatch, pipeline, "t_conjugate", counts)
+    result = generate_quasi_homogeneous(Fraction(1, 3), Fraction(-1, 2), 1, 2)
+    assert counts == {"build_b_symbol": 1, "t_conjugate": 1}
+    assert result.conjugated is result.report.symbols["conjugated"]
 
 
 def test_quasi_homogeneous_negative_weight():

@@ -1,5 +1,6 @@
 """Operator specs, symbol composition, and the Weyl-Wick transform."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,13 +15,14 @@ from wigreg.symbols import (
     OperatorSpec,
     a_tilde,
     build_b_symbol,
-    factor_symbols,
     symbol_compose,
     t_conjugate,
     verify_degeneracy,
     weyl_wick,
     weyl_wick_inverse,
 )
+
+from oracles import composed_b_symbol, factor_symbols
 
 
 def gr(re, im=0):
@@ -188,6 +190,79 @@ def test_full_symbol_is_constant_along_degenerate_planes(spec):
     # the value along the planes is the model symbol in the base point
     assert check.value.degree_in("xi") == 0
     assert check.value.degree_in("eta") == 0
+
+
+def _random_spec(rng, p):
+    coeffs = {}
+    for _ in range(rng.randint(1, 4)):
+        j = rng.randint(0, 5)
+        k = rng.randint(0, 5 - j)
+        coeffs[(j, k)] = GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                                          Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    if all(c.is_zero() for c in coeffs.values()):
+        coeffs[(1, 1)] = GR_ONE
+    return OperatorSpec(coeffs, p)
+
+
+def _oracle_ps(rng):
+    ps = [Fraction(0), Fraction(1), Fraction(-1), Fraction(-7, 3), Fraction(5, 2)]
+    ps += [Fraction(rng.randint(-2 * d, 2 * d), d) for d in range(2, 8) for _ in range(4)]
+    return ps
+
+
+def test_closed_form_b_matches_composition_oracle():
+    rng = random.Random(303)
+    for p in _oracle_ps(rng):
+        spec = _random_spec(rng, p)
+        b = build_b_symbol(spec)
+        assert b == composed_b_symbol(spec), spec
+        assert b.vars == PHASE_VARS
+
+
+def test_degeneracy_check_accepts_the_b_it_is_given():
+    rng = random.Random(404)
+    for p in _oracle_ps(rng)[:12]:
+        spec = _random_spec(rng, p)
+        at = a_tilde(spec)
+        given_b = verify_degeneracy(spec, composed_b_symbol(spec), at)
+        default = verify_degeneracy(spec)
+        assert given_b.holds and default.holds
+        assert given_b.value == default.value == at.substitute(
+            {"x": MultiPoly.variable("x"), "xi": MultiPoly.variable("y")})
+
+
+MIXED = OperatorSpec({(2, 1): gr(3, -1), (1, 1): gr(1), (0, 3): gr(-2), (1, 0): gr(0, 5)},
+                     Fraction(1, 3))
+
+
+def test_degeneracy_check_rejects_any_single_perturbed_coefficient():
+    b = build_b_symbol(MIXED)
+    # every monomial of b, plus ones b lacks, at the base point and off it
+    targets = list(b.terms) + [(0, 0, 0, 0), (0, 0, 2, 0), (3, 0, 0, 1), (0, 2, 0, 0)]
+    assert {(0, 0, 2, 0), (3, 0, 0, 1), (0, 2, 0, 0)}.isdisjoint(b.terms)
+    for exp in targets:
+        bumped = b + MultiPoly(PHASE_VARS, {exp: gr(1, 1)})
+        check = verify_degeneracy(MIXED, bumped)
+        assert not check.holds, exp
+        assert not check.residual.is_zero(), exp
+
+
+def test_degeneracy_check_rejects_b_built_with_q_flipped():
+    # b(x, y, xi, -eta) = a~(x + q*eta, y + p*xi)
+    b = build_b_symbol(MIXED)
+    flipped = MultiPoly(PHASE_VARS, {e: c * (-1) ** e[3] for e, c in b.terms.items()})
+    assert flipped != b
+    check = verify_degeneracy(MIXED, flipped)
+    assert not check.holds
+    assert check.value.degree_in("eta") > 0 or check.value.degree_in("xi") > 0
+
+
+def test_order_limit_fails_fast():
+    with pytest.raises(ValueError, match="exceeds the limit of 64"):
+        OperatorSpec({(1000000, 0): GR_ONE}, Fraction(1, 2))
+    with pytest.raises(ValueError, match="operator order 65 exceeds the limit of 64"):
+        OperatorSpec.from_json({"p": "1/2", "coeffs": [{"j": 33, "k": 32, "re": "1"}]})
+    assert OperatorSpec({(32, 32): GR_ONE}, Fraction(1, 2)).order == 64
 
 
 # ---------------------------------------------------------------------------
