@@ -669,15 +669,20 @@ WICK_DIRECTIONS = 3600
 
 
 def injectivity_wick(a: MultiPoly, radius: float = WICK_RADIUS, count: int = WICK_COUNT,
-                     directions: int = WICK_DIRECTIONS) -> Certificate:
+                     directions: int = WICK_DIRECTIONS,
+                     wick: Optional[MultiPoly] = None) -> Certificate:
     """Evidence for injectivity through positivity of the coherent-state
     average symbol W[a]: sampled positivity on a square grid plus positivity
     of the leading form on a circle of directions (near-zero directions are
-    re-checked pointwise at larger radii)."""
+    re-checked pointwise at larger radii).
+
+    ``wick`` is W[a] when the caller has it already; it is computed from
+    ``a`` otherwise."""
     from .symbols import weyl_wick
 
     sym = _model_symbol(a)
-    wick = weyl_wick(sym)
+    if wick is None:
+        wick = weyl_wick(sym)
     subject = {"symbol": sym.to_json(), "wick": wick.to_json()}
     if not wick.is_real():
         return _not_applicable("coherent-state average symbol has complex coefficients", subject)

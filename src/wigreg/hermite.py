@@ -108,8 +108,11 @@ class PolyGauss:
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        poly = np.polynomial.polynomial.polyval(t, self.coeffs)
-        return poly * np.exp(-self.a * (t - self.x0) ** 2 + 1j * self.b * t)
+        values = np.polynomial.polynomial.polyval(t, self.coeffs)
+        values = values * np.exp(-self.a * (t - self.x0) ** 2)
+        if self.b != 0:
+            values *= np.exp(1j * self.b * t)
+        return values
 
     def to_polygauss(self) -> "PolyGauss":
         return self

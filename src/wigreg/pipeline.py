@@ -196,7 +196,7 @@ def _run_hypo_chain(a: MultiPoly, shapes: _Recognized, attempts: list[dict]):
     return None, evidence
 
 
-def _run_inj_chain(a: MultiPoly, shapes: _Recognized, attempts: list[dict]):
+def _run_inj_chain(a: MultiPoly, wick: MultiPoly, shapes: _Recognized, attempts: list[dict]):
     """Returns (injectivity certificate or None, kernel witness or None)."""
     qc = extract_quadratic_coeffs(a)
     if qc is None:
@@ -227,7 +227,7 @@ def _run_inj_chain(a: MultiPoly, shapes: _Recognized, attempts: list[dict]):
             attempts.append(_attempt("injectivity", "sum_of_squares", "certified", cert.kind))
             return cert, None
 
-    cert = injectivity_wick(a)
+    cert = injectivity_wick(a, wick=wick)
     if cert.kind == "NotApplicable":
         attempts.append(_attempt("injectivity", "wick_positivity", "not_applicable",
                                  cert.payload["reason"]))
@@ -303,7 +303,7 @@ def certify(spec: OperatorSpec, change: Optional[LinearChange] = None) -> Report
     attempts: list[dict] = []
     shapes = _Recognized(a)
     hypo_cert, hypo_evidence = _run_hypo_chain(a, shapes, attempts)
-    inj_cert, kernel_witness = _run_inj_chain(a, shapes, attempts)
+    inj_cert, kernel_witness = _run_inj_chain(a, symbols["wick"], shapes, attempts)
     adjoint = _adjoint_analysis(shapes.first_order)
 
     if hypo_cert is not None:

@@ -1,13 +1,25 @@
 """Grid application of the operators and the numerical cross-checks.
 
 Derivatives are spectral: on a periodic axis with spacing d the operator
-D = -i d/dx multiplies the FFT modes by their wavenumber (2 pi * fftfreq).
-On the plane the two factors act as
+D = -i d/dx multiplies the FFT modes by their wavenumber omega = 2 pi * fftfreq.
+On the plane the two factors are each diagonal in a mixed frame:
 
-    (y + p D_x): multiply by the dual coordinate, plus p times D along x,
-    (x - q D_y): multiply by x, minus q times D along the dual axis,
+    Y = y + p D_x is multiplication by y + p omega_x once the x axis is in
+      Fourier space (y is the dual coordinate, untouched by the x transform);
+    X = x - q D_y is multiplication by x - q omega_y once the dual axis is in
+      Fourier space.
 
-applied right-to-left in operator order, so (y + p D_x)^k acts first.
+X and Y do not commute ([X, Y] = i), so no single frame diagonalizes both and
+each needs its own axis transform.  apply_operator_2d therefore evaluates
+B = sum c[j,k] X^j Y^k (Y acting first) row by row: for each j it takes the
+polynomial sum_{k>0} c[j,k] (y + p omega_x)^k by Horner on the x spectrum,
+moves that row into the frame of X (inverse FFT along x, FFT along y), and
+folds the rows together by Horner in x - q omega_y.  The terms without a
+derivative, sum_j c[j,0] X^j, act on one FFT of the input along y.  With R
+rows that hold a derivative the count is 2R + 3 one-axis FFTs at most (one
+in each frame, two per row, one back), whatever the orders, where applying
+the factors one at a time takes two per factor.  apply_operator_1d runs the
+same scheme on the line, where x is already diagonal in sample space.
 
 Two independent checks tie the exact layer to the transform:
 
@@ -26,7 +38,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .exact import MultiPoly
+from .exact import GR_ONE, MultiPoly
 from .hermite import PI_QUARTER_INV, apply_model_operator, to_polygauss
 from .symbols import MODEL_VARS, OperatorSpec
 from .wigner import Grid2D, GridFunction2D, _alternating_phase, wig_forward
@@ -58,13 +70,60 @@ def _check_boundary_decay(samples: np.ndarray, what: str) -> None:
         )
 
 
-def _spectral_d(samples: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """Apply D = -i d/dx along the axis: multiply FFT modes by the wavenumber."""
-    n = samples.shape[axis]
-    omega = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
-    shape = [1] * samples.ndim
-    shape[axis] = n
-    return np.fft.ifft(omega.reshape(shape) * np.fft.fft(samples, axis=axis), axis=axis)
+def _wavenumbers(n: int, spacing: float) -> np.ndarray:
+    """The symbol of D = -i d/dx on the FFT modes of a periodic axis."""
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
+
+
+def _horner(coeffs: Mapping[int, complex], plane: np.ndarray):
+    """sum_k coeffs[k] * plane**k by Horner, without elementwise powers."""
+    top = max(coeffs)
+    value = coeffs[top]
+    for k in range(top - 1, -1, -1):
+        value = value * plane
+        if k in coeffs:
+            value += coeffs[k]
+    return value
+
+
+def _apply_diagonal(coeffs: Mapping[tuple[int, int], complex], samples: np.ndarray,
+                    y_sym: np.ndarray, y_frame: Callable[[np.ndarray], np.ndarray],
+                    x_sym: np.ndarray, x_frame: Callable[[np.ndarray], np.ndarray],
+                    y_to_x: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """sum_j X^j R_j(Y) w + P(X) w in the frame of X, where R_j(Y) collects
+    the terms c[j,k] Y^k with k > 0 and P(X) = sum_j c[j,0] X^j.
+
+    Y is multiplication by y_sym on ``y_frame(w)`` and X is multiplication by
+    x_sym on ``x_frame(w)``; ``y_to_x`` carries a row from the first frame
+    into the second.  The rows fold by Horner in X from the top j down, so
+    only the running total and one row are alive at a time.  P(X) takes w
+    straight into the frame of X: a round trip through the frame of Y would
+    spread rounding error evenly over the x axis, where X^j magnifies it at
+    the window edges.
+    """
+    rows: dict[int, dict[int, complex]] = {}
+    plain: dict[int, complex] = {}
+    for (j, k), c in coeffs.items():
+        if k:
+            rows.setdefault(j, {})[k] = c
+        else:
+            plain[j] = c
+    total = None
+    if rows:
+        in_y = y_frame(samples)
+        top = max(rows)
+        total = y_to_x(_horner(rows[top], y_sym) * in_y)
+        for j in range(top - 1, -1, -1):
+            total *= x_sym
+            if j in rows:
+                total += y_to_x(_horner(rows[j], y_sym) * in_y)
+    if plain:
+        term = _horner(plain, x_sym) * x_frame(samples)
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total
 
 
 def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunction2D:
@@ -73,19 +132,13 @@ def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunc
         raise ValueError("the planar operator acts on a transform with a dual second axis")
     grid = transform.grid
     _check_boundary_decay(transform.samples, "apply_operator_2d")
-    p = float(spec.p)
-    q = float(spec.q)
-    x_col = grid.x_nodes[:, None]
-    y_row = grid.dual_nodes[None, :]
-    total = np.zeros_like(transform.samples)
-    for (j, k), coef in sorted(spec.coeffs.items()):
-        work = transform.samples
-        for _ in range(k):
-            work = y_row * work + p * _spectral_d(work, axis=0, spacing=grid.dx)
-        for _ in range(j):
-            work = x_col * work - q * _spectral_d(work, axis=1, spacing=grid.dy_dual)
-        total = total + coef.to_complex() * work
-    return GridFunction2D(grid, total, dual_y=True)
+    y_sym = grid.dual_nodes[None, :] + float(spec.p) * _wavenumbers(grid.N, grid.dx)[:, None]
+    x_sym = grid.x_nodes[:, None] - float(spec.q) * _wavenumbers(grid.N, grid.dy_dual)[None, :]
+    total = _apply_diagonal(spec.complex_coeffs(), transform.samples,
+                            y_sym, lambda w: np.fft.fft(w, axis=0),
+                            x_sym, lambda w: np.fft.fft(w, axis=1),
+                            lambda row: np.fft.fft(np.fft.ifft(row, axis=0), axis=1))
+    return GridFunction2D(grid, np.fft.ifft(total, axis=1), dual_y=True)
 
 
 def apply_operator_1d(spec: OperatorSpec, grid: Grid2D, samples: np.ndarray) -> np.ndarray:
@@ -94,17 +147,9 @@ def apply_operator_1d(spec: OperatorSpec, grid: Grid2D, samples: np.ndarray) -> 
     if samples.shape != (grid.N,):
         raise ValueError(f"samples must be shaped ({grid.N},), got {samples.shape}")
     _check_boundary_decay(samples, "apply_operator_1d")
-    x = grid.x_nodes
-    total = np.zeros_like(samples)
-    for (j, k), coef in sorted(spec.coeffs.items()):
-        work = samples
-        if k:
-            omega = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dx)
-            work = np.fft.ifft((omega ** k) * np.fft.fft(work))
-        if j:
-            work = (x ** j) * work
-        total = total + coef.to_complex() * work
-    return total
+    return _apply_diagonal(spec.complex_coeffs(), samples,
+                           _wavenumbers(grid.N, grid.dx), np.fft.fft,
+                           grid.x_nodes, lambda w: w, np.fft.ifft)
 
 
 DEFAULT_GRID = Grid2D(12.0, 256)
@@ -133,7 +178,6 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
     p = Fraction(p)
     spec = spec.with_p(p)
     pf = float(p)
-    qf = float(spec.q)
     w = wig_forward(u, v, pf, grid, boundary_tol=boundary_tol)
 
     def relative(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -150,11 +194,9 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
         du = base.apply_d()
         mu = base.mul_t()
         lhs_d = wig_forward(du, v, pf, grid, boundary_tol=boundary_tol).samples
-        rhs_d = (grid.dual_nodes[None, :] * w.samples
-                 + pf * _spectral_d(w.samples, axis=0, spacing=grid.dx))
+        rhs_d = apply_operator_2d(OperatorSpec({(0, 1): GR_ONE}, p), w).samples
         lhs_m = wig_forward(mu, v, pf, grid, boundary_tol=boundary_tol).samples
-        rhs_m = (grid.x_nodes[:, None] * w.samples
-                 - qf * _spectral_d(w.samples, axis=1, spacing=grid.dy_dual))
+        rhs_m = apply_operator_2d(OperatorSpec({(1, 0): GR_ONE}, p), w).samples
         return [
             ("derivative_factor", relative(lhs_d, rhs_d)),
             ("position_factor", relative(lhs_m, rhs_m)),

@@ -8,6 +8,10 @@ The planar-symbol oracle composes the left symbols of the two first-order
 factors one factor at a time with the general composition formula, where the
 library expands the closed form b = a~(x - q eta, y + p xi).
 
+The planar-operator oracle applies B one first-order factor at a time, an
+FFT pair per factor application, where the library applies each factor as a
+multiplication in the frame that diagonalizes it.
+
 The quadratic-injectivity oracle scans the full two-dimensional grid of
 square splits (s1^2, s0^2) = (i/D * c0, j/D * c0) with i + j <= D, in exact
 integer arithmetic, and reports whether ANY admissible split produces a
@@ -25,6 +29,7 @@ import numpy as np
 
 from wigreg.exact import GR_ONE, MultiPoly
 from wigreg.symbols import PHASE_VARS, symbol_compose
+from wigreg.wigner import GridFunction2D
 
 ORACLE_DEPTH = 512
 
@@ -50,6 +55,33 @@ def composed_b_symbol(spec) -> MultiPoly:
             term = symbol_compose(xf, term)
         total = total + term.scale(c)
     return total
+
+
+def _spectral_d(samples: np.ndarray, axis: int, spacing: float) -> np.ndarray:
+    """Apply D = -i d/dx along the axis: multiply FFT modes by the wavenumber."""
+    n = samples.shape[axis]
+    omega = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
+    shape = [1] * samples.ndim
+    shape[axis] = n
+    return np.fft.ifft(omega.reshape(shape) * np.fft.fft(samples, axis=axis), axis=axis)
+
+
+def factorwise_apply_operator_2d(spec, transform) -> GridFunction2D:
+    """Apply B = sum c[j,k] (x - q D_y)^j (y + p D_x)^k factor by factor."""
+    grid = transform.grid
+    p = float(spec.p)
+    q = float(spec.q)
+    x_col = grid.x_nodes[:, None]
+    y_row = grid.dual_nodes[None, :]
+    total = np.zeros_like(transform.samples)
+    for (j, k), coef in sorted(spec.coeffs.items()):
+        work = transform.samples
+        for _ in range(k):
+            work = y_row * work + p * _spectral_d(work, axis=0, spacing=grid.dx)
+        for _ in range(j):
+            work = x_col * work - q * _spectral_d(work, axis=1, spacing=grid.dy_dual)
+        total = total + coef.to_complex() * work
+    return GridFunction2D(grid, total, dual_y=True)
 
 
 def _integerize(qc) -> tuple[int, int, int, int, int, int]:

@@ -69,6 +69,31 @@ def test_polygauss_matches_hermite_pointwise():
         assert np.max(np.abs(pg(GRID) - h(GRID))) < 1e-12, n
 
 
+@pytest.mark.parametrize("pg", [
+    Hermite(3).to_polygauss(),                                   # b == 0
+    PolyGauss([0.5 - 1j, 2.0, 0.25j], a=0.7, x0=-0.4),           # b == 0
+    GaussianPacket(a=0.8, b=0.6, x0=0.3).to_polygauss().apply_d(),
+    PolyGauss([1.0, -0.5j], a=1.5, b=-2.0, x0=0.25),
+])
+def test_polygauss_matches_complex_exponential_formula(monkeypatch, pg):
+    t = np.add.outer(GRID[::20], 0.5 * GRID[::20])
+    expected = (np.polynomial.polynomial.polyval(t, pg.coeffs)
+                * np.exp(-pg.a * (t - pg.x0) ** 2 + 1j * pg.b * t))
+    exp_args = []
+    original = np.exp
+
+    def recording_exp(x, *args, **kwargs):
+        exp_args.append(np.asarray(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", recording_exp)
+    values = pg(t)
+    monkeypatch.undo()
+    assert np.max(np.abs(values - expected)) <= 1e-15 * np.max(np.abs(expected))
+    # the real envelope alone when there is no phase
+    assert any(np.iscomplexobj(x) for x in exp_args) == (pg.b != 0)
+
+
 def test_polygauss_trims_trailing_zeros_and_requires_width():
     pg = PolyGauss([1.0, 0.0, 0.0], a=1.0)
     assert pg.coeffs.size == 1

@@ -193,6 +193,38 @@ def test_certify_runs_each_recognizer_and_symbol_builder_once(monkeypatch, spec_
     assert counts.get("recognize_newton_family", 0) <= 1
 
 
+# x^4 + D^2 + 5 is certified by coherent-state positivity; x^4 + D^4 + 1
+# reaches that step and fails it
+WICK_POSITIVE_JSON = {"p": "1/2", "coeffs": [{"j": 4, "k": 0, "re": "1"},
+                                             {"j": 0, "k": 2, "re": "1"},
+                                             {"j": 0, "k": 0, "re": "5"}]}
+WICK_SAMPLED_NEGATIVE_JSON = {"p": "1/2", "coeffs": [{"j": 4, "k": 0, "re": "1"},
+                                                     {"j": 0, "k": 4, "re": "1"},
+                                                     {"j": 0, "k": 0, "re": "1"}]}
+
+
+@pytest.mark.parametrize("spec_json", [WICK_POSITIVE_JSON, WICK_SAMPLED_NEGATIVE_JSON])
+def test_certify_builds_the_wick_symbol_once(monkeypatch, spec_json):
+    spec, _ = parse_spec(spec_json)
+    expected = certify(spec).to_json()
+    counts = {}
+    _count_calls(monkeypatch, pipeline, "weyl_wick", counts)
+    _count_calls(monkeypatch, importlib.import_module("wigreg.symbols"), "weyl_wick", counts)
+    report = certify(spec)
+    assert counts == {"weyl_wick": 1}
+    assert "wick_positivity" in [a["method"] for a in report.attempts]
+    assert report.to_json() == expected
+    wick_certs = [c for c in report.verdict.chain if c.kind == "InjWickPositive"]
+    assert len(wick_certs) == (spec_json is WICK_POSITIVE_JSON)
+    for cert in wick_certs:
+        # the chain's certificate equals one built from scratch, and the
+        # verifier rebuilds the Wick symbol itself
+        counts.clear()
+        assert cert.to_json() == certify_module.injectivity_wick(report.symbols["a"]).to_json()
+        assert verify_certificate(cert).ok
+        assert counts == {"weyl_wick": 2}
+
+
 def test_every_emitted_certificate_reverifies():
     for spec_json in [EQ44_JSON, FIRST_MINUS_JSON, FIRST_PLUS_JSON,
                       SEXTIC_JSON, QUARTIC_JSON]:

@@ -1,7 +1,9 @@
 """Grid operators, the intertwining identity, and the energy comparison."""
 
+import random
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from wigreg.spectral import (
     BoundaryDecayWarning,
     CoherentFrame,
     DEFAULT_GRID,
-    _spectral_d,
     apply_operator_1d,
     apply_operator_2d,
     coherent_transform,
@@ -20,7 +21,9 @@ from wigreg.spectral import (
     wick_energy_compare,
 )
 from wigreg.symbols import MODEL_VARS, OperatorSpec
-from wigreg.wigner import Grid2D, wig_forward
+from wigreg.wigner import Grid2D, GridFunction2D, wig_forward
+
+from oracles import factorwise_apply_operator_2d
 
 H0, H1, H2 = Hermite(0), Hermite(1), Hermite(2)
 
@@ -38,12 +41,25 @@ HARMONIC_SPEC = OperatorSpec({(2, 0): gr(1), (0, 2): gr(1)}, Fraction(1, 2))
 # ---------------------------------------------------------------------------
 
 
-def test_spectral_d_on_plane_wave():
+@pytest.mark.filterwarnings("ignore::wigreg.spectral.BoundaryDecayWarning")
+def test_factors_act_on_plane_waves_by_their_eigenvalues():
+    # (y + p D_x) e^{i kappa x} = (y + p kappa) e^{i kappa x}, and
+    # (x - q D_y) e^{i kappa y} = (x - q kappa) e^{i kappa y}
     grid = Grid2D(8.0, 64)
-    k = 2.0 * np.pi / 16.0 * 5          # an exact grid mode
-    wave = np.exp(1j * k * grid.x_nodes)
-    out = _spectral_d(wave, axis=0, spacing=grid.dx)
-    assert np.max(np.abs(out - k * wave)) < 1e-12
+    ones = np.ones(grid.N)
+    kx = 2.0 * np.pi / (grid.N * grid.dx) * 5          # exact grid modes
+    ky = 2.0 * np.pi / (grid.N * grid.dy_dual) * -3
+    wave_x = np.outer(np.exp(1j * kx * grid.x_nodes), ones)
+    wave_y = np.outer(ones, np.exp(1j * ky * grid.dual_nodes))
+    for p in [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(2)]:
+        y_factor = OperatorSpec({(0, 1): GR_ONE}, p)
+        out = apply_operator_2d(y_factor, GridFunction2D(grid, wave_x)).samples
+        expected = (grid.dual_nodes[None, :] + float(p) * kx) * wave_x
+        assert np.max(np.abs(out - expected)) < 1e-12, p
+        x_factor = OperatorSpec({(1, 0): GR_ONE}, p)
+        out = apply_operator_2d(x_factor, GridFunction2D(grid, wave_y)).samples
+        expected = (grid.x_nodes[:, None] - float(1 - p) * ky) * wave_y
+        assert np.max(np.abs(out - expected)) < 1e-12, p
 
 
 def test_apply_operator_1d_oscillator_eigenvalue():
@@ -86,6 +102,85 @@ def test_apply_operator_2d_requires_dual_axis():
     spatial = type(w)(w.grid, w.samples, dual_y=False)
     with pytest.raises(ValueError):
         apply_operator_2d(EQ44, spatial)
+
+
+def _relative(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+    return float(np.max(np.abs(lhs - rhs))) / scale
+
+
+def _random_spec(rng: random.Random, p: Fraction) -> OperatorSpec:
+    """A Gaussian-rational operator of order at most 4 with random support."""
+    order = rng.randint(1, 4)
+    support = [(j, k) for j in range(order + 1) for k in range(order + 1 - j)]
+    chosen = rng.sample(support, rng.randint(1, len(support)))
+    return OperatorSpec({jk: gr(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                                Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+                         for jk in chosen}, p)
+
+
+@pytest.mark.filterwarnings("ignore::wigreg.spectral.BoundaryDecayWarning")
+@pytest.mark.parametrize("n_pts", [64, 256])
+@pytest.mark.parametrize("p", [Fraction(-1), Fraction(0), Fraction(1, 3),
+                               Fraction(1, 2), Fraction(1), Fraction(2)])
+def test_apply_operator_2d_matches_factorwise_oracle(p, n_pts):
+    rng = random.Random(f"{p}:{n_pts}")
+    inside = 0 <= p <= 1
+    grid = Grid2D(12.0 if inside else 20.0, n_pts)
+    for _ in range(4):
+        spec = _random_spec(rng, p)
+        w = wig_forward(Hermite(rng.randint(0, 2)), Hermite(rng.randint(0, 2)), float(p), grid)
+        new = apply_operator_2d(spec, w).samples
+        old = factorwise_apply_operator_2d(spec, w).samples
+        if inside:
+            assert _relative(new, old) <= 1e-12, (spec.coeffs, p, n_pts)
+            continue
+        # Outside 0 <= p <= 1 the symbols reach |x - q omega_y| and
+        # |y + p omega_x| near 60 on the wider window, so a 4th-order term
+        # magnifies float64 rounding beyond 1e-12 in either scheme.  Measure
+        # both against the oracle run in extended precision instead.
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("no extended-precision long double on this platform")
+        wide = SimpleNamespace(grid=grid, samples=w.samples.astype(np.clongdouble))
+        ref = factorwise_apply_operator_2d(spec, wide).samples
+        assert _relative(new, ref) <= 2.0 * _relative(old, ref) + 1e-13, (spec.coeffs, p, n_pts)
+
+
+def _count_ffts(monkeypatch) -> list:
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    # QUARTIC: x^4 has no derivative; the rows j = 2, 1, 0 each do (28 FFTs factor by factor)
+    ({(4, 0): gr(1), (2, 2): gr(2), (1, 1): gr(0, -4), (0, 4): gr(1)}, 9),
+    ({(2, 0): gr(4), (0, 2): gr(Fraction(1, 4))}, 5),           # EQ44
+    ({(1, 1): gr(1)}, 4),
+    ({(1, 0): gr(1)}, 2),
+    ({(3, 0): gr(1), (1, 0): gr(2)}, 2),
+    ({(0, 6): gr(1), (0, 1): gr(3)}, 4),
+    ({(3, 1): gr(1), (3, 0): gr(2), (1, 2): gr(1), (0, 1): gr(5), (0, 0): gr(1)}, 9),
+])
+def test_apply_operator_2d_fft_count(monkeypatch, coeffs, expected):
+    # one FFT along x into the frame of Y and one along y into the frame of X,
+    # each only when some term needs it, an inverse-x/forward-y pair for each
+    # row with a derivative term, and the closing inverse FFT along y
+    spec = OperatorSpec(coeffs, Fraction(1, 2))
+    rows_with_d = {j for j, k in coeffs if k > 0}
+    formula = 2 * len(rows_with_d) + bool(rows_with_d) + any(k == 0 for _, k in coeffs) + 1
+    assert formula == expected
+    w = wig_forward(H1, H0, 0.5, Grid2D(12.0, 64))
+    calls = _count_ffts(monkeypatch)
+    apply_operator_2d(spec, w)
+    assert len(calls) == expected
 
 
 # ---------------------------------------------------------------------------
