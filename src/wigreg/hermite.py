@@ -107,9 +107,21 @@ class PolyGauss:
             raise ValueError("envelope width must be positive")
 
     def __call__(self, t) -> np.ndarray:
+        """Horner on the real and imaginary parts of the polynomial, each in
+        place in its half of one complex output; t is real, so this gives the
+        bits of the complex polyval.  A part whose coefficients are all zero
+        stays zero."""
         t = np.asarray(t, dtype=float)
-        values = np.polynomial.polynomial.polyval(t, self.coeffs)
-        values = values * np.exp(-self.a * (t - self.x0) ** 2)
+        envelope = np.exp(-self.a * (t - self.x0) ** 2)
+        values = np.zeros(t.shape, dtype=complex)
+        for part, coeffs in ((values.real, self.coeffs.real), (values.imag, self.coeffs.imag)):
+            if not coeffs.any():
+                continue
+            part += coeffs[-1]
+            for c in coeffs[-2::-1]:
+                part *= t
+                part += c
+            part *= envelope
         if self.b != 0:
             values *= np.exp(1j * self.b * t)
         return values

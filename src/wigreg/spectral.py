@@ -18,8 +18,12 @@ folds the rows together by Horner in x - q omega_y.  The terms without a
 derivative, sum_j c[j,0] X^j, act on one FFT of the input along y.  With R
 rows that hold a derivative the count is 2R + 3 one-axis FFTs at most (one
 in each frame, two per row, one back), whatever the orders, where applying
-the factors one at a time takes two per factor.  apply_operator_1d runs the
-same scheme on the line, where x is already diagonal in sample space.
+the factors one at a time takes two per factor.  A factor whose symbol has
+no wavenumber term is diagonal in sample space and needs no FFT: at p = 0,
+Y is multiplication by y and the count is R + 2 at most, all along y; at
+p = 1, X is multiplication by x, the result needs no way back, and the count
+is R + [R > 0], all along x.  apply_operator_1d runs the same scheme on the
+line, where x is already diagonal in sample space.
 
 Two independent checks tie the exact layer to the transform:
 
@@ -73,6 +77,10 @@ def _check_boundary_decay(samples: np.ndarray, what: str) -> None:
 def _wavenumbers(n: int, spacing: float) -> np.ndarray:
     """The symbol of D = -i d/dx on the FFT modes of a periodic axis."""
     return 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
+
+
+def _identity(w: np.ndarray) -> np.ndarray:
+    return w
 
 
 def _horner(coeffs: Mapping[int, complex], plane: np.ndarray):
@@ -132,13 +140,35 @@ def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunc
         raise ValueError("the planar operator acts on a transform with a dual second axis")
     grid = transform.grid
     _check_boundary_decay(transform.samples, "apply_operator_2d")
-    y_sym = grid.dual_nodes[None, :] + float(spec.p) * _wavenumbers(grid.N, grid.dx)[:, None]
-    x_sym = grid.x_nodes[:, None] - float(spec.q) * _wavenumbers(grid.N, grid.dy_dual)[None, :]
+    p = float(spec.p)
+    q = float(spec.q)
+    # A factor whose symbol has no wavenumber term (Y at p = 0, X at q = 0)
+    # is diagonal in the frame the samples are already in: its frame is the
+    # identity and its symbol a line of the grid, broadcast over the plane.
+    y_sym = grid.dual_nodes[None, :]
+    y_frame = _identity
+    if p:
+        y_sym = y_sym + p * _wavenumbers(grid.N, grid.dx)[:, None]
+        y_frame = lambda w: np.fft.fft(w, axis=0)
+    x_sym = grid.x_nodes[:, None]
+    x_frame = _identity
+    if q:
+        x_sym = x_sym - q * _wavenumbers(grid.N, grid.dy_dual)[None, :]
+        x_frame = lambda w: np.fft.fft(w, axis=1)
+
+    def y_to_x(row: np.ndarray) -> np.ndarray:
+        # each row is a fresh plane, so it changes frame in place
+        if p:
+            np.fft.ifft(row, axis=0, out=row)
+        if q:
+            np.fft.fft(row, axis=1, out=row)
+        return row
+
     total = _apply_diagonal(spec.complex_coeffs(), transform.samples,
-                            y_sym, lambda w: np.fft.fft(w, axis=0),
-                            x_sym, lambda w: np.fft.fft(w, axis=1),
-                            lambda row: np.fft.fft(np.fft.ifft(row, axis=0), axis=1))
-    return GridFunction2D(grid, np.fft.ifft(total, axis=1), dual_y=True)
+                            y_sym, y_frame, x_sym, x_frame, y_to_x)
+    if q:
+        np.fft.ifft(total, axis=1, out=total)
+    return GridFunction2D(grid, total, dual_y=True)
 
 
 def apply_operator_1d(spec: OperatorSpec, grid: Grid2D, samples: np.ndarray) -> np.ndarray:
@@ -149,7 +179,7 @@ def apply_operator_1d(spec: OperatorSpec, grid: Grid2D, samples: np.ndarray) -> 
     _check_boundary_decay(samples, "apply_operator_1d")
     return _apply_diagonal(spec.complex_coeffs(), samples,
                            _wavenumbers(grid.N, grid.dx), np.fft.fft,
-                           grid.x_nodes, lambda w: w, np.fft.ifft)
+                           grid.x_nodes, _identity, np.fft.ifft)
 
 
 DEFAULT_GRID = Grid2D(12.0, 256)

@@ -6,10 +6,17 @@ For a parameter p (q = 1 - p) the transform of a pure tensor u (x) v is
 
 Discretization: spatial nodes x_j = -L + j*(2L/N) serve both the x axis and
 the integration variable z; the dual axis carries y_k = k*pi/L for
-k = -N/2 .. N/2-1.  With these choices exp(-i z_l y_k) = (-1)^k exp(-2 pi i l k / N),
-so one FFT per x row evaluates the integral exactly up to truncation:
+k = -N/2 .. N/2-1.  The forward takes the z nodes in FFT order, z_l = l*dz
+for l < N/2 and (l - N)*dz above (the x nodes rolled by N/2), so that
+exp(-i z_l y_k) = exp(-2 pi i l k / N) for every k.  Putting the sign (-1)^l
+on the product moves the output frequency k = -N/2 to index 0, so one FFT per
+x row lands in ascending order and evaluates the integral exactly up to
+truncation:
 
-    Wig[j, k] = (dz / sqrt(2 pi)) * (-1)^k * DFT_l(u(x_j + q z_l) v(x_j - p z_l))[k mod N].
+    Wig[j, k] = (dz / sqrt(2 pi)) * DFT_l((-1)^l u(x_j + q z_l) v(x_j - p z_l))[k + N/2].
+
+When p = 0 the argument of v does not depend on z (and u's does not when
+p = 1); that window is evaluated once per x node and broadcast along z.
 
 Samples are stored row-major with the first index on the x axis and both axes
 ascending.  The inverse undoes the same DFT exactly and reads the pair
@@ -83,7 +90,7 @@ class GridFunction2D:
         arr = np.asarray(samples, dtype=complex)
         if arr.shape != (grid.N, grid.N):
             raise ValueError(f"samples must be shaped ({grid.N}, {grid.N}), got {arr.shape}")
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+        if not np.isfinite(arr).all():
             raise ValueError("samples must be finite")
         self.grid = grid
         self.samples = arr
@@ -131,12 +138,15 @@ def wig_forward(u: Callable, v: Callable, p: float, grid: Grid2D,
             f"inputs reach {edge:.3e} at the z window edge (need < {boundary_tol:.1e}); "
             f"enlarge L"
         )
-    z = grid.x_nodes
-    args_u = x[:, None] + q * z[None, :]
-    args_v = x[:, None] - p * z[None, :]
-    g = np.asarray(u(args_u)) * np.asarray(v(args_v))
-    spectrum = np.fft.fftshift(np.fft.fft(g, axis=1), axes=1)
-    samples = (grid.dx / TWO_PI_SQRT) * _alternating_phase(grid.N)[None, :] * spectrum
+    # z in FFT order with the sign (-1)^l, so the FFT lands centred (see the
+    # module docstring); a window whose argument does not move with z is
+    # evaluated on the x column alone
+    col = x[:, None]
+    z = np.roll(x, grid.N // 2)
+    g = np.multiply(u(col + q * z if q else col), v(col - p * z if p else col), dtype=complex)
+    np.negative(g[:, 1::2], out=g[:, 1::2])
+    samples = np.fft.fft(g, axis=1, out=g)
+    samples *= grid.dx / TWO_PI_SQRT
     return GridFunction2D(grid, samples, dual_y=True)
 
 
@@ -227,6 +237,21 @@ def read_manifest(path: str) -> dict:
         return json.load(fh)
 
 
+def _check_csv_nodes(table: np.ndarray, grid: Grid2D, dual_y: bool) -> None:
+    """The x,y columns must list the manifest grid's nodes in write_grid's
+    order (%.17g round-trips them exactly); name the first line that does not."""
+    n = grid.N
+    x_nodes, y_nodes = grid.x_nodes, grid.axis_nodes(dual_y)
+    wrong = ((table[:, 0].reshape(n, n) != x_nodes[:, None])
+             | (table[:, 1].reshape(n, n) != y_nodes[None, :])).ravel()
+    if wrong.any():
+        row = int(np.argmax(wrong))
+        found = tuple(table[row, :2].tolist())
+        expected = (x_nodes[row // n].item(), y_nodes[row % n].item())
+        raise ValueError(f"grid CSV line {row + 2} holds node {found}, "
+                         f"expected {expected} from the manifest grid")
+
+
 def read_grid(path: str) -> GridFunction2D:
     """Read a grid file written by write_grid (manifest sidecar required)."""
     manifest = read_manifest(path)
@@ -237,6 +262,7 @@ def read_grid(path: str) -> GridFunction2D:
         table = np.loadtxt(path, delimiter=",", skiprows=1)
         if table.shape != (grid.N * grid.N, 4):
             raise ValueError(f"grid CSV has shape {table.shape}, expected ({grid.N * grid.N}, 4)")
+        _check_csv_nodes(table, grid, dual_y)
         samples = (table[:, 2] + 1j * table[:, 3]).reshape(grid.N, grid.N)
     elif fmt == "raw":
         flat = np.fromfile(path, dtype="<f8")

@@ -4,6 +4,12 @@ The inverse-transform oracle evaluates every reconstructed point by its own
 direct trigonometric sum, one row at a time in O(N^3), where the library
 shifts whole columns with FFTs.
 
+The forward-transform oracle evaluates both windows on full planes of
+shifted arguments over z in ascending order, then centres the spectrum with
+fftshift and the (-1)^k phase after the FFT, where the library takes z in FFT
+order with the sign folded into the product and evaluates a z-free window on
+one column.
+
 The planar-symbol oracle composes the left symbols of the two first-order
 factors one factor at a time with the general composition formula, where the
 library expands the closed form b = a~(x - q eta, y + p xi).
@@ -29,7 +35,7 @@ import numpy as np
 
 from wigreg.exact import GR_ONE, MultiPoly
 from wigreg.symbols import PHASE_VARS, symbol_compose
-from wigreg.wigner import GridFunction2D
+from wigreg.wigner import TWO_PI_SQRT, GridFunction2D, _alternating_phase
 
 ORACLE_DEPTH = 512
 
@@ -152,6 +158,19 @@ def hermite_quadrature_values(n: int, t: np.ndarray) -> np.ndarray:
     poly = np.polynomial.hermite.Hermite(coeffs)
     norm = 1.0 / sqrt(float(2 ** n) * factorial(n) * sqrt(pi))
     return norm * poly(t) * np.exp(-0.5 * t * t)
+
+
+def shifted_wig_forward(u, v, p: float, grid) -> np.ndarray:
+    """Forward-transform samples on full planes, centred after the FFT."""
+    p = float(p)
+    q = 1.0 - p
+    x = grid.x_nodes
+    z = grid.x_nodes
+    args_u = x[:, None] + q * z[None, :]
+    args_v = x[:, None] - p * z[None, :]
+    g = np.asarray(u(args_u)) * np.asarray(v(args_v))
+    spectrum = np.fft.fftshift(np.fft.fft(g, axis=1), axes=1)
+    return (grid.dx / TWO_PI_SQRT) * _alternating_phase(grid.N)[None, :] * spectrum
 
 
 def direct_wig_inverse(transform, p: float) -> np.ndarray:

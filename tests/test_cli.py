@@ -175,6 +175,17 @@ def test_transform_inverse_needs_input(spec_file, capsys):
     assert "--in" in capsys.readouterr().err
 
 
+def test_transform_inverse_rejects_misplaced_csv_nodes(spec_file, tmp_path, capsys):
+    spec = spec_file(EQ44)
+    fwd = tmp_path / "fwd.csv"
+    assert main(["transform", spec, "--forward", "--N", "16", "--out", str(fwd)]) == 0
+    header, *rows = fwd.read_text().splitlines()
+    fwd.write_text("\n".join([header] + rows[::-1]) + "\n")
+    assert main(["transform", spec, "--inverse", "--in", str(fwd),
+                 "--out", str(tmp_path / "inv.csv")]) == 1
+    assert "line 2 holds node" in capsys.readouterr().err
+
+
 def test_transform_inverse_rejects_other_p(spec_file, tmp_path, capsys):
     spec = spec_file(EQ44)
     fwd = tmp_path / "fwd.csv"

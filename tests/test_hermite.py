@@ -94,6 +94,23 @@ def test_polygauss_matches_complex_exponential_formula(monkeypatch, pg):
     assert any(np.iscomplexobj(x) for x in exp_args) == (pg.b != 0)
 
 
+@pytest.mark.parametrize("pg", [
+    Hermite(4).to_polygauss(),                                   # real coefficients
+    Hermite(3).to_polygauss().apply_d(),                         # imaginary coefficients
+    PolyGauss([0.5 - 1j, 2.0, 0.25j, -1.5 + 0.5j], a=0.7, x0=-0.4),
+    PolyGauss([1.0, -0.5j, 0.75], a=1.5, b=-2.0, x0=0.25),      # b != 0
+    PolyGauss([0.0], a=0.5),
+])
+def test_polygauss_real_horner_matches_complex_polyval_bit_for_bit(pg):
+    t = np.add.outer(GRID[::20], 0.37 * GRID[::20])
+    expected = np.polynomial.polynomial.polyval(t, pg.coeffs) * np.exp(-pg.a * (t - pg.x0) ** 2)
+    if pg.b != 0:
+        expected *= np.exp(1j * pg.b * t)
+    values = pg(t)
+    assert values.dtype == complex and values.shape == t.shape
+    assert np.array_equal(values, expected)
+
+
 def test_polygauss_trims_trailing_zeros_and_requires_width():
     pg = PolyGauss([1.0, 0.0, 0.0], a=1.0)
     assert pg.coeffs.size == 1

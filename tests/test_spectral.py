@@ -147,13 +147,14 @@ def test_apply_operator_2d_matches_factorwise_oracle(p, n_pts):
 
 
 def _count_ffts(monkeypatch) -> list:
+    """Record the axis of every one-axis FFT and inverse FFT."""
     calls = []
     for name in ("fft", "ifft"):
         original = getattr(np.fft, name)
 
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
+        def counted(a, *args, _original=original, **kwargs):
+            calls.append(kwargs.get("axis", -1) % np.ndim(a))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
@@ -170,17 +171,25 @@ def _count_ffts(monkeypatch) -> list:
     ({(3, 1): gr(1), (3, 0): gr(2), (1, 2): gr(1), (0, 1): gr(5), (0, 0): gr(1)}, 9),
 ])
 def test_apply_operator_2d_fft_count(monkeypatch, coeffs, expected):
-    # one FFT along x into the frame of Y and one along y into the frame of X,
-    # each only when some term needs it, an inverse-x/forward-y pair for each
-    # row with a derivative term, and the closing inverse FFT along y
-    spec = OperatorSpec(coeffs, Fraction(1, 2))
-    rows_with_d = {j for j, k in coeffs if k > 0}
-    formula = 2 * len(rows_with_d) + bool(rows_with_d) + any(k == 0 for _, k in coeffs) + 1
-    assert formula == expected
-    w = wig_forward(H1, H0, 0.5, Grid2D(12.0, 64))
-    calls = _count_ffts(monkeypatch)
-    apply_operator_2d(spec, w)
-    assert len(calls) == expected
+    # p = 1/2: one FFT along x into the frame of Y and one along y into the
+    # frame of X, each only when some term needs it, an inverse-x/forward-y
+    # pair for each row with a derivative term, and the closing inverse FFT
+    # along y.  p = 0: Y is multiplication by y, so nothing moves along x.
+    # p = 1: X is multiplication by x, so nothing moves along y, and the
+    # result is already in the frame of the samples.
+    rows = len({j for j, k in coeffs if k > 0})
+    plain = any(k == 0 for _, k in coeffs)
+    assert 2 * rows + bool(rows) + plain + 1 == expected
+    cases = [(Fraction(1, 2), expected, {0, 1}),
+             (Fraction(0), rows + plain + 1, {1}),
+             (Fraction(1), rows + bool(rows), {0})]
+    for p, count, axes in cases:
+        w = wig_forward(H1, H0, float(p), Grid2D(12.0, 64))
+        calls = _count_ffts(monkeypatch)
+        apply_operator_2d(OperatorSpec(coeffs, p), w)
+        monkeypatch.undo()
+        assert len(calls) == count, p
+        assert set(calls) <= axes, p
 
 
 # ---------------------------------------------------------------------------

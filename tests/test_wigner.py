@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import direct_wig_inverse
+from oracles import direct_wig_inverse, shifted_wig_forward
 from wigreg.hermite import GaussianPacket, Hermite
 from wigreg.wigner import (
     BoundaryDecayError,
@@ -53,7 +53,11 @@ def test_grid_function_validation():
         GridFunction2D(g, np.zeros((4, 4)))
     bad = np.zeros((8, 8))
     bad[0, 0] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite"):
+        GridFunction2D(g, bad)
+    bad = np.zeros((8, 8), dtype=complex)
+    bad[3, 5] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match="finite"):
         GridFunction2D(g, bad)
     a = GridFunction2D(g, np.ones((8, 8)))
     b = GridFunction2D(g, np.ones((8, 8)), dual_y=False)
@@ -110,6 +114,45 @@ def test_one_sided_shift_is_windowed_fourier():
     out = wig_forward(H0, H0, 1.0, GRID)
     expected = H0(gx) * H0(gy) * np.exp(-1j * gx * gy)
     assert max_err(out, expected) < 1e-13
+
+
+FORWARD_PS = [-1.0, 0.0, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0, 2.0]
+FORWARD_PAIRS = [(0, 0), (1, 2), (2, 1)]
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+def test_forward_matches_shifted_oracle_bit_for_bit(n):
+    # z in FFT order with the sign (-1)^l folded into the product gives the
+    # same values as fftshift and the (-1)^k phase after the FFT; only the
+    # sign of an exact zero may differ, which np.array_equal does not compare
+    for p in FORWARD_PS:
+        grid = Grid2D(12.0 if 0.0 <= p <= 1.0 else 20.0, n)
+        for m, k in FORWARD_PAIRS:
+            out = wig_forward(Hermite(m), Hermite(k), p, grid).samples
+            assert np.array_equal(out, shifted_wig_forward(Hermite(m), Hermite(k), p, grid)), \
+                (n, p, m, k)
+
+
+class ShapeRecorder:
+    def __init__(self, fn):
+        self.fn = fn
+        self.shapes = []
+
+    def __call__(self, t):
+        self.shapes.append(np.shape(t))
+        return self.fn(t)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_forward_evaluates_a_z_free_window_on_one_column(p):
+    # after the two edge lines, v's argument x - p z is z-free at p = 0 and
+    # u's argument x + q z at p = 1
+    n = GRID.N
+    u, v = ShapeRecorder(H1), ShapeRecorder(H2)
+    wig_forward(u, v, p, GRID)
+    assert u.shapes[-1] == ((n, 1) if p == 1.0 else (n, n))
+    assert v.shapes[-1] == ((n, 1) if p == 0.0 else (n, n))
+    assert u.shapes[:-1] == v.shapes[:-1] == [(n,), (n,)]
 
 
 def test_forward_is_bilinear():
@@ -249,6 +292,50 @@ def test_read_grid_requires_manifest(tmp_path):
     with open(path, "w") as fh:
         fh.write("x,y,re,im\n")
     with pytest.raises(FileNotFoundError):
+        read_grid(path)
+
+
+def _rewrite_csv(path, edit):
+    with open(path) as fh:
+        header, *rows = fh.read().splitlines()
+    rows = edit([row.split(",") for row in rows])
+    with open(path, "w") as fh:
+        fh.write("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+
+
+def _inverse_grid_file(tmp_path):
+    pair = wig_inverse(wig_forward(H0, H1, 0.5, Grid2D(12.0, 16)), 0.5)
+    path = str(tmp_path / "pair.csv")
+    write_grid(pair, path)
+    return path
+
+
+def test_read_grid_rejects_reversed_rows(tmp_path):
+    path = _inverse_grid_file(tmp_path)
+    _rewrite_csv(path, lambda rows: rows[::-1])
+    with pytest.raises(ValueError, match=r"line 2 holds node \(10\.5, 10\.5\), expected \(-12\.0, -12\.0\)"):
+        read_grid(path)
+
+
+def test_read_grid_rejects_swapped_coordinate_columns(tmp_path):
+    # both axes are spatial here, so the diagonal rows still match and the
+    # first wrong line is the second one
+    path = _inverse_grid_file(tmp_path)
+    _rewrite_csv(path, lambda rows: [[y, x, re, im] for x, y, re, im in rows])
+    with pytest.raises(ValueError, match="line 3 holds node"):
+        read_grid(path)
+
+
+def test_read_grid_rejects_one_edited_node(tmp_path):
+    path = str(tmp_path / "grid.csv")
+    write_grid(wig_forward(H0, H1, 0.5, Grid2D(12.0, 16)), path)
+
+    def edit(rows):
+        rows[37][1] = repr(float(rows[37][1]) + 1e-12)
+        return rows
+
+    _rewrite_csv(path, edit)
+    with pytest.raises(ValueError, match="line 39 holds node"):
         read_grid(path)
 
 
