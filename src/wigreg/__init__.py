@@ -1,6 +1,9 @@
 """Certify Schwartz-regularity of planar operators
 B = sum c[j,k] (x - q D_y)^j (y + p D_x)^k by exact reduction to a
 one-variable model, with FFT-based verification of the intertwining identity.
+
+The certify pipeline is ``wigreg.pipeline.certify``; ``wigreg.certify`` is
+the module of certificates and certifiers.
 """
 
 __version__ = "0.1.0"
@@ -28,7 +31,6 @@ from .hermite import GaussianPacket, Hermite, PolyGauss, apply_model_operator, h
 from .pipeline import (
     PositivityError,
     Report,
-    certify,
     emit_report,
     generate_from_positive_symbol,
     generate_quasi_homogeneous,
@@ -86,7 +88,6 @@ __all__ = [
     "apply_operator_1d",
     "apply_operator_2d",
     "build_b_symbol",
-    "certify",
     "emit_report",
     "extract_quadratic_coeffs",
     "first_order_certify",

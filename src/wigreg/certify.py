@@ -219,8 +219,9 @@ def hypo_falsify(a: MultiPoly, radii: Sequence[float] = DEFAULT_RADII,
     falsified = False
     for radius in radii:
         xs, xis = radius * cos_t, radius * sin_t
-        vals = np.abs(sym.eval_numpy({"x": xs, "xi": xis}))
-        grads = np.abs(dx.eval_numpy({"x": xs, "xi": xis})) + np.abs(dxi.eval_numpy({"x": xs, "xi": xis}))
+        point, planes = {"x": xs, "xi": xis}, {}
+        vals = np.abs(sym.eval_numpy(point, planes))
+        grads = np.abs(dx.eval_numpy(point, planes)) + np.abs(dxi.eval_numpy(point, planes))
         scale = sum(c.abs_float() * radius ** sum(e) for e, c in sym.terms.items())
         zero_mask = vals <= _ZERO_REL_TOL * max(scale, 1.0)
         if radius == radii[-1] and zero_mask.any():
@@ -249,9 +250,7 @@ def hypo_falsify(a: MultiPoly, radii: Sequence[float] = DEFAULT_RADII,
     if not falsified:
         first, last = trend[0][1], trend[-1][1]
         if last > first and last > 1e-1:
-            xs, xis = radii[-1] * cos_t, radii[-1] * sin_t
-            vals = np.abs(sym.eval_numpy({"x": xs, "xi": xis}))
-            grads = np.abs(dx.eval_numpy({"x": xs, "xi": xis})) + np.abs(dxi.eval_numpy({"x": xs, "xi": xis}))
+            # xs, xis, vals and grads still hold the outermost circle
             safe = np.where(vals > 0, vals, np.inf)
             idx = int(np.argmax(grads / safe))
             witness = {"x": float(xs[idx]), "xi": float(xis[idx]), "ratio": float(grads[idx] / vals[idx]),
@@ -820,8 +819,9 @@ def verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] = None) ->
     """Re-derive a certificate's claim from its embedded subject.
 
     Exact kinds are re-checked with rational arithmetic; evidence kinds redo
-    their deterministic sampling.  When ``symbol`` is supplied it must match
-    the embedded subject.
+    their deterministic sampling at the certifiers' default settings, and a
+    payload that records any other sampling is rejected.  When ``symbol`` is
+    supplied it must match the embedded subject.
     """
     try:
         if symbol is not None and "symbol" in cert.subject:
@@ -873,8 +873,11 @@ def verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] = None) ->
             return VerifyResult(True, "complex lower-order coefficient keeps zeros compact")
 
         if cert.kind == "HypoUnfalsified":
+            if (cert.payload["radii"] != list(DEFAULT_RADII)
+                    or cert.payload["samples_per_circle"] != DEFAULT_SAMPLES):
+                return _verify_fail("sampling differs from the falsifier's default radii and samples")
             sym = _subject_symbol(cert)
-            result = hypo_falsify(sym, cert.payload["radii"], cert.payload["samples_per_circle"])
+            result = hypo_falsify(sym)
             if result.falsified:
                 return _verify_fail("falsifier now finds a witness")
             return VerifyResult(True, "deterministic re-sampling finds no witness")
@@ -914,9 +917,11 @@ def verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] = None) ->
             return VerifyResult(True, "energy identity weights admissible")
 
         if cert.kind == "InjWickPositive":
+            if ((cert.payload["radius"], cert.payload["count"], cert.payload["directions"])
+                    != (WICK_RADIUS, WICK_COUNT, WICK_DIRECTIONS)):
+                return _verify_fail("sampling differs from the default radius, count and directions")
             sym = _subject_symbol(cert)
-            fresh = injectivity_wick(sym, cert.payload["radius"], cert.payload["count"],
-                                     cert.payload["directions"])
+            fresh = injectivity_wick(sym)
             if fresh.kind != "InjWickPositive":
                 return _verify_fail("re-sampling no longer certifies positivity")
             for key in ("min_sample", "min_leading"):

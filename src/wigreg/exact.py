@@ -22,7 +22,7 @@ from __future__ import annotations
 import re as _regex
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -472,12 +472,17 @@ class MultiPoly:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval_numpy(self, values: Mapping[str, "np.ndarray | complex | float"]):
-        """Numerically evaluate at float/complex points (arrays broadcast)."""
+    def eval_numpy(self, values: Mapping[str, "np.ndarray | complex | float"],
+                   powers: Optional[dict] = None):
+        """Numerically evaluate at float/complex points (arrays broadcast).
+
+        ``powers`` caches the ``values[v] ** k`` planes under ``(v, k)``;
+        polynomials evaluated at the same ``values`` may share one dict.
+        """
         for v in self.vars:
             if v not in values:
                 raise ValueError(f"no value supplied for variable {v!r}")
-        power_cache: dict[tuple[str, int], np.ndarray] = {}
+        power_cache: dict[tuple[str, int], np.ndarray] = {} if powers is None else powers
 
         def power(v: str, k: int):
             key = (v, k)

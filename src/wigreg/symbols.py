@@ -27,12 +27,27 @@ degenerate model symbol a~ evaluated at the factor symbols,
     b(x, y, xi, eta) = a~(x - q eta, y + p xi),
 
 expanded term by term.  Degeneracy along the planes (x0 + q eta, y0 - p xi)
-is checked by two first-order transport identities, in time linear in the
-terms of b.
+is checked by two first-order transport identities, q d_x b + d_eta b = 0
+and d_xi b - p d_y b = 0, in time linear in the terms of b.  With
+b = sum b[i,j,s,t] x^i y^j xi^s eta^t, each coefficient of the two residuals
+has at most two contributions:
+
+    q (i+1) b[i+1,j,s,t] + (t+1) b[i,j,s,t+1] = 0,
+    (s+1) b[i,j,s+1,t] - p (j+1) b[i,j+1,s,t] = 0,
+
+so each is tested on its own, by cross-multiplying the integer numerators
+and denominators of p, q and the two coefficients.
 
 The Weyl-Wick transform ``W`` and its inverse are the finite expansions of
 exp(-Lap/4) exp(-(i/2) d_x d_xi) and its reciprocal, exactly invertible on
-polynomials.
+polynomials.  On a monomial, with u = -i/2, v = -1/4 for W and u = i/2,
+v = 1/4 for W^-1,
+
+    W[x^m xi^n] = sum_{l,r,s} u^l v^(r+s) m! n! / (l! r! s! (m-l-2r)! (n-l-2s)!)
+                  x^(m-l-2r) xi^(n-l-2s),
+
+where term (l, r, s) comes from stage l of the series of exp(u d_x d_xi)
+and stage r + s of the series of exp(v Lap).
 """
 
 from __future__ import annotations
@@ -160,10 +175,13 @@ def a_tilde(spec: OperatorSpec) -> MultiPoly:
                 x^{j-n} xi^{k-n}.
     """
     iq = GR_I * spec.q
+    iq_powers = [GR_ONE]
+    for _ in range(max(min(j, k) for j, k in spec.coeffs)):
+        iq_powers.append(iq_powers[-1] * iq)
     terms: dict[tuple[int, int], GaussianRational] = {}
     for (j, k), c in spec.coeffs.items():
         for n in range(min(j, k) + 1):
-            coef = c * (iq ** n) * (factorial(n) * comb(j, n) * comb(k, n))
+            coef = c * iq_powers[n] * (factorial(n) * comb(j, n) * comb(k, n))
             key = (j - n, k - n)
             acc = terms.get(key)
             terms[key] = coef if acc is None else acc + coef
@@ -202,23 +220,44 @@ class DegeneracyCheck:
     residual: MultiPoly   # difference against the degenerate model symbol
 
 
+def _pair_cancels(f1: int, c1: GaussianRational, f2: int,
+                  c2: Optional[GaussianRational]) -> bool:
+    """f1*c1 + f2*c2 == 0 for integer weights (c2 None reads as zero).
+
+    Each of re and im is tested as n1/d1 * f1 + n2/d2 * f2 == 0, that is
+    f1 n1 d2 + f2 n2 d1 == 0, on the integers alone.
+    """
+    for a, b in ((c1.re, None if c2 is None else c2.re), (c1.im, None if c2 is None else c2.im)):
+        if b is None:
+            if f1 and a:
+                return False
+        elif f1 * a.numerator * b.denominator + f2 * b.numerator * a.denominator:
+            return False
+    return True
+
+
 def _transport_residuals_vanish(b: MultiPoly, p: Fraction, q: Fraction) -> bool:
     """True when q*d_x b + d_eta b and d_xi b - p*d_y b are identically zero.
 
-    Each term c x^i y^j xi^s eta^t of b (over PHASE_VARS) adds its derivative
-    terms to the two residuals, kept per exponent as (re, im) pairs.
+    Every coefficient of a residual has two contributions (module docstring).
+    A term with i > 0 (s > 0) meets its partner in the first (second)
+    residual and the pair is tested in integers, scaled by the denominator of
+    q (p).  A term with t > 0 (j > 0) is the partner of the term with i + 1
+    (s + 1) and is tested there; when that term is missing it stands alone,
+    and its residual coefficient is nonzero unless its weight (p j) is zero.
     """
-    eta_flow: dict[tuple, tuple] = {}
-    xi_flow: dict[tuple, tuple] = {}
-    for (i, j, s, t), c in b.terms.items():
-        for acc, key, f in ((eta_flow, (i - 1, j, s, t), q * i),
-                            (eta_flow, (i, j, s, t - 1), t),
-                            (xi_flow, (i, j, s - 1, t), s),
-                            (xi_flow, (i, j - 1, s, t), -p * j)):
-            if f:
-                re, im = acc.get(key, (0, 0))
-                acc[key] = (re + f * c.re, im + f * c.im)
-    return not any(re or im for acc in (eta_flow, xi_flow) for re, im in acc.values())
+    terms = b.terms
+    qn, qd, pn, pd = q.numerator, q.denominator, p.numerator, p.denominator
+    for (i, j, s, t), c in terms.items():
+        if i and not _pair_cancels(qn * i, c, qd * (t + 1), terms.get((i - 1, j, s, t + 1))):
+            return False
+        if t and (i + 1, j, s, t - 1) not in terms:
+            return False
+        if s and not _pair_cancels(pd * s, c, -pn * (j + 1), terms.get((i, j + 1, s - 1, t))):
+            return False
+        if j and pn and (i, j - 1, s + 1, t) not in terms:
+            return False
+    return True
 
 
 def verify_degeneracy(spec: OperatorSpec, b: Optional[MultiPoly] = None,
@@ -253,34 +292,77 @@ def verify_degeneracy(spec: OperatorSpec, b: Optional[MultiPoly] = None,
     return DegeneracyCheck(transported and residual.is_zero(), value, residual)
 
 
-def _mixed_series(a: MultiPoly, unit: GaussianRational) -> MultiPoly:
-    """sum_l (unit^l / l!) (d_x d_xi)^l a, a finite sum for polynomials."""
-    out = a
-    cur = a
-    scale = GR_ONE
-    l = 0
+def _add_scaled(out: dict, cur: dict, turn: int, div: int) -> None:
+    """out += (i^turn / div) * cur on (re, im) pairs.  A key whose sum
+    reaches zero leaves ``out`` and comes back at the end, as MultiPoly
+    addition drops and re-appends it."""
+    for key, (re, im) in cur.items():
+        re, im = ((re, im), (-im, re), (-re, -im), (im, -re))[turn % 4]
+        re, im = re / div, im / div
+        old = out.get(key)
+        if old is not None:
+            re, im = old[0] + re, old[1] + im
+            if not (re or im):
+                del out[key]
+                continue
+        out[key] = (re, im)
+
+
+def _mixed_series(terms: dict, sign: int) -> dict:
+    """sum_l ((sign i/2)^l / l!) (d_x d_xi)^l on (re, im) pairs."""
+    out = dict(terms)
+    cur = terms
+    l, div = 0, 1
     while True:
-        cur = cur.diff("x", 1).diff("xi", 1)
-        if cur.is_zero():
+        cur = {(m - 1, n - 1): (re * (m * n), im * (m * n))
+               for (m, n), (re, im) in cur.items() if m and n}
+        if not cur:
             return out
         l += 1
-        scale = scale * unit * Fraction(1, l)
-        out = out + cur.scale(scale)
+        div *= 2 * l
+        _add_scaled(out, cur, sign * l, div)
 
 
-def _laplace_series(a: MultiPoly, unit: Fraction) -> MultiPoly:
-    """sum_n (unit^n / n!) Lap^n a with Lap = d_x^2 + d_xi^2."""
-    out = a
-    cur = a
-    scale = Fraction(1)
-    n = 0
+def _laplace_series(terms: dict, sign: int) -> dict:
+    """sum_n ((sign/4)^n / n!) Lap^n on (re, im) pairs, Lap = d_x^2 + d_xi^2."""
+    out = dict(terms)
+    cur = terms
+    n, div = 0, 1
     while True:
-        cur = cur.diff("x", 2) + cur.diff("xi", 2)
-        if cur.is_zero():
+        nxt = {(m - 2, k): (re * (m * (m - 1)), im * (m * (m - 1)))
+               for (m, k), (re, im) in cur.items() if m >= 2}
+        for (m, k), (re, im) in cur.items():
+            if k >= 2:
+                w = k * (k - 1)
+                old = nxt.get((m, k - 2))
+                nxt[(m, k - 2)] = ((re * w, im * w) if old is None
+                                   else (old[0] + re * w, old[1] + im * w))
+        cur = {e: v for e, v in nxt.items() if v[0] or v[1]}
+        if not cur:
             return out
         n += 1
-        scale = scale * unit / n
-        out = out + cur.scale(scale)
+        div *= 4 * n
+        _add_scaled(out, cur, (1 - sign) * n, div)
+
+
+def _wick_expand(a: MultiPoly, sign: int) -> MultiPoly:
+    """W[a] for sign = -1 and W^-1[a] for sign = +1 on plain (re, im) pairs.
+
+    Stage l of the mixed series and stage n of the Laplacian series give each
+    monomial its closed-form weight (module docstring) with no MultiPoly or
+    GaussianRational in between.  The stages run in the order of the
+    exponentials, so the terms come out in the order that MultiPoly passes
+    produce; floating-point evaluation sums terms in that order.
+    """
+    if not set(a.vars) <= set(MODEL_VARS):
+        raise ValueError(f"expected a symbol in {MODEL_VARS}, got variables {a.vars}")
+    a = a.promote(MODEL_VARS)
+    pairs = {e: (c.re, c.im) for e, c in a.terms.items()}
+    if sign < 0:
+        pairs = _laplace_series(_mixed_series(pairs, -1), -1)
+    else:
+        pairs = _mixed_series(_laplace_series(pairs, 1), 1)
+    return MultiPoly(MODEL_VARS, {e: GaussianRational(re, im) for e, (re, im) in pairs.items()})
 
 
 def weyl_wick(a: MultiPoly) -> MultiPoly:
@@ -288,20 +370,12 @@ def weyl_wick(a: MultiPoly) -> MultiPoly:
 
     W[a] = exp(-Lap/4) exp(-(i/2) d_x d_xi) a, expanded exactly.
     """
-    a2 = a.promote(MODEL_VARS) if set(a.vars) <= set(MODEL_VARS) else None
-    if a2 is None:
-        raise ValueError(f"expected a symbol in {MODEL_VARS}, got variables {a.vars}")
-    mixed = _mixed_series(a2, -GR_I * Fraction(1, 2))
-    return _laplace_series(mixed, Fraction(-1, 4))
+    return _wick_expand(a, -1)
 
 
 def weyl_wick_inverse(a: MultiPoly) -> MultiPoly:
     """Exact inverse of weyl_wick on polynomials (the commuting exponentials)."""
-    a2 = a.promote(MODEL_VARS) if set(a.vars) <= set(MODEL_VARS) else None
-    if a2 is None:
-        raise ValueError(f"expected a symbol in {MODEL_VARS}, got variables {a.vars}")
-    lap = _laplace_series(a2, Fraction(1, 4))
-    return _mixed_series(lap, GR_I * Fraction(1, 2))
+    return _wick_expand(a, 1)
 
 
 @dataclass(frozen=True)

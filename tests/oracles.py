@@ -10,6 +10,19 @@ fftshift and the (-1)^k phase after the FFT, where the library takes z in FFT
 order with the sign folded into the product and evaluates a z-free window on
 one column.
 
+The Weyl-Wick oracles run the exponential series one derivative pass at a
+time on whole MultiPoly objects, where the library runs the same stages on
+plain (re, im) Fraction pairs, with each monomial's closed-form weight.
+
+The falsifier oracle evaluates the symbol and both partial derivatives with
+their own power tables, and re-samples the outermost circle for a growing
+trend, where the library shares one power table per circle among the three
+and reuses the outermost samples.
+
+The transport oracle accumulates both first-order residuals of b in full,
+as (re, im) Fraction pairs per exponent, where the library tests each
+residual coefficient from its two contributions in integers.
+
 The planar-symbol oracle composes the left symbols of the two first-order
 factors one factor at a time with the general composition formula, where the
 library expands the closed form b = a~(x - q eta, y + p xi).
@@ -30,11 +43,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 import numpy as np
 
-from wigreg.exact import GR_ONE, MultiPoly
-from wigreg.symbols import PHASE_VARS, symbol_compose
+from wigreg.certify import (
+    _ZERO_REL_TOL,
+    DEFAULT_RADII,
+    DEFAULT_SAMPLES,
+    FalsifyResult,
+    _model_symbol,
+    _refine_circle_zero,
+)
+from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
+from wigreg.symbols import MODEL_VARS, PHASE_VARS, symbol_compose
 from wigreg.wigner import TWO_PI_SQRT, GridFunction2D, _alternating_phase
 
 ORACLE_DEPTH = 512
@@ -61,6 +83,127 @@ def composed_b_symbol(spec) -> MultiPoly:
             term = symbol_compose(xf, term)
         total = total + term.scale(c)
     return total
+
+
+def accumulated_transport_residuals_vanish(b: MultiPoly, p: Fraction, q: Fraction) -> bool:
+    """True when q*d_x b + d_eta b and d_xi b - p*d_y b are identically zero."""
+    eta_flow: dict[tuple, tuple] = {}
+    xi_flow: dict[tuple, tuple] = {}
+    for (i, j, s, t), c in b.promote(PHASE_VARS).terms.items():
+        for acc, key, f in ((eta_flow, (i - 1, j, s, t), q * i),
+                            (eta_flow, (i, j, s, t - 1), t),
+                            (xi_flow, (i, j, s - 1, t), s),
+                            (xi_flow, (i, j - 1, s, t), -p * j)):
+            if f:
+                re, im = acc.get(key, (0, 0))
+                acc[key] = (re + f * c.re, im + f * c.im)
+    return not any(re or im for acc in (eta_flow, xi_flow) for re, im in acc.values())
+
+
+def _mixed_series(a: MultiPoly, unit: GaussianRational) -> MultiPoly:
+    """sum_l (unit^l / l!) (d_x d_xi)^l a, a finite sum for polynomials."""
+    out = a
+    cur = a
+    scale = GR_ONE
+    l = 0
+    while True:
+        cur = cur.diff("x", 1).diff("xi", 1)
+        if cur.is_zero():
+            return out
+        l += 1
+        scale = scale * unit * Fraction(1, l)
+        out = out + cur.scale(scale)
+
+
+def _laplace_series(a: MultiPoly, unit: Fraction) -> MultiPoly:
+    """sum_n (unit^n / n!) Lap^n a with Lap = d_x^2 + d_xi^2."""
+    out = a
+    cur = a
+    scale = Fraction(1)
+    n = 0
+    while True:
+        cur = cur.diff("x", 2) + cur.diff("xi", 2)
+        if cur.is_zero():
+            return out
+        n += 1
+        scale = scale * unit / n
+        out = out + cur.scale(scale)
+
+
+def series_weyl_wick(a: MultiPoly) -> MultiPoly:
+    """W[a] = exp(-Lap/4) exp(-(i/2) d_x d_xi) a by the two series."""
+    mixed = _mixed_series(a.promote(MODEL_VARS), -GR_I * Fraction(1, 2))
+    return _laplace_series(mixed, Fraction(-1, 4))
+
+
+def series_weyl_wick_inverse(a: MultiPoly) -> MultiPoly:
+    """W^-1[a] = exp((i/2) d_x d_xi) exp(Lap/4) a by the two series."""
+    lap = _laplace_series(a.promote(MODEL_VARS), Fraction(1, 4))
+    return _mixed_series(lap, GR_I * Fraction(1, 2))
+
+
+def separate_planes_hypo_falsify(a: MultiPoly, radii: Sequence[float] = DEFAULT_RADII,
+                                 samples_per_circle: int = DEFAULT_SAMPLES) -> FalsifyResult:
+    """wigreg.certify.hypo_falsify with a power table per evaluation."""
+    sym = _model_symbol(a)
+    if sym.is_zero():
+        raise ValueError("zero symbol cannot be tested for hypo-ellipticity")
+    radii = tuple(float(r) for r in radii)
+    if len(radii) < 2 or any(r <= 0 for r in radii) or list(radii) != sorted(set(radii)):
+        raise ValueError("radii must be at least two strictly increasing positive values")
+    if samples_per_circle < 8:
+        raise ValueError("need at least 8 samples per circle")
+
+    dx = sym.diff("x", 1)
+    dxi = sym.diff("xi", 1)
+    theta = 2.0 * np.pi * np.arange(samples_per_circle) / samples_per_circle
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+
+    trend = []
+    witness = None
+    falsified = False
+    for radius in radii:
+        xs, xis = radius * cos_t, radius * sin_t
+        vals = np.abs(sym.eval_numpy({"x": xs, "xi": xis}))
+        grads = np.abs(dx.eval_numpy({"x": xs, "xi": xis})) + np.abs(dxi.eval_numpy({"x": xs, "xi": xis}))
+        scale = sum(c.abs_float() * radius ** sum(e) for e, c in sym.terms.items())
+        zero_mask = vals <= _ZERO_REL_TOL * max(scale, 1.0)
+        if radius == radii[-1] and zero_mask.any():
+            idx = int(np.argmax(zero_mask))
+            witness = {"x": float(xs[idx]), "xi": float(xis[idx]), "abs_value": float(vals[idx]),
+                       "reason": "symbol vanishes on the outermost circle"}
+            falsified = True
+        if radius == radii[-1] and not falsified:
+            # a zero may hide between samples: flag points whose Newton step
+            # along the circle is shorter than the sample spacing, then refine
+            spacing = 2.0 * np.pi / samples_per_circle
+            candidates = vals <= grads * (radius * spacing)
+            if candidates.any():
+                idx = int(np.argmin(np.where(candidates, vals, np.inf)))
+                best_theta, best_val = _refine_circle_zero(sym, radius, theta[idx], spacing)
+                if best_val <= 1e-8 * max(scale, 1.0):
+                    witness = {"x": float(radius * np.cos(best_theta)),
+                               "xi": float(radius * np.sin(best_theta)),
+                               "abs_value": best_val,
+                               "reason": "symbol vanishes on the outermost circle"}
+                    falsified = True
+        live = ~zero_mask
+        max_ratio = float(np.max(grads[live] / vals[live])) if live.any() else float("inf")
+        trend.append((radius, max_ratio))
+
+    if not falsified:
+        first, last = trend[0][1], trend[-1][1]
+        if last > first and last > 1e-1:
+            xs, xis = radii[-1] * cos_t, radii[-1] * sin_t
+            vals = np.abs(sym.eval_numpy({"x": xs, "xi": xis}))
+            grads = np.abs(dx.eval_numpy({"x": xs, "xi": xis})) + np.abs(dxi.eval_numpy({"x": xs, "xi": xis}))
+            safe = np.where(vals > 0, vals, np.inf)
+            idx = int(np.argmax(grads / safe))
+            witness = {"x": float(xs[idx]), "xi": float(xis[idx]), "ratio": float(grads[idx] / vals[idx]),
+                       "reason": "gradient-to-symbol ratio grows with the radius"}
+            falsified = True
+
+    return FalsifyResult(falsified, witness, tuple(trend))
 
 
 def _spectral_d(samples: np.ndarray, axis: int, spacing: float) -> np.ndarray:

@@ -6,6 +6,11 @@ from fractions import Fraction
 import pytest
 
 from wigreg.certify import (
+    DEFAULT_RADII,
+    DEFAULT_SAMPLES,
+    WICK_COUNT,
+    WICK_DIRECTIONS,
+    WICK_RADIUS,
     Certificate,
     FirstOrderShape,
     NewtonFamilyParams,
@@ -32,7 +37,7 @@ from wigreg.certify import (
 from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
 from wigreg.symbols import MODEL_VARS
 
-from oracles import quadratic_split_exists
+from oracles import quadratic_split_exists, separate_planes_hypo_falsify
 
 
 def gr(re, im=0):
@@ -409,6 +414,29 @@ def test_falsifier_never_contradicts_exact_certified_symbols():
         tried += 1
 
 
+def test_falsifier_matches_separate_planes_oracle_bit_for_bit():
+    rng = random.Random(808)
+    symbols = [EQ44_A, HARMONIC, QUARTIC, SEXTIC, FIRST_PLUS, FIRST_MINUS, poly({(1, 1): GR_ONE})]
+    for _ in range(60):
+        terms = {}
+        for _ in range(rng.randint(1, 7)):
+            j = rng.randint(0, 6)
+            terms[(j, rng.randint(0, 6 - j))] = gr(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                                                   Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                                   if rng.random() < 0.5 else 0)
+        if any(not c.is_zero() for c in terms.values()):
+            symbols.append(poly(terms))
+    reasons = set()
+    for sym in symbols:
+        for radii, samples in ((DEFAULT_RADII, DEFAULT_SAMPLES), ((2.0, 5.0, 11.0), 97)):
+            got = hypo_falsify(sym, radii, samples)
+            # repr spells every float out, so equal reprs are equal bits
+            assert repr(got) == repr(separate_planes_hypo_falsify(sym, radii, samples)), sym
+            reasons.add(got.witness["reason"] if got.witness else None)
+    assert reasons == {None, "symbol vanishes on the outermost circle",
+                       "gradient-to-symbol ratio grows with the radius"}
+
+
 # ---------------------------------------------------------------------------
 # verification catches tampering
 # ---------------------------------------------------------------------------
@@ -461,3 +489,34 @@ def test_verify_all_smoke_fixture_kinds():
     for cert in certs:
         res = verify_certificate(cert)
         assert res.ok, (cert.kind, res.reason)
+
+
+def test_verify_rejects_unfalsified_certificate_at_weak_sampling():
+    sym = poly({(2, 0): GR_ONE, (0, 2): gr(-3), (0, 0): gr(100)})   # x^2 - 3 xi^2 + 100
+    assert hypo_falsify(sym).falsified
+    weak = hypo_falsify(sym, radii=[1, 1.5], samples_per_circle=8)
+    assert not weak.falsified
+    cert = unfalsified_certificate(sym, weak, radii=[1, 1.5], samples_per_circle=8)
+    res = verify_certificate(cert)
+    assert not res.ok
+    assert "sampling differs" in res.reason
+    # the default sampling of a genuinely unfalsified symbol still verifies,
+    # and moving either knob off the default fails
+    good = unfalsified_certificate(SEXTIC, hypo_falsify(SEXTIC))
+    assert verify_certificate(good).ok
+    assert not verify_certificate(tampered(good, radii=list(DEFAULT_RADII[:-1]))).ok
+    assert not verify_certificate(tampered(good, samples_per_circle=2 * DEFAULT_SAMPLES)).ok
+
+
+def test_verify_rejects_wick_certificate_at_other_sampling():
+    sym = HARMONIC + poly({(0, 0): gr(2)})
+    coarse = injectivity_wick(sym, radius=5.0, count=41, directions=360)
+    assert coarse.kind == "InjWickPositive"
+    res = verify_certificate(coarse)
+    assert not res.ok and "sampling differs" in res.reason
+    good = injectivity_wick(sym)
+    assert (good.payload["radius"], good.payload["count"], good.payload["directions"]) == (
+        WICK_RADIUS, WICK_COUNT, WICK_DIRECTIONS)
+    assert verify_certificate(good).ok
+    for key, value in (("radius", 2 * WICK_RADIUS), ("count", 10**9), ("directions", 10**9)):
+        assert not verify_certificate(tampered(good, **{key: value})).ok

@@ -194,6 +194,19 @@ def test_eval_numpy_matches_horner_by_hand():
     assert np.allclose(vals, xs ** 2 + 2j * xs)
 
 
+def test_eval_numpy_shared_power_planes_are_bit_identical():
+    import numpy as np
+
+    a = MultiPoly(("x", "xi"), {(3, 1): GaussianRational(Fraction(1, 3), Fraction(-2)),
+                                (0, 4): GaussianRational(Fraction(5)), (2, 0): GaussianRational(Fraction(-1, 7))})
+    theta = np.linspace(0.0, 6.0, 101)
+    point = {"x": 9.5 * np.cos(theta), "xi": 9.5 * np.sin(theta)}
+    planes = {}
+    for poly in (a, a.diff("x"), a.diff("xi")):
+        assert np.array_equal(poly.eval_numpy(point, planes), poly.eval_numpy(point))
+    assert set(planes) == {("x", 1), ("x", 2), ("x", 3), ("xi", 1), ("xi", 3), ("xi", 4)}
+
+
 def test_leading_form_and_coefficient():
     x = MultiPoly.variable("x")
     xi = MultiPoly.variable("xi")

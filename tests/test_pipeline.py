@@ -1,12 +1,13 @@
 """End-to-end certification pipeline, generators, and report emission."""
 
-import importlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from wigreg import certify as certify_module
 from wigreg import pipeline
+from wigreg import symbols as symbols_module
 from wigreg.certify import verify_certificate
 from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
 from wigreg.pipeline import (
@@ -23,10 +24,6 @@ from wigreg.pipeline import (
     render_summary,
 )
 from wigreg.symbols import MODEL_VARS, OperatorSpec
-
-
-# the package exports the pipeline's certify under the module's name
-certify_module = importlib.import_module("wigreg.certify")
 
 
 def gr(re, im=0):
@@ -52,6 +49,15 @@ QUARTIC_JSON = {"p": "1/2", "coeffs": [
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
+
+
+def test_package_certify_is_the_certificate_module():
+    import wigreg
+
+    assert wigreg.certify is certify_module
+    assert certify_module.__name__ == "wigreg.certify"
+    assert certify_module.verify_certificate is verify_certificate
+    assert pipeline.certify is certify
 
 
 def test_parse_spec_from_string_and_mapping():
@@ -209,7 +215,7 @@ def test_certify_builds_the_wick_symbol_once(monkeypatch, spec_json):
     expected = certify(spec).to_json()
     counts = {}
     _count_calls(monkeypatch, pipeline, "weyl_wick", counts)
-    _count_calls(monkeypatch, importlib.import_module("wigreg.symbols"), "weyl_wick", counts)
+    _count_calls(monkeypatch, symbols_module, "weyl_wick", counts)
     report = certify(spec)
     assert counts == {"weyl_wick": 1}
     assert "wick_positivity" in [a["method"] for a in report.attempts]

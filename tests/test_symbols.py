@@ -1,6 +1,7 @@
 """Operator specs, symbol composition, and the Weyl-Wick transform."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from wigreg.symbols import (
     PHASE_VARS,
     LinearChange,
     OperatorSpec,
+    _transport_residuals_vanish,
     a_tilde,
     build_b_symbol,
     symbol_compose,
@@ -22,7 +24,13 @@ from wigreg.symbols import (
     weyl_wick_inverse,
 )
 
-from oracles import composed_b_symbol, factor_symbols
+from oracles import (
+    accumulated_transport_residuals_vanish,
+    composed_b_symbol,
+    factor_symbols,
+    series_weyl_wick,
+    series_weyl_wick_inverse,
+)
 
 
 def gr(re, im=0):
@@ -257,6 +265,51 @@ def test_degeneracy_check_rejects_b_built_with_q_flipped():
     assert check.value.degree_in("eta") > 0 or check.value.degree_in("xi") > 0
 
 
+def test_transport_check_agrees_with_accumulated_residuals():
+    rng = random.Random(505)
+    outcomes = []
+    for p in [Fraction(0), Fraction(1), Fraction(3, 7)] + _oracle_ps(rng)[5:17]:
+        spec = _random_spec(rng, p)
+        b = build_b_symbol(spec)
+        candidates = [b]
+        for _ in range(12):
+            exp = rng.choice(list(b.terms)) if rng.random() < 0.5 else tuple(
+                rng.randint(0, 3) for _ in range(4))
+            candidates.append(b + MultiPoly(PHASE_VARS, {exp: gr(rng.randint(-3, 3),
+                                                                   rng.randint(-3, 3))}))
+        # moving a term's weight to the partner it should cancel against
+        for (i, j, s, t), c in list(b.terms.items())[:6]:
+            candidates.append(b + MultiPoly(PHASE_VARS, {(i, j, s, t): c, (i + 1, j, s, t): -c}))
+        for cand in candidates:
+            holds = _transport_residuals_vanish(cand, spec.p, spec.q)
+            assert holds == accumulated_transport_residuals_vanish(cand, spec.p, spec.q), (spec, cand)
+            outcomes.append(holds)
+    assert len(outcomes) > 200 and outcomes.count(True) >= 15 and outcomes.count(False) > 150
+
+
+def _primes(count):
+    found = []
+    k = 2
+    while len(found) < count:
+        if all(k % d for d in found):
+            found.append(k)
+        k += 1
+    return found
+
+
+def test_degeneracy_check_cost_is_bounded_for_distinct_prime_denominators():
+    # dense order 10: 66 coefficients, each over its own prime; b has 1001 terms
+    keys = [(j, k) for j in range(11) for k in range(11 - j)]
+    coeffs = {jk: GaussianRational(Fraction(2 * n + 1, d), Fraction(-(n + 3), d))
+              for n, (jk, d) in enumerate(zip(keys, _primes(len(keys))))}
+    spec = OperatorSpec(coeffs, Fraction(3, 7))
+    start = time.perf_counter()
+    check = verify_degeneracy(spec)
+    elapsed = time.perf_counter() - start
+    assert check.holds and check.residual.is_zero()
+    assert elapsed < 0.5, f"verify_degeneracy took {elapsed:.3f} s"
+
+
 def test_order_limit_fails_fast():
     with pytest.raises(ValueError, match="exceeds the limit of 64"):
         OperatorSpec({(1000000, 0): GR_ONE}, Fraction(1, 2))
@@ -325,6 +378,42 @@ def test_wick_preserves_total_degree_and_leading_form(a):
     assert w.total_degree() == a.total_degree()
     if not a.is_zero():
         assert w.leading_form() == a.leading_form()
+
+
+def _random_model_symbol(rng, degree):
+    terms = {}
+    for _ in range(rng.randint(1, 12)):
+        terms[(rng.randint(0, degree), rng.randint(0, degree))] = GaussianRational(
+            Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 5, 7, 9, 11))),
+            Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 6, 8, 13))))
+    return MultiPoly(MODEL_VARS, terms)
+
+
+def test_wick_matches_series_oracle_term_for_term():
+    rng = random.Random(606)
+    symbols = [MultiPoly(MODEL_VARS, {}), MultiPoly.constant(gr(-3, 5), MODEL_VARS),
+               MultiPoly.constant(gr(2, 0), ("x",)), x2_plus_xi2(),
+               # x^2 - xi^2 and x^6 - xi^6 cancel inside the Laplacian series
+               MultiPoly(MODEL_VARS, {(2, 0): GR_ONE, (0, 2): gr(-1), (6, 0): GR_ONE,
+                                      (0, 6): gr(-1), (3, 3): gr(0, 2)})]
+    symbols += [_random_model_symbol(rng, degree) for degree in (1, 2, 3, 5, 8, 12) for _ in range(5)]
+    # transforming these back cancels terms that a later stage brings back
+    symbols += [series_weyl_wick(a) for a in symbols[-6:]] + [series_weyl_wick_inverse(a) for a in symbols[-6:]]
+    for a in symbols:
+        for fast, series in ((weyl_wick, series_weyl_wick), (weyl_wick_inverse, series_weyl_wick_inverse)):
+            got, want = fast(a), series(a)
+            assert got == want, a
+            # floating-point evaluation sums the terms in dict order
+            assert list(got.terms) == list(want.terms), a
+        assert weyl_wick_inverse(weyl_wick(a)) == a
+        assert weyl_wick(weyl_wick_inverse(a)) == a
+
+
+def test_wick_rejects_phase_space_symbols():
+    with pytest.raises(ValueError, match="expected a symbol"):
+        weyl_wick(var("y"))
+    with pytest.raises(ValueError, match="expected a symbol"):
+        weyl_wick_inverse(var("eta"))
 
 
 # ---------------------------------------------------------------------------
