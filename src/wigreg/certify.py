@@ -260,18 +260,17 @@ def hypo_falsify(a: MultiPoly, radii: Sequence[float] = DEFAULT_RADII,
     return FalsifyResult(falsified, witness, tuple(trend))
 
 
-def unfalsified_certificate(a: MultiPoly, result: FalsifyResult,
-                            radii: Sequence[float] = DEFAULT_RADII,
-                            samples_per_circle: int = DEFAULT_SAMPLES) -> Certificate:
-    """Evidence-grade record that the falsifier found nothing."""
+def unfalsified_certificate(a: MultiPoly, result: FalsifyResult) -> Certificate:
+    """Evidence-grade record that the falsifier found nothing at its default
+    radii and samples, the only sampling verify_certificate accepts."""
     if result.falsified:
         raise ValueError("cannot certify an unfalsified symbol from a falsified result")
     return Certificate(
         kind="HypoUnfalsified",
         grade=EVIDENCE,
         payload={
-            "radii": [float(r) for r in radii],
-            "samples_per_circle": int(samples_per_circle),
+            "radii": list(DEFAULT_RADII),
+            "samples_per_circle": DEFAULT_SAMPLES,
             "trend": [[r, ratio] for r, ratio in result.trend],
         },
         subject={"symbol": _model_symbol(a).to_json()},
@@ -667,13 +666,12 @@ WICK_COUNT = 401
 WICK_DIRECTIONS = 3600
 
 
-def injectivity_wick(a: MultiPoly, radius: float = WICK_RADIUS, count: int = WICK_COUNT,
-                     directions: int = WICK_DIRECTIONS,
-                     wick: Optional[MultiPoly] = None) -> Certificate:
+def injectivity_wick(a: MultiPoly, wick: Optional[MultiPoly] = None) -> Certificate:
     """Evidence for injectivity through positivity of the coherent-state
     average symbol W[a]: sampled positivity on a square grid plus positivity
     of the leading form on a circle of directions (near-zero directions are
-    re-checked pointwise at larger radii).
+    re-checked pointwise at larger radii).  The sampling is WICK_RADIUS,
+    WICK_COUNT and WICK_DIRECTIONS, the only one verify_certificate accepts.
 
     ``wick`` is W[a] when the caller has it already; it is computed from
     ``a`` otherwise."""
@@ -686,7 +684,7 @@ def injectivity_wick(a: MultiPoly, radius: float = WICK_RADIUS, count: int = WIC
     if not wick.is_real():
         return _not_applicable("coherent-state average symbol has complex coefficients", subject)
 
-    line = np.linspace(-radius, radius, count)
+    line = np.linspace(-WICK_RADIUS, WICK_RADIUS, WICK_COUNT)
     gx, gxi = np.meshgrid(line, line, indexing="ij")
     vals = np.real(wick.eval_numpy({"x": gx, "xi": gxi}))
     if vals.min() <= 0:
@@ -702,7 +700,7 @@ def injectivity_wick(a: MultiPoly, radius: float = WICK_RADIUS, count: int = WIC
         )
 
     lead = wick.leading_form()
-    theta = 2.0 * np.pi * np.arange(directions) / directions
+    theta = 2.0 * np.pi * np.arange(WICK_DIRECTIONS) / WICK_DIRECTIONS
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     lead_vals = np.real(lead.eval_numpy({"x": cos_t, "xi": sin_t}))
     lead_scale = max(sum(c.abs_float() for c in lead.terms.values()), 1.0)
@@ -721,8 +719,8 @@ def injectivity_wick(a: MultiPoly, radius: float = WICK_RADIUS, count: int = WIC
     near_zero = np.abs(lead_vals) <= tol
     if near_zero.any():
         for factor in (2.0, 4.0):
-            far = np.real(wick.eval_numpy({"x": factor * radius * cos_t[near_zero],
-                                           "xi": factor * radius * sin_t[near_zero]}))
+            far = np.real(wick.eval_numpy({"x": factor * WICK_RADIUS * cos_t[near_zero],
+                                           "xi": factor * WICK_RADIUS * sin_t[near_zero]}))
             if far.min() <= 0:
                 idx = int(np.argmin(far))
                 where = np.flatnonzero(near_zero)[idx]
@@ -731,8 +729,8 @@ def injectivity_wick(a: MultiPoly, radius: float = WICK_RADIUS, count: int = WIC
                     grade="none",
                     payload={
                         "reason": "lower-order terms fail to dominate along a leading-form zero direction",
-                        "witness": {"x": float(factor * radius * cos_t[where]),
-                                    "xi": float(factor * radius * sin_t[where]),
+                        "witness": {"x": float(factor * WICK_RADIUS * cos_t[where]),
+                                    "xi": float(factor * WICK_RADIUS * sin_t[where]),
                                     "value": float(far.min())},
                     },
                     subject=subject,
@@ -741,9 +739,9 @@ def injectivity_wick(a: MultiPoly, radius: float = WICK_RADIUS, count: int = WIC
         kind="InjWickPositive",
         grade=EVIDENCE,
         payload={
-            "radius": float(radius),
-            "count": int(count),
-            "directions": int(directions),
+            "radius": WICK_RADIUS,
+            "count": WICK_COUNT,
+            "directions": WICK_DIRECTIONS,
             "min_sample": float(vals.min()),
             "min_leading": float(lead_vals.min()),
             "near_zero_directions": int(near_zero.sum()),

@@ -31,8 +31,12 @@ point at once.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
+import shutil
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,6 +45,10 @@ import numpy as np
 TWO_PI_SQRT = float(np.sqrt(2.0 * np.pi))
 
 DEFAULT_BOUNDARY_TOL = 1e-12
+
+# largest sample count per axis: an N x N complex plane takes 16 N^2 bytes,
+# 256 MiB at the limit, and its CSV text about 80 N^2
+MAX_GRID_N = 4096
 
 
 class BoundaryDecayError(ValueError):
@@ -60,6 +68,8 @@ class Grid2D:
         n = self.N
         if not isinstance(n, int) or n < 4 or (n & (n - 1)) != 0:
             raise ValueError("sample count N must be a power of two, at least 4")
+        if n > MAX_GRID_N:
+            raise ValueError(f"grid size N exceeds the limit of {MAX_GRID_N}")
 
     @property
     def dx(self) -> float:
@@ -187,20 +197,117 @@ def manifest_path(data_path: str) -> str:
     return data_path + ".manifest.json"
 
 
+# fewest grid points worth a forked row block; see _split_rows
+MIN_BLOCK_POINTS = 16384
+
+
+def _block_count(n: int) -> int:
+    """Row blocks for an n x n grid: one per usable CPU, each of at least
+    MIN_BLOCK_POINTS points, and one where the platform cannot fork."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or not hasattr(os, "fork"):
+        return 1
+    return max(1, min(len(affinity(0)), n * n // MIN_BLOCK_POINTS))
+
+
+def _run_block(work: Callable, lo: int, hi: int, pipe_fd: int) -> None:
+    """Body of a forked child: run work on rows [lo, hi) into memory, then
+    send b"+" and those bytes, or b"!" and the error message, and exit
+    without returning into the parent's stack or flushing its buffers."""
+    code = 1
+    try:
+        out = io.BytesIO()
+        try:
+            work(lo, hi, out)
+            head = b"+"
+        except Exception as exc:
+            out = io.BytesIO((str(exc) or type(exc).__name__).encode("utf-8", "replace"))
+            head = b"!"
+        with open(pipe_fd, "wb") as pipe:
+            pipe.write(head)
+            pipe.write(out.getbuffer())
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _split_rows(n: int, work: Callable, deliver: Callable) -> None:
+    """Run ``work`` over the x rows of an n x n grid in row blocks, one per
+    usable CPU (see _block_count).
+
+    ``work(lo, hi, out)`` handles rows [lo, hi).  Block 0 runs in this
+    process with ``out`` None: work puts its result in place itself.  Every
+    other block runs in a child started with os.fork, where work writes its
+    bytes to the binary stream ``out``; the child sends them back through a
+    pipe, and ``deliver(lo, hi, src)`` takes them in here from the readable
+    pipe ``src``, block by block in row order, while the children of later
+    blocks may still be running.  A child's exception reaches the caller as
+    a ValueError with the child's message.  Every child is reaped, also when
+    this process's own block raises.
+    """
+    blocks = _block_count(n)
+    bounds = [k * n // blocks for k in range(blocks + 1)]
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _run_block(work, lo, hi, write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb"), lo, hi))
+        work(0, bounds[1], None)
+        while children:
+            pid, src, lo, hi = children[0]
+            head = src.read(1)
+            if head == b"+":
+                deliver(lo, hi, src)
+            elif head == b"!":
+                raise ValueError(src.read().decode("utf-8", "replace"))
+            src.close()
+            children.pop(0)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if head != b"+" or status != 0:
+                raise ChildProcessError(f"grid row block {lo}..{hi - 1} worker failed "
+                                        f"with exit status {status}")
+    finally:
+        # closing the pipes first stops any child still writing (EPIPE)
+        for _, src, _, _ in children:
+            src.close()
+        for pid, _, _, _ in children:
+            os.waitpid(pid, 0)
+
+
 def _write_csv(gf: GridFunction2D, path: str) -> None:
     """Write x,y,re,im rows, byte for byte as np.savetxt with fmt="%.17g".
 
     Each node coordinate is formatted once; one %-format per x row then
     fills in that row's samples, so only one row of Python floats is alive
-    at a time.
+    at a time.  Grids of at least 2 * MIN_BLOCK_POINTS points are formatted
+    in forked row blocks, one per usable CPU; this process writes its own
+    rows straight to the file and copies each child's text after them in
+    chunks, so the bytes do not depend on the number of blocks.
     """
     cells = [("%.17g" % y) + ",%.17g,%.17g" for y in gf.grid.axis_nodes(gf.dual_y).tolist()]
+    xs = gf.grid.x_nodes.tolist()
     pairs = np.ascontiguousarray(gf.samples).view(np.float64)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("x,y,re,im\n")
-        for x, row in zip(gf.grid.x_nodes.tolist(), pairs):
-            lead = "%.17g," % x
-            fh.write((lead + ("\n" + lead).join(cells) + "\n") % tuple(row.tolist()))
+    with open(path, "wb") as fh:
+
+        def work(lo: int, hi: int, out) -> None:
+            write = (fh if out is None else out).write
+            for x, row in zip(xs[lo:hi], pairs[lo:hi]):
+                lead = "%.17g," % x
+                write(((lead + ("\n" + lead).join(cells) + "\n") % tuple(row.tolist()))
+                      .encode("ascii"))
+
+        fh.write(b"x,y,re,im\n")
+        _split_rows(gf.grid.N, work, lambda lo, hi, src: shutil.copyfileobj(src, fh))
 
 
 def write_grid(gf: GridFunction2D, path: str, fmt: str = "csv",
@@ -228,13 +335,40 @@ def write_grid(gf: GridFunction2D, path: str, fmt: str = "csv",
         fh.write("\n")
 
 
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:        # an int beyond the float range
+        return False
+
+
 def read_manifest(path: str) -> dict:
-    """Read the manifest sidecar of a grid file written by write_grid."""
+    """Read the manifest sidecar of a grid file written by write_grid.
+
+    L must be a finite number, N an integer, axis_y "dual" or "spatial" and
+    format "csv" or "raw"; a ValueError names the first key that is missing
+    or of the wrong kind.  Other keys pass through unchecked."""
     mpath = manifest_path(path)
     if not os.path.exists(mpath):
         raise FileNotFoundError(f"missing grid manifest {mpath}")
     with open(mpath, encoding="utf-8") as fh:
-        return json.load(fh)
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"grid manifest {mpath} must hold a JSON object")
+    checks = (
+        ("L", "a finite number", _is_finite_number),
+        ("N", "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+        ("axis_y", "'dual' or 'spatial'", lambda v: v in ("dual", "spatial")),
+        ("format", "'csv' or 'raw'", lambda v: v in ("csv", "raw")),
+    )
+    for key, kind, ok in checks:
+        if key not in manifest:
+            raise ValueError(f"grid manifest {mpath} has no {key!r}")
+        if not ok(manifest[key]):
+            raise ValueError(f"grid manifest key {key!r} must be {kind}, got {manifest[key]!r}")
+    return manifest
 
 
 def _check_csv_nodes(table: np.ndarray, grid: Grid2D, dual_y: bool) -> None:
@@ -253,23 +387,57 @@ def _check_csv_nodes(table: np.ndarray, grid: Grid2D, dual_y: bool) -> None:
 
 
 def read_grid(path: str) -> GridFunction2D:
-    """Read a grid file written by write_grid (manifest sidecar required)."""
+    """Read a grid file written by write_grid (manifest sidecar required).
+
+    The data file's size is checked against the manifest's N before any
+    table is allocated.  A CSV of at least 2 * MIN_BLOCK_POINTS lines is
+    parsed in forked row blocks, one per usable CPU, each by np.loadtxt over
+    its own lines; the result is bit for bit that of one np.loadtxt call, and
+    the shape and node checks see the whole table.  Blank or '#' lines inside
+    such a file shift the blocks and fail those checks.
+    """
     manifest = read_manifest(path)
-    grid = Grid2D(float(manifest["L"]), int(manifest["N"]))
-    dual_y = manifest.get("axis_y", "dual") == "dual"
-    fmt = manifest.get("format", "csv")
-    if fmt == "csv":
-        table = np.loadtxt(path, delimiter=",", skiprows=1)
-        if table.shape != (grid.N * grid.N, 4):
-            raise ValueError(f"grid CSV has shape {table.shape}, expected ({grid.N * grid.N}, 4)")
-        _check_csv_nodes(table, grid, dual_y)
-        samples = (table[:, 2] + 1j * table[:, 3]).reshape(grid.N, grid.N)
-    elif fmt == "raw":
-        flat = np.fromfile(path, dtype="<f8")
-        if flat.size != 2 * grid.N * grid.N:
-            raise ValueError(f"raw grid holds {flat.size} floats, expected {2 * grid.N * grid.N}")
-        pairs = flat.reshape(grid.N, grid.N, 2)
-        samples = pairs[..., 0] + 1j * pairs[..., 1]
-    else:
-        raise ValueError(f"unknown grid format {fmt!r}")
+    grid = Grid2D(float(manifest["L"]), manifest["N"])
+    dual_y = manifest["axis_y"] == "dual"
+    n = grid.N
+    size = os.path.getsize(path)
+    if manifest["format"] == "raw":
+        if size != 16 * n * n:
+            raise ValueError(f"raw grid holds {size} bytes, expected {16 * n * n}")
+        pairs = np.fromfile(path, dtype="<f8", count=2 * n * n).reshape(n, n, 2)
+        return GridFunction2D(grid, pairs[..., 0] + 1j * pairs[..., 1], dual_y=dual_y)
+
+    # every line after the header holds at least "0,0,0,0\n"
+    if size < 8 * n * n:
+        raise ValueError(f"grid CSV holds {size} bytes, too few for {n * n} lines")
+    table = np.empty((n * n, 4))
+
+    def work(lo: int, hi: int, out) -> None:
+        try:
+            with warnings.catch_warnings():
+                # a block past the end of the file is reported by the line count
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(path, delimiter=",", skiprows=1 + lo * n, ndmin=2,
+                                  max_rows=None if hi == n else (hi - lo) * n)
+        except ValueError as exc:
+            if lo == 0:
+                raise
+            raise ValueError(f"grid CSV from line {lo * n + 2}: {exc}") from None
+        if rows.shape[0] != (hi - lo) * n:
+            raise ValueError(f"grid CSV has {lo * n + rows.shape[0]} data lines, expected {n * n}")
+        if rows.shape[1] != 4:
+            raise ValueError(f"grid CSV lines have {rows.shape[1]} fields, expected 4")
+        if out is None:
+            table[lo * n:hi * n] = rows
+        else:
+            out.write(rows)
+
+    def deliver(lo: int, hi: int, src) -> None:
+        view = memoryview(table[lo * n:hi * n]).cast("B")
+        if src.readinto(view) != view.nbytes:
+            raise ValueError(f"grid CSV row block {lo}..{hi - 1} came back short")
+
+    _split_rows(n, work, deliver)
+    _check_csv_nodes(table, grid, dual_y)
+    samples = (table[:, 2] + 1j * table[:, 3]).reshape(n, n)
     return GridFunction2D(grid, samples, dual_y=dual_y)

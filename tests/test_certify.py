@@ -496,8 +496,13 @@ def test_verify_rejects_unfalsified_certificate_at_weak_sampling():
     assert hypo_falsify(sym).falsified
     weak = hypo_falsify(sym, radii=[1, 1.5], samples_per_circle=8)
     assert not weak.falsified
-    cert = unfalsified_certificate(sym, weak, radii=[1, 1.5], samples_per_circle=8)
+    # the certificate records the default sampling, so re-sampling finds the
+    # witness; recording the weak sampling is refused before any re-sampling
+    cert = unfalsified_certificate(sym, weak)
     res = verify_certificate(cert)
+    assert not res.ok
+    assert "witness" in res.reason
+    res = verify_certificate(tampered(cert, radii=[1.0, 1.5], samples_per_circle=8))
     assert not res.ok
     assert "sampling differs" in res.reason
     # the default sampling of a genuinely unfalsified symbol still verifies,
@@ -510,11 +515,11 @@ def test_verify_rejects_unfalsified_certificate_at_weak_sampling():
 
 def test_verify_rejects_wick_certificate_at_other_sampling():
     sym = HARMONIC + poly({(0, 0): gr(2)})
-    coarse = injectivity_wick(sym, radius=5.0, count=41, directions=360)
-    assert coarse.kind == "InjWickPositive"
+    good = injectivity_wick(sym)
+    assert good.kind == "InjWickPositive"
+    coarse = tampered(good, radius=5.0, count=41, directions=360)
     res = verify_certificate(coarse)
     assert not res.ok and "sampling differs" in res.reason
-    good = injectivity_wick(sym)
     assert (good.payload["radius"], good.payload["count"], good.payload["directions"]) == (
         WICK_RADIUS, WICK_COUNT, WICK_DIRECTIONS)
     assert verify_certificate(good).ok

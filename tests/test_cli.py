@@ -202,6 +202,50 @@ def test_transform_inverse_rejects_other_p(spec_file, tmp_path, capsys):
                  "--out", str(inv)]) == 0
 
 
+@pytest.mark.parametrize("command", [["transform", "--forward", "--out", "never.csv"],
+                                     ["verify-intertwine"]])
+def test_oversized_grid_exits_with_message(spec_file, capsys, command):
+    argv = [command[0], spec_file(EQ44)] + command[1:] + ["--N", "1048576"]
+    assert main(argv) == 1
+    assert "grid size N exceeds the limit of 4096" in capsys.readouterr().err
+
+
+def test_transform_inverse_rejects_manifest_without_l(spec_file, tmp_path, capsys):
+    spec = spec_file(EQ44)
+    fwd = tmp_path / "fwd.csv"
+    assert main(["transform", spec, "--forward", "--N", "16", "--out", str(fwd)]) == 0
+    manifest_file = tmp_path / "fwd.csv.manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    del manifest["L"]
+    manifest_file.write_text(json.dumps(manifest))
+    assert main(["transform", spec, "--inverse", "--in", str(fwd),
+                 "--out", str(tmp_path / "inv.csv")]) == 1
+    assert "has no 'L'" in capsys.readouterr().err
+
+
+def _non_numeric_late_field(text):
+    lines = text.splitlines(keepends=True)
+    lines[60000] = "abc," + lines[60000].split(",", 1)[1]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text[:text.rindex(",")], "number of columns changed"),
+    (lambda text: text + text.splitlines(keepends=True)[-1], "has 65537 data lines"),
+    (_non_numeric_late_field, "could not convert string 'abc'"),
+], ids=["truncated_last_line", "extra_row", "non_numeric_field"])
+def test_transform_inverse_rejects_damaged_large_csv(spec_file, tmp_path, capsys, edit, message):
+    # N = 256 is read in one row block per CPU
+    spec = spec_file(EQ44)
+    fwd = tmp_path / "fwd.csv"
+    assert main(["transform", spec, "--forward", "--N", "256", "--out", str(fwd)]) == 0
+    fwd.write_text(edit(fwd.read_text()))
+    inv = tmp_path / "inv.csv"
+    assert main(["transform", spec, "--inverse", "--in", str(fwd), "--out", str(inv)]) == 1
+    assert message in capsys.readouterr().err
+    assert not inv.exists()
+
+
 def test_transform_records_p_in_manifest(spec_file, tmp_path):
     out = tmp_path / "grid.csv"
     main(["transform", spec_file(EQ44), "--forward", "--N", "16",

@@ -1,15 +1,21 @@
 """Plane transform: closed forms, round trips, and grid file formats."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
 from oracles import direct_wig_inverse, shifted_wig_forward
 from wigreg.hermite import GaussianPacket, Hermite
+from wigreg import wigner
 from wigreg.wigner import (
+    MAX_GRID_N,
     BoundaryDecayError,
     Grid2D,
     GridFunction2D,
     _alternating_phase,
+    _block_count,
     manifest_path,
     read_grid,
     wig_forward,
@@ -37,6 +43,9 @@ def test_grid_validation():
         Grid2D(12.0, 100)          # not a power of two
     with pytest.raises(ValueError):
         Grid2D(12.0, 2)
+    assert Grid2D(12.0, MAX_GRID_N).N == MAX_GRID_N
+    with pytest.raises(ValueError, match=f"grid size N exceeds the limit of {MAX_GRID_N}"):
+        Grid2D(12.0, 2 * MAX_GRID_N)
 
 
 def test_grid_nodes():
@@ -245,7 +254,6 @@ def test_grid_file_round_trip(tmp_path, fmt):
     assert back.dual_y == gf.dual_y
     tol = 1e-15 if fmt == "raw" else 1e-14
     assert np.max(np.abs(back.samples - gf.samples)) <= tol
-    import json
     with open(manifest_path(path)) as fh:
         manifest = json.load(fh)
     assert manifest["p"] == "1/2"
@@ -271,20 +279,127 @@ def special_values_grid():
 CSV_CASES = {
     # smallest grid: 4 x rows, 16 lines
     "N4": lambda: GridFunction2D(Grid2D(np.pi, 4), np.arange(16).reshape(4, 4) * (0.1 - 0.3j)),
-    # 128 x rows of 128 samples, 16384 lines
+    # 128 x rows of 128 samples, 16384 lines: still one row block
     "N128": lambda: wig_forward(H2, H1, 1.0 / 3.0, Grid2D(12.0, 128)),
     "special": special_values_grid,
+    # large enough for one row block per CPU
+    "N256": lambda: wig_forward(H1, H2, 0.5, Grid2D(12.0, 256)),
+    "N512": lambda: wig_inverse(wig_forward(H2, H1, 1.0 / 3.0, Grid2D(12.0, 512)), 1.0 / 3.0),
 }
 
 
-@pytest.mark.parametrize("case", sorted(CSV_CASES))
-def test_csv_bytes_match_savetxt(tmp_path, case):
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+# the small cases stay in one block on any machine; the large ones run with
+# 1, 2 and 3 usable CPUs
+CSV_RUNS = [("N4", None), ("N128", None), ("special", None)] + [
+    (case, cpus) for case in ("N256", "N512") for cpus in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("case, cpus", CSV_RUNS,
+                         ids=[case if cpus is None else f"{case}-{cpus}cpu" for case, cpus in CSV_RUNS])
+def test_csv_bytes_match_savetxt(tmp_path, monkeypatch, case, cpus):
     gf = CSV_CASES[case]()
+    n = gf.grid.N
+    if cpus is not None:
+        use_cpus(monkeypatch, cpus)
+    assert _block_count(n) == (1 if cpus is None else cpus)
     path = str(tmp_path / "grid.csv")
     write_grid(gf, path)
     with open(path, "rb") as fh:
         written = fh.read()
     assert written == savetxt_bytes(gf, str(tmp_path / "reference.csv"))
+    # the blocks parse to exactly what one np.loadtxt call gives
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    expected = (table[:, 2] + 1j * table[:, 3]).reshape(n, n)
+    assert read_grid(path).samples.tobytes() == expected.tobytes()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _truncate_last_line(text):
+    return text[:text.rindex(",")]
+
+
+def _extra_row(text):
+    return text + text.splitlines(keepends=True)[-1]
+
+
+def _non_numeric_field(line):
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        x, y, _, im = lines[line].split(",")
+        lines[line] = ",".join([x, y, "abc", im])
+        return "".join(lines)
+    return edit
+
+
+N256_DEFECTS = {
+    "truncated_last_line": (_truncate_last_line, "number of columns changed"),
+    "extra_row": (_extra_row, "has 65537 data lines, expected 65536"),
+    # long enough to pass the size check; the second half of the blocks is
+    # short or past the end of the file
+    "missing_second_half": (lambda text: "".join(text.splitlines(keepends=True)[:1 + 32768]),
+                            "has 32768 data lines, expected 65536"),
+    # first block (this process) and last block (a child for 2 and 3 CPUs)
+    "non_numeric_first_block": (_non_numeric_field(5), "could not convert string 'abc'"),
+    "non_numeric_last_block": (_non_numeric_field(60000), "could not convert string 'abc'"),
+}
+
+
+@pytest.fixture(scope="module")
+def n256_csv_text(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("n256") / "grid.csv")
+    write_grid(wig_forward(H0, H1, 0.5, Grid2D(12.0, 256)), path)
+    with open(path) as fh, open(manifest_path(path)) as mf:
+        return fh.read(), mf.read()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("defect", sorted(N256_DEFECTS))
+def test_read_grid_rejects_damaged_large_csv(tmp_path, monkeypatch, capfd, n256_csv_text,
+                                             defect, cpus):
+    edit, message = N256_DEFECTS[defect]
+    text, manifest = n256_csv_text
+    path = tmp_path / "grid.csv"
+    path.write_text(edit(text))
+    (tmp_path / "grid.csv.manifest.json").write_text(manifest)
+    use_cpus(monkeypatch, cpus)
+    with pytest.raises(ValueError, match=message):
+        read_grid(str(path))
+    assert_no_child_left()
+    # no block, here or in a child, printed a warning of its own
+    assert capfd.readouterr().err == ""
+
+
+def test_child_block_error_names_its_first_line(tmp_path, monkeypatch, n256_csv_text):
+    text, manifest = n256_csv_text
+    path = tmp_path / "grid.csv"
+    path.write_text(_non_numeric_field(60000)(text))
+    (tmp_path / "grid.csv.manifest.json").write_text(manifest)
+    use_cpus(monkeypatch, 2)
+    # block 1 holds x rows 128..255, from line 128 * 256 + 2
+    with pytest.raises(ValueError, match=r"grid CSV from line 32770: could not convert .* at row 27231"):
+        read_grid(str(path))
+    assert_no_child_left()
+
+
+def test_failed_write_reaps_every_child(tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 3)
+    gf = wig_forward(H0, H1, 0.5, Grid2D(12.0, 256))
+
+    def broken_copy(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(wigner.shutil, "copyfileobj", broken_copy)
+    with pytest.raises(OSError, match="disk full"):
+        write_grid(gf, str(tmp_path / "grid.csv"))
+    assert_no_child_left()
 
 
 def test_read_grid_requires_manifest(tmp_path):
@@ -292,6 +407,65 @@ def test_read_grid_requires_manifest(tmp_path):
     with open(path, "w") as fh:
         fh.write("x,y,re,im\n")
     with pytest.raises(FileNotFoundError):
+        read_grid(path)
+
+
+def _small_grid_file(tmp_path, fmt="csv"):
+    path = str(tmp_path / f"grid.{fmt}")
+    write_grid(wig_forward(H0, H1, 0.5, Grid2D(12.0, 16)), path, fmt=fmt)
+    return path
+
+
+def _edit_manifest(path, **changes):
+    with open(manifest_path(path)) as fh:
+        manifest = json.load(fh)
+    for key, value in changes.items():
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+    with open(manifest_path(path), "w") as fh:
+        json.dump(manifest, fh)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("L", None, "has no 'L'"),
+    ("N", None, "has no 'N'"),
+    ("axis_y", None, "has no 'axis_y'"),
+    ("format", None, "has no 'format'"),
+    ("L", "12", "key 'L' must be a finite number"),
+    ("L", True, "key 'L' must be a finite number"),
+    ("L", 10 ** 400, "key 'L' must be a finite number"),
+    ("N", 16.0, "key 'N' must be an integer"),
+    ("axis_y", "other", "key 'axis_y' must be 'dual' or 'spatial'"),
+    ("format", "npz", "key 'format' must be 'csv' or 'raw'"),
+    ("L", -1.0, "L must be positive"),
+    ("N", 24, "power of two"),
+    ("N", 2 * MAX_GRID_N, "exceeds the limit"),
+])
+def test_read_grid_validates_manifest(tmp_path, key, value, message):
+    path = _small_grid_file(tmp_path)
+    _edit_manifest(path, **{key: value})
+    with pytest.raises(ValueError, match=message):
+        read_grid(path)
+
+
+def test_read_grid_rejects_non_object_manifest(tmp_path):
+    path = _small_grid_file(tmp_path)
+    with open(manifest_path(path), "w") as fh:
+        fh.write("[12.0, 16]")
+    with pytest.raises(ValueError, match="must hold a JSON object"):
+        read_grid(path)
+
+
+@pytest.mark.parametrize("fmt, message", [("csv", "too few for 16777216 lines"),
+                                          ("raw", "expected 268435456")])
+def test_read_grid_checks_file_size_before_allocating(tmp_path, fmt, message):
+    # a manifest that claims the largest grid over a 16 x 16 data file fails
+    # on the file size, before a 4096 x 4096 table is allocated
+    path = _small_grid_file(tmp_path, fmt)
+    _edit_manifest(path, N=MAX_GRID_N)
+    with pytest.raises(ValueError, match=message):
         read_grid(path)
 
 
