@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, perm
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -31,7 +32,7 @@ from .exact import (
     format_rational,
     parse_rational,
 )
-from .symbols import MODEL_VARS, symbol_compose
+from .symbols import MODEL_VARS
 
 EXACT = "exact"
 EVIDENCE = "evidence"
@@ -335,18 +336,31 @@ def hypo_certify_quadratic(a: MultiPoly) -> Optional[Certificate]:
     return None
 
 
+_MINUS_I_POWERS = (GR_ONE, -GR_I, -GR_ONE, GR_I)  # (-i)^k for k mod 4
+
+
 def mixed_block_symbol_mdm(m: int, n: int) -> MultiPoly:
-    """Left symbol of M^m D^(2n) M^m (multiplication sandwich)."""
-    outer = MultiPoly((MODEL_VARS), {(m, 2 * n): GR_ONE})
-    inner = MultiPoly((MODEL_VARS), {(m, 0): GR_ONE})
-    return symbol_compose(outer, inner).restrict(MODEL_VARS)
+    """Left symbol of M^m D^(2n) M^m (multiplication sandwich), by Leibniz:
+
+        sum_k C(2n, k) (-i)^k m!/(m-k)! x^(2m-k) xi^(2n-k),  k = 0..min(2n, m),
+
+    with terms in ascending k."""
+    return MultiPoly(MODEL_VARS, {
+        (2 * m - k, 2 * n - k): _MINUS_I_POWERS[k % 4] * (comb(2 * n, k) * perm(m, k))
+        for k in range(min(2 * n, m) + 1)
+    })
 
 
 def mixed_block_symbol_dmd(m: int, n: int) -> MultiPoly:
-    """Left symbol of D^n M^(2m) D^n (derivative sandwich)."""
-    outer = MultiPoly((MODEL_VARS), {(0, n): GR_ONE})
-    inner = MultiPoly((MODEL_VARS), {(2 * m, n): GR_ONE})
-    return symbol_compose(outer, inner).restrict(MODEL_VARS)
+    """Left symbol of D^n M^(2m) D^n (derivative sandwich), by Leibniz:
+
+        sum_k C(n, k) (-i)^k (2m)!/(2m-k)! x^(2m-k) xi^(2n-k),  k = 0..min(n, 2m),
+
+    with terms in ascending k."""
+    return MultiPoly(MODEL_VARS, {
+        (2 * m - k, 2 * n - k): _MINUS_I_POWERS[k % 4] * (comb(n, k) * perm(2 * m, k))
+        for k in range(min(n, 2 * m) + 1)
+    })
 
 
 def family_left_symbol(params: NewtonFamilyParams) -> MultiPoly:
@@ -588,24 +602,74 @@ def _quad_margin_at(qc: QuadraticCoeffs, u: Fraction) -> Optional[_QuadCandidate
 QUAD_GRID_STAGES = (64, 512)
 
 
+def _quad_best_split(qc: QuadraticCoeffs) -> Optional[_QuadCandidate]:
+    """Best split on the grid u = i/S, S in QUAD_GRID_STAGES, for c0 >= 0.
+
+    The stages are scanned in order and i ascending; a later point wins only
+    on a strictly greater margin.  Each margin is held as an unreduced integer
+    ratio num/den with den > 0, built from the numerators and denominators of
+    the coefficients:
+
+        lead = a2 - r1^2 = (P1 i - Q1 S) / (R1 i)          (a2 when b1 = 0)
+        rest = a0 - r0^2 = (P0 j - Q0 S) / (R0 j), j = S - i (a0 when b0 = 0)
+        margin = 4 lead rest - a1^2
+
+    and two margins are compared by cross-multiplying, so the scan needs no
+    Fraction and no gcd.  Only the winner is rebuilt exactly by
+    _quad_margin_at.  None when no split is feasible.
+    """
+    b1, b0 = qc.b1, qc.b0
+    cn, cd = qc.c0.numerator, qc.c0.denominator
+    if (b1 or b0) and cn == 0:
+        return None  # s1^2 = s0^2 = 0 leaves a cross term unmatched
+    a1n_sq, a1d_sq = qc.a1.numerator ** 2, qc.a1.denominator ** 2
+    a2n, a2d = qc.a2.numerator, qc.a2.denominator
+    a0n, a0d = qc.a0.numerator, qc.a0.denominator
+    b1n_sq, b1d_sq = b1.numerator ** 2, b1.denominator ** 2
+    b0n_sq, b0d_sq = b0.numerator ** 2, b0.denominator ** 2
+    p1, q1, r1 = a2n * b1d_sq * cn, a2d * b1n_sq * cd, a2d * b1d_sq * cn
+    p0, q0, r0 = a0n * b0d_sq * cn, a0d * b0n_sq * cd, a0d * b0d_sq * cn
+    best_num = best_den = 0
+    best_at: Optional[tuple[int, int]] = None
+    for stage in QUAD_GRID_STAGES:
+        q1s, q0s = q1 * stage, q0 * stage
+        for i in range(1 if b1 else 0, stage if b0 else stage + 1):
+            if b1:
+                lead_num = p1 * i - q1s
+                if lead_num <= 0:
+                    continue
+                lead_den = r1 * i
+            else:
+                lead_num, lead_den = a2n, a2d
+            if b0:
+                j = stage - i
+                rest_num, rest_den = p0 * j - q0s, r0 * j
+            else:
+                rest_num, rest_den = a0n, a0d
+            den = lead_den * rest_den
+            num = 4 * a1d_sq * lead_num * rest_num - a1n_sq * den
+            den *= a1d_sq
+            if best_at is None or num * best_den > best_num * den:
+                best_num, best_den, best_at = num, den, (i, stage)
+    return None if best_at is None else _quad_margin_at(qc, Fraction(*best_at))
+
+
 def injectivity_quadratic(qc: QuadraticCoeffs) -> Optional[Certificate]:
     """Search rational splits of c0 into s1^2 + s0^2 that make the shifted
     quadratic (a2 - r1^2) x^2 + a1 x + (a0 - r0^2) non-negative with positive
     leading coefficient; that lower-bounds the energy form of A and forces
-    injectivity.  Margin zero is accepted and flagged as the relaxed branch."""
+    injectivity.  Margin zero is accepted and flagged as the relaxed branch.
+
+    The splits s1^2 = u c0 are scanned on the grid u = i/S for each stage S of
+    QUAD_GRID_STAGES in turn, i ascending, with integer margins compared by
+    cross-multiplication (_quad_best_split); a later point replaces the best
+    one only on a strictly greater margin."""
     subject = {"quadratic": qc.to_json()}
     if qc.c0 < 0:
         return _not_applicable("c0 must be non-negative", subject)
     if qc.a2 <= 0:
         return _not_applicable("a2 must be positive", subject)
-    best: Optional[_QuadCandidate] = None
-    for stage in QUAD_GRID_STAGES:
-        for i in range(stage + 1):
-            cand = _quad_margin_at(qc, Fraction(i, stage))
-            if cand is None:
-                continue
-            if best is None or cand.margin > best.margin:
-                best = cand
+    best = _quad_best_split(qc)
     if best is None or best.margin < 0:
         return None
     lead = qc.a2 - best.r1_sq

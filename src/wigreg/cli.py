@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -117,14 +118,16 @@ def _cmd_symbol(args) -> int:
 
 def _cmd_verify_intertwine(args) -> int:
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
         spec, _ = parse_spec(_read_text(args.spec))
         if args.p is not None:
             spec = spec.with_p(parse_rational(args.p))
         u, v = _parse_windows(args.w)
         grid = Grid2D(args.L, args.N)
+        residuals = intertwine_residual(spec, u, v, spec.p, grid, mode=args.mode)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    residuals = intertwine_residual(spec, u, v, spec.p, grid, mode=args.mode)
     worst = 0.0
     for name, value in residuals:
         print(f"{name}: {value:.3e}")
@@ -293,9 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  The parser is built on the first call and reused:
+    parse_args keeps no state between calls."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

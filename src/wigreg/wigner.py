@@ -65,6 +65,8 @@ class Grid2D:
     def __post_init__(self) -> None:
         if not self.L > 0:
             raise ValueError("grid half-width L must be positive")
+        if self.L == math.inf:
+            raise ValueError("grid half-width L must be finite")
         n = self.N
         if not isinstance(n, int) or n < 4 or (n & (n - 1)) != 0:
             raise ValueError("sample count N must be a power of two, at least 4")
@@ -394,7 +396,8 @@ def read_grid(path: str) -> GridFunction2D:
     parsed in forked row blocks, one per usable CPU, each by np.loadtxt over
     its own lines; the result is bit for bit that of one np.loadtxt call, and
     the shape and node checks see the whole table.  Blank or '#' lines inside
-    such a file shift the blocks and fail those checks.
+    such a file shift the blocks and fail those checks.  Both formats give
+    back the written samples bit for bit, the sign of every zero included.
     """
     manifest = read_manifest(path)
     grid = Grid2D(float(manifest["L"]), manifest["N"])
@@ -404,8 +407,8 @@ def read_grid(path: str) -> GridFunction2D:
     if manifest["format"] == "raw":
         if size != 16 * n * n:
             raise ValueError(f"raw grid holds {size} bytes, expected {16 * n * n}")
-        pairs = np.fromfile(path, dtype="<f8", count=2 * n * n).reshape(n, n, 2)
-        return GridFunction2D(grid, pairs[..., 0] + 1j * pairs[..., 1], dual_y=dual_y)
+        samples = np.fromfile(path, dtype="<c16", count=n * n).reshape(n, n)
+        return GridFunction2D(grid, samples, dual_y=dual_y)
 
     # every line after the header holds at least "0,0,0,0\n"
     if size < 8 * n * n:
@@ -439,5 +442,8 @@ def read_grid(path: str) -> GridFunction2D:
 
     _split_rows(n, work, deliver)
     _check_csv_nodes(table, grid, dual_y)
-    samples = (table[:, 2] + 1j * table[:, 3]).reshape(n, n)
-    return GridFunction2D(grid, samples, dual_y=dual_y)
+    # filled part by part: adding 1j * im would turn a -0.0 into +0.0
+    samples = np.empty(n * n, dtype=complex)
+    samples.real = table[:, 2]
+    samples.imag = table[:, 3]
+    return GridFunction2D(grid, samples.reshape(n, n), dual_y=dual_y)

@@ -37,6 +37,13 @@ integer arithmetic, and reports whether ANY admissible split produces a
 non-negative margin.  The library's search walks only the boundary
 i + j = D; the two must agree in decision because enlarging s0^2 never
 shrinks the margin once it is non-negative.
+
+The split-search oracle walks the library's own grid u = i/S, evaluating
+every margin as a Fraction and keeping the first strictly greatest, where
+the library compares unreduced integer ratios by cross-multiplication.
+
+The mixed-block oracles compose the two factors of each sandwich with the
+general composition formula, where the library writes out their Leibniz sums.
 """
 
 from __future__ import annotations
@@ -51,8 +58,10 @@ from wigreg.certify import (
     _ZERO_REL_TOL,
     DEFAULT_RADII,
     DEFAULT_SAMPLES,
+    QUAD_GRID_STAGES,
     FalsifyResult,
     _model_symbol,
+    _quad_margin_at,
     _refine_circle_zero,
 )
 from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
@@ -285,6 +294,34 @@ def quadratic_split_exists(qc, depth: int = ORACLE_DEPTH) -> bool:
             if (margin >= 0).any():
                 return True
     return False
+
+
+def fraction_quad_best_split(qc):
+    """Best split on the grid u = i/S, S in QUAD_GRID_STAGES, every margin a
+    Fraction; a later point wins only on a strictly greater margin."""
+    best = None
+    for stage in QUAD_GRID_STAGES:
+        for i in range(stage + 1):
+            cand = _quad_margin_at(qc, Fraction(i, stage))
+            if cand is None:
+                continue
+            if best is None or cand.margin > best.margin:
+                best = cand
+    return best
+
+
+def composed_mixed_block_mdm(m: int, n: int) -> MultiPoly:
+    """Left symbol of M^m D^(2n) M^m by the general composition formula."""
+    outer = MultiPoly(MODEL_VARS, {(m, 2 * n): GR_ONE})
+    inner = MultiPoly(MODEL_VARS, {(m, 0): GR_ONE})
+    return symbol_compose(outer, inner).restrict(MODEL_VARS)
+
+
+def composed_mixed_block_dmd(m: int, n: int) -> MultiPoly:
+    """Left symbol of D^n M^(2m) D^n by the general composition formula."""
+    outer = MultiPoly(MODEL_VARS, {(0, n): GR_ONE})
+    inner = MultiPoly(MODEL_VARS, {(2 * m, n): GR_ONE})
+    return symbol_compose(outer, inner).restrict(MODEL_VARS)
 
 
 def hermite_quadrature_values(n: int, t: np.ndarray) -> np.ndarray:

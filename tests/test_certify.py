@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from wigreg import certify as certify_module
 from wigreg.certify import (
     DEFAULT_RADII,
     DEFAULT_SAMPLES,
@@ -16,6 +17,7 @@ from wigreg.certify import (
     NewtonFamilyParams,
     QuadraticCoeffs,
     RegularityVerdict,
+    _quad_best_split,
     extract_quadratic_coeffs,
     family_left_symbol,
     first_order_certify,
@@ -37,7 +39,13 @@ from wigreg.certify import (
 from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
 from wigreg.symbols import MODEL_VARS
 
-from oracles import quadratic_split_exists, separate_planes_hypo_falsify
+from oracles import (
+    composed_mixed_block_dmd,
+    composed_mixed_block_mdm,
+    fraction_quad_best_split,
+    quadratic_split_exists,
+    separate_planes_hypo_falsify,
+)
 
 
 def gr(re, im=0):
@@ -143,6 +151,19 @@ def test_mixed_blocks_agree_when_symmetric():
 
 def test_mixed_blocks_differ_in_general():
     assert mixed_block_symbol_mdm(2, 1) != mixed_block_symbol_dmd(2, 1)
+
+
+@pytest.mark.parametrize("block, oracle", [
+    (mixed_block_symbol_mdm, composed_mixed_block_mdm),
+    (mixed_block_symbol_dmd, composed_mixed_block_dmd),
+], ids=["mdm", "dmd"])
+def test_mixed_blocks_match_general_composition(block, oracle):
+    # same terms in the same order, so every symbol built on them is unchanged
+    for m in range(9):
+        for n in range(9):
+            got, want = block(m, n), oracle(m, n)
+            assert got.vars == want.vars
+            assert list(got.terms.items()) == list(want.terms.items()), (m, n)
 
 
 def test_recognize_quartic_family():
@@ -331,6 +352,62 @@ def test_quadratic_search_matches_brute_force_oracle():
             assert verify_certificate(cert).ok
         checked += 1
     assert checked >= 40
+
+
+def _split_search_cases() -> list[QuadraticCoeffs]:
+    rng = random.Random(20261018)
+
+    def f(lo=-9, hi=9, big=False):
+        if big:
+            num = rng.randrange(10 ** 99, 10 ** 100) * rng.choice([-1, 1])
+            return Fraction(num, rng.randrange(10 ** 99, 10 ** 100))
+        return Fraction(rng.randint(lo, hi), rng.choice([1, 2, 3, 4, 7]))
+
+    def coeffs(**fixed):
+        big = fixed.pop("big", False)
+        values = {k: f(big=big) for k in ("a1", "a0", "b1", "b0")}
+        values["a2"] = abs(f(1, 9, big)) or Fraction(1)
+        values["c0"] = abs(f(0, 9, big))
+        values.update(fixed)
+        return QuadraticCoeffs(**values)
+
+    cases = [coeffs() for _ in range(100)]
+    for _ in range(4):
+        cases += [
+            coeffs(b1=Fraction(0)), coeffs(b0=Fraction(0)), coeffs(a1=Fraction(0)),
+            coeffs(c0=Fraction(0)),
+            coeffs(c0=Fraction(0), b1=Fraction(0), b0=Fraction(0)),
+            # all margins equal: the first point, u = 0, must win
+            coeffs(b1=Fraction(0), b0=Fraction(0)),
+            # every margin negative
+            coeffs(a0=Fraction(-50)),
+            coeffs(big=True),
+            coeffs(big=True, b0=Fraction(0)),
+        ]
+    # margin zero at the best split, from b1 = b0 = 0 and from a tight fit
+    cases.append(QuadraticCoeffs(*(Fraction(v) for v in (4, 0, 0, 0, 0, 1))))
+    cases.append(QuadraticCoeffs(*(Fraction(v) for v in (2, 0, 1, 1, 1, 1))))
+    return cases
+
+
+def test_integer_split_search_matches_fraction_oracle(monkeypatch):
+    cases = _split_search_cases()
+    expected = {qc: fraction_quad_best_split(qc) for qc in cases}
+    certs = {qc: injectivity_quadratic(qc) for qc in cases}
+    for qc in cases:
+        assert _quad_best_split(qc) == expected[qc], qc
+    # the certificate from the oracle's split is the one the library gives
+    monkeypatch.setattr(certify_module, "_quad_best_split", expected.__getitem__)
+    for qc in cases:
+        assert injectivity_quadratic(qc) == certs[qc], qc
+    # the cases reach every outcome: no split, negative best, relaxed, strict
+    found = list(expected.values())
+    assert any(best is None for best in found)
+    assert any(best is not None and best.margin < 0 for best in found)
+    assert any(best is not None and best.margin == 0 for best in found)
+    assert any(best is not None and best.margin > 0 and best.u not in (0, 1)
+               for best in found)
+    assert any(certs[qc] is not None and len(str(qc.a2)) > 150 for qc in cases)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Command-line interface: exit codes, outputs, and error paths."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +137,20 @@ def test_verify_intertwine_fails_on_tiny_tolerance(spec_file, capsys):
 def test_verify_intertwine_bad_window(spec_file, capsys):
     assert main(["verify-intertwine", spec_file(EQ44), "--w", "sine:1,2"]) == 1
     assert "window family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--L", "3", "--N", "64"], "enlarge L"),
+    (["--L", "inf"], "L must be finite"),
+    (["--tol", "inf"], "--tol must be a finite number >= 0, got inf"),
+    (["--tol", "nan"], "--tol must be a finite number >= 0, got nan"),
+    (["--tol", "-1"], "--tol must be a finite number >= 0, got -1.0"),
+], ids=["narrow-L", "inf-L", "inf-tol", "nan-tol", "negative-tol"])
+def test_verify_intertwine_rejects_bad_inputs(spec_file, capsys, extra, message):
+    assert main(["verify-intertwine", spec_file(EQ44)] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +377,36 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1
+
+
+def test_reused_parser_matches_fresh_processes(spec_file, tmp_path, capsys):
+    # certify, a usage error that had already parsed --p, then
+    # verify-intertwine without --p: one process must answer each command
+    # as a fresh process does
+    spec = spec_file(EQ44)
+    commands = [
+        ["certify", spec, "--report", str(tmp_path / "report.json")],
+        ["verify-intertwine", spec, "--p", "1/3", "--mode", "bogus"],
+        ["verify-intertwine", spec, "--N", "64"],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    fresh = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "wigreg.cli"] + argv,
+                              capture_output=True, text=True, env=env, timeout=120)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    reused = []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # the usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        reused.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in fresh] == [0, 1, 0]
+    assert "invalid choice: 'bogus'" in fresh[1][2]
+    assert reused == fresh
 
 
 def test_version_flag(capsys):

@@ -260,6 +260,24 @@ def test_grid_file_round_trip(tmp_path, fmt):
     assert manifest["axis_y"] == "dual"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "raw"])
+@pytest.mark.parametrize("n", [8, 256])
+def test_grid_file_round_trip_keeps_bits(tmp_path, fmt, n):
+    # every sign of zero in either part, next to nonzero and subnormal parts
+    rng = np.random.default_rng(n)
+    parts = np.array([-0.0, 0.0, -1.5, 2.25, -5e-324, 1e300])
+    samples = rng.choice(parts, (n, n)) + 0j
+    samples.imag = rng.choice(parts, (n, n))
+    samples[0, :4] = [complex(-0.0, -0.0), complex(-0.0, 3.0), complex(3.0, -0.0),
+                      complex(0.0, -0.0)]
+    gf = GridFunction2D(Grid2D(6.0, n), samples)
+    path = str(tmp_path / f"grid.{fmt}")
+    write_grid(gf, path, fmt=fmt)
+    back = read_grid(path)
+    assert back.samples.dtype == np.complex128
+    assert np.array_equal(back.samples.view(np.uint64), gf.samples.view(np.uint64))
+
+
 def savetxt_bytes(gf, path):
     gx, gy = mesh(gf.grid, gf.dual_y)
     table = np.column_stack([gx.ravel(), gy.ravel(),
