@@ -32,10 +32,21 @@ def hermite_values(n: int, t: np.ndarray) -> np.ndarray:
     if not isinstance(n, int) or n < 0:
         raise ValueError("Hermite index must be a non-negative integer")
     t = np.asarray(t, dtype=float)
+    # three buffers, each step in the order of
+    # cur' = sqrt(2/(k+1)) * t * cur - sqrt(k/(k+1)) * prev
     prev = np.zeros_like(t)
-    cur = PI_QUARTER_INV * np.exp(-0.5 * t * t)
+    cur = np.empty_like(t)
+    np.multiply(-0.5, t, out=cur)
+    cur *= t
+    np.exp(cur, out=cur)
+    np.multiply(PI_QUARTER_INV, cur, out=cur)
+    spare = np.empty_like(t)
     for k in range(n):
-        prev, cur = cur, np.sqrt(2.0 / (k + 1)) * t * cur - np.sqrt(k / (k + 1.0)) * prev
+        np.multiply(np.sqrt(2.0 / (k + 1)), t, out=spare)
+        spare *= cur
+        prev *= np.sqrt(k / (k + 1.0))
+        spare -= prev
+        prev, cur, spare = cur, spare, prev
     return cur
 
 
@@ -112,7 +123,10 @@ class PolyGauss:
         bits of the complex polyval.  A part whose coefficients are all zero
         stays zero."""
         t = np.asarray(t, dtype=float)
-        envelope = np.exp(-self.a * (t - self.x0) ** 2)
+        envelope = np.subtract(t, self.x0)
+        np.square(envelope, out=envelope)
+        envelope *= -self.a
+        np.exp(envelope, out=envelope)
         values = np.zeros(t.shape, dtype=complex)
         for part, coeffs in ((values.real, self.coeffs.real), (values.imag, self.coeffs.imag)):
             if not coeffs.any():

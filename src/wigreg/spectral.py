@@ -28,7 +28,19 @@ line, where x is already diagonal in sample space.
 Two independent checks tie the exact layer to the transform:
 
 * intertwine_residual compares B applied to Wig_p[u (x) v] against
-  Wig_p[(A u) (x) v], with A u computed symbolically (PolyGauss closure);
+  Wig_p[(A u) (x) v], with A u computed symbolically (PolyGauss closure).
+  The edges of both pairs are checked on lines before any plane is built.
+  The two forwards share the argument planes x + q z and x - p z and one
+  evaluation of v, and the right-hand transform is done before B runs, so
+  those planes are gone by then.  B takes its frame of Y by an FFT in place
+  over the left transform, which nothing reads again, and its last row
+  lands in that same plane.  Since B evaluates its symbols and their Horner
+  polynomials a block of rows at a time, straight into the plane they
+  scale, it adds to the two transforms only the plane of the terms without
+  a derivative, the running total and one row in flight: five planes at
+  most, whatever the orders.  All of this keeps the operations, and so the
+  bits, of separate transforms.  The generator mode shares v's plane the
+  same way among u, D u and x u;
 * wick_energy_compare compares the discrete energy form (A u | u) with the
   phase-space average of the coherent-state symbol W[a] against the squared
   modulus of the coherent-state transform V u.
@@ -45,7 +57,7 @@ import numpy as np
 from .exact import GR_ONE, MultiPoly
 from .hermite import PI_QUARTER_INV, apply_model_operator, to_polygauss
 from .symbols import MODEL_VARS, OperatorSpec
-from .wigner import Grid2D, GridFunction2D, _alternating_phase, wig_forward
+from .wigner import Grid2D, GridFunction2D, _alternating_phase, _forward_samples
 
 BOUNDARY_WARN_REL = 1e-12
 
@@ -83,6 +95,15 @@ def _identity(w: np.ndarray) -> np.ndarray:
     return w
 
 
+# grid points in one block of rows of the polynomial products below
+BLOCK_POINTS = 32768
+
+
+def _row_blocks(plane: np.ndarray) -> list[slice]:
+    step = max(1, BLOCK_POINTS * plane.shape[0] // plane.size)
+    return [slice(lo, lo + step) for lo in range(0, plane.shape[0], step)]
+
+
 def _horner(coeffs: Mapping[int, complex], plane: np.ndarray):
     """sum_k coeffs[k] * plane**k by Horner, without elementwise powers."""
     top = max(coeffs)
@@ -94,20 +115,33 @@ def _horner(coeffs: Mapping[int, complex], plane: np.ndarray):
     return value
 
 
+def _poly_times(coeffs: Mapping[int, complex], sym: Callable[[slice], np.ndarray],
+                plane: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = P(s) * plane with P(s) = sum_k coeffs[k] s^k, where sym(rows)
+    gives the symbol s on a block of rows.  It runs block by block, so
+    neither s nor P(s) ever fills a plane; out may be plane itself."""
+    for rows in _row_blocks(plane):
+        np.multiply(_horner(coeffs, sym(rows)), plane[rows], out=out[rows])
+    return out
+
+
 def _apply_diagonal(coeffs: Mapping[tuple[int, int], complex], samples: np.ndarray,
-                    y_sym: np.ndarray, y_frame: Callable[[np.ndarray], np.ndarray],
-                    x_sym: np.ndarray, x_frame: Callable[[np.ndarray], np.ndarray],
-                    y_to_x: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+                    y_sym: Callable[[slice], np.ndarray], y_frame: Callable[[np.ndarray], np.ndarray],
+                    x_sym: Callable[[slice], np.ndarray], x_frame: Callable[[np.ndarray], np.ndarray],
+                    y_to_x: Callable[[np.ndarray], np.ndarray], scratch: bool = False) -> np.ndarray:
     """sum_j X^j R_j(Y) w + P(X) w in the frame of X, where R_j(Y) collects
     the terms c[j,k] Y^k with k > 0 and P(X) = sum_j c[j,0] X^j.
 
-    Y is multiplication by y_sym on ``y_frame(w)`` and X is multiplication by
-    x_sym on ``x_frame(w)``; ``y_to_x`` carries a row from the first frame
-    into the second.  The rows fold by Horner in X from the top j down, so
-    only the running total and one row are alive at a time.  P(X) takes w
-    straight into the frame of X: a round trip through the frame of Y would
-    spread rounding error evenly over the x axis, where X^j magnifies it at
-    the window edges.
+    Y is multiplication by the symbol y_sym on ``y_frame(w)`` and X by x_sym
+    on ``x_frame(w)``; a symbol is given on a block of rows (see
+    _poly_times).  ``y_to_x`` carries a row from the first frame into the
+    second.  P(X) takes w straight into the frame of X: a round trip through
+    the frame of Y would spread rounding error evenly over the x axis, where
+    X^j magnifies it at the window edges.  It runs first, so that with
+    ``scratch`` set ``y_frame`` may transform w in place.  The rows fold by
+    Horner in X from the top j down, so only the running total and one row
+    are alive at a time; the last row takes the place of w's frame of Y
+    when that plane is a copy or scratch.  P(X) w is added last.
     """
     rows: dict[int, dict[int, complex]] = {}
     plain: dict[int, complex] = {}
@@ -116,26 +150,46 @@ def _apply_diagonal(coeffs: Mapping[tuple[int, int], complex], samples: np.ndarr
             rows.setdefault(j, {})[k] = c
         else:
             plain[j] = c
-    total = None
-    if rows:
-        in_y = y_frame(samples)
-        top = max(rows)
-        total = y_to_x(_horner(rows[top], y_sym) * in_y)
-        for j in range(top - 1, -1, -1):
-            total *= x_sym
-            if j in rows:
-                total += y_to_x(_horner(rows[j], y_sym) * in_y)
+    term = None
     if plain:
-        term = _horner(plain, x_sym) * x_frame(samples)
-        if total is None:
-            total = term
-        else:
-            total += term
+        in_x = x_frame(samples)
+        term = _poly_times(plain, x_sym, in_x,
+                           in_x if in_x is not samples else np.empty(samples.shape, complex))
+    if not rows:
+        return term
+    in_y = y_frame(samples)
+    last = min(rows) if scratch or in_y is not samples else None
+    total = None
+    for j in range(max(rows), -1, -1):
+        if total is not None:
+            for block in _row_blocks(total):
+                total[block] *= x_sym(block)
+        if j in rows:
+            out = in_y if j == last else np.empty(samples.shape, complex)
+            row = y_to_x(_poly_times(rows[j], y_sym, in_y, out))
+            if total is None:
+                total = row
+            else:
+                total += row
+    if term is not None:
+        total += term
     return total
 
 
+class _ScratchTransform(GridFunction2D):
+    """A transform whose samples apply_operator_2d may overwrite: the
+    intertwining check's own forward, which nothing reads afterwards."""
+
+    __slots__ = ()
+
+
 def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunction2D:
-    """Apply B = sum c[j,k] (x - q D_y)^j (y + p D_x)^k on the plane grid."""
+    """Apply B = sum c[j,k] (x - q D_y)^j (y + p D_x)^k on the plane grid.
+
+    The input's samples are left as they are.  Only the intertwining check's
+    own _ScratchTransform lends its plane to the operator, which takes the
+    frame of Y and the last derivative row there.
+    """
     if not transform.dual_y:
         raise ValueError("the planar operator acts on a transform with a dual second axis")
     grid = transform.grid
@@ -145,19 +199,24 @@ def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunc
     # A factor whose symbol has no wavenumber term (Y at p = 0, X at q = 0)
     # is diagonal in the frame the samples are already in: its frame is the
     # identity and its symbol a line of the grid, broadcast over the plane.
-    y_sym = grid.dual_nodes[None, :]
+    scratch = isinstance(transform, _ScratchTransform)
+    dual_row = grid.dual_nodes[None, :]
+    y_sym = lambda rows: dual_row
     y_frame = _identity
     if p:
-        y_sym = y_sym + p * _wavenumbers(grid.N, grid.dx)[:, None]
-        y_frame = lambda w: np.fft.fft(w, axis=0)
-    x_sym = grid.x_nodes[:, None]
+        p_omega = p * _wavenumbers(grid.N, grid.dx)
+        y_sym = lambda rows: dual_row + p_omega[rows, None]
+        y_frame = lambda w: np.fft.fft(w, axis=0, out=w if scratch else None)
+    x_col = grid.x_nodes[:, None]
+    x_sym = lambda rows: x_col[rows]
     x_frame = _identity
     if q:
-        x_sym = x_sym - q * _wavenumbers(grid.N, grid.dy_dual)[None, :]
+        q_omega = q * _wavenumbers(grid.N, grid.dy_dual)
+        x_sym = lambda rows: x_col[rows] - q_omega[None, :]
         x_frame = lambda w: np.fft.fft(w, axis=1)
 
     def y_to_x(row: np.ndarray) -> np.ndarray:
-        # each row is a fresh plane, so it changes frame in place
+        # each row is a plane of its own, so it changes frame in place
         if p:
             np.fft.ifft(row, axis=0, out=row)
         if q:
@@ -165,7 +224,7 @@ def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunc
         return row
 
     total = _apply_diagonal(spec.complex_coeffs(), transform.samples,
-                            y_sym, y_frame, x_sym, x_frame, y_to_x)
+                            y_sym, y_frame, x_sym, x_frame, y_to_x, scratch)
     if q:
         np.fft.ifft(total, axis=1, out=total)
     return GridFunction2D(grid, total, dual_y=True)
@@ -178,14 +237,22 @@ def apply_operator_1d(spec: OperatorSpec, grid: Grid2D, samples: np.ndarray) -> 
         raise ValueError(f"samples must be shaped ({grid.N},), got {samples.shape}")
     _check_boundary_decay(samples, "apply_operator_1d")
     return _apply_diagonal(spec.complex_coeffs(), samples,
-                           _wavenumbers(grid.N, grid.dx), np.fft.fft,
-                           grid.x_nodes, _identity, np.fft.ifft)
+                           _wavenumbers(grid.N, grid.dx).__getitem__, np.fft.fft,
+                           grid.x_nodes.__getitem__, _identity, np.fft.ifft)
 
 
 DEFAULT_GRID = Grid2D(12.0, 256)
 
 
 INTERTWINE_BOUNDARY_TOL = 1e-8
+
+
+def _relative_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """max|lhs - rhs| / max(max|lhs|, max|rhs|); lhs is overwritten with the
+    difference."""
+    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
+    lhs -= rhs
+    return float(np.max(np.abs(lhs))) / scale
 
 
 def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID,
@@ -199,39 +266,35 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
         Wig_p[(D u) (x) v] = (y + p D_x) Wig_p[u (x) v],
         Wig_p[(x u) (x) v] = (x - q D_y) Wig_p[u (x) v].
 
-    The default boundary precondition is looser than the standalone transform:
-    applying the operator multiplies the windows by polynomials, and edge mass
-    of 1e-8 still sits two orders below the 1e-6 comparison tolerance.
+    The forwards of one call share v's plane and run before any operator, so
+    a pair that has not decayed at the window edge fails first.  The default
+    boundary precondition is looser than the standalone transform: applying
+    the operator multiplies the windows by polynomials, and edge mass of 1e-8
+    still sits two orders below the 1e-6 comparison tolerance.
     """
     from fractions import Fraction
 
+    if mode not in ("full", "generators"):
+        raise ValueError("mode must be 'full' or 'generators'")
     p = Fraction(p)
     spec = spec.with_p(p)
     pf = float(p)
-    w = wig_forward(u, v, pf, grid, boundary_tol=boundary_tol)
-
-    def relative(lhs: np.ndarray, rhs: np.ndarray) -> float:
-        scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
-        return float(np.max(np.abs(lhs - rhs))) / scale
-
     if mode == "full":
-        lhs = apply_operator_2d(spec, w).samples
         au = apply_model_operator(spec.complex_coeffs(), u)
-        rhs = wig_forward(au, v, pf, grid, boundary_tol=boundary_tol).samples
-        return [("intertwining", relative(lhs, rhs))]
-    if mode == "generators":
-        base = to_polygauss(u)
-        du = base.apply_d()
-        mu = base.mul_t()
-        lhs_d = wig_forward(du, v, pf, grid, boundary_tol=boundary_tol).samples
-        rhs_d = apply_operator_2d(OperatorSpec({(0, 1): GR_ONE}, p), w).samples
-        lhs_m = wig_forward(mu, v, pf, grid, boundary_tol=boundary_tol).samples
-        rhs_m = apply_operator_2d(OperatorSpec({(1, 0): GR_ONE}, p), w).samples
-        return [
-            ("derivative_factor", relative(lhs_d, rhs_d)),
-            ("position_factor", relative(lhs_m, rhs_m)),
-        ]
-    raise ValueError("mode must be 'full' or 'generators'")
+        w, rhs = _forward_samples((u, au), v, pf, grid, boundary_tol)
+        rhs = GridFunction2D(grid, rhs).samples
+        # the operator may work in w's plane: nothing reads w afterwards
+        lhs = apply_operator_2d(spec, _ScratchTransform(grid, w)).samples
+        return [("intertwining", _relative_gap(lhs, rhs))]
+    base = to_polygauss(u)
+    w, lhs_d, lhs_m = _forward_samples((u, base.apply_d(), base.mul_t()), v, pf, grid,
+                                       boundary_tol)
+    w = GridFunction2D(grid, w)
+    rhs_d = apply_operator_2d(OperatorSpec({(0, 1): GR_ONE}, p), w).samples
+    derivative = _relative_gap(GridFunction2D(grid, lhs_d).samples, rhs_d)
+    rhs_m = apply_operator_2d(OperatorSpec({(1, 0): GR_ONE}, p), w).samples
+    position = _relative_gap(GridFunction2D(grid, lhs_m).samples, rhs_m)
+    return [("derivative_factor", derivative), ("position_factor", position)]
 
 
 # ---------------------------------------------------------------------------

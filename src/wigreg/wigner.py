@@ -38,7 +38,7 @@ import os
 import shutil
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -129,6 +129,47 @@ def _alternating_phase(n: int) -> np.ndarray:
     return np.where(k % 2 == 0, 1.0, -1.0)
 
 
+def _forward_samples(firsts: Sequence[Callable], v: Callable, p: float, grid: Grid2D,
+                     boundary_tol: float) -> list[np.ndarray]:
+    """Samples of Wig_p[f (x) v] for each first window f, sharing v's plane.
+
+    The edge check of every pair runs first, on lines, so a pair that has not
+    decayed fails before any N x N plane is built.  Then the argument planes
+    x + q z and x - p z are built once and v is evaluated once; each f is
+    evaluated on the shared first argument, multiplied by v's values and
+    transformed in place.
+    """
+    p = float(p)
+    q = 1.0 - p
+    x = grid.x_nodes
+    v_low, v_high = np.asarray(v(x - p * grid.L)), np.asarray(v(x + p * grid.L))
+    for f in firsts:
+        edge = max(
+            float(np.max(np.abs(np.asarray(f(x + q * grid.L)) * v_low))),
+            float(np.max(np.abs(np.asarray(f(x - q * grid.L)) * v_high))),
+        )
+        if edge >= boundary_tol:
+            raise BoundaryDecayError(
+                f"inputs reach {edge:.3e} at the z window edge (need < {boundary_tol:.1e}); "
+                f"enlarge L"
+            )
+    # z in FFT order with the sign (-1)^l, so the FFT lands centred (see the
+    # module docstring); a window whose argument does not move with z is
+    # evaluated on the x column alone
+    col = x[:, None]
+    z = np.roll(x, grid.N // 2)
+    second = v(col - p * z if p else col)
+    first_arg = col + q * z if q else col
+    out = []
+    for f in firsts:
+        g = np.multiply(f(first_arg), second, dtype=complex)
+        np.negative(g[:, 1::2], out=g[:, 1::2])
+        np.fft.fft(g, axis=1, out=g)
+        g *= grid.dx / TWO_PI_SQRT
+        out.append(g)
+    return out
+
+
 def wig_forward(u: Callable, v: Callable, p: float, grid: Grid2D,
                 boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> GridFunction2D:
     """Transform a pure tensor u (x) v on the given grid.
@@ -138,27 +179,7 @@ def wig_forward(u: Callable, v: Callable, p: float, grid: Grid2D,
     ``boundary_tol`` at the z window edges; otherwise the quadrature window
     is too small and a BoundaryDecayError reports the worst offender.
     """
-    p = float(p)
-    q = 1.0 - p
-    x = grid.x_nodes
-    edge = max(
-        float(np.max(np.abs(np.asarray(u(x + q * grid.L)) * np.asarray(v(x - p * grid.L))))),
-        float(np.max(np.abs(np.asarray(u(x - q * grid.L)) * np.asarray(v(x + p * grid.L))))),
-    )
-    if edge >= boundary_tol:
-        raise BoundaryDecayError(
-            f"inputs reach {edge:.3e} at the z window edge (need < {boundary_tol:.1e}); "
-            f"enlarge L"
-        )
-    # z in FFT order with the sign (-1)^l, so the FFT lands centred (see the
-    # module docstring); a window whose argument does not move with z is
-    # evaluated on the x column alone
-    col = x[:, None]
-    z = np.roll(x, grid.N // 2)
-    g = np.multiply(u(col + q * z if q else col), v(col - p * z if p else col), dtype=complex)
-    np.negative(g[:, 1::2], out=g[:, 1::2])
-    samples = np.fft.fft(g, axis=1, out=g)
-    samples *= grid.dx / TWO_PI_SQRT
+    samples, = _forward_samples((u,), v, p, grid, boundary_tol)
     return GridFunction2D(grid, samples, dual_y=True)
 
 
@@ -388,6 +409,40 @@ def _check_csv_nodes(table: np.ndarray, grid: Grid2D, dual_y: bool) -> None:
                          f"expected {expected} from the manifest grid")
 
 
+# bytes read at a time while counting the lines of a CSV grid
+LINE_COUNT_CHUNK = 1 << 20
+
+
+def _one_line_per_row(path: str, lines: int) -> bool:
+    """Whether the file holds exactly ``lines`` lines, each ended by a line
+    feed, and no carriage return.  One read in LINE_COUNT_CHUNK pieces;
+    numpy counts the line feeds of each."""
+    chunk = bytearray(LINE_COUNT_CHUNK)
+    view = np.frombuffer(chunk, dtype=np.uint8)
+    breaks = 0
+    last = 0
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(chunk):
+            if chunk.find(b"\r", 0, size) >= 0:
+                return False
+            breaks += int(np.count_nonzero(view[:size] == ord("\n")))
+            last = chunk[size - 1]
+    return breaks == lines and last == ord("\n")
+
+
+def _reject_blank_or_comment(path: str) -> None:
+    """Raise a ValueError naming the first line after the header that is
+    blank or a '#' comment, read with the newline handling of np.loadtxt."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        next(fh, None)
+        for number, line in enumerate(fh, start=2):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                kind = "a '#' comment" if text else "blank"
+                raise ValueError(f"grid CSV line {number} is {kind}; every line "
+                                 f"after the header holds x,y,re,im")
+
+
 def read_grid(path: str) -> GridFunction2D:
     """Read a grid file written by write_grid (manifest sidecar required).
 
@@ -395,9 +450,10 @@ def read_grid(path: str) -> GridFunction2D:
     table is allocated.  A CSV of at least 2 * MIN_BLOCK_POINTS lines is
     parsed in forked row blocks, one per usable CPU, each by np.loadtxt over
     its own lines; the result is bit for bit that of one np.loadtxt call, and
-    the shape and node checks see the whole table.  Blank or '#' lines inside
-    such a file shift the blocks and fail those checks.  Both formats give
-    back the written samples bit for bit, the sign of every zero included.
+    the shape and node checks see the whole table.  Every line after the
+    header must hold a node: a blank or '#' line is rejected at any size and
+    any block count, by a ValueError that names it.  Both formats give back
+    the written samples bit for bit, the sign of every zero included.
     """
     manifest = read_manifest(path)
     grid = Grid2D(float(manifest["L"]), manifest["N"])
@@ -413,14 +469,20 @@ def read_grid(path: str) -> GridFunction2D:
     # every line after the header holds at least "0,0,0,0\n"
     if size < 8 * n * n:
         raise ValueError(f"grid CSV holds {size} bytes, too few for {n * n} lines")
+    if not _one_line_per_row(path, 1 + n * n):
+        # np.loadtxt skips empty lines, which only the line count shows
+        _reject_blank_or_comment(path)
     table = np.empty((n * n, 4))
 
     def work(lo: int, hi: int, out) -> None:
         try:
             with warnings.catch_warnings():
-                # a block past the end of the file is reported by the line count
+                # a block past the end of the file is reported by the line
+                # count, an empty line by _reject_blank_or_comment
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
                 rows = np.loadtxt(path, delimiter=",", skiprows=1 + lo * n, ndmin=2,
+                                  comments=None,
                                   max_rows=None if hi == n else (hi - lo) * n)
         except ValueError as exc:
             if lo == 0:
@@ -440,8 +502,13 @@ def read_grid(path: str) -> GridFunction2D:
         if src.readinto(view) != view.nbytes:
             raise ValueError(f"grid CSV row block {lo}..{hi - 1} came back short")
 
-    _split_rows(n, work, deliver)
-    _check_csv_nodes(table, grid, dual_y)
+    try:
+        _split_rows(n, work, deliver)
+        _check_csv_nodes(table, grid, dual_y)
+    except ValueError:
+        # a '#' or blank line fails a block's parse or shifts the blocks after it
+        _reject_blank_or_comment(path)
+        raise
     # filled part by part: adding 1j * im would turn a -0.0 into +0.0
     samples = np.empty(n * n, dtype=complex)
     samples.real = table[:, 2]

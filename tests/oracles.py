@@ -44,6 +44,16 @@ the library compares unreduced integer ratios by cross-multiplication.
 
 The mixed-block oracles compose the two factors of each sandwich with the
 general composition formula, where the library writes out their Leibniz sums.
+
+The intertwining oracle runs one independent forward transform per window
+pair, each evaluating v on its own plane, and applies the planar operator
+to a transform it keeps, on whole planes of symbol values with a fresh
+plane for every product, where the library shares v's plane among the
+pairs, evaluates the symbols a block of rows at a time into the plane they
+scale, and lets the operator overwrite the transform it no longer needs.
+
+The Hermite and envelope oracles allocate a fresh plane for every operation,
+where the library runs the same operations in a few reused buffers.
 """
 
 from __future__ import annotations
@@ -65,8 +75,9 @@ from wigreg.certify import (
     _refine_circle_zero,
 )
 from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
-from wigreg.symbols import MODEL_VARS, PHASE_VARS, symbol_compose
-from wigreg.wigner import TWO_PI_SQRT, GridFunction2D, _alternating_phase
+from wigreg.hermite import PI_QUARTER_INV, apply_model_operator, to_polygauss
+from wigreg.symbols import MODEL_VARS, PHASE_VARS, OperatorSpec, symbol_compose
+from wigreg.wigner import TWO_PI_SQRT, GridFunction2D, _alternating_phase, wig_forward
 
 ORACLE_DEPTH = 512
 
@@ -338,6 +349,94 @@ def hermite_quadrature_values(n: int, t: np.ndarray) -> np.ndarray:
     poly = np.polynomial.hermite.Hermite(coeffs)
     norm = 1.0 / sqrt(float(2 ** n) * factorial(n) * sqrt(pi))
     return norm * poly(t) * np.exp(-0.5 * t * t)
+
+
+def fresh_planes_hermite_values(n: int, t: np.ndarray) -> np.ndarray:
+    """The Hermite recurrence with a fresh array for every operation."""
+    t = np.asarray(t, dtype=float)
+    prev = np.zeros_like(t)
+    cur = PI_QUARTER_INV * np.exp(-0.5 * t * t)
+    for k in range(n):
+        prev, cur = cur, np.sqrt(2.0 / (k + 1)) * t * cur - np.sqrt(k / (k + 1.0)) * prev
+    return cur
+
+
+def fresh_planes_envelope(a: float, x0: float, t: np.ndarray) -> np.ndarray:
+    """The real PolyGauss envelope exp(-a (t - x0)^2) as one expression."""
+    return np.exp(-a * (np.asarray(t, dtype=float) - x0) ** 2)
+
+
+def _fresh_horner(coeffs, plane):
+    top = max(coeffs)
+    value = coeffs[top]
+    for k in range(top - 1, -1, -1):
+        value = value * plane
+        if k in coeffs:
+            value = value + coeffs[k]
+    return value
+
+
+def fresh_planes_apply_operator_2d(spec, transform) -> np.ndarray:
+    """B = sum c[j,k] X^j Y^k in the Fourier-diagonal frames, rows folded by
+    Horner in X and the terms without a derivative added last."""
+    grid = transform.grid
+    samples = transform.samples
+    p, q = float(spec.p), float(spec.q)
+    y_sym = grid.dual_nodes[None, :]
+    if p:
+        y_sym = y_sym + p * (2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dx))[:, None]
+    x_sym = grid.x_nodes[:, None]
+    if q:
+        x_sym = x_sym - q * (2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dy_dual))[None, :]
+    rows, plain = {}, {}
+    for (j, k), c in spec.complex_coeffs().items():
+        if k:
+            rows.setdefault(j, {})[k] = c
+        else:
+            plain[j] = c
+    total = None
+    if rows:
+        in_y = np.fft.fft(samples, axis=0) if p else samples
+        for j in range(max(rows), -1, -1):
+            if total is not None:
+                total = total * x_sym
+            if j in rows:
+                row = _fresh_horner(rows[j], y_sym) * in_y
+                if p:
+                    row = np.fft.ifft(row, axis=0)
+                if q:
+                    row = np.fft.fft(row, axis=1)
+                total = row if total is None else total + row
+    if plain:
+        term = _fresh_horner(plain, x_sym) * (np.fft.fft(samples, axis=1) if q else samples)
+        total = term if total is None else total + term
+    return np.fft.ifft(total, axis=1) if q else total
+
+
+def separate_intertwine_residual(spec, u, v, p, grid, mode: str = "full",
+                                 boundary_tol: float = 1e-8) -> list[tuple[str, float]]:
+    """Residuals of the intertwining identity with one wig_forward per pair."""
+    p = Fraction(p)
+    spec = spec.with_p(p)
+    pf = float(p)
+    w = wig_forward(u, v, pf, grid, boundary_tol=boundary_tol)
+
+    def relative(lhs: np.ndarray, rhs: np.ndarray) -> float:
+        scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
+        return float(np.max(np.abs(lhs - rhs))) / scale
+
+    if mode == "full":
+        lhs = fresh_planes_apply_operator_2d(spec, w)
+        au = apply_model_operator(spec.complex_coeffs(), u)
+        rhs = wig_forward(au, v, pf, grid, boundary_tol=boundary_tol).samples
+        return [("intertwining", relative(lhs, rhs))]
+    base = to_polygauss(u)
+    lhs_d = wig_forward(base.apply_d(), v, pf, grid, boundary_tol=boundary_tol).samples
+    rhs_d = fresh_planes_apply_operator_2d(OperatorSpec({(0, 1): GR_ONE}, p), w)
+    lhs_m = wig_forward(base.mul_t(), v, pf, grid, boundary_tol=boundary_tol).samples
+    rhs_m = fresh_planes_apply_operator_2d(OperatorSpec({(1, 0): GR_ONE}, p), w)
+    return [("derivative_factor", relative(lhs_d, rhs_d)),
+            ("position_factor", relative(lhs_m, rhs_m))]
 
 
 def shifted_wig_forward(u, v, p: float, grid) -> np.ndarray:

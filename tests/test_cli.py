@@ -153,6 +153,21 @@ def test_verify_intertwine_rejects_bad_inputs(spec_file, capsys, extra, message)
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+def test_verify_intertwine_fails_fast_on_the_operator_pair(spec_file, capsys, monkeypatch):
+    # h0 (x) h0 decays at the edge of [-10, 10), x^8 h0 (x) h0 does not: the
+    # check stops at that pair's edge, before the planar operator runs
+    def no_operator(*args, **kwargs):
+        raise AssertionError("the planar operator ran")
+
+    monkeypatch.setattr("wigreg.spectral.apply_operator_2d", no_operator)
+    x8 = spec_file({"p": "1/2", "coeffs": [{"j": 8, "k": 0, "re": "1"}]}, "x8.json")
+    assert main(["verify-intertwine", x8, "--w", "hermite:0,0", "--L", "10", "--N", "64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: inputs reach 5.314e-06 at the z window edge "
+                            "(need < 1.0e-08); enlarge L\n")
+
+
 # ---------------------------------------------------------------------------
 # transform
 # ---------------------------------------------------------------------------
@@ -261,6 +276,20 @@ def test_transform_inverse_rejects_damaged_large_csv(spec_file, tmp_path, capsys
     inv = tmp_path / "inv.csv"
     assert main(["transform", spec, "--inverse", "--in", str(fwd), "--out", str(inv)]) == 1
     assert message in capsys.readouterr().err
+    assert not inv.exists()
+
+
+@pytest.mark.parametrize("n_pts", ["64", "256"])
+def test_transform_inverse_rejects_a_blank_line(spec_file, tmp_path, capsys, n_pts):
+    spec = spec_file(EQ44)
+    fwd = tmp_path / "fwd.csv"
+    assert main(["transform", spec, "--forward", "--N", n_pts, "--out", str(fwd)]) == 0
+    lines = fwd.read_text().splitlines(keepends=True)
+    fwd.write_text("".join(lines[:-3] + ["\n"] + lines[-3:]))
+    inv = tmp_path / "inv.csv"
+    assert main(["transform", spec, "--inverse", "--in", str(fwd), "--out", str(inv)]) == 1
+    assert capsys.readouterr().err == (f"error: grid CSV line {len(lines) - 2} is blank; "
+                                       f"every line after the header holds x,y,re,im\n")
     assert not inv.exists()
 
 

@@ -12,7 +12,7 @@ from wigreg.hermite import (
     to_polygauss,
 )
 
-from oracles import hermite_quadrature_values
+from oracles import fresh_planes_envelope, fresh_planes_hermite_values, hermite_quadrature_values
 
 GRID = np.linspace(-10.0, 10.0, 2001)
 DX = GRID[1] - GRID[0]
@@ -23,6 +23,48 @@ def test_hermite_values_match_independent_construction():
         ours = hermite_values(n, GRID)
         ref = hermite_quadrature_values(n, GRID)
         assert np.max(np.abs(ours - ref)) < 1e-12, n
+
+
+SPECIAL_POINTS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                           np.inf, -np.inf, 1e154, -1e154, 1e155, 37.5, -38.6, 0.25, -3.0])
+
+
+def assert_same_bits(ours, ref):
+    assert ours.dtype == ref.dtype and ours.shape == ref.shape
+    assert np.array_equal(ours, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(ours), np.signbit(ref))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", range(12))
+def test_hermite_values_in_place_match_fresh_planes_bit_for_bit(n):
+    # 96 points: 15 special values (signed zeros, subnormals, infinities and
+    # squares beyond the float range) and 81 ordinary ones, on a line and on
+    # a plane
+    t = np.concatenate([SPECIAL_POINTS, np.linspace(-12.0, 12.0, 81)])
+    assert t.size == 96
+    assert_same_bits(hermite_values(n, t), fresh_planes_hermite_values(n, t))
+    plane = np.add.outer(t, np.array([0.0, -0.5, 3.25]))
+    assert_same_bits(hermite_values(n, plane), fresh_planes_hermite_values(n, plane))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("a, x0", [(0.5, 0.0), (0.7, -0.4), (1.5, 0.25), (1e-3, 1e154)])
+def test_polygauss_envelope_in_place_matches_expression_bit_for_bit(monkeypatch, a, x0):
+    t = np.concatenate([SPECIAL_POINTS, np.linspace(-12.0, 12.0, 81)])
+    envelopes = []
+    original = np.exp
+
+    def recording_exp(x, *args, **kwargs):
+        out = original(x, *args, **kwargs)
+        envelopes.append(np.array(out))
+        return out
+
+    monkeypatch.setattr(np, "exp", recording_exp)
+    PolyGauss([1.0, -0.5j], a=a, x0=x0)(t)
+    monkeypatch.undo()
+    assert len(envelopes) == 1
+    assert_same_bits(envelopes[0], fresh_planes_envelope(a, x0, t))
 
 
 def test_hermite_rejects_bad_index():

@@ -1,6 +1,7 @@
 """Grid operators, the intertwining identity, and the energy comparison."""
 
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -21,9 +22,9 @@ from wigreg.spectral import (
     wick_energy_compare,
 )
 from wigreg.symbols import MODEL_VARS, OperatorSpec
-from wigreg.wigner import Grid2D, GridFunction2D, wig_forward
+from wigreg.wigner import BoundaryDecayError, Grid2D, GridFunction2D, wig_forward
 
-from oracles import factorwise_apply_operator_2d
+from oracles import factorwise_apply_operator_2d, separate_intertwine_residual
 
 H0, H1, H2 = Hermite(0), Hermite(1), Hermite(2)
 
@@ -234,6 +235,101 @@ def test_full_residual_across_operators():
         for p in [Fraction(0), Fraction(1, 2), Fraction(1)]:
             residuals = intertwine_residual(spec, H1, H0, p)
             assert residuals[0][1] < 1e-6, (spec.coeffs, p, residuals)
+
+
+QUARTIC = OperatorSpec({(4, 0): gr(1), (2, 2): gr(2), (1, 1): gr(0, -4), (0, 4): gr(1)},
+                       Fraction(1, 2))
+FIRST_PLUS = OperatorSpec({(0, 1): gr(1), (1, 0): gr(0, 1)}, Fraction(1, 2))
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except BoundaryDecayError as exc:
+        return str(exc)
+
+
+@pytest.mark.filterwarnings("ignore::wigreg.spectral.BoundaryDecayWarning")
+@pytest.mark.parametrize("n_pts", [64, 256])
+@pytest.mark.parametrize("p", [Fraction(-1), Fraction(0), Fraction(1, 3),
+                               Fraction(1, 2), Fraction(1), Fraction(2)])
+def test_intertwine_residual_matches_separate_forwards_bit_for_bit(p, n_pts):
+    # the shared v plane, the consumed transform and the in-place arithmetic
+    # change no bit of any residual, nor an edge-decay failure
+    grid = Grid2D(12.0 if 0 <= p <= 1 else 20.0, n_pts)
+    for spec in (EQ44, QUARTIC, FIRST_PLUS):
+        for m, n in [(0, 0), (1, 2), (2, 1)]:
+            for mode in ("full", "generators"):
+                args = (spec, Hermite(m), Hermite(n), p, grid)
+                ours = _outcome(intertwine_residual, *args, mode=mode)
+                assert ours == _outcome(separate_intertwine_residual, *args, mode=mode), \
+                    (spec.coeffs, m, n, mode)
+
+
+@pytest.mark.filterwarnings("ignore::wigreg.spectral.BoundaryDecayWarning")
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(1)])
+def test_apply_operator_2d_leaves_its_input_untouched(p):
+    rng = random.Random(f"untouched:{p}")
+    w = wig_forward(H1, H2, float(p), Grid2D(12.0, 64))
+    before = w.samples.copy()
+    for spec in [EQ44.with_p(p), QUARTIC.with_p(p)] + [_random_spec(rng, p) for _ in range(4)]:
+        apply_operator_2d(spec, w)
+        assert w.samples.tobytes() == before.tobytes(), spec.coeffs
+
+
+class WindowRecorder:
+    """A window that records the shape of every argument it is called on."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.shapes = []
+
+    def __call__(self, t):
+        self.shapes.append(np.shape(t))
+        return self.fn(t)
+
+    def to_polygauss(self):
+        return self.fn.to_polygauss()
+
+
+@pytest.mark.parametrize("mode", ["full", "generators"])
+def test_intertwining_check_evaluates_v_on_one_plane(mode):
+    # two edge lines for every pair, then one plane for all of them
+    n = 64
+    u, v = WindowRecorder(H1), WindowRecorder(H2)
+    intertwine_residual(EQ44, u, v, Fraction(1, 3), Grid2D(12.0, n), mode=mode)
+    assert v.shapes == [(n,), (n,), (n, n)]
+    assert u.shapes == [(n,), (n,), (n, n)]
+
+
+def test_intertwining_check_fails_on_the_operator_pair_before_any_plane(monkeypatch):
+    # u (x) v decays at the edge of [-10, 10), x^8 u (x) v does not
+    def no_operator(*args, **kwargs):
+        raise AssertionError("the operator ran before the edge checks")
+
+    monkeypatch.setattr("wigreg.spectral.apply_operator_2d", no_operator)
+    n = 64
+    u, v = WindowRecorder(H0), WindowRecorder(H0)
+    spec = OperatorSpec({(8, 0): gr(1)}, Fraction(1, 2))
+    with pytest.raises(BoundaryDecayError, match="inputs reach 5.314e-06 at the z window edge"):
+        intertwine_residual(spec, u, v, Fraction(1, 2), Grid2D(10.0, n))
+    assert u.shapes == v.shapes == [(n,), (n,)]
+
+
+def test_intertwining_check_stays_within_its_plane_budget():
+    # QUARTIC at p = 1/3 has a plain term and three derivative rows, so the
+    # operator holds, besides the two transforms, the plain term, the running
+    # total and one row in flight; symbols and Horner values take a block of
+    # rows at a time (an eighth of a plane at N = 512)
+    grid = Grid2D(12.0, 512)
+    plane = 16 * grid.N ** 2
+    tracemalloc.start()
+    try:
+        intertwine_residual(QUARTIC, H1, H2, Fraction(1, 3), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.75 * plane
 
 
 def test_intertwine_mode_validation():

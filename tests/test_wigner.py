@@ -407,6 +407,79 @@ def test_child_block_error_names_its_first_line(tmp_path, monkeypatch, n256_csv_
     assert_no_child_left()
 
 
+def _insert_line(line, number):
+    """Put ``line`` in as line ``number`` (1-based; the header is line 1);
+    a negative number counts from the end."""
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        at = number - 1 if number > 0 else len(lines) + 1 + number
+        return "".join(lines[:at] + [line] + lines[at:])
+    return edit
+
+
+def _replace_line(line, number):
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        lines[number - 1] = line
+        return "".join(lines)
+    return edit
+
+
+# edit -> (line named at N = 64, at N = 256)
+BLANK_OR_COMMENT = {
+    "blank_early": (_insert_line("\n", 11), 11, 11),
+    "blank_in_last_block": (_insert_line("\n", -6), 4093, 65533),
+    "blank_at_end": (_insert_line("\n", -1), 4098, 65538),
+    "whitespace": (_insert_line(" \t\n", 40), 40, 40),
+    "comment": (_insert_line("# a note\n", 11), 11, 11),
+    "comment_for_a_node": (_replace_line("#0,0,0,0\n", 3000), 3000, 3000),
+}
+
+
+@pytest.fixture(scope="module")
+def n64_csv_text(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("n64") / "grid.csv")
+    write_grid(wig_forward(H0, H1, 0.5, Grid2D(12.0, 64)), path)
+    with open(path) as fh, open(manifest_path(path)) as mf:
+        return fh.read(), mf.read()
+
+
+@pytest.mark.parametrize("n, cpus", [(64, None), (256, 1), (256, 2)])
+@pytest.mark.parametrize("defect", sorted(BLANK_OR_COMMENT))
+def test_read_grid_rejects_blank_and_comment_lines(tmp_path, monkeypatch, capfd, n64_csv_text,
+                                                   n256_csv_text, defect, n, cpus):
+    # one format at every size and block count: np.loadtxt alone would skip
+    # such lines where the file is read in one block
+    edit, line_64, line_256 = BLANK_OR_COMMENT[defect]
+    text, manifest = n64_csv_text if n == 64 else n256_csv_text
+    path = tmp_path / "grid.csv"
+    path.write_text(edit(text))
+    (tmp_path / "grid.csv.manifest.json").write_text(manifest)
+    if cpus is not None:
+        use_cpus(monkeypatch, cpus)
+    assert _block_count(n) == (1 if cpus is None else cpus)
+    line = line_64 if n == 64 else line_256
+    kind = "a '#' comment" if defect.startswith("comment") else "blank"
+    with pytest.raises(ValueError, match=f"^grid CSV line {line} is {kind};"):
+        read_grid(str(path))
+    assert_no_child_left()
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("edit", [lambda text: text.replace("\n", "\r\n"),
+                                  lambda text: text[:-1]], ids=["crlf", "no_final_newline"])
+def test_read_grid_accepts_other_line_ends(tmp_path, monkeypatch, n256_csv_text, edit):
+    text, manifest = n256_csv_text
+    path = tmp_path / "grid.csv"
+    path.write_text(text)
+    (tmp_path / "grid.csv.manifest.json").write_text(manifest)
+    expected = read_grid(str(path)).samples.tobytes()
+    with open(path, "w", newline="") as fh:
+        fh.write(edit(text))
+    use_cpus(monkeypatch, 2)
+    assert read_grid(str(path)).samples.tobytes() == expected
+
+
 def test_failed_write_reaps_every_child(tmp_path, monkeypatch):
     use_cpus(monkeypatch, 3)
     gf = wig_forward(H0, H1, 0.5, Grid2D(12.0, 256))
