@@ -26,7 +26,7 @@ from .certify import (
     recognize_newton_family,
     verify_certificate,
 )
-from .exact import GaussianRational, MultiPoly, Substitution, parse_rational
+from .exact import GaussianRational, MultiPoly, parse_rational
 from .hermite import GaussianPacket, Hermite, PolyGauss, apply_model_operator, hermite_values
 from .pipeline import (
     PositivityError,
@@ -82,7 +82,6 @@ __all__ = [
     "QuadraticCoeffs",
     "RegularityVerdict",
     "Report",
-    "Substitution",
     "a_tilde",
     "apply_model_operator",
     "apply_operator_1d",

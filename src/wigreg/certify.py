@@ -433,6 +433,16 @@ def recognize_newton_family(a: MultiPoly) -> Optional[NewtonFamilyParams]:
     return NewtonFamilyParams(lam, mu.re, nu.re, sig, h, k, m, n)
 
 
+def _weight_fault(params: NewtonFamilyParams) -> Optional[str]:
+    """Why the family weights fail lam, sig > 0 and mu, nu >= 0 (the weights of
+    an energy identity), or None when they pass."""
+    if params.lam <= 0 or params.sig <= 0:
+        return "family weights lam and sig must be positive"
+    if params.mu < 0 or params.nu < 0:
+        return "mixed-block weights mu and nu must be non-negative"
+    return None
+
+
 def newton_polygon(params: NewtonFamilyParams) -> NewtonPolygonData:
     mixed = params.mu + params.nu > 0
     vertices: list[tuple[int, int]] = [(0, 0), (2 * params.h, 0)]
@@ -455,10 +465,9 @@ def hypo_certify_newton(params: NewtonFamilyParams) -> Optional[Certificate]:
     outside the segment joining the axis vertices.
     """
     subject = {"family": params.to_json(), "symbol": family_left_symbol(params).to_json()}
-    if params.lam <= 0 or params.sig <= 0:
-        return _not_applicable("family weights lam and sig must be positive", subject)
-    if params.mu < 0 or params.nu < 0:
-        return _not_applicable("mixed-block weights mu and nu must be non-negative", subject)
+    fault = _weight_fault(params)
+    if fault is not None:
+        return _not_applicable(fault, subject)
     polygon = newton_polygon(params)
     mixed = params.mu + params.nu > 0
     if mixed and not polygon.complete:
@@ -707,7 +716,7 @@ def injectivity_sos(params: NewtonFamilyParams) -> Optional[Certificate]:
                     + sig |D^k u|^2
 
     so A u = 0 forces x^h u = 0, hence u = 0."""
-    if params.lam <= 0 or params.sig <= 0 or params.mu < 0 or params.nu < 0:
+    if _weight_fault(params) is not None:
         return None
     return Certificate(
         kind="InjSOS",
@@ -909,12 +918,15 @@ def verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] = None) ->
                 return _verify_fail("leading quadratic form is not positive-definite")
             return VerifyResult(True, "leading quadratic form positive-definite")
 
-        if cert.kind == "HypoNewtonPolygon":
+        if cert.kind in ("HypoNewtonPolygon", "InjSOS"):
             params = NewtonFamilyParams.from_json(cert.payload["params"])
             if "symbol" in cert.subject and family_left_symbol(params) != _subject_symbol(cert):
                 return _verify_fail("family parameters do not rebuild the subject symbol")
-            if params.lam <= 0 or params.sig <= 0 or params.mu < 0 or params.nu < 0:
-                return _verify_fail("family weights out of range")
+            if _weight_fault(params) is not None:
+                return _verify_fail("weights do not give a sum-of-squares identity"
+                                    if cert.kind == "InjSOS" else "family weights out of range")
+            if cert.kind == "InjSOS":
+                return VerifyResult(True, "energy identity weights admissible")
             polygon = newton_polygon(params)
             if [list(v) for v in polygon.vertices] != cert.payload["vertices"]:
                 return _verify_fail("polygon vertices mismatch")
@@ -969,14 +981,6 @@ def verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] = None) ->
             if bool(cert.payload["relaxed"]) != (margin == 0):
                 return _verify_fail("relaxed flag inconsistent with the margin")
             return VerifyResult(True, "shifted quadratic non-negative with positive leading coefficient")
-
-        if cert.kind == "InjSOS":
-            params = NewtonFamilyParams.from_json(cert.payload["params"])
-            if "symbol" in cert.subject and family_left_symbol(params) != _subject_symbol(cert):
-                return _verify_fail("family parameters do not rebuild the subject symbol")
-            if params.lam <= 0 or params.sig <= 0 or params.mu < 0 or params.nu < 0:
-                return _verify_fail("weights do not give a sum-of-squares identity")
-            return VerifyResult(True, "energy identity weights admissible")
 
         if cert.kind == "InjWickPositive":
             if ((cert.payload["radius"], cert.payload["count"], cert.payload["directions"])

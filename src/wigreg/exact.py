@@ -443,8 +443,6 @@ class MultiPoly:
 
     def substitute(self, images) -> "MultiPoly":
         """Ring substitution: every variable of self must have an image."""
-        if isinstance(images, Substitution):
-            images = images.images
         mapped: dict[str, MultiPoly] = {}
         for v in self.vars:
             if v not in images:
@@ -560,27 +558,3 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
-
-
-@dataclass(frozen=True)
-class Substitution:
-    """Named variable-to-polynomial mapping usable with MultiPoly.substitute."""
-
-    images: Mapping[str, MultiPoly]
-
-    def __post_init__(self) -> None:
-        imgs = {}
-        for v, img in dict(self.images).items():
-            if v not in VARS:
-                raise ValueError(f"unknown variable {v!r} in substitution")
-            if not isinstance(img, MultiPoly):
-                img = MultiPoly.constant(GaussianRational.coerce(img))
-            imgs[v] = img
-        object.__setattr__(self, "images", imgs)
-
-    @classmethod
-    def identity(cls, vars_: Iterable[str]) -> "Substitution":
-        return cls({v: MultiPoly.variable(v) for v in _validate_vars(vars_)})
-
-    def __call__(self, p: MultiPoly) -> MultiPoly:
-        return p.substitute(self.images)

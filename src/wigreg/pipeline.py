@@ -9,25 +9,22 @@ says nothing, so the pipeline reports Unknown rather than guessing; evidence
 grade hypo-ellipticity (the unfalsified heuristic) is likewise never enough
 for a Regular or NotRegular verdict.
 
-Certificate priority is exact before evidence, cheap before expensive:
-
-    hypo-ellipticity: quadratic form -> Newton polygon family -> first order,
-                      then the falsifier heuristic for evidence;
-    injectivity:      quadratic estimate -> sum of squares -> coherent-state
-                      positivity (evidence) -> first-order kernel analysis.
-
-Exit codes: 0 Regular (exact), 2 Regular (evidence), 3 Unknown, 4 NotRegular.
+The chain runs from one table, ``_CHAIN``: exact before evidence, cheap before
+expensive, and each stage stops at its first decisive step.
+``_compose_verdict`` turns what the two stages decided into the verdict and
+grades it by the weakest link of its chain; ``Report.exit_code`` maps that to
+0 Regular (exact), 2 Regular (evidence), 3 Unknown, 4 NotRegular.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -35,6 +32,7 @@ from .certify import (
     EVIDENCE,
     EXACT,
     Certificate,
+    FalsifyResult,
     FirstOrderShape,
     NewtonFamilyParams,
     RegularityVerdict,
@@ -131,12 +129,13 @@ def _attempt(stage: str, method: str, outcome: str, detail: str) -> dict:
     return {"stage": stage, "method": method, "outcome": outcome, "detail": detail}
 
 
-class _Recognized:
-    """The model symbol's recognized shapes, each matched at most once and only
-    when a certifier first asks for it."""
+@dataclass
+class _Subject:
+    """The model symbol a and W[a], with a's recognized shapes, each matched at
+    most once and only when a step first asks for it."""
 
-    def __init__(self, a: MultiPoly):
-        self.a = a
+    a: MultiPoly
+    wick: MultiPoly
 
     @cached_property
     def newton(self) -> Optional[NewtonFamilyParams]:
@@ -146,112 +145,107 @@ class _Recognized:
     def first_order(self) -> Optional[FirstOrderShape]:
         return recognize_first_order(self.a)
 
+    @property
+    def complex_first_order(self) -> Optional[FirstOrderShape]:
+        shape = self.first_order
+        return shape if shape is not None and shape.alpha.im != 0 else None
 
-def _run_hypo_chain(a: MultiPoly, shapes: _Recognized, attempts: list[dict]):
-    """Returns (exact certificate or None, evidence certificate or None)."""
-    cert = hypo_certify_quadratic(a)
-    if cert is None:
-        attempts.append(_attempt("hypo", "quadratic_form", "no_certificate",
-                                 "leading quadratic form is not positive definite"))
-    elif cert.kind == "NotApplicable":
-        attempts.append(_attempt("hypo", "quadratic_form", "not_applicable",
-                                 cert.payload["reason"]))
-    else:
-        attempts.append(_attempt("hypo", "quadratic_form", "certified", cert.kind))
-        return cert, None
 
-    params = shapes.newton
-    if params is None:
-        attempts.append(_attempt("hypo", "newton_polygon", "not_applicable",
-                                 "symbol is not in the two-block family"))
-    else:
-        cert = hypo_certify_newton(params)
-        if cert is None:
-            attempts.append(_attempt("hypo", "newton_polygon", "no_certificate",
-                                     "mixed vertex lies inside the exponent polygon"))
-        elif cert.kind == "NotApplicable":
-            attempts.append(_attempt("hypo", "newton_polygon", "not_applicable",
-                                     cert.payload["reason"]))
-        else:
-            attempts.append(_attempt("hypo", "newton_polygon", "certified", cert.kind))
-            return cert, None
+class _Step(NamedTuple):
+    """``recognize`` reads the certifier's input off the subject (None: outcome
+    not_applicable, detail ``unrecognized``); ``certify`` answers it (None:
+    no_certificate, detail ``uncertified``).  Both look certifiers up by module
+    name when they run, so a rebound name (a tracer, a test) takes effect."""
 
-    shape = shapes.first_order
-    cert = None if shape is None else hypo_certify_first_order(a, shape)
-    if cert is None:
-        attempts.append(_attempt("hypo", "first_order", "not_applicable",
-                                 "symbol is not scale*(xi + alpha x^m) with Im(alpha) != 0"))
-    else:
-        attempts.append(_attempt("hypo", "first_order", "certified", cert.kind))
-        return cert, None
+    stage: str
+    method: str
+    recognize: Callable[[_Subject], object]
+    certify: Callable[[_Subject, object], object]
+    unrecognized: Optional[str] = None
+    uncertified: Optional[str] = None
 
+
+def _falsify(a: MultiPoly) -> Union[Certificate, FalsifyResult]:
     result = hypo_falsify(a)
-    if result.falsified:
-        attempts.append(_attempt("hypo", "falsifier", "falsified",
-                                 result.witness["reason"]))
-        return None, None
-    evidence = unfalsified_certificate(a, result)
-    attempts.append(_attempt("hypo", "falsifier", "certified",
-                             f"{evidence.kind} (evidence only)"))
-    return None, evidence
+    return result if result.falsified else unfalsified_certificate(a, result)
 
 
-def _run_inj_chain(a: MultiPoly, wick: MultiPoly, shapes: _Recognized, attempts: list[dict]):
-    """Returns (injectivity certificate or None, kernel witness or None)."""
-    qc = extract_quadratic_coeffs(a)
-    if qc is None:
-        attempts.append(_attempt("injectivity", "quadratic_estimate", "not_applicable",
-                                 "symbol is not a symmetric quadratic"))
-    else:
-        cert = injectivity_quadratic(qc)
-        if cert is None:
-            attempts.append(_attempt("injectivity", "quadratic_estimate", "no_certificate",
-                                     "no rational split yields a non-negative margin"))
-        elif cert.kind == "NotApplicable":
-            attempts.append(_attempt("injectivity", "quadratic_estimate", "not_applicable",
-                                     cert.payload["reason"]))
-        else:
-            attempts.append(_attempt("injectivity", "quadratic_estimate", "certified", cert.kind))
-            return cert, None
+_CHAIN = (
+    _Step("hypo", "quadratic_form", lambda s: s.a, lambda s, a: hypo_certify_quadratic(a),
+          uncertified="leading quadratic form is not positive definite"),
+    _Step("hypo", "newton_polygon", lambda s: s.newton,
+          lambda s, params: hypo_certify_newton(params),
+          "symbol is not in the two-block family",
+          "mixed vertex lies inside the exponent polygon"),
+    _Step("hypo", "first_order", lambda s: s.complex_first_order,
+          lambda s, shape: hypo_certify_first_order(s.a, shape),
+          "symbol is not scale*(xi + alpha x^m) with Im(alpha) != 0"),
+    _Step("hypo", "falsifier", lambda s: s.a, lambda s, a: _falsify(a)),
+    _Step("injectivity", "quadratic_estimate", lambda s: extract_quadratic_coeffs(s.a),
+          lambda s, qc: injectivity_quadratic(qc),
+          "symbol is not a symmetric quadratic",
+          "no rational split yields a non-negative margin"),
+    _Step("injectivity", "sum_of_squares", lambda s: s.newton,
+          lambda s, params: injectivity_sos(params),
+          "symbol is not in the two-block family",
+          "family weights fail the positivity requirements"),
+    _Step("injectivity", "wick_positivity", lambda s: s.a,
+          lambda s, a: injectivity_wick(a, wick=s.wick)),
+    _Step("injectivity", "first_order_kernel", lambda s: s.first_order,
+          lambda s, shape: first_order_certify(shape.alpha, shape.m, side="operator"),
+          "symbol is not scale*(xi + alpha x^m)"),
+)
 
-    params = shapes.newton
-    if params is None:
-        attempts.append(_attempt("injectivity", "sum_of_squares", "not_applicable",
-                                 "symbol is not in the two-block family"))
-    else:
-        cert = injectivity_sos(params)
-        if cert is None:
-            attempts.append(_attempt("injectivity", "sum_of_squares", "no_certificate",
-                                     "family weights fail the positivity requirements"))
-        else:
-            attempts.append(_attempt("injectivity", "sum_of_squares", "certified", cert.kind))
-            return cert, None
+def _outcome(answer, uncertified: Optional[str]) -> tuple[str, str]:
+    """(outcome, detail) of a certifier's answer."""
+    if answer is None:
+        return "no_certificate", uncertified
+    if isinstance(answer, FalsifyResult):
+        return "falsified", answer.witness["reason"]
+    if answer.kind == "NotApplicable":
+        return "not_applicable", answer.payload["reason"]
+    if answer.kind == "NotInjectiveWitness":
+        return "witness", "kernel element stays in the Schwartz class"
+    return "certified", answer.kind + (" (evidence only)" if answer.grade == EVIDENCE else "")
 
-    cert = injectivity_wick(a, wick=wick)
-    if cert.kind == "NotApplicable":
-        attempts.append(_attempt("injectivity", "wick_positivity", "not_applicable",
-                                 cert.payload["reason"]))
-    else:
-        attempts.append(_attempt("injectivity", "wick_positivity", "certified",
-                                 f"{cert.kind} (evidence only)"))
-        return cert, None
 
-    shape = shapes.first_order
-    if shape is None:
-        attempts.append(_attempt("injectivity", "first_order_kernel", "not_applicable",
-                                 "symbol is not scale*(xi + alpha x^m)"))
-        return None, None
-    cert = first_order_certify(shape.alpha, shape.m, side="operator")
-    if cert.kind == "NotApplicable":
-        attempts.append(_attempt("injectivity", "first_order_kernel", "not_applicable",
-                                 cert.payload["reason"]))
-        return None, None
-    if cert.kind == "NotInjectiveWitness":
-        attempts.append(_attempt("injectivity", "first_order_kernel", "witness",
-                                 "kernel element stays in the Schwartz class"))
-        return None, cert
-    attempts.append(_attempt("injectivity", "first_order_kernel", "certified", cert.kind))
-    return cert, None
+def _run_chain(subject: _Subject, attempts: list[dict]) -> dict[str, Optional[Certificate]]:
+    """Run the steps in order; maps each decided stage to its certificate or
+    kernel witness (None after a falsification)."""
+    decided: dict[str, Optional[Certificate]] = {}
+    for step in _CHAIN:
+        if step.stage in decided:
+            continue
+        found = step.recognize(subject)
+        if found is None:
+            attempts.append(_attempt(step.stage, step.method, "not_applicable", step.unrecognized))
+            continue
+        answer = step.certify(subject, found)
+        outcome, detail = _outcome(answer, step.uncertified)
+        attempts.append(_attempt(step.stage, step.method, outcome, detail))
+        if outcome in ("certified", "witness", "falsified"):
+            decided[step.stage] = None if outcome == "falsified" else answer
+    return decided
+
+
+def _compose_verdict(hypo: Optional[Certificate], inj: Optional[Certificate],
+                     attempts: list[dict]) -> RegularityVerdict:
+    """Regular or NotRegular needs an exact hypo-ellipticity certificate and a
+    decided injectivity link (a certificate or a kernel witness); anything else
+    is Unknown.  The grade is that of the weakest link in the chain."""
+    chain = [c for c in (hypo, inj) if c is not None]
+    grade = EXACT if all(c.grade == EXACT for c in chain) else EVIDENCE
+    certified = hypo is not None and hypo.grade == EXACT
+    if certified and inj is not None:
+        if inj.kind == "NotInjectiveWitness":
+            return RegularityVerdict(status="NotRegular", chain=chain,
+                                     witness=inj.payload["kernel"]["rendered"], grade=grade)
+        return RegularityVerdict(status="Regular", chain=chain, grade=grade)
+    detail = ("hypo-ellipticity certified but injectivity undecided" if certified else
+              "hypo-ellipticity is uncertified, so the reduction to the model operator "
+              "gives no verdict about the planar operator")
+    attempts.append(_attempt("verdict", "compose", "unknown", detail))
+    return RegularityVerdict(status="Unknown", chain=chain, grade=grade)
 
 
 def _adjoint_analysis(shape: Optional[FirstOrderShape]) -> Optional[dict]:
@@ -301,33 +295,9 @@ def certify(spec: OperatorSpec, change: Optional[LinearChange] = None) -> Report
     degeneracy = verify_degeneracy(spec, b, atilde)
 
     attempts: list[dict] = []
-    shapes = _Recognized(a)
-    hypo_cert, hypo_evidence = _run_hypo_chain(a, shapes, attempts)
-    inj_cert, kernel_witness = _run_inj_chain(a, symbols["wick"], shapes, attempts)
-    adjoint = _adjoint_analysis(shapes.first_order)
-
-    if hypo_cert is not None:
-        if kernel_witness is not None:
-            verdict = RegularityVerdict(
-                status="NotRegular",
-                chain=[hypo_cert, kernel_witness],
-                witness=kernel_witness.payload["kernel"]["rendered"],
-                grade=EXACT,
-            )
-        elif inj_cert is not None:
-            grade = EXACT if inj_cert.grade == EXACT else EVIDENCE
-            verdict = RegularityVerdict(status="Regular", chain=[hypo_cert, inj_cert], grade=grade)
-        else:
-            attempts.append(_attempt("verdict", "compose", "unknown",
-                                     "hypo-ellipticity certified but injectivity undecided"))
-            verdict = RegularityVerdict(status="Unknown", chain=[hypo_cert], grade=hypo_cert.grade)
-    else:
-        detail = ("hypo-ellipticity is uncertified, so the reduction to the "
-                  "model operator gives no verdict about the planar operator")
-        attempts.append(_attempt("verdict", "compose", "unknown", detail))
-        chain = [c for c in (hypo_evidence, inj_cert, kernel_witness) if c is not None]
-        grade = EXACT if all(c.grade == EXACT for c in chain) else EVIDENCE
-        verdict = RegularityVerdict(status="Unknown", chain=chain, grade=grade)
+    subject = _Subject(a, symbols["wick"])
+    decided = _run_chain(subject, attempts)
+    verdict = _compose_verdict(decided.get("hypo"), decided.get("injectivity"), attempts)
 
     return Report(
         spec=spec,
@@ -336,7 +306,7 @@ def certify(spec: OperatorSpec, change: Optional[LinearChange] = None) -> Report
         attempts=attempts,
         symbols=symbols,
         degeneracy_holds=degeneracy.holds,
-        adjoint=adjoint,
+        adjoint=_adjoint_analysis(subject.first_order),
     )
 
 

@@ -54,6 +54,11 @@ scale, and lets the operator overwrite the transform it no longer needs.
 
 The Hermite and envelope oracles allocate a fresh plane for every operation,
 where the library runs the same operations in a few reused buffers.
+
+The certifier-chain oracle runs the two stages as hand-unrolled ladders, one
+branch per step and outcome, and composes the verdict in its own branch per
+status, where the library runs one table of steps through one loop and
+composes every verdict with one grading rule.
 """
 
 from __future__ import annotations
@@ -68,11 +73,26 @@ from wigreg.certify import (
     _ZERO_REL_TOL,
     DEFAULT_RADII,
     DEFAULT_SAMPLES,
+    EVIDENCE,
+    EXACT,
     QUAD_GRID_STAGES,
     FalsifyResult,
+    RegularityVerdict,
     _model_symbol,
     _quad_margin_at,
     _refine_circle_zero,
+    extract_quadratic_coeffs,
+    first_order_certify,
+    hypo_certify_first_order,
+    hypo_certify_newton,
+    hypo_certify_quadratic,
+    hypo_falsify,
+    injectivity_quadratic,
+    injectivity_sos,
+    injectivity_wick,
+    recognize_first_order,
+    recognize_newton_family,
+    unfalsified_certificate,
 )
 from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
 from wigreg.hermite import PI_QUARTER_INV, apply_model_operator, to_polygauss
@@ -477,3 +497,141 @@ def direct_wig_inverse(transform, p: float) -> np.ndarray:
         waves = np.exp(1j * np.outer(xstar + L, omega)) / n
         values[a, valid] = np.einsum("bm,mb->b", waves, spectrum_x[:, cols[valid]])
     return values
+
+
+def _attempt(stage: str, method: str, outcome: str, detail: str) -> dict:
+    return {"stage": stage, "method": method, "outcome": outcome, "detail": detail}
+
+
+def _ladder_hypo(a: MultiPoly, params, shape, attempts: list[dict]):
+    """Returns (exact certificate or None, evidence certificate or None)."""
+    cert = hypo_certify_quadratic(a)
+    if cert is None:
+        attempts.append(_attempt("hypo", "quadratic_form", "no_certificate",
+                                 "leading quadratic form is not positive definite"))
+    elif cert.kind == "NotApplicable":
+        attempts.append(_attempt("hypo", "quadratic_form", "not_applicable",
+                                 cert.payload["reason"]))
+    else:
+        attempts.append(_attempt("hypo", "quadratic_form", "certified", cert.kind))
+        return cert, None
+
+    if params is None:
+        attempts.append(_attempt("hypo", "newton_polygon", "not_applicable",
+                                 "symbol is not in the two-block family"))
+    else:
+        cert = hypo_certify_newton(params)
+        if cert is None:
+            attempts.append(_attempt("hypo", "newton_polygon", "no_certificate",
+                                     "mixed vertex lies inside the exponent polygon"))
+        elif cert.kind == "NotApplicable":
+            attempts.append(_attempt("hypo", "newton_polygon", "not_applicable",
+                                     cert.payload["reason"]))
+        else:
+            attempts.append(_attempt("hypo", "newton_polygon", "certified", cert.kind))
+            return cert, None
+
+    cert = None if shape is None else hypo_certify_first_order(a, shape)
+    if cert is None:
+        attempts.append(_attempt("hypo", "first_order", "not_applicable",
+                                 "symbol is not scale*(xi + alpha x^m) with Im(alpha) != 0"))
+    else:
+        attempts.append(_attempt("hypo", "first_order", "certified", cert.kind))
+        return cert, None
+
+    result = hypo_falsify(a)
+    if result.falsified:
+        attempts.append(_attempt("hypo", "falsifier", "falsified", result.witness["reason"]))
+        return None, None
+    evidence = unfalsified_certificate(a, result)
+    attempts.append(_attempt("hypo", "falsifier", "certified",
+                             f"{evidence.kind} (evidence only)"))
+    return None, evidence
+
+
+def _ladder_injectivity(a: MultiPoly, wick: MultiPoly, params, shape, attempts: list[dict]):
+    """Returns (injectivity certificate or None, kernel witness or None)."""
+    qc = extract_quadratic_coeffs(a)
+    if qc is None:
+        attempts.append(_attempt("injectivity", "quadratic_estimate", "not_applicable",
+                                 "symbol is not a symmetric quadratic"))
+    else:
+        cert = injectivity_quadratic(qc)
+        if cert is None:
+            attempts.append(_attempt("injectivity", "quadratic_estimate", "no_certificate",
+                                     "no rational split yields a non-negative margin"))
+        elif cert.kind == "NotApplicable":
+            attempts.append(_attempt("injectivity", "quadratic_estimate", "not_applicable",
+                                     cert.payload["reason"]))
+        else:
+            attempts.append(_attempt("injectivity", "quadratic_estimate", "certified", cert.kind))
+            return cert, None
+
+    if params is None:
+        attempts.append(_attempt("injectivity", "sum_of_squares", "not_applicable",
+                                 "symbol is not in the two-block family"))
+    else:
+        cert = injectivity_sos(params)
+        if cert is None:
+            attempts.append(_attempt("injectivity", "sum_of_squares", "no_certificate",
+                                     "family weights fail the positivity requirements"))
+        else:
+            attempts.append(_attempt("injectivity", "sum_of_squares", "certified", cert.kind))
+            return cert, None
+
+    cert = injectivity_wick(a, wick=wick)
+    if cert.kind == "NotApplicable":
+        attempts.append(_attempt("injectivity", "wick_positivity", "not_applicable",
+                                 cert.payload["reason"]))
+    else:
+        attempts.append(_attempt("injectivity", "wick_positivity", "certified",
+                                 f"{cert.kind} (evidence only)"))
+        return cert, None
+
+    if shape is None:
+        attempts.append(_attempt("injectivity", "first_order_kernel", "not_applicable",
+                                 "symbol is not scale*(xi + alpha x^m)"))
+        return None, None
+    cert = first_order_certify(shape.alpha, shape.m, side="operator")
+    if cert.kind == "NotApplicable":
+        attempts.append(_attempt("injectivity", "first_order_kernel", "not_applicable",
+                                 cert.payload["reason"]))
+        return None, None
+    if cert.kind == "NotInjectiveWitness":
+        attempts.append(_attempt("injectivity", "first_order_kernel", "witness",
+                                 "kernel element stays in the Schwartz class"))
+        return None, cert
+    attempts.append(_attempt("injectivity", "first_order_kernel", "certified", cert.kind))
+    return cert, None
+
+
+def ladder_verdict(a: MultiPoly, wick: MultiPoly) -> tuple[RegularityVerdict, list[dict]]:
+    """The verdict and attempts of the certifier chain on the model symbol a,
+    with W[a] given as ``wick``."""
+    params, shape = recognize_newton_family(a), recognize_first_order(a)
+    attempts: list[dict] = []
+    hypo_cert, hypo_evidence = _ladder_hypo(a, params, shape, attempts)
+    inj_cert, kernel_witness = _ladder_injectivity(a, wick, params, shape, attempts)
+    if hypo_cert is not None:
+        if kernel_witness is not None:
+            verdict = RegularityVerdict(
+                status="NotRegular",
+                chain=[hypo_cert, kernel_witness],
+                witness=kernel_witness.payload["kernel"]["rendered"],
+                grade=EXACT,
+            )
+        elif inj_cert is not None:
+            grade = EXACT if inj_cert.grade == EXACT else EVIDENCE
+            verdict = RegularityVerdict(status="Regular", chain=[hypo_cert, inj_cert], grade=grade)
+        else:
+            attempts.append(_attempt("verdict", "compose", "unknown",
+                                     "hypo-ellipticity certified but injectivity undecided"))
+            verdict = RegularityVerdict(status="Unknown", chain=[hypo_cert], grade=hypo_cert.grade)
+    else:
+        detail = ("hypo-ellipticity is uncertified, so the reduction to the "
+                  "model operator gives no verdict about the planar operator")
+        attempts.append(_attempt("verdict", "compose", "unknown", detail))
+        chain = [c for c in (hypo_evidence, inj_cert, kernel_witness) if c is not None]
+        grade = EXACT if all(c.grade == EXACT for c in chain) else EVIDENCE
+        verdict = RegularityVerdict(status="Unknown", chain=chain, grade=grade)
+    return verdict, attempts

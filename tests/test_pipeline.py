@@ -1,7 +1,9 @@
 """End-to-end certification pipeline, generators, and report emission."""
 
+import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,8 @@ from wigreg.pipeline import (
     render_summary,
 )
 from wigreg.symbols import MODEL_VARS, OperatorSpec
+
+from oracles import ladder_verdict
 
 
 def gr(re, im=0):
@@ -229,6 +233,123 @@ def test_certify_builds_the_wick_symbol_once(monkeypatch, spec_json):
         assert cert.to_json() == certify_module.injectivity_wick(report.symbols["a"]).to_json()
         assert verify_certificate(cert).ok
         assert counts == {"weyl_wick": 2}
+
+
+def _c(j, k, re="0", im="0"):
+    return {"j": j, "k": k, "re": re, "im": im}
+
+
+GOLDEN_SPECS = sorted(p for p in (Path(__file__).resolve().parent / "golden" / "specs").glob("*.json")
+                      if p.name != "positive_target.json")
+
+# specs that reach the attempt records the golden specs never reach
+CHAIN_CORPUS = [
+    # hypo quadratic_form no_certificate; injectivity quadratic_estimate: c0 < 0
+    {"p": "1/2", "coeffs": [_c(2, 0, "1"), _c(0, 2, "-1")]},
+    # injectivity quadratic_estimate: a2 <= 0
+    {"p": "-2", "coeffs": [_c(0, 2, "1")]},
+    # injectivity quadratic_estimate no_certificate; verdict: injectivity undecided
+    {"p": "1/2", "coeffs": [_c(2, 0, "1"), _c(0, 2, "1"), _c(0, 1, "3"), _c(0, 0, "-5")]},
+    # hypo newton_polygon: lam and sig must be positive
+    {"p": "1", "coeffs": [_c(0, 4, "2"), _c(4, 0, "-1")]},
+    # hypo newton_polygon: mu and nu must be non-negative; sum_of_squares no_certificate
+    {"p": "1/2", "coeffs": [_c(6, 0, "1"), _c(2, 2, "-2"), _c(1, 1, im="4"), _c(0, 6, "1")]},
+    # hypo first_order and first_order_kernel: real alpha
+    {"p": "0", "coeffs": [_c(0, 1, "1"), _c(1, 0, "1")]},
+    # hypo falsifier: the gradient-to-symbol ratio grows
+    {"p": "1/2", "coeffs": [_c(0, 0, "4/3"), _c(1, 1, "-1", "3/2")]},
+    # wick_positivity certified
+    {"p": "1/2", "coeffs": [_c(4, 0, "1"), _c(0, 2, "1"), _c(0, 0, "5")]},
+    # wick_positivity: sampled non-positive value
+    {"p": "1/2", "coeffs": [_c(4, 0, "1"), _c(0, 4, "1"), _c(0, 0, "1")]},
+    # wick_positivity: the leading form goes negative
+    {"p": "1/2", "coeffs": [_c(4, 0, "1"), _c(0, 4, "1"), _c(2, 2, "-3"), _c(1, 1, im="-6"),
+                            _c(0, 0, "200000"), _c(2, 0, "100000"), _c(0, 2, "100000")]},
+    # wick_positivity: lower-order terms fail along a leading-form zero
+    {"p": "1/2", "coeffs": [_c(4, 0, "1"), _c(0, 2, "-1"), _c(0, 0, "1000")]},
+]
+
+UNCERTIFIED = ("hypo-ellipticity is uncertified, so the reduction to the model operator "
+               "gives no verdict about the planar operator")
+# every (stage, method, outcome, detail) record the certifier chain can write
+ALL_ATTEMPT_RECORDS = {
+    ("hypo", "quadratic_form", "certified", "HypoQuadraticForm"),
+    ("hypo", "quadratic_form", "no_certificate", "leading quadratic form is not positive definite"),
+    ("hypo", "quadratic_form", "not_applicable",
+     "needs total degree 2 with real non-constant coefficients"),
+    ("hypo", "newton_polygon", "certified", "HypoNewtonPolygon"),
+    ("hypo", "newton_polygon", "no_certificate", "mixed vertex lies inside the exponent polygon"),
+    ("hypo", "newton_polygon", "not_applicable", "symbol is not in the two-block family"),
+    ("hypo", "newton_polygon", "not_applicable", "family weights lam and sig must be positive"),
+    ("hypo", "newton_polygon", "not_applicable",
+     "mixed-block weights mu and nu must be non-negative"),
+    ("hypo", "first_order", "certified", "HypoFirstOrder"),
+    ("hypo", "first_order", "not_applicable",
+     "symbol is not scale*(xi + alpha x^m) with Im(alpha) != 0"),
+    ("hypo", "falsifier", "certified", "HypoUnfalsified (evidence only)"),
+    ("hypo", "falsifier", "falsified", "symbol vanishes on the outermost circle"),
+    ("hypo", "falsifier", "falsified", "gradient-to-symbol ratio grows with the radius"),
+    ("injectivity", "quadratic_estimate", "certified", "InjQuadraticEstimate"),
+    ("injectivity", "quadratic_estimate", "no_certificate",
+     "no rational split yields a non-negative margin"),
+    ("injectivity", "quadratic_estimate", "not_applicable", "symbol is not a symmetric quadratic"),
+    ("injectivity", "quadratic_estimate", "not_applicable", "c0 must be non-negative"),
+    ("injectivity", "quadratic_estimate", "not_applicable", "a2 must be positive"),
+    ("injectivity", "sum_of_squares", "certified", "InjSOS"),
+    ("injectivity", "sum_of_squares", "no_certificate",
+     "family weights fail the positivity requirements"),
+    ("injectivity", "sum_of_squares", "not_applicable", "symbol is not in the two-block family"),
+    ("injectivity", "wick_positivity", "certified", "InjWickPositive (evidence only)"),
+    ("injectivity", "wick_positivity", "not_applicable",
+     "coherent-state average symbol has complex coefficients"),
+    ("injectivity", "wick_positivity", "not_applicable",
+     "sampled non-positive value of the coherent-state average symbol"),
+    ("injectivity", "wick_positivity", "not_applicable",
+     "leading form of the coherent-state average symbol goes negative"),
+    ("injectivity", "wick_positivity", "not_applicable",
+     "lower-order terms fail to dominate along a leading-form zero direction"),
+    ("injectivity", "first_order_kernel", "certified", "InjKernelEscape"),
+    ("injectivity", "first_order_kernel", "witness", "kernel element stays in the Schwartz class"),
+    ("injectivity", "first_order_kernel", "not_applicable", "symbol is not scale*(xi + alpha x^m)"),
+    ("injectivity", "first_order_kernel", "not_applicable",
+     "Im(alpha) = 0: kernel analysis needs a complex coefficient"),
+    ("verdict", "compose", "unknown", "hypo-ellipticity certified but injectivity undecided"),
+    ("verdict", "compose", "unknown", UNCERTIFIED),
+}
+
+
+def test_certifier_table_matches_the_ladder_oracle():
+    seen = set()
+    for source in [p.read_text() for p in GOLDEN_SPECS] + CHAIN_CORPUS:
+        spec, change = parse_spec(source)
+        report = certify(spec, change)
+        verdict, attempts = ladder_verdict(report.symbols["a"], report.symbols["wick"])
+        expected = dataclasses.replace(report, verdict=verdict, attempts=attempts)
+        assert report.to_json() == expected.to_json(), source
+        seen |= {(a["stage"], a["method"], a["outcome"], a["detail"]) for a in attempts}
+    assert seen == ALL_ATTEMPT_RECORDS
+
+
+CHAIN_NAMES = ("hypo_certify_quadratic", "hypo_certify_newton", "hypo_certify_first_order",
+               "hypo_falsify", "unfalsified_certificate", "extract_quadratic_coeffs",
+               "injectivity_quadratic", "injectivity_sos", "injectivity_wick",
+               "first_order_certify", "recognize_newton_family", "recognize_first_order")
+
+
+def test_certifier_chain_calls_the_names_bound_in_the_pipeline_module(monkeypatch):
+    # a tracer rebinds these module attributes after import; the chain must
+    # look each one up when it runs rather than keep the original function
+    specs = [parse_spec(s)[0] for s in (EQ44_JSON, QUARTIC_JSON, FIRST_MINUS_JSON,
+                                        WICK_POSITIVE_JSON)]
+    expected = [certify(spec).to_json() for spec in specs]
+    counts = {}
+    for name in CHAIN_NAMES:
+        _count_calls(monkeypatch, pipeline, name, counts)
+    assert [certify(spec).to_json() for spec in specs] == expected
+    assert set(counts) == set(CHAIN_NAMES)
+    monkeypatch.setattr(pipeline, "hypo_certify_quadratic", lambda a: None)
+    first = certify(specs[0]).attempts[0]
+    assert (first["method"], first["outcome"]) == ("quadratic_form", "no_certificate")
 
 
 def test_every_emitted_certificate_reverifies():
