@@ -38,7 +38,6 @@ from .pipeline import (
 )
 from .spectral import (
     BoundaryDecayWarning,
-    apply_operator_1d,
     apply_operator_2d,
     intertwine_residual,
     wick_energy_compare,
@@ -84,7 +83,6 @@ __all__ = [
     "Report",
     "a_tilde",
     "apply_model_operator",
-    "apply_operator_1d",
     "apply_operator_2d",
     "build_b_symbol",
     "emit_report",

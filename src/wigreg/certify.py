@@ -284,8 +284,10 @@ def unfalsified_certificate(a: MultiPoly, result: FalsifyResult) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _not_applicable(reason: str, subject: dict) -> Certificate:
-    return Certificate(kind="NotApplicable", grade="none", payload={"reason": reason}, subject=subject)
+def _not_applicable(reason: str, witness: Optional[dict] = None) -> Certificate:
+    """A method that does not apply; certify reads only the reason, so no subject."""
+    payload = {"reason": reason} if witness is None else {"reason": reason, "witness": witness}
+    return Certificate(kind="NotApplicable", grade="none", payload=payload, subject={})
 
 
 def _quadratic_shape(a: MultiPoly) -> Optional[dict[str, Fraction]]:
@@ -315,10 +317,7 @@ def hypo_certify_quadratic(a: MultiPoly) -> Optional[Certificate]:
     is positive-definite; the linear and constant parts never matter."""
     shape = _quadratic_shape(a)
     if shape is None:
-        return _not_applicable(
-            "needs total degree 2 with real non-constant coefficients",
-            {"symbol": _model_symbol(a).to_json()},
-        )
+        return _not_applicable("needs total degree 2 with real non-constant coefficients")
     a2, b1, c0 = shape["a2"], shape["b1"], shape["c0"]
     det = a2 * c0 - b1 * b1
     if a2 > 0 and det > 0:
@@ -464,10 +463,9 @@ def hypo_certify_newton(params: NewtonFamilyParams) -> Optional[Certificate]:
     needs m < h, n < k and n*h + m*k >= h*k so the mixed vertex stays on or
     outside the segment joining the axis vertices.
     """
-    subject = {"family": params.to_json(), "symbol": family_left_symbol(params).to_json()}
     fault = _weight_fault(params)
     if fault is not None:
-        return _not_applicable(fault, subject)
+        return _not_applicable(fault)
     polygon = newton_polygon(params)
     mixed = params.mu + params.nu > 0
     if mixed and not polygon.complete:
@@ -481,7 +479,7 @@ def hypo_certify_newton(params: NewtonFamilyParams) -> Optional[Certificate]:
             "complete": polygon.complete,
             "mixed_block": mixed,
         },
-        subject=subject,
+        subject={"family": params.to_json(), "symbol": family_left_symbol(params).to_json()},
     )
 
 
@@ -673,11 +671,10 @@ def injectivity_quadratic(qc: QuadraticCoeffs) -> Optional[Certificate]:
     QUAD_GRID_STAGES in turn, i ascending, with integer margins compared by
     cross-multiplication (_quad_best_split); a later point replaces the best
     one only on a strictly greater margin."""
-    subject = {"quadratic": qc.to_json()}
     if qc.c0 < 0:
-        return _not_applicable("c0 must be non-negative", subject)
+        return _not_applicable("c0 must be non-negative")
     if qc.a2 <= 0:
-        return _not_applicable("a2 must be positive", subject)
+        return _not_applicable("a2 must be positive")
     best = _quad_best_split(qc)
     if best is None or best.margin < 0:
         return None
@@ -703,7 +700,7 @@ def injectivity_quadratic(qc: QuadraticCoeffs) -> Optional[Certificate]:
             "relaxed": relaxed,
             "grid_stages": list(QUAD_GRID_STAGES),
         },
-        subject=subject,
+        subject={"quadratic": qc.to_json()},
         notes=notes,
     )
 
@@ -753,24 +750,17 @@ def injectivity_wick(a: MultiPoly, wick: Optional[MultiPoly] = None) -> Certific
     sym = _model_symbol(a)
     if wick is None:
         wick = weyl_wick(sym)
-    subject = {"symbol": sym.to_json(), "wick": wick.to_json()}
     if not wick.is_real():
-        return _not_applicable("coherent-state average symbol has complex coefficients", subject)
+        return _not_applicable("coherent-state average symbol has complex coefficients")
 
     line = np.linspace(-WICK_RADIUS, WICK_RADIUS, WICK_COUNT)
     gx, gxi = np.meshgrid(line, line, indexing="ij")
     vals = np.real(wick.eval_numpy({"x": gx, "xi": gxi}))
     if vals.min() <= 0:
         idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        return Certificate(
-            kind="NotApplicable",
-            grade="none",
-            payload={
-                "reason": "sampled non-positive value of the coherent-state average symbol",
-                "witness": {"x": float(gx[idx]), "xi": float(gxi[idx]), "value": float(vals[idx])},
-            },
-            subject=subject,
-        )
+        return _not_applicable(
+            "sampled non-positive value of the coherent-state average symbol",
+            {"x": float(gx[idx]), "xi": float(gxi[idx]), "value": float(vals[idx])})
 
     lead = wick.leading_form()
     theta = 2.0 * np.pi * np.arange(WICK_DIRECTIONS) / WICK_DIRECTIONS
@@ -780,15 +770,9 @@ def injectivity_wick(a: MultiPoly, wick: Optional[MultiPoly] = None) -> Certific
     tol = 1e-12 * lead_scale
     if lead_vals.min() < -tol:
         idx = int(np.argmin(lead_vals))
-        return Certificate(
-            kind="NotApplicable",
-            grade="none",
-            payload={
-                "reason": "leading form of the coherent-state average symbol goes negative",
-                "witness": {"x": float(cos_t[idx]), "xi": float(sin_t[idx]), "value": float(lead_vals[idx])},
-            },
-            subject=subject,
-        )
+        return _not_applicable(
+            "leading form of the coherent-state average symbol goes negative",
+            {"x": float(cos_t[idx]), "xi": float(sin_t[idx]), "value": float(lead_vals[idx])})
     near_zero = np.abs(lead_vals) <= tol
     if near_zero.any():
         for factor in (2.0, 4.0):
@@ -797,17 +781,11 @@ def injectivity_wick(a: MultiPoly, wick: Optional[MultiPoly] = None) -> Certific
             if far.min() <= 0:
                 idx = int(np.argmin(far))
                 where = np.flatnonzero(near_zero)[idx]
-                return Certificate(
-                    kind="NotApplicable",
-                    grade="none",
-                    payload={
-                        "reason": "lower-order terms fail to dominate along a leading-form zero direction",
-                        "witness": {"x": float(factor * WICK_RADIUS * cos_t[where]),
-                                    "xi": float(factor * WICK_RADIUS * sin_t[where]),
-                                    "value": float(far.min())},
-                    },
-                    subject=subject,
-                )
+                return _not_applicable(
+                    "lower-order terms fail to dominate along a leading-form zero direction",
+                    {"x": float(factor * WICK_RADIUS * cos_t[where]),
+                     "xi": float(factor * WICK_RADIUS * sin_t[where]),
+                     "value": float(far.min())})
     return Certificate(
         kind="InjWickPositive",
         grade=EVIDENCE,
@@ -819,7 +797,7 @@ def injectivity_wick(a: MultiPoly, wick: Optional[MultiPoly] = None) -> Certific
             "min_leading": float(lead_vals.min()),
             "near_zero_directions": int(near_zero.sum()),
         },
-        subject=subject,
+        subject={"symbol": sym.to_json(), "wick": wick.to_json()},
         notes=["sampled positivity only; not a proof of injectivity"],
     )
 
@@ -836,9 +814,9 @@ def first_order_certify(alpha: GaussianRational, m: int, side: str = "operator")
     if side not in ("operator", "adjoint"):
         raise ValueError("side must be 'operator' or 'adjoint'")
     eff = alpha.conjugate() if side == "adjoint" else alpha
-    subject = {"alpha": alpha.to_json(), "m": m, "side": side}
     if eff.im == 0:
-        return _not_applicable("Im(alpha) = 0: kernel analysis needs a complex coefficient", subject)
+        return _not_applicable("Im(alpha) = 0: kernel analysis needs a complex coefficient")
+    subject = {"alpha": alpha.to_json(), "m": m, "side": side}
     exponent_coeff = (-GR_I * eff) * Fraction(1, m + 1)
     kernel = {
         "exponent_coeff": exponent_coeff.to_json(),

@@ -150,6 +150,13 @@ class _Subject:
         shape = self.first_order
         return shape if shape is not None and shape.alpha.im != 0 else None
 
+    @cached_property
+    def kernel(self) -> Optional[Certificate]:
+        """The operator side's kernel analysis, shared by the chain and the
+        adjoint analysis."""
+        shape = self.first_order
+        return None if shape is None else first_order_certify(shape.alpha, shape.m, side="operator")
+
 
 class _Step(NamedTuple):
     """``recognize`` reads the certifier's input off the subject (None: outcome
@@ -192,7 +199,7 @@ _CHAIN = (
     _Step("injectivity", "wick_positivity", lambda s: s.a,
           lambda s, a: injectivity_wick(a, wick=s.wick)),
     _Step("injectivity", "first_order_kernel", lambda s: s.first_order,
-          lambda s, shape: first_order_certify(shape.alpha, shape.m, side="operator"),
+          lambda s, shape: s.kernel,
           "symbol is not scale*(xi + alpha x^m)"),
 )
 
@@ -248,16 +255,17 @@ def _compose_verdict(hypo: Optional[Certificate], inj: Optional[Certificate],
     return RegularityVerdict(status="Unknown", chain=chain, grade=grade)
 
 
-def _adjoint_analysis(shape: Optional[FirstOrderShape]) -> Optional[dict]:
+def _adjoint_analysis(subject: _Subject) -> Optional[dict]:
     """Kernel analysis of the adjoint model for first-order shapes.
 
     The adjoint of scale*(D + alpha x^m) conjugates alpha; a Schwartz kernel
     element on the adjoint side means the operator misses a one-dimensional
     subspace (index -1) even when it is injective.
     """
-    if shape is None or shape.alpha.im == 0:
+    shape = subject.complex_first_order
+    if shape is None:
         return None
-    operator = first_order_certify(shape.alpha, shape.m, side="operator")
+    operator = subject.kernel
     adjoint = first_order_certify(shape.alpha, shape.m, side="adjoint")
     adj_nontrivial = adjoint.kind == "NotInjectiveWitness"
     op_nontrivial = operator.kind == "NotInjectiveWitness"
@@ -306,7 +314,7 @@ def certify(spec: OperatorSpec, change: Optional[LinearChange] = None) -> Report
         attempts=attempts,
         symbols=symbols,
         degeneracy_holds=degeneracy.holds,
-        adjoint=_adjoint_analysis(subject.first_order),
+        adjoint=_adjoint_analysis(subject),
     )
 
 

@@ -22,8 +22,7 @@ the factors one at a time takes two per factor.  A factor whose symbol has
 no wavenumber term is diagonal in sample space and needs no FFT: at p = 0,
 Y is multiplication by y and the count is R + 2 at most, all along y; at
 p = 1, X is multiplication by x, the result needs no way back, and the count
-is R + [R > 0], all along x.  apply_operator_1d runs the same scheme on the
-line, where x is already diagonal in sample space.
+is R + [R > 0], all along x.
 
 Two independent checks tie the exact layer to the transform:
 
@@ -41,16 +40,16 @@ Two independent checks tie the exact layer to the transform:
   most, whatever the orders.  All of this keeps the operations, and so the
   bits, of separate transforms.  The generator mode shares v's plane the
   same way among u, D u and x u;
-* wick_energy_compare compares the discrete energy form (A u | u) with the
-  phase-space average of the coherent-state symbol W[a] against the squared
-  modulus of the coherent-state transform V u.
+* wick_energy_compare compares the discrete energy form (A u | u), with A u
+  computed symbolically as above, with the phase-space average of the
+  coherent-state symbol W[a] against |V u|^2, V the coherent-state transform.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -70,13 +69,10 @@ def _check_boundary_decay(samples: np.ndarray, what: str) -> None:
     sup = float(np.max(np.abs(samples)))
     if sup == 0.0:
         return
-    if samples.ndim == 1:
-        edge = float(max(abs(samples[0]), abs(samples[-1])))
-    else:
-        edge = float(max(
-            np.max(np.abs(samples[0, :])), np.max(np.abs(samples[-1, :])),
-            np.max(np.abs(samples[:, 0])), np.max(np.abs(samples[:, -1])),
-        ))
+    edge = float(max(
+        np.max(np.abs(samples[0, :])), np.max(np.abs(samples[-1, :])),
+        np.max(np.abs(samples[:, 0])), np.max(np.abs(samples[:, -1])),
+    ))
     if edge > BOUNDARY_WARN_REL * sup:
         warnings.warn(
             f"{what}: boundary magnitude {edge:.3e} exceeds {BOUNDARY_WARN_REL:.0e} "
@@ -89,10 +85,6 @@ def _check_boundary_decay(samples: np.ndarray, what: str) -> None:
 def _wavenumbers(n: int, spacing: float) -> np.ndarray:
     """The symbol of D = -i d/dx on the FFT modes of a periodic axis."""
     return 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
-
-
-def _identity(w: np.ndarray) -> np.ndarray:
-    return w
 
 
 # grid points in one block of rows of the polynomial products below
@@ -125,57 +117,6 @@ def _poly_times(coeffs: Mapping[int, complex], sym: Callable[[slice], np.ndarray
     return out
 
 
-def _apply_diagonal(coeffs: Mapping[tuple[int, int], complex], samples: np.ndarray,
-                    y_sym: Callable[[slice], np.ndarray], y_frame: Callable[[np.ndarray], np.ndarray],
-                    x_sym: Callable[[slice], np.ndarray], x_frame: Callable[[np.ndarray], np.ndarray],
-                    y_to_x: Callable[[np.ndarray], np.ndarray], scratch: bool = False) -> np.ndarray:
-    """sum_j X^j R_j(Y) w + P(X) w in the frame of X, where R_j(Y) collects
-    the terms c[j,k] Y^k with k > 0 and P(X) = sum_j c[j,0] X^j.
-
-    Y is multiplication by the symbol y_sym on ``y_frame(w)`` and X by x_sym
-    on ``x_frame(w)``; a symbol is given on a block of rows (see
-    _poly_times).  ``y_to_x`` carries a row from the first frame into the
-    second.  P(X) takes w straight into the frame of X: a round trip through
-    the frame of Y would spread rounding error evenly over the x axis, where
-    X^j magnifies it at the window edges.  It runs first, so that with
-    ``scratch`` set ``y_frame`` may transform w in place.  The rows fold by
-    Horner in X from the top j down, so only the running total and one row
-    are alive at a time; the last row takes the place of w's frame of Y
-    when that plane is a copy or scratch.  P(X) w is added last.
-    """
-    rows: dict[int, dict[int, complex]] = {}
-    plain: dict[int, complex] = {}
-    for (j, k), c in coeffs.items():
-        if k:
-            rows.setdefault(j, {})[k] = c
-        else:
-            plain[j] = c
-    term = None
-    if plain:
-        in_x = x_frame(samples)
-        term = _poly_times(plain, x_sym, in_x,
-                           in_x if in_x is not samples else np.empty(samples.shape, complex))
-    if not rows:
-        return term
-    in_y = y_frame(samples)
-    last = min(rows) if scratch or in_y is not samples else None
-    total = None
-    for j in range(max(rows), -1, -1):
-        if total is not None:
-            for block in _row_blocks(total):
-                total[block] *= x_sym(block)
-        if j in rows:
-            out = in_y if j == last else np.empty(samples.shape, complex)
-            row = y_to_x(_poly_times(rows[j], y_sym, in_y, out))
-            if total is None:
-                total = row
-            else:
-                total += row
-    if term is not None:
-        total += term
-    return total
-
-
 class _ScratchTransform(GridFunction2D):
     """A transform whose samples apply_operator_2d may overwrite: the
     intertwining check's own forward, which nothing reads afterwards."""
@@ -186,59 +127,73 @@ class _ScratchTransform(GridFunction2D):
 def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunction2D:
     """Apply B = sum c[j,k] (x - q D_y)^j (y + p D_x)^k on the plane grid.
 
-    The input's samples are left as they are.  Only the intertwining check's
-    own _ScratchTransform lends its plane to the operator, which takes the
-    frame of Y and the last derivative row there.
+    B w = sum_j X^j R_j(Y) w + P(X) w with R_j(Y) = sum_{k>0} c[j,k] Y^k and
+    P(X) = sum_j c[j,0] X^j.  P(X) takes w straight into the frame of X: a
+    round trip through the frame of Y would spread rounding error evenly over
+    the x axis, where X^j magnifies it at the window edges.  It runs first,
+    so the frame of Y may then be taken in place over a _ScratchTransform,
+    the one input whose samples are not left as they are.  The rows fold by
+    Horner in X from the top j down, so only the running total and one row
+    are alive at a time; the last row lands in w's frame of Y when that plane
+    is a copy or scratch.  P(X) w is added last.
     """
     if not transform.dual_y:
         raise ValueError("the planar operator acts on a transform with a dual second axis")
     grid = transform.grid
-    _check_boundary_decay(transform.samples, "apply_operator_2d")
-    p = float(spec.p)
-    q = float(spec.q)
-    # A factor whose symbol has no wavenumber term (Y at p = 0, X at q = 0)
-    # is diagonal in the frame the samples are already in: its frame is the
-    # identity and its symbol a line of the grid, broadcast over the plane.
+    samples = transform.samples
+    _check_boundary_decay(samples, "apply_operator_2d")
+    p, q = float(spec.p), float(spec.q)
     scratch = isinstance(transform, _ScratchTransform)
-    dual_row = grid.dual_nodes[None, :]
-    y_sym = lambda rows: dual_row
-    y_frame = _identity
-    if p:
-        p_omega = p * _wavenumbers(grid.N, grid.dx)
-        y_sym = lambda rows: dual_row + p_omega[rows, None]
-        y_frame = lambda w: np.fft.fft(w, axis=0, out=w if scratch else None)
+    rows, plain = {}, {}
+    for (j, k), c in spec.complex_coeffs().items():
+        if k:
+            rows.setdefault(j, {})[k] = c
+        else:
+            plain[j] = c
+    # A symbol is given on a block of rows (see _poly_times).  A factor whose
+    # symbol has no wavenumber term (Y at p = 0, X at q = 0) is diagonal in
+    # the samples' frame: no FFT, and its symbol is a line of the grid.
     x_col = grid.x_nodes[:, None]
     x_sym = lambda rows: x_col[rows]
-    x_frame = _identity
     if q:
         q_omega = q * _wavenumbers(grid.N, grid.dy_dual)
         x_sym = lambda rows: x_col[rows] - q_omega[None, :]
-        x_frame = lambda w: np.fft.fft(w, axis=1)
-
-    def y_to_x(row: np.ndarray) -> np.ndarray:
-        # each row is a plane of its own, so it changes frame in place
-        if p:
-            np.fft.ifft(row, axis=0, out=row)
-        if q:
-            np.fft.fft(row, axis=1, out=row)
-        return row
-
-    total = _apply_diagonal(spec.complex_coeffs(), transform.samples,
-                            y_sym, y_frame, x_sym, x_frame, y_to_x, scratch)
+    dual_row = grid.dual_nodes[None, :]
+    y_sym = lambda rows: dual_row
+    if p:
+        p_omega = p * _wavenumbers(grid.N, grid.dx)
+        y_sym = lambda rows: dual_row + p_omega[rows, None]
+    term = None
+    if plain:
+        in_x = np.fft.fft(samples, axis=1) if q else samples
+        term = _poly_times(plain, x_sym, in_x, in_x if q else np.empty(samples.shape, complex))
+    total = None
+    if rows:
+        in_y = np.fft.fft(samples, axis=0, out=samples if scratch else None) if p else samples
+        last = min(rows) if scratch or p else None
+        for j in range(max(rows), -1, -1):
+            if total is not None:
+                for block in _row_blocks(total):
+                    total[block] *= x_sym(block)
+            if j in rows:
+                out = in_y if j == last else np.empty(samples.shape, complex)
+                row = _poly_times(rows[j], y_sym, in_y, out)
+                # each row is a plane of its own, so it changes frame in place
+                if p:
+                    np.fft.ifft(row, axis=0, out=row)
+                if q:
+                    np.fft.fft(row, axis=1, out=row)
+                if total is None:
+                    total = row
+                else:
+                    total += row
+    if total is None:
+        total = term
+    elif term is not None:
+        total += term
     if q:
         np.fft.ifft(total, axis=1, out=total)
     return GridFunction2D(grid, total, dual_y=True)
-
-
-def apply_operator_1d(spec: OperatorSpec, grid: Grid2D, samples: np.ndarray) -> np.ndarray:
-    """Apply the model A = sum c[j,k] x^j D^k to samples on the spatial axis."""
-    samples = np.asarray(samples, dtype=complex)
-    if samples.shape != (grid.N,):
-        raise ValueError(f"samples must be shaped ({grid.N},), got {samples.shape}")
-    _check_boundary_decay(samples, "apply_operator_1d")
-    return _apply_diagonal(spec.complex_coeffs(), samples,
-                           _wavenumbers(grid.N, grid.dx).__getitem__, np.fft.fft,
-                           grid.x_nodes.__getitem__, _identity, np.fft.ifft)
 
 
 DEFAULT_GRID = Grid2D(12.0, 256)
@@ -340,7 +295,8 @@ class WickEnergy:
 def wick_energy_compare(a: MultiPoly, u, grid: Grid2D = DEFAULT_GRID) -> WickEnergy:
     """Compare (A u | u) with the phase-space average of W[a] over |V u|^2.
 
-    Requires W[a] to have real coefficients (a ValueError otherwise); both
+    Requires W[a] to have real coefficients (a ValueError otherwise) and a
+    window u with to_polygauss, since A u is computed symbolically; both
     sides are plain Riemann sums on the grid, spectrally accurate for
     Schwartz-class inputs.
     """
@@ -354,11 +310,9 @@ def wick_energy_compare(a: MultiPoly, u, grid: Grid2D = DEFAULT_GRID) -> WickEne
         raise ValueError("coherent-state average symbol has complex coefficients; "
                          "the energy comparison needs a real symbol")
 
-    coeffs = {exp: coef for exp, coef in sym.terms.items()}
-    spec = OperatorSpec({(e[0], e[1]): c for e, c in coeffs.items()}, p=1)
     t = grid.x_nodes
     ut = np.asarray(u(t))
-    aut = apply_operator_1d(spec, grid, ut)
+    aut = apply_model_operator({jk: c.to_complex() for jk, c in sym.terms.items()}, u)(t)
     direct = float(np.real(np.sum(aut * np.conj(ut)) * grid.dx))
 
     vu = coherent_transform(u, grid)

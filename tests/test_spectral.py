@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
-from wigreg.hermite import GaussianPacket, Hermite
+from wigreg.hermite import Hermite, apply_model_operator
 from wigreg.spectral import (
     BoundaryDecayWarning,
     CoherentFrame,
     DEFAULT_GRID,
-    apply_operator_1d,
+    _ScratchTransform,
     apply_operator_2d,
     coherent_transform,
     intertwine_residual,
@@ -24,7 +24,11 @@ from wigreg.spectral import (
 from wigreg.symbols import MODEL_VARS, OperatorSpec
 from wigreg.wigner import BoundaryDecayError, Grid2D, GridFunction2D, wig_forward
 
-from oracles import factorwise_apply_operator_2d, separate_intertwine_residual
+from oracles import (
+    factorwise_apply_operator_2d,
+    fresh_planes_apply_operator_2d,
+    separate_intertwine_residual,
+)
 
 H0, H1, H2 = Hermite(0), Hermite(1), Hermite(2)
 
@@ -35,10 +39,13 @@ def gr(re, im=0):
 
 EQ44 = OperatorSpec({(2, 0): gr(4), (0, 2): gr(1) * Fraction(1, 4)}, Fraction(1, 2))
 HARMONIC_SPEC = OperatorSpec({(2, 0): gr(1), (0, 2): gr(1)}, Fraction(1, 2))
+QUARTIC = OperatorSpec({(4, 0): gr(1), (2, 2): gr(2), (1, 1): gr(0, -4), (0, 4): gr(1)},
+                       Fraction(1, 2))
+FIRST_PLUS = OperatorSpec({(0, 1): gr(1), (1, 0): gr(0, 1)}, Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
-# spectral derivative and the 1-d model operator
+# spectral derivative and the planar operator
 # ---------------------------------------------------------------------------
 
 
@@ -63,39 +70,24 @@ def test_factors_act_on_plane_waves_by_their_eigenvalues():
         assert np.max(np.abs(out - expected)) < 1e-12, p
 
 
-def test_apply_operator_1d_oscillator_eigenvalue():
+def test_model_operator_oscillator_eigenvalue():
     for n in range(4):
-        hn = Hermite(n)(DEFAULT_GRID.x_nodes)
-        out = apply_operator_1d(HARMONIC_SPEC, DEFAULT_GRID, hn)
-        assert np.max(np.abs(out - (2 * n + 1) * hn)) < 1e-10, n
-
-
-def test_apply_operator_1d_matches_symbolic_route():
-    from wigreg.hermite import apply_model_operator
-
-    u = GaussianPacket(a=0.8, b=0.6, x0=0.3)
-    samples = u(DEFAULT_GRID.x_nodes)
-    grid_route = apply_operator_1d(EQ44, DEFAULT_GRID, samples)
-    exact_route = apply_model_operator(EQ44.complex_coeffs(), u)(DEFAULT_GRID.x_nodes)
-    scale = np.max(np.abs(exact_route))
-    assert np.max(np.abs(grid_route - exact_route)) / scale < 1e-11
-
-
-def test_apply_operator_1d_shape_check():
-    with pytest.raises(ValueError):
-        apply_operator_1d(EQ44, DEFAULT_GRID, np.zeros(100))
+        hn = Hermite(n)
+        out = apply_model_operator(HARMONIC_SPEC.complex_coeffs(), hn)(DEFAULT_GRID.x_nodes)
+        assert np.max(np.abs(out - (2 * n + 1) * hn(DEFAULT_GRID.x_nodes))) < 1e-10, n
 
 
 def test_boundary_decay_warning_fires():
-    slow = np.exp(-0.01 * DEFAULT_GRID.x_nodes ** 2)
+    x = DEFAULT_GRID.x_nodes
+    slow = np.exp(-0.01 * (x[:, None] ** 2 + x[None, :] ** 2))
     with pytest.warns(BoundaryDecayWarning):
-        apply_operator_1d(EQ44, DEFAULT_GRID, slow)
+        apply_operator_2d(EQ44, GridFunction2D(DEFAULT_GRID, slow))
 
 
 def test_no_warning_for_schwartz_samples():
     with warnings.catch_warnings():
         warnings.simplefilter("error", BoundaryDecayWarning)
-        apply_operator_1d(EQ44, DEFAULT_GRID, H0(DEFAULT_GRID.x_nodes))
+        apply_operator_2d(EQ44, wig_forward(H0, H0, 0.5, DEFAULT_GRID))
 
 
 def test_apply_operator_2d_requires_dual_axis():
@@ -145,6 +137,23 @@ def test_apply_operator_2d_matches_factorwise_oracle(p, n_pts):
         wide = SimpleNamespace(grid=grid, samples=w.samples.astype(np.clongdouble))
         ref = factorwise_apply_operator_2d(spec, wide).samples
         assert _relative(new, ref) <= 2.0 * _relative(old, ref) + 1e-13, (spec.coeffs, p, n_pts)
+
+
+@pytest.mark.filterwarnings("ignore::wigreg.spectral.BoundaryDecayWarning")
+@pytest.mark.parametrize("p", [Fraction(-1), Fraction(0), Fraction(1, 3),
+                               Fraction(1, 2), Fraction(1), Fraction(2)])
+def test_apply_operator_2d_matches_fresh_planes_oracle_bit_for_bit(p):
+    # block-wise symbols, in-place frames and the scratch plane change no bit
+    rng = random.Random(f"bits:{p}")
+    grid = Grid2D(12.0, 64)
+    w = wig_forward(H1, H2, float(p), grid)
+    plain = OperatorSpec({(3, 0): gr(2, -1), (1, 0): gr(Fraction(1, 3)), (0, 0): gr(5)}, p)
+    rows = OperatorSpec({(2, 1): gr(1, 1), (0, 3): gr(Fraction(-1, 4)), (0, 1): gr(0, 2)}, p)
+    for spec in [plain, rows, QUARTIC.with_p(p)] + [_random_spec(rng, p) for _ in range(4)]:
+        expected = fresh_planes_apply_operator_2d(spec, w)
+        assert np.array_equal(apply_operator_2d(spec, w).samples, expected), spec.coeffs
+        scratch = _ScratchTransform(grid, w.samples.copy())
+        assert np.array_equal(apply_operator_2d(spec, scratch).samples, expected), spec.coeffs
 
 
 def _count_ffts(monkeypatch) -> list:
@@ -235,11 +244,6 @@ def test_full_residual_across_operators():
         for p in [Fraction(0), Fraction(1, 2), Fraction(1)]:
             residuals = intertwine_residual(spec, H1, H0, p)
             assert residuals[0][1] < 1e-6, (spec.coeffs, p, residuals)
-
-
-QUARTIC = OperatorSpec({(4, 0): gr(1), (2, 2): gr(2), (1, 1): gr(0, -4), (0, 4): gr(1)},
-                       Fraction(1, 2))
-FIRST_PLUS = OperatorSpec({(0, 1): gr(1), (1, 0): gr(0, 1)}, Fraction(1, 2))
 
 
 def _outcome(check, *args, **kwargs):
