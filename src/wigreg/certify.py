@@ -742,6 +742,8 @@ def injectivity_wick(a: MultiPoly, wick: Optional[MultiPoly] = None) -> Certific
     of the leading form on a circle of directions (near-zero directions are
     re-checked pointwise at larger radii).  The sampling is WICK_RADIUS,
     WICK_COUNT and WICK_DIRECTIONS, the only one verify_certificate accepts.
+    The grid is evaluated from its two axis lines (MultiPoly.eval_grid), and
+    a witness is read back as (line[i], line[j]).
 
     ``wick`` is W[a] when the caller has it already; it is computed from
     ``a`` otherwise."""
@@ -754,13 +756,12 @@ def injectivity_wick(a: MultiPoly, wick: Optional[MultiPoly] = None) -> Certific
         return _not_applicable("coherent-state average symbol has complex coefficients")
 
     line = np.linspace(-WICK_RADIUS, WICK_RADIUS, WICK_COUNT)
-    gx, gxi = np.meshgrid(line, line, indexing="ij")
-    vals = np.real(wick.eval_numpy({"x": gx, "xi": gxi}))
+    vals = np.real(wick.eval_grid(line, line))
     if vals.min() <= 0:
-        idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
         return _not_applicable(
             "sampled non-positive value of the coherent-state average symbol",
-            {"x": float(gx[idx]), "xi": float(gxi[idx]), "value": float(vals[idx])})
+            {"x": float(line[i]), "xi": float(line[j]), "value": float(vals[i, j])})
 
     lead = wick.leading_form()
     theta = 2.0 * np.pi * np.arange(WICK_DIRECTIONS) / WICK_DIRECTIONS

@@ -67,11 +67,11 @@ def _parse_windows(text: str):
 def _cmd_certify(args) -> int:
     try:
         spec, change = parse_spec(_read_text(args.spec))
+        report = certify(spec, change)
+        if args.report or args.summary:
+            emit_report(report, json_path=args.report, summary_path=args.summary)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    report = certify(spec, change)
-    if args.report or args.summary:
-        emit_report(report, json_path=args.report, summary_path=args.summary)
     if not args.quiet:
         sys.stdout.write(render_summary(report))
     return report.exit_code

@@ -162,7 +162,15 @@ class GaussianRational:
         return GaussianRational(self.re, -self.im)
 
     def to_complex(self) -> complex:
-        return float(self.re) + 1j * float(self.im)
+        """Nearest complex float.  A part beyond the float range raises a
+        ValueError that gives its digit count."""
+        try:
+            return float(self.re) + 1j * float(self.im)
+        except OverflowError:
+            big = max(abs(self.re), abs(self.im))
+            digits = _digit_count(big.numerator // big.denominator)
+            raise ValueError(f"coefficient has {digits} digits, "
+                             f"beyond the float range") from None
 
     def abs_float(self) -> float:
         return abs(self.to_complex())
@@ -194,6 +202,19 @@ class GaussianRational:
 GR_ZERO = GaussianRational.zero()
 GR_ONE = GaussianRational.one()
 GR_I = GaussianRational.i_unit()
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of |n|, without the int-to-str conversion that Python
+    limits to 4300 digits."""
+    n = abs(n)
+    digits = int((n.bit_length() - 1) * 0.30102999566398120) + 1 if n else 1
+    return digits + (n >= 10 ** digits)
+
+
+def _monomial_text(vars_: tuple[str, ...], exp: tuple) -> str:
+    """x^2*xi for exp (2, 1) over (x, xi); empty for the constant monomial."""
+    return "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(vars_, exp) if k)
 
 
 def _validate_vars(vars_: Iterable[str]) -> tuple[str, ...]:
@@ -470,12 +491,28 @@ class MultiPoly:
 
     # -- evaluation --------------------------------------------------------
 
+    def eval_grid(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Values on the tensor grid x × xi, shape (len(x), len(xi)).
+
+        The two axis lines go to eval_numpy as a column and a row, so each
+        power is taken on one line and only the products broadcast to the
+        grid.  Every grid point gets the float operations, in the same order,
+        that meshgrid planes would give it.  A polynomial over x alone or xi
+        alone comes back as a read-only broadcast view.
+        """
+        vals = self.eval_numpy({"x": x[:, None], "xi": xi[None, :]})
+        return np.broadcast_to(vals, (len(x), len(xi)))
+
     def eval_numpy(self, values: Mapping[str, "np.ndarray | complex | float"],
                    powers: Optional[dict] = None):
         """Numerically evaluate at float/complex points (arrays broadcast).
 
         ``powers`` caches the ``values[v] ** k`` planes under ``(v, k)``;
         polynomials evaluated at the same ``values`` may share one dict.
+        Terms are summed in term order into one result array, so the result
+        is the only full-size array besides the term in flight.  A
+        coefficient beyond the float range raises a ValueError naming its
+        term.
         """
         for v in self.vars:
             if v not in values:
@@ -491,17 +528,28 @@ class MultiPoly:
         shape = np.broadcast_shapes(*[np.shape(values[v]) for v in self.vars])
         total = None
         for exp, coef in self.terms.items():
-            piece = np.asarray(coef.to_complex(), dtype=complex)
+            try:
+                piece = np.asarray(coef.to_complex(), dtype=complex)
+            except ValueError as exc:
+                name = _monomial_text(self.vars, exp) or "constant"
+                raise ValueError(f"{name} term: {exc}") from None
             for v, k in zip(self.vars, exp):
                 if k:
                     piece = piece * power(v, k)
-            total = piece if total is None else total + piece
+            if total is None:
+                total = piece
+            elif total.shape == shape:
+                total += piece
+            else:
+                total = total + piece
         if total is None:
             return np.zeros(shape, dtype=complex)
-        total = total + 0j
-        if np.shape(total) != shape:
+        if total.shape != shape:
             # constant and zero-degree terms never touch the inputs
-            total = np.broadcast_to(total, shape).copy()
+            return np.broadcast_to(total + 0j, shape).copy()
+        if not total.ndim:
+            return total + 0j
+        total += 0j
         return total
 
     # -- ordering and serialization ----------------------------------------
@@ -538,11 +586,7 @@ class MultiPoly:
             return "0"
         pieces = []
         for exp, coef in self.sorted_terms():
-            mono = "*".join(
-                v if k == 1 else f"{v}^{k}"
-                for v, k in zip(self.vars, exp)
-                if k > 0
-            )
+            mono = _monomial_text(self.vars, exp)
             cs = str(coef)
             if coef.re != 0 and coef.im != 0:
                 cs = f"({cs})"

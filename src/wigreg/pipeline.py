@@ -363,27 +363,28 @@ def _psd_minors(a: MultiPoly) -> Optional[list[Fraction]]:
 def check_positivity(a: MultiPoly) -> dict:
     """Exact certificate when possible, sampling evidence otherwise.
 
-    Raises PositivityError with a witness point when a sample is strictly
-    negative; zero samples are allowed (positive almost everywhere suffices
-    for the generated operator).
+    The samples are a POSITIVITY_COUNT² grid on [-POSITIVITY_RADIUS,
+    POSITIVITY_RADIUS]², evaluated from its two axis lines
+    (MultiPoly.eval_grid).  Raises PositivityError with a witness point
+    (line[i], line[j]) when a sample is strictly negative; zero samples are
+    allowed (positive almost everywhere suffices for the generated operator).
     """
     minors = _psd_minors(a)
     if minors is not None and all(v >= 0 for v in minors):
         return {"method": "exact-psd", "minors": [str(v) for v in minors]}
     line = np.linspace(-POSITIVITY_RADIUS, POSITIVITY_RADIUS, POSITIVITY_COUNT)
-    gx, gxi = np.meshgrid(line, line, indexing="ij")
-    vals = np.real(a.eval_numpy({"x": gx, "xi": gxi}))
+    vals = np.real(a.eval_grid(line, line))
     if vals.min() < 0:
         # report the most central counterexample, not the most negative one
-        neg = vals < 0
-        dist = np.where(neg, gx * gx + gxi * gxi, np.inf)
-        idx = np.unravel_index(int(np.argmin(dist)), dist.shape)
-        witness = (float(gx[idx]), float(gxi[idx]))
+        sq = line * line
+        dist = np.where(vals < 0, sq[:, None] + sq[None, :], np.inf)
+        i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
+        witness = (float(line[i]), float(line[j]))
         raise PositivityError(
             f"symbol is negative at (x, xi) = ({witness[0]:g}, {witness[1]:g}): "
-            f"value {float(vals[idx]):g}",
+            f"value {float(vals[i, j]):g}",
             witness=witness,
-            value=float(vals[idx]),
+            value=float(vals[i, j]),
         )
     record = {"method": "sampled", "min_sample": float(vals.min()),
               "radius": POSITIVITY_RADIUS, "count": POSITIVITY_COUNT}

@@ -316,7 +316,6 @@ def wick_energy_compare(a: MultiPoly, u, grid: Grid2D = DEFAULT_GRID) -> WickEne
     direct = float(np.real(np.sum(aut * np.conj(ut)) * grid.dx))
 
     vu = coherent_transform(u, grid)
-    gy, geta = np.meshgrid(grid.x_nodes, grid.dual_nodes, indexing="ij")
-    wick_vals = np.real(wick_sym.eval_numpy({"x": gy, "xi": geta}))
+    wick_vals = np.real(wick_sym.eval_grid(grid.x_nodes, grid.dual_nodes))
     wick = float(np.sum(wick_vals * np.abs(vu) ** 2) * grid.dx * grid.dy_dual / (2.0 * np.pi))
     return WickEnergy(direct=direct, wick=wick, gap=abs(direct - wick))

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Mapping, Optional
 
 from .exact import (
@@ -115,7 +115,13 @@ class OperatorSpec:
         return MultiPoly(MODEL_VARS, terms)
 
     def complex_coeffs(self) -> dict[tuple[int, int], complex]:
-        return {jk: c.to_complex() for jk, c in self.coeffs.items()}
+        out = {}
+        for (j, k), c in self.coeffs.items():
+            try:
+                out[(j, k)] = c.to_complex()
+            except ValueError as exc:
+                raise ValueError(f"x^{j} D^{k} term: {exc}") from None
+        return out
 
     def to_json(self) -> dict:
         entries = []
@@ -421,18 +427,64 @@ class LinearChange:
         return cls((rows[0], rows[1]))
 
 
+def _integer_rows(rows) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """A common denominator of a rational 2x2 matrix and its integer rows."""
+    den = lcm(*(v.denominator for row in rows for v in row))
+    return den, tuple((int(r0 * den), int(r1 * den)) for r0, r1 in rows)
+
+
+def _pair_power_weights(r: tuple[int, int], s: tuple[int, int], a: int, b: int) -> list[int]:
+    """w[m], the coefficient of u^m v^(a+b-m) in (r0 u + r1 v)^a (s0 u + s1 v)^b,
+    by the binomial theorem on each factor."""
+    left = [comb(a, i) * r[0] ** i * r[1] ** (a - i) for i in range(a + 1)]
+    right = [comb(b, j) * s[0] ** j * s[1] ** (b - j) for j in range(b + 1)]
+    out = [0] * (a + b + 1)
+    for i, lw in enumerate(left):
+        if lw:
+            for j, rw in enumerate(right):
+                out[i + j] += lw * rw
+    return out
+
+
 def t_conjugate(symbol: MultiPoly, change: LinearChange) -> MultiPoly:
-    """Symbol of the conjugated operator: (x,y) -> T'(x,y), (xi,eta) -> T^-1(xi,eta)."""
-    tp = change.transpose().rows
-    ti = change.inverse().rows
-    x = MultiPoly.variable("x")
-    y = MultiPoly.variable("y")
-    xi = MultiPoly.variable("xi")
-    eta = MultiPoly.variable("eta")
-    images = {
-        "x": x.scale(tp[0][0]) + y.scale(tp[0][1]),
-        "y": x.scale(tp[1][0]) + y.scale(tp[1][1]),
-        "xi": xi.scale(ti[0][0]) + eta.scale(ti[0][1]),
-        "eta": xi.scale(ti[1][0]) + eta.scale(ti[1][1]),
-    }
-    return symbol.promote(PHASE_VARS).substitute(images)
+    """Symbol of the conjugated operator: (x,y) -> T'(x,y), (xi,eta) -> T^-1(xi,eta).
+
+    The change is linear, so x^a y^b xi^c eta^d goes to the product of two
+    binomial expansions: the rows of T' weight x^m y^(a+b-m) and the rows of
+    T^-1 weight xi^n eta^(c+d-n).  Both matrices are scaled to integer rows
+    by a common denominator D and E, so every weight is an integer over
+    D^(a+b) E^(c+d), one divisor per output monomial; each coefficient's
+    (re, im) pair accumulates exactly as Fractions.  The result has the
+    variables that a ring substitution gives: (x, y) when some term has a
+    spatial power and (xi, eta) when some term has a frequency power.
+    """
+    dx, tp = _integer_rows(change.transpose().rows)
+    dxi, ti = _integer_rows(change.inverse().rows)
+    space: dict[tuple[int, int], list[int]] = {}
+    freq: dict[tuple[int, int], list[int]] = {}
+    acc: dict[tuple[int, int, int, int], list[Fraction]] = {}
+    for (a, b, c, d), coef in symbol.promote(PHASE_VARS).terms.items():
+        if (a, b) not in space:
+            space[(a, b)] = _pair_power_weights(tp[0], tp[1], a, b)
+        if (c, d) not in freq:
+            freq[(c, d)] = _pair_power_weights(ti[0], ti[1], c, d)
+        fw = [(n, w) for n, w in enumerate(freq[(c, d)]) if w]
+        for m, u in enumerate(space[(a, b)]):
+            if not u:
+                continue
+            for n, w in fw:
+                key = (m, a + b - m, n, c + d - n)
+                pair = acc.get(key)
+                if pair is None:
+                    acc[key] = [coef.re * (u * w), coef.im * (u * w)]
+                else:
+                    pair[0] += coef.re * (u * w)
+                    pair[1] += coef.im * (u * w)
+    vars_ = ((("x", "y") if any(a + b for a, b in space) else ())
+             + (("xi", "eta") if any(c + d for c, d in freq) else ()))
+    keep = [PHASE_VARS.index(v) for v in vars_]
+    terms = {}
+    for e, (re, im) in acc.items():
+        scale = dx ** (e[0] + e[1]) * dxi ** (e[2] + e[3])
+        terms[tuple(e[i] for i in keep)] = GaussianRational(re / scale, im / scale)
+    return MultiPoly(vars_, terms)

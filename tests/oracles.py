@@ -55,6 +55,17 @@ scale, and lets the operator overwrite the transform it no longer needs.
 The Hermite and envelope oracles allocate a fresh plane for every operation,
 where the library runs the same operations in a few reused buffers.
 
+The sampled-positivity oracles evaluate W[a] and the generator's target on
+full 401 x 401 meshgrid planes, with a fresh plane for every power, product
+and partial sum, and read the witness back from the planes, where the
+library takes each power on one axis line, broadcasts only the products to
+the grid and sums the terms into one plane.
+
+The conjugation oracle substitutes the images of x, y, xi and eta into the
+symbol as a general ring substitution, with MultiPoly powers and products,
+where the library expands each monomial by binomial weights of the integer
+rows of T' and T^-1.
+
 The certifier-chain oracle runs the two stages as hand-unrolled ladders, one
 branch per step and outcome, and composes the verdict in its own branch per
 status, where the library runs one table of steps through one loop and
@@ -76,9 +87,14 @@ from wigreg.certify import (
     EVIDENCE,
     EXACT,
     QUAD_GRID_STAGES,
+    WICK_COUNT,
+    WICK_DIRECTIONS,
+    WICK_RADIUS,
+    Certificate,
     FalsifyResult,
     RegularityVerdict,
     _model_symbol,
+    _not_applicable,
     _quad_margin_at,
     _refine_circle_zero,
     extract_quadratic_coeffs,
@@ -96,7 +112,8 @@ from wigreg.certify import (
 )
 from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
 from wigreg.hermite import PI_QUARTER_INV, apply_model_operator, to_polygauss
-from wigreg.symbols import MODEL_VARS, PHASE_VARS, OperatorSpec, symbol_compose
+from wigreg.pipeline import POSITIVITY_COUNT, POSITIVITY_RADIUS, PositivityError, _psd_minors
+from wigreg.symbols import MODEL_VARS, PHASE_VARS, LinearChange, OperatorSpec, symbol_compose, weyl_wick
 from wigreg.wigner import TWO_PI_SQRT, GridFunction2D, _alternating_phase, wig_forward
 
 ORACLE_DEPTH = 512
@@ -497,6 +514,119 @@ def direct_wig_inverse(transform, p: float) -> np.ndarray:
         waves = np.exp(1j * np.outer(xstar + L, omega)) / n
         values[a, valid] = np.einsum("bm,mb->b", waves, spectrum_x[:, cols[valid]])
     return values
+
+
+def fresh_planes_eval(poly: MultiPoly, planes: dict) -> np.ndarray:
+    """poly on full planes, a fresh plane for every power, product and sum."""
+    shape = np.shape(planes["x"])
+    total = np.zeros(shape, dtype=complex)
+    for n, (exp, coef) in enumerate(poly.terms.items()):
+        piece = np.asarray(coef.to_complex(), dtype=complex)
+        for v, k in zip(poly.vars, exp):
+            if k:
+                piece = piece * planes[v] ** k
+        total = piece if n == 0 else total + piece
+    return np.broadcast_to(total + 0j, shape).copy()
+
+
+def meshgrid_injectivity_wick(a: MultiPoly, wick=None) -> Certificate:
+    """injectivity_wick with the grid sampled on meshgrid planes."""
+    sym = _model_symbol(a)
+    if wick is None:
+        wick = weyl_wick(sym)
+    if not wick.is_real():
+        return _not_applicable("coherent-state average symbol has complex coefficients")
+
+    line = np.linspace(-WICK_RADIUS, WICK_RADIUS, WICK_COUNT)
+    gx, gxi = np.meshgrid(line, line, indexing="ij")
+    vals = np.real(fresh_planes_eval(wick, {"x": gx, "xi": gxi}))
+    if vals.min() <= 0:
+        idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        return _not_applicable(
+            "sampled non-positive value of the coherent-state average symbol",
+            {"x": float(gx[idx]), "xi": float(gxi[idx]), "value": float(vals[idx])})
+
+    lead = wick.leading_form()
+    theta = 2.0 * np.pi * np.arange(WICK_DIRECTIONS) / WICK_DIRECTIONS
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    lead_vals = np.real(lead.eval_numpy({"x": cos_t, "xi": sin_t}))
+    lead_scale = max(sum(c.abs_float() for c in lead.terms.values()), 1.0)
+    tol = 1e-12 * lead_scale
+    if lead_vals.min() < -tol:
+        idx = int(np.argmin(lead_vals))
+        return _not_applicable(
+            "leading form of the coherent-state average symbol goes negative",
+            {"x": float(cos_t[idx]), "xi": float(sin_t[idx]), "value": float(lead_vals[idx])})
+    near_zero = np.abs(lead_vals) <= tol
+    if near_zero.any():
+        for factor in (2.0, 4.0):
+            far = np.real(wick.eval_numpy({"x": factor * WICK_RADIUS * cos_t[near_zero],
+                                           "xi": factor * WICK_RADIUS * sin_t[near_zero]}))
+            if far.min() <= 0:
+                idx = int(np.argmin(far))
+                where = np.flatnonzero(near_zero)[idx]
+                return _not_applicable(
+                    "lower-order terms fail to dominate along a leading-form zero direction",
+                    {"x": float(factor * WICK_RADIUS * cos_t[where]),
+                     "xi": float(factor * WICK_RADIUS * sin_t[where]),
+                     "value": float(far.min())})
+    return Certificate(
+        kind="InjWickPositive",
+        grade=EVIDENCE,
+        payload={
+            "radius": WICK_RADIUS,
+            "count": WICK_COUNT,
+            "directions": WICK_DIRECTIONS,
+            "min_sample": float(vals.min()),
+            "min_leading": float(lead_vals.min()),
+            "near_zero_directions": int(near_zero.sum()),
+        },
+        subject={"symbol": sym.to_json(), "wick": wick.to_json()},
+        notes=["sampled positivity only; not a proof of injectivity"],
+    )
+
+
+def meshgrid_check_positivity(a: MultiPoly) -> dict:
+    """check_positivity with the grid sampled on meshgrid planes."""
+    minors = _psd_minors(a)
+    if minors is not None and all(v >= 0 for v in minors):
+        return {"method": "exact-psd", "minors": [str(v) for v in minors]}
+    line = np.linspace(-POSITIVITY_RADIUS, POSITIVITY_RADIUS, POSITIVITY_COUNT)
+    gx, gxi = np.meshgrid(line, line, indexing="ij")
+    vals = np.real(fresh_planes_eval(a, {"x": gx, "xi": gxi}))
+    if vals.min() < 0:
+        neg = vals < 0
+        dist = np.where(neg, gx * gx + gxi * gxi, np.inf)
+        idx = np.unravel_index(int(np.argmin(dist)), dist.shape)
+        witness = (float(gx[idx]), float(gxi[idx]))
+        raise PositivityError(
+            f"symbol is negative at (x, xi) = ({witness[0]:g}, {witness[1]:g}): "
+            f"value {float(vals[idx]):g}",
+            witness=witness,
+            value=float(vals[idx]),
+        )
+    record = {"method": "sampled", "min_sample": float(vals.min()),
+              "radius": POSITIVITY_RADIUS, "count": POSITIVITY_COUNT}
+    if minors is not None:
+        record["note"] = "exact PSD check failed; accepted on sampling evidence only"
+    return record
+
+
+def substitute_t_conjugate(symbol: MultiPoly, change: LinearChange) -> MultiPoly:
+    """t_conjugate as a ring substitution of the four linear images."""
+    tp = change.transpose().rows
+    ti = change.inverse().rows
+    x = MultiPoly.variable("x")
+    y = MultiPoly.variable("y")
+    xi = MultiPoly.variable("xi")
+    eta = MultiPoly.variable("eta")
+    images = {
+        "x": x.scale(tp[0][0]) + y.scale(tp[0][1]),
+        "y": x.scale(tp[1][0]) + y.scale(tp[1][1]),
+        "xi": xi.scale(ti[0][0]) + eta.scale(ti[0][1]),
+        "eta": xi.scale(ti[1][0]) + eta.scale(ti[1][1]),
+    }
+    return symbol.promote(PHASE_VARS).substitute(images)
 
 
 def _attempt(stage: str, method: str, outcome: str, detail: str) -> dict:

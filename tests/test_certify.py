@@ -1,7 +1,10 @@
 """Certificates: recognizers, certifiers, falsifier, and re-verification."""
 
+import json
 import random
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,12 +40,14 @@ from wigreg.certify import (
     verify_certificate,
 )
 from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
-from wigreg.symbols import MODEL_VARS
+from wigreg.pipeline import parse_spec
+from wigreg.symbols import MODEL_VARS, weyl_wick_inverse
 
 from oracles import (
     composed_mixed_block_dmd,
     composed_mixed_block_mdm,
     fraction_quad_best_split,
+    meshgrid_injectivity_wick,
     quadratic_split_exists,
     separate_planes_hypo_falsify,
 )
@@ -433,6 +438,81 @@ def test_wick_not_applicable_for_complex_average():
     cert = injectivity_wick(FIRST_PLUS)
     assert cert.kind == "NotApplicable"
     assert "complex" in cert.payload["reason"]
+
+
+def _wick_target(terms):
+    """The model symbol whose W[a] is the real polynomial sum c x^j xi^k."""
+    return weyl_wick_inverse(poly({e: gr(Fraction(c)) for e, c in terms.items()}))
+
+
+def _times(p, q):
+    out = {}
+    for (j1, k1), c1 in p.items():
+        for (j2, k2), c2 in q.items():
+            out[(j1 + j2, k1 + k2)] = out.get((j1 + j2, k1 + k2), 0) + Fraction(c1) * c2
+    return out
+
+
+_RADIAL = {(2, 0): 1, (0, 2): 1}                       # x^2 + xi^2
+_DIAGONAL_ZERO = _times({(2, 0): 1, (1, 1): -2, (0, 2): 1}, _RADIAL)   # (x - xi)^2 (x^2 + xi^2)
+# ((x - 3/7 xi)^2 - xi^2/10^6) (x^2 + xi^2)^2 + 1000: the leading form dips
+# below zero in a thin cone, where the grid samples still stay above 744
+_THIN_CONE = _times({(2, 0): 1, (1, 1): Fraction(-6, 7), (0, 2): Fraction(9, 49) - Fraction(1, 10**6)},
+                    _times(_RADIAL, _RADIAL))
+_THIN_CONE[(0, 0)] = 1000
+
+WICK_TARGETS = [
+    # (W[a], the kind or NotApplicable reason injectivity_wick gives)
+    ({(2, 0): 1, (0, 2): 1, (0, 0): 1}, "InjWickPositive"),
+    ({(4, 0): 1, (0, 4): 2, (2, 2): 1, (1, 1): -3, (0, 0): 5}, "InjWickPositive"),
+    ({(6, 0): 1, (0, 6): 1, (3, 3): Fraction(1, 2), (2, 1): 7, (1, 0): -4, (0, 0): 60},
+     "InjWickPositive"),
+    # the leading form vanishes on the diagonal, where the far re-check decides
+    ({**_DIAGONAL_ZERO, **{(2, 0): 2, (1, 1): -2, (0, 2): 2, (0, 0): 1}}, "InjWickPositive"),
+    ({(2, 0): 1, (0, 2): 1, (0, 0): -1}, "sampled non-positive"),
+    ({(3, 0): 1, (0, 2): 1, (0, 0): 5}, "sampled non-positive"),
+    ({(5, 0): 1, (0, 4): 3, (2, 2): -1}, "sampled non-positive"),
+    (_THIN_CONE, "leading form"),
+    ({**_DIAGONAL_ZERO, **{(2, 0): -1, (1, 1): -2, (0, 2): -1, (0, 0): 2000}}, "lower-order terms"),
+    ({(2, 0): 1, (0, 0): 1}, "InjWickPositive"),          # one variable
+    ({(2, 0): 1, (0, 0): -1}, "sampled non-positive"),
+    ({(0, 4): 1, (0, 0): -3}, "sampled non-positive"),
+]
+
+
+@pytest.mark.parametrize("terms,outcome", WICK_TARGETS)
+def test_wick_axis_line_sampling_matches_meshgrid_oracle(terms, outcome):
+    a = _wick_target(terms)
+    cert = injectivity_wick(a)
+    got = cert.payload["reason"] if cert.kind == "NotApplicable" else cert.kind
+    assert got.startswith(outcome)
+    assert json.dumps(cert.to_json()) == json.dumps(meshgrid_injectivity_wick(a).to_json())
+
+
+def test_wick_one_variable_witness_is_the_first_grid_minimum():
+    # x^2 - 1 is smallest on the whole column x = 0; the first grid point of
+    # that column in row-major order is xi = -WICK_RADIUS
+    cert = injectivity_wick(_wick_target({(2, 0): 1, (0, 0): -1}))
+    assert cert.payload["witness"] == {"x": 0.0, "xi": -WICK_RADIUS, "value": -1.0}
+    cert = injectivity_wick(_wick_target({(0, 4): 1, (0, 0): -3}))
+    assert cert.payload["witness"] == {"x": -WICK_RADIUS, "xi": 0.0, "value": -3.0}
+
+
+def test_wick_grid_stays_within_its_plane_budget():
+    # the grid is sampled from its axis lines into one summed plane, plus one
+    # term in flight; meshgrid planes would take about seven
+    spec, _ = parse_spec(Path(__file__).with_name("golden").joinpath(
+        "specs", "wick6_p1o3.json").read_text())
+    a = spec.a_symbol()
+    plane = 16 * WICK_COUNT ** 2
+    tracemalloc.start()
+    try:
+        cert = injectivity_wick(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.kind == "InjWickPositive"
+    assert peak < 2.5 * plane
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,50 @@ def test_certify_rejects_oversized_order_fast(spec_file, capsys):
     assert elapsed < 1.0
 
 
+BEYOND_FLOAT = "1" + "0" * 310
+
+
+@pytest.mark.parametrize("coeffs,term", [
+    ([{"j": 1, "k": 1, "re": "1"}, {"j": 0, "k": 0, "re": BEYOND_FLOAT}], "constant term"),
+    ([{"j": 3, "k": 3, "re": BEYOND_FLOAT}], "x^3*xi^3 term"),
+])
+def test_coefficient_beyond_the_float_range_exits_with_message(spec_file, capsys, coeffs, term):
+    spec = spec_file({"p": "1/2", "coeffs": coeffs})
+    start = time.perf_counter()
+    code = main(["certify", spec, "--quiet"])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert f"{term}: coefficient has 311 digits, beyond the float range" in capsys.readouterr().err
+    assert elapsed < 1.0
+    assert main(["verify-intertwine", spec, "--N", "64"]) == 1
+    assert "D^" in capsys.readouterr().err
+
+
+def test_quadratic_beyond_the_float_range_still_certifies(spec_file):
+    # the exact quadratic certifiers never convert a coefficient to a float
+    spec = spec_file({"p": "1/2", "coeffs": [{"j": 2, "k": 0, "re": BEYOND_FLOAT},
+                                            {"j": 0, "k": 2, "re": "1"}]})
+    assert main(["certify", spec, "--quiet"]) == 0
+
+
+def test_generate_and_verify_beyond_the_float_range_exit_with_message(spec_file, tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"vars": ["x", "xi"], "terms": [
+        {"exp": [4, 0], "re": "1"}, {"exp": [0, 4], "re": "1"}, {"exp": [0, 0], "re": BEYOND_FLOAT}]}))
+    assert main(["generate", "--positive-symbol", str(target), "--p", "1/2"]) == 1
+    assert "constant term: coefficient has 311 digits" in capsys.readouterr().err
+
+    report = tmp_path / "report.json"
+    main(["certify", spec_file(SEXTIC), "--quiet", "--report", str(report)])
+    cert = json.loads(report.read_text())["verdict"]["chain"][0]
+    assert cert["kind"] == "HypoUnfalsified"
+    cert["subject"]["symbol"]["terms"][0]["re"] = BEYOND_FLOAT
+    single = tmp_path / "cert.json"
+    single.write_text(json.dumps(cert))
+    assert main(["verify-certificate", str(single)]) == 1
+    assert "coefficient has 311 digits, beyond the float range" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # symbol
 # ---------------------------------------------------------------------------

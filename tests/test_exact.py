@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +13,12 @@ from wigreg.exact import (
     GR_ZERO,
     GaussianRational,
     MultiPoly,
+    _digit_count,
     format_rational,
     parse_rational,
 )
+
+from oracles import fresh_planes_eval
 
 # ---------------------------------------------------------------------------
 # rationals and Gaussian rationals
@@ -81,6 +85,21 @@ def test_gaussian_rational_json_round_trip(z):
 def test_gaussian_rational_to_complex():
     z = GaussianRational(Fraction(1, 4), Fraction(-2))
     assert z.to_complex() == 0.25 - 2j
+
+
+def test_to_complex_beyond_the_float_range_gives_the_digit_count():
+    with pytest.raises(ValueError, match="coefficient has 311 digits, beyond the float range"):
+        GaussianRational(Fraction(10 ** 310)).to_complex()
+    with pytest.raises(ValueError, match="coefficient has 400 digits"):
+        GaussianRational(Fraction(1), Fraction(-(10 ** 400), 3)).to_complex()
+    # huge parts whose quotient fits a float still convert
+    assert GaussianRational(Fraction(10 ** 400, 4 * 10 ** 399)).to_complex() == 2.5
+
+
+def test_digit_count_matches_the_decimal_string():
+    for k in range(0, 4000, 37):
+        for n in (10 ** k - 1, 10 ** k, 10 ** k + 1, 2 ** (3 * k), -(10 ** k)):
+            assert _digit_count(n) == len(str(abs(n))), n
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +222,39 @@ def test_eval_numpy_shared_power_planes_are_bit_identical():
     for poly in (a, a.diff("x"), a.diff("xi")):
         assert np.array_equal(poly.eval_numpy(point, planes), poly.eval_numpy(point))
     assert set(planes) == {("x", 1), ("x", 2), ("x", 3), ("xi", 1), ("xi", 3), ("xi", 4)}
+
+
+def test_eval_numpy_names_the_term_beyond_the_float_range():
+    a = MultiPoly(("x", "xi"), {(2, 1): GaussianRational(Fraction(-(10 ** 320))), (0, 0): GR_ONE})
+    with pytest.raises(ValueError, match=r"x\^2\*xi term: coefficient has 321 digits"):
+        a.eval_numpy({"x": np.ones(3), "xi": np.ones(3)})
+    with pytest.raises(ValueError, match="constant term: coefficient has 311 digits"):
+        MultiPoly.constant(10 ** 310).eval_numpy({})
+
+
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+def test_eval_grid_matches_meshgrid_planes_bit_for_bit():
+    x, xi = np.linspace(-3.0, 3.0, 31), np.linspace(-2.0, 5.0, 17)
+    planes = dict(zip(("x", "xi"), np.meshgrid(x, xi, indexing="ij")))
+    c = GaussianRational(Fraction(-1, 3), Fraction(2, 7))
+    polys = [
+        MultiPoly(("x", "xi"), {(3, 1): c, (0, 4): GaussianRational(Fraction(5)),
+                                (2, 0): GaussianRational(Fraction(0), Fraction(-1, 7)),
+                                (0, 0): GR_ONE}),
+        MultiPoly(("x", "xi"), {(2, 0): c, (0, 0): GR_I}),     # one variable used
+        MultiPoly(("x",), {(5,): c, (1,): GR_ONE}),            # one variable held
+        MultiPoly(("xi",), {(2,): GR_I}),
+        # at x, xi < 0 both terms carry a -0.0 imaginary part; so does the sum
+        MultiPoly(("x", "xi"), {(1, 0): -GR_ONE, (0, 1): -GR_ONE}),
+        MultiPoly.constant(c),
+    ]
+    for poly in polys:
+        got = poly.eval_grid(x, xi)
+        assert got.shape == (31, 17)
+        assert np.array_equal(_bits(got), _bits(fresh_planes_eval(poly, planes)))
 
 
 def test_leading_form_and_coefficient():

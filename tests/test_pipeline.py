@@ -27,7 +27,7 @@ from wigreg.pipeline import (
 )
 from wigreg.symbols import MODEL_VARS, OperatorSpec
 
-from oracles import ladder_verdict
+from oracles import ladder_verdict, meshgrid_check_positivity
 
 
 def gr(re, im=0):
@@ -386,6 +386,37 @@ def test_check_positivity_witness_is_central():
         check_positivity(a)
     assert err.value.witness == (0.0, 0.0)
     assert err.value.value == -1.0
+
+
+POSITIVITY_TARGETS = [
+    # (variables, terms, "sampled" / "exact-psd" / "negative")
+    (MODEL_VARS, {(4, 0): 1, (0, 4): 1, (0, 0): 1}, "sampled"),
+    (MODEL_VARS, {(2, 0): 1, (1, 1): 3, (0, 2): 1, (0, 0): 1}, "negative"),   # indefinite
+    (MODEL_VARS, {(2, 0): 1, (0, 2): 1, (1, 0): 1, (0, 0): Fraction(1, 4)}, "exact-psd"),
+    (MODEL_VARS, {(3, 0): 1, (0, 2): 1, (0, 0): 5}, "negative"),
+    (MODEL_VARS, {(4, 0): 1, (0, 4): 2, (2, 2): -3, (1, 1): 1, (0, 0): 2}, "negative"),
+    (MODEL_VARS, {(6, 0): 1, (0, 6): 1, (3, 3): Fraction(1, 2), (2, 1): 7, (0, 0): 60}, "sampled"),
+    (MODEL_VARS, {(6, 0): 1, (0, 6): 1, (4, 2): -3, (0, 0): 1}, "negative"),
+    (MODEL_VARS, {(4, 0): 1, (2, 0): -2, (0, 0): 1}, "sampled"),   # (x^2 - 1)^2: zero samples
+    (("x",), {(4,): 1, (1,): 3, (0,): 3}, "sampled"),
+    (("x",), {(2,): 1, (0,): -1}, "negative"),
+    (("xi",), {(5,): 1, (0,): 1}, "negative"),
+]
+
+
+@pytest.mark.parametrize("vars_,terms,outcome", POSITIVITY_TARGETS)
+def test_check_positivity_axis_lines_match_meshgrid_oracle(vars_, terms, outcome):
+    a = MultiPoly(vars_, {e: gr(Fraction(c)) for e, c in terms.items()})
+
+    def run(check):
+        try:
+            return check(a)
+        except PositivityError as exc:
+            return "negative", exc.witness, exc.value, str(exc)
+
+    got = run(check_positivity)
+    assert got == run(meshgrid_check_positivity)
+    assert (got[0] if isinstance(got, tuple) else got["method"]) == outcome
 
 
 def test_generate_from_positive_symbol_round_trips():

@@ -30,6 +30,7 @@ from oracles import (
     factor_symbols,
     series_weyl_wick,
     series_weyl_wick_inverse,
+    substitute_t_conjugate,
 )
 
 
@@ -451,3 +452,30 @@ def test_t_conjugate_scaling_example():
     got = t_conjugate(sym, t)
     expected = var("x").scale(Fraction(2)) + var("xi").scale(Fraction(1, 2))
     assert got == expected
+
+
+CONJUGATIONS = [
+    ((Fraction(23, 2), 0), (0, Fraction(-19, 3))),     # diagonal, negative determinant
+    ((0, Fraction(3, 5)), (-2, 0)),                     # anti-diagonal
+    ((0, 1), (1, 0)),                                   # swap, determinant -1
+    ((2, 0), (Fraction(-7, 4), 1)),                     # one zero entry
+    ((Fraction(1, 3), 2), (5, Fraction(-1, 2))),        # dense, negative determinant
+    ((2, 1), (1, 1)),
+]
+
+
+@pytest.mark.parametrize("rows", CONJUGATIONS)
+def test_t_conjugate_matches_substitution_oracle(rows):
+    rng = random.Random(str(rows))
+    change = LinearChange(rows)
+    for _ in range(12):
+        vars_ = rng.choice([PHASE_VARS, MODEL_VARS, ("x", "y"), ("xi", "eta"), ("eta",), ()])
+        terms = {tuple(rng.randint(0, 4) for _ in vars_):
+                 gr(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+                 for _ in range(rng.randint(0, 7))}
+        sym = MultiPoly(vars_, terms)
+        got, want = t_conjugate(sym, change), substitute_t_conjugate(sym, change)
+        assert got.to_json() == want.to_json(), (sym, rows)
+    b = build_b_symbol(EQ44)
+    assert t_conjugate(b, change).to_json() == substitute_t_conjugate(b, change).to_json()
