@@ -870,8 +870,10 @@ def verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] = None) ->
 
     Exact kinds are re-checked with rational arithmetic; evidence kinds redo
     their deterministic sampling at the certifiers' default settings, and a
-    payload that records any other sampling is rejected.  When ``symbol`` is
-    supplied it must match the embedded subject.
+    payload that records any other sampling is rejected.  A well-formed
+    subject that cannot be sampled (a coefficient beyond the float range)
+    fails as such; a certificate that does not parse fails as malformed.
+    When ``symbol`` is supplied it must match the embedded subject.
     """
     try:
         if symbol is not None and "symbol" in cert.subject:
@@ -930,7 +932,10 @@ def verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] = None) ->
                     or cert.payload["samples_per_circle"] != DEFAULT_SAMPLES):
                 return _verify_fail("sampling differs from the falsifier's default radii and samples")
             sym = _subject_symbol(cert)
-            result = hypo_falsify(sym)
+            try:
+                result = hypo_falsify(sym)
+            except ValueError as exc:
+                return _verify_fail(f"cannot re-sample the subject symbol: {exc}")
             if result.falsified:
                 return _verify_fail("falsifier now finds a witness")
             return VerifyResult(True, "deterministic re-sampling finds no witness")
@@ -966,7 +971,10 @@ def verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] = None) ->
                     != (WICK_RADIUS, WICK_COUNT, WICK_DIRECTIONS)):
                 return _verify_fail("sampling differs from the default radius, count and directions")
             sym = _subject_symbol(cert)
-            fresh = injectivity_wick(sym)
+            try:
+                fresh = injectivity_wick(sym)
+            except ValueError as exc:
+                return _verify_fail(f"cannot re-sample the subject symbol: {exc}")
             if fresh.kind != "InjWickPositive":
                 return _verify_fail("re-sampling no longer certifies positivity")
             for key in ("min_sample", "min_leading"):

@@ -507,23 +507,35 @@ class MultiPoly:
                    powers: Optional[dict] = None):
         """Numerically evaluate at float/complex points (arrays broadcast).
 
-        ``powers`` caches the ``values[v] ** k`` planes under ``(v, k)``;
-        polynomials evaluated at the same ``values`` may share one dict.
-        Terms are summed in term order into one result array, so the result
-        is the only full-size array besides the term in flight.  A
-        coefficient beyond the float range raises a ValueError naming its
-        term.
+        A power is the left-to-right product of exactly rounded multiplies,
+        x^1 = x and x^k = fl(x^(k-1) * x), never numpy's ``pow``, whose
+        result depends on the SIMD code path numpy picks for the machine; so
+        the sampled floats are the same wherever numpy runs.  The error of
+        x^k is at most (k - 1) * 2^-53 relative.  ``powers`` caches the
+        power planes under ``(v, k)``; polynomials evaluated at the same
+        ``values`` may share one dict.  Terms are summed in term order into
+        one result array, so the result is the only full-size array besides
+        the term in flight.  A coefficient beyond the float range raises a
+        ValueError naming its term.
         """
         for v in self.vars:
             if v not in values:
                 raise ValueError(f"no value supplied for variable {v!r}")
         power_cache: dict[tuple[str, int], np.ndarray] = {} if powers is None else powers
-
-        def power(v: str, k: int):
-            key = (v, k)
-            if key not in power_cache:
-                power_cache[key] = np.asarray(values[v]) ** k
-            return power_cache[key]
+        wanted = {(v, k) for exp in self.terms for v, k in zip(self.vars, exp) if k}
+        for v, k in sorted(wanted - power_cache.keys()):
+            # from the highest cached power of v below k: one new array,
+            # multiplied up in place so no temporaries are freed; the powers
+            # between are not cached, and a recursive closure would form a
+            # reference cycle that keeps the planes alive until the cyclic GC
+            base = np.asarray(values[v])
+            j = max((i for w, i in power_cache if w == v and i < k), default=1)
+            plane = base if j == 1 else power_cache[v, j]
+            if j < k:
+                plane = plane * base
+                for _ in range(k - j - 1):
+                    plane *= base
+            power_cache[v, k] = plane
 
         shape = np.broadcast_shapes(*[np.shape(values[v]) for v in self.vars])
         total = None
@@ -535,7 +547,7 @@ class MultiPoly:
                 raise ValueError(f"{name} term: {exc}") from None
             for v, k in zip(self.vars, exp):
                 if k:
-                    piece = piece * power(v, k)
+                    piece = piece * power_cache[v, k]
             if total is None:
                 total = piece
             elif total.shape == shape:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
@@ -471,14 +472,19 @@ def generate_quasi_homogeneous(rho, tau, h: int, k: int) -> QuasiHomogeneousResu
     report = certify(spec, change)
     conjugated = report.symbols["conjugated"]
 
-    x = MultiPoly.variable("x").promote(PHASE_VARS)
-    y = MultiPoly.variable("y").promote(PHASE_VARS)
-    xi = MultiPoly.variable("xi").promote(PHASE_VARS)
-    eta = MultiPoly.variable("eta").promote(PHASE_VARS)
-    target = (eta + x.scale(rho)) ** (2 * h) + (xi + y.scale(tau)) ** (2 * k)
-    if conjugated != target:
+    if conjugated != _quasi_homogeneous_target(rho, tau, h, k):
         raise RuntimeError("conjugated symbol failed its closed-form identity; this is a bug")
     return QuasiHomogeneousResult(spec=spec, change=change, conjugated=conjugated, report=report)
+
+
+def _quasi_homogeneous_target(rho: Fraction, tau: Fraction, h: int, k: int) -> MultiPoly:
+    """(eta + rho x)^(2h) + (xi + tau y)^(2k) over PHASE_VARS, one term per
+    binomial coefficient; the two sums share no monomial."""
+    terms = {(i, 0, 0, 2 * h - i): GaussianRational(comb(2 * h, i) * rho ** i)
+             for i in range(2 * h + 1)}
+    terms.update({(0, j, 2 * k - j, 0): GaussianRational(comb(2 * k, j) * tau ** j)
+                  for j in range(2 * k + 1)})
+    return MultiPoly(PHASE_VARS, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,14 @@ and partial sum, and read the witness back from the planes, where the
 library takes each power on one axis line, broadcasts only the products to
 the grid and sums the terms into one plane.
 
+The scalar evaluation oracle evaluates a polynomial at one point at a time
+in Python float and complex arithmetic, with the library's term order and
+its power definition x^k = fl(x^(k-1) * x), where the library evaluates
+whole arrays and shares each power table among the terms.
+
+The quasi-homogeneous target oracle raises the two binomials with MultiPoly
+powers, where the library writes out their terms from binomial coefficients.
+
 The conjugation oracle substitutes the images of x, y, xi and eta into the
 symbol as a general ring substitution, with MultiPoly powers and products,
 where the library expands each monomial by binomial weights of the integer
@@ -517,16 +525,38 @@ def direct_wig_inverse(transform, p: float) -> np.ndarray:
 
 
 def fresh_planes_eval(poly: MultiPoly, planes: dict) -> np.ndarray:
-    """poly on full planes, a fresh plane for every power, product and sum."""
+    """poly on full planes, a fresh plane for every power, product and sum.
+
+    Each power x^k is multiplied up from x on its own, x^k = fl(x^(k-1) * x).
+    """
     shape = np.shape(planes["x"])
     total = np.zeros(shape, dtype=complex)
     for n, (exp, coef) in enumerate(poly.terms.items()):
         piece = np.asarray(coef.to_complex(), dtype=complex)
         for v, k in zip(poly.vars, exp):
             if k:
-                piece = piece * planes[v] ** k
+                power = planes[v]
+                for _ in range(k - 1):
+                    power = power * planes[v]
+                piece = piece * power
         total = piece if n == 0 else total + piece
     return np.broadcast_to(total + 0j, shape).copy()
+
+
+def python_eval(poly: MultiPoly, point: dict) -> complex:
+    """poly at one point of Python floats, term by term in term order."""
+    total = None
+    for exp, coef in poly.terms.items():
+        piece = coef.to_complex()
+        for v, k in zip(poly.vars, exp):
+            if k:
+                power = point[v]
+                for _ in range(k - 1):
+                    power = power * point[v]
+                # a float operand promotes to complex, as a numpy float array does
+                piece = piece * complex(power, 0.0)
+        total = piece if total is None else total + piece
+    return (0j if total is None else total) + 0j
 
 
 def meshgrid_injectivity_wick(a: MultiPoly, wick=None) -> Certificate:
@@ -627,6 +657,12 @@ def substitute_t_conjugate(symbol: MultiPoly, change: LinearChange) -> MultiPoly
         "eta": xi.scale(ti[1][0]) + eta.scale(ti[1][1]),
     }
     return symbol.promote(PHASE_VARS).substitute(images)
+
+
+def multipoly_quasi_homogeneous_target(rho: Fraction, tau: Fraction, h: int, k: int) -> MultiPoly:
+    """(eta + rho x)^(2h) + (xi + tau y)^(2k) by MultiPoly powers."""
+    x, y, xi, eta = (MultiPoly.variable(v).promote(PHASE_VARS) for v in PHASE_VARS)
+    return (eta + x.scale(rho)) ** (2 * h) + (xi + y.scale(tau)) ** (2 * k)
 
 
 def _attempt(stage: str, method: str, outcome: str, detail: str) -> dict:

@@ -670,6 +670,25 @@ def test_verify_rejects_unfalsified_certificate_at_weak_sampling():
     assert not verify_certificate(tampered(good, samples_per_circle=2 * DEFAULT_SAMPLES)).ok
 
 
+def _with_first_coefficient(cert: Certificate, text: str) -> Certificate:
+    obj = json.loads(json.dumps(cert.to_json()))
+    obj["subject"]["symbol"]["terms"][0]["re"] = text
+    return Certificate.from_json(obj)
+
+
+def test_verify_labels_an_unsampleable_subject_apart_from_a_malformed_one():
+    for good in (unfalsified_certificate(SEXTIC, hypo_falsify(SEXTIC)),
+                 injectivity_wick(HARMONIC + poly({(0, 0): gr(2)}))):
+        assert verify_certificate(good).ok
+        res = verify_certificate(_with_first_coefficient(good, "1" + "0" * 310))
+        assert not res.ok
+        assert res.reason.startswith("cannot re-sample the subject symbol: ")
+        assert res.reason.endswith("term: coefficient has 311 digits, beyond the float range")
+        res = verify_certificate(_with_first_coefficient(good, "1.5"))
+        assert not res.ok
+        assert res.reason.startswith("malformed certificate: ")
+
+
 def test_verify_rejects_wick_certificate_at_other_sampling():
     sym = HARMONIC + poly({(0, 0): gr(2)})
     good = injectivity_wick(sym)

@@ -117,7 +117,9 @@ def test_generate_and_verify_beyond_the_float_range_exit_with_message(spec_file,
     single = tmp_path / "cert.json"
     single.write_text(json.dumps(cert))
     assert main(["verify-certificate", str(single)]) == 1
-    assert "coefficient has 311 digits, beyond the float range" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL (cannot re-sample the subject symbol: " in out
+    assert "coefficient has 311 digits, beyond the float range" in out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Exact scalar and polynomial layer."""
 
+import gc
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,7 @@ from wigreg.exact import (
     parse_rational,
 )
 
-from oracles import fresh_planes_eval
+from oracles import fresh_planes_eval, python_eval
 
 # ---------------------------------------------------------------------------
 # rationals and Gaussian rationals
@@ -255,6 +257,50 @@ def test_eval_grid_matches_meshgrid_planes_bit_for_bit():
         got = poly.eval_grid(x, xi)
         assert got.shape == (31, 17)
         assert np.array_equal(_bits(got), _bits(fresh_planes_eval(poly, planes)))
+
+
+def _reference_polys():
+    rng = random.Random(24)
+
+    def coef():
+        return GaussianRational(Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+                                Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+
+    dense = {(i, j): coef() for i, j in ((rng.randint(0, 24), rng.randint(0, 24)) for _ in range(30))
+             if i + j <= 24}
+    return [
+        MultiPoly(("x", "xi"), {**dense, (24, 0): coef(), (0, 24): coef(), (13, 11): coef()}),
+        MultiPoly(("x",), {(24,): coef(), (17,): GaussianRational(Fraction(4)), (1,): GR_I}),
+        MultiPoly(("xi",), {(23,): coef(), (5,): GaussianRational(Fraction(0), Fraction(1, 7))}),
+        MultiPoly(("x", "xi"), {(3, 0): -GR_ONE, (0, 3): -GR_ONE, (0, 0): coef()}),
+    ]
+
+
+def test_eval_matches_python_scalar_reference_bit_for_bit():
+    x, xi = np.linspace(-1.7, 2.3, 23), np.linspace(-2.9, 1.1, 19)
+    paired = list(zip(x.tolist(), x[::-1].tolist()))
+    for poly in _reference_polys():
+        want = np.array([python_eval(poly, {"x": a, "xi": b}) for a, b in paired])
+        line = poly.eval_numpy({"x": x, "xi": x[::-1]})
+        column = poly.eval_numpy({"x": x[:, None], "xi": x[::-1, None]})
+        assert np.array_equal(_bits(line), _bits(want))
+        assert np.array_equal(_bits(column), _bits(want[:, None]))
+        grid = np.array([[python_eval(poly, {"x": a, "xi": b}) for b in xi.tolist()]
+                         for a in x.tolist()])
+        assert np.array_equal(_bits(poly.eval_grid(x, xi)), _bits(grid))
+
+
+def test_eval_numpy_leaves_no_cyclic_garbage():
+    poly = _reference_polys()[0]
+    x = np.linspace(-1.0, 1.0, 64)
+    gc.collect()
+    gc.disable()
+    try:
+        poly.eval_numpy({"x": x, "xi": x}, {})
+        poly.eval_grid(x, x)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_leading_form_and_coefficient():

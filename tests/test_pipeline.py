@@ -27,7 +27,7 @@ from wigreg.pipeline import (
 )
 from wigreg.symbols import MODEL_VARS, OperatorSpec
 
-from oracles import ladder_verdict, meshgrid_check_positivity
+from oracles import ladder_verdict, meshgrid_check_positivity, multipoly_quasi_homogeneous_target
 
 
 def gr(re, im=0):
@@ -483,6 +483,17 @@ def test_quasi_homogeneous_negative_weight():
     assert c.coefficient({"xi": 3, "y": 1}) == gr(-4)
     doc = result.to_json()
     assert doc["T"] == [["1/2", "0"], ["0", "-1"]]
+
+
+def test_quasi_homogeneous_target_matches_multipoly_powers():
+    weights = [Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-7, 5), Fraction(23, 2)]
+    for rho in weights:
+        for tau in weights:
+            for h in (1, 2, 3):
+                for k in (1, 2, 3):
+                    got = pipeline._quasi_homogeneous_target(rho, tau, h, k)
+                    want = multipoly_quasi_homogeneous_target(rho, tau, h, k)
+                    assert got.vars == want.vars and got.terms == want.terms
 
 
 def test_quasi_homogeneous_rejects_bad_weights():
