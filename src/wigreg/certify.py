@@ -7,10 +7,12 @@ about the one-variable model symbol a(x, xi):
   confined to a compact set), and
 * is the model operator A injective on Schwartz functions?
 
-Each positive answer is packaged as a Certificate that a verifier can
-re-check from its embedded subject without re-running any search.  Exact
-certificates rest on closed rational arithmetic; evidence certificates record
-deterministic sampling.  A RegularityVerdict combines one certificate of each
+Each positive answer is packaged as a Certificate.  It is valid when the
+certifier of its kind, run again on the certificate's subject and on the
+choices its payload records (never a search), rebuilds the same certificate:
+equal JSON, floats equal to a relative 1e-9.  Exact certificates rest on
+closed rational arithmetic; evidence certificates record deterministic
+sampling.  A RegularityVerdict combines one certificate of each
 kind (or a non-injectivity witness) into Regular / NotRegular / Unknown.
 """
 
@@ -18,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb, perm
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -215,6 +218,7 @@ def hypo_falsify(a: MultiPoly, radii: Sequence[float] = DEFAULT_RADII,
     theta = 2.0 * np.pi * np.arange(samples_per_circle) / samples_per_circle
     cos_t, sin_t = np.cos(theta), np.sin(theta)
 
+    magnitudes: list[tuple[float, int]] = []   # (|c|, degree) per term, in term order
     trend = []
     witness = None
     falsified = False
@@ -223,7 +227,9 @@ def hypo_falsify(a: MultiPoly, radii: Sequence[float] = DEFAULT_RADII,
         point, planes = {"x": xs, "xi": xis}, {}
         vals = np.abs(sym.eval_numpy(point, planes))
         grads = np.abs(dx.eval_numpy(point, planes)) + np.abs(dxi.eval_numpy(point, planes))
-        scale = sum(c.abs_float() * radius ** sum(e) for e, c in sym.terms.items())
+        if not magnitudes:   # after eval_numpy, whose error names a term beyond the float range
+            magnitudes = [(c.abs_float(), sum(e)) for e, c in sym.terms.items()]
+        scale = sum(size * radius ** degree for size, degree in magnitudes)
         zero_mask = vals <= _ZERO_REL_TOL * max(scale, 1.0)
         if radius == radii[-1] and zero_mask.any():
             idx = int(np.argmax(zero_mask))
@@ -277,6 +283,12 @@ def unfalsified_certificate(a: MultiPoly, result: FalsifyResult) -> Certificate:
         subject={"symbol": _model_symbol(a).to_json()},
         notes=["heuristic sampling only; not a proof of hypo-ellipticity"],
     )
+
+
+def _falsify_or_certify(a: MultiPoly) -> Union[FalsifyResult, Certificate]:
+    """hypo_falsify(a) when it finds a witness, else the unfalsified certificate."""
+    result = hypo_falsify(a)
+    return result if result.falsified else unfalsified_certificate(a, result)
 
 
 # ---------------------------------------------------------------------------
@@ -407,20 +419,15 @@ def recognize_newton_family(a: MultiPoly) -> Optional[NewtonFamilyParams]:
         return None
     # Solve mu*s1 + nu*s2 = resid from two independent monomials, then confirm.
     exps = sorted(set(s1.terms) | set(s2.terms), reverse=True)
-    pivot = None
-    for i in range(len(exps)):
-        for j in range(i + 1, len(exps)):
-            e1, e2 = exps[i], exps[j]
-            det = (s1.terms.get(e1, GR_ZERO) * s2.terms.get(e2, GR_ZERO)
-                   - s1.terms.get(e2, GR_ZERO) * s2.terms.get(e1, GR_ZERO))
-            if not det.is_zero():
-                pivot = (e1, e2, det)
-                break
-        if pivot:
-            break
+
+    def det_at(e1, e2):
+        return (s1.terms.get(e1, GR_ZERO) * s2.terms.get(e2, GR_ZERO)
+                - s1.terms.get(e2, GR_ZERO) * s2.terms.get(e1, GR_ZERO))
+    pivot = next(((e1, e2) for e1, e2 in combinations(exps, 2) if not det_at(e1, e2).is_zero()), None)
     if pivot is None:
         return None
-    e1, e2, det = pivot
+    e1, e2 = pivot
+    det = det_at(e1, e2)
     r1 = resid.terms.get(e1, GR_ZERO)
     r2 = resid.terms.get(e2, GR_ZERO)
     mu = (r1 * s2.terms.get(e2, GR_ZERO) - r2 * s2.terms.get(e1, GR_ZERO)) / det
@@ -577,6 +584,13 @@ class _QuadCandidate:
     r0_sq: Fraction
 
 
+def _cross_square(b: Fraction, s_sq: Fraction) -> Optional[Fraction]:
+    """b^2 / s^2, or 0 when b = 0; None when b != 0 but s^2 = 0."""
+    if b == 0:
+        return Fraction(0)
+    return None if s_sq == 0 else b * b / s_sq
+
+
 def _quad_margin_at(qc: QuadraticCoeffs, u: Fraction) -> Optional[_QuadCandidate]:
     """Margin 4(a2-r1^2)(a0-r0^2) - a1^2 at the split s1^2 = u c0, s0^2 = (1-u) c0.
 
@@ -587,18 +601,9 @@ def _quad_margin_at(qc: QuadraticCoeffs, u: Fraction) -> Optional[_QuadCandidate
     s0_sq = (1 - u) * qc.c0
     if s1_sq < 0 or s0_sq < 0:
         return None
-    if qc.b1 != 0:
-        if s1_sq == 0:
-            return None
-        r1_sq = qc.b1 * qc.b1 / s1_sq
-    else:
-        r1_sq = Fraction(0)
-    if qc.b0 != 0:
-        if s0_sq == 0:
-            return None
-        r0_sq = qc.b0 * qc.b0 / s0_sq
-    else:
-        r0_sq = Fraction(0)
+    r1_sq, r0_sq = _cross_square(qc.b1, s1_sq), _cross_square(qc.b0, s0_sq)
+    if r1_sq is None or r0_sq is None:
+        return None
     lead = qc.a2 - r1_sq
     if lead <= 0:
         return None
@@ -675,11 +680,16 @@ def injectivity_quadratic(qc: QuadraticCoeffs) -> Optional[Certificate]:
         return _not_applicable("c0 must be non-negative")
     if qc.a2 <= 0:
         return _not_applicable("a2 must be positive")
-    best = _quad_best_split(qc)
+    return _quadratic_certificate(qc, _quad_best_split(qc))
+
+
+def _quadratic_certificate(qc: QuadraticCoeffs,
+                           best: Optional[_QuadCandidate]) -> Optional[Certificate]:
+    """The certificate of the split ``best``; None without a split or when its
+    margin is negative."""
     if best is None or best.margin < 0:
         return None
     lead = qc.a2 - best.r1_sq
-    bound = best.margin / lead
     relaxed = best.margin == 0
     notes = []
     if relaxed:
@@ -696,7 +706,7 @@ def injectivity_quadratic(qc: QuadraticCoeffs) -> Optional[Certificate]:
             "r1_sq": format_rational(best.r1_sq),
             "r0_sq": format_rational(best.r0_sq),
             "margin": format_rational(best.margin),
-            "bound": format_rational(bound),
+            "bound": format_rational(best.margin / lead),
             "relaxed": relaxed,
             "grid_stages": list(QUAD_GRID_STAGES),
         },
@@ -857,142 +867,109 @@ class VerifyResult:
     reason: str
 
 
-def _verify_fail(reason: str) -> VerifyResult:
-    return VerifyResult(False, reason)
+def _symbol_args(cert: Certificate, symbol: Optional[MultiPoly]) -> Optional[tuple]:
+    sym = MultiPoly.from_json(cert.subject["symbol"])
+    return (sym,) if symbol is None or sym == symbol else None
 
 
-def _subject_symbol(cert: Certificate) -> MultiPoly:
-    return MultiPoly.from_json(cert.subject["symbol"])
+def _params_args(cert: Certificate, symbol: Optional[MultiPoly]) -> Optional[tuple]:
+    params = NewtonFamilyParams.from_json(cert.payload["params"])
+    return (params,) if symbol is None or family_left_symbol(params) == symbol else None
+
+
+def _quadratic_args(cert: Certificate, symbol: Optional[MultiPoly]) -> Optional[tuple]:
+    """The subject quadratic and the split u = s1^2 / c0 that the payload records."""
+    qc = QuadraticCoeffs.from_json(cert.subject["quadratic"])
+    if symbol is not None and extract_quadratic_coeffs(symbol) != qc:
+        return None
+    u = parse_rational(cert.payload["s1_sq"]) / qc.c0 if qc.c0 else Fraction(0)
+    return qc, _quad_margin_at(qc, u)
+
+
+def _kernel_args(cert: Certificate, symbol: Optional[MultiPoly]) -> Optional[tuple]:
+    alpha = GaussianRational.from_json(cert.subject["alpha"])
+    m = cert.subject["m"]
+    shape = None if symbol is None else recognize_first_order(symbol)
+    if symbol is not None and (shape is None or (shape.alpha, shape.m) != (alpha, m)):
+        return None
+    return alpha, m, cert.subject["side"]
+
+
+# kind -> (reads the certifier's arguments off a certificate, None when the
+# subject is not the supplied symbol's; the certifier, looked up by name when
+# it runs, so a rebound name (a tracer) takes effect)
+_REBUILD = {
+    "HypoQuadraticForm": (_symbol_args, lambda a: hypo_certify_quadratic(a)),
+    "HypoNewtonPolygon": (_params_args, lambda params: hypo_certify_newton(params)),
+    "HypoFirstOrder": (_symbol_args, lambda a: hypo_certify_first_order(a)),
+    "HypoUnfalsified": (_symbol_args, lambda a: _falsify_or_certify(a)),
+    "InjQuadraticEstimate": (_quadratic_args, lambda qc, split: _quadratic_certificate(qc, split)),
+    "InjSOS": (_params_args, lambda params: injectivity_sos(params)),
+    "InjWickPositive": (_symbol_args, lambda a: injectivity_wick(a)),
+    "InjKernelEscape": (_kernel_args, lambda alpha, m, side: first_order_certify(alpha, m, side)),
+    "NotInjectiveWitness": (_kernel_args, lambda alpha, m, side: first_order_certify(alpha, m, side)),
+}
+
+# the one sampling that the certifier of each evidence kind runs
+_SAMPLING = {
+    "HypoUnfalsified": {"radii": list(DEFAULT_RADII), "samples_per_circle": DEFAULT_SAMPLES},
+    "InjWickPositive": {"radius": WICK_RADIUS, "count": WICK_COUNT, "directions": WICK_DIRECTIONS},
+}
+
+_FLOAT_REL_TOL = 1e-9
+_ABSENT = object()
+
+
+def _first_difference(claimed, rebuilt, path: str) -> Optional[str]:
+    """Path of the first value of ``claimed`` that differs from ``rebuilt``
+    (floats may differ by _FLOAT_REL_TOL relative to the claimed value), or None."""
+    if claimed == rebuilt:
+        return None
+    if isinstance(claimed, float) and isinstance(rebuilt, float):
+        return None if abs(rebuilt - claimed) <= _FLOAT_REL_TOL * (1 + abs(claimed)) else path
+    if isinstance(claimed, dict) and isinstance(rebuilt, dict):
+        pairs = [(k, claimed.get(k, _ABSENT), rebuilt.get(k, _ABSENT)) for k in {**rebuilt, **claimed}]
+    elif isinstance(claimed, list) and isinstance(rebuilt, list) and len(claimed) == len(rebuilt):
+        pairs = list(zip(range(len(claimed)), claimed, rebuilt))
+    else:
+        return path
+    found = (_first_difference(c, r, f"{path}.{key}") for key, c, r in pairs)
+    return next((f for f in found if f is not None), None)
 
 
 def verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] = None) -> VerifyResult:
-    """Re-derive a certificate's claim from its embedded subject.
+    """Valid when the certifier of the certificate's kind, run on its subject
+    and on the choices its payload records, rebuilds it: equal JSON, floats
+    equal to a relative 1e-9, and a failure names the first field that differs.
 
-    Exact kinds are re-checked with rational arithmetic; evidence kinds redo
-    their deterministic sampling at the certifiers' default settings, and a
-    payload that records any other sampling is rejected.  A well-formed
-    subject that cannot be sampled (a coefficient beyond the float range)
-    fails as such; a certificate that does not parse fails as malformed.
-    When ``symbol`` is supplied it must match the embedded subject.
-    """
+    An evidence kind that records other sampling than its certifier's fails
+    before any re-sampling; a subject that parses but cannot be sampled (a
+    coefficient beyond the float range) fails as such; a certificate that does
+    not parse, or whose arguments its certifier refuses, fails as malformed.
+    With ``symbol``, the subject must be the one that symbol gives."""
+    if cert.kind not in _REBUILD:
+        return VerifyResult(True, "no claim to verify")
+    read, certifier = _REBUILD[cert.kind]
+    sampling = _SAMPLING.get(cert.kind, {})
     try:
-        if symbol is not None and "symbol" in cert.subject:
-            if _subject_symbol(cert) != symbol.promote(MODEL_VARS):
-                return _verify_fail("certificate subject does not match the supplied symbol")
-
-        if cert.kind == "NotApplicable":
-            return VerifyResult(True, "no claim to verify")
-
-        if cert.kind == "HypoQuadraticForm":
-            sym = _subject_symbol(cert)
-            shape = _quadratic_shape(sym)
-            if shape is None:
-                return _verify_fail("subject symbol is not a real quadratic")
-            for key in ("a2", "b1", "c0"):
-                if parse_rational(cert.payload[key]) != shape[key]:
-                    return _verify_fail(f"payload {key} does not match the symbol")
-            a2, b1, c0 = shape["a2"], shape["b1"], shape["c0"]
-            det = a2 * c0 - b1 * b1
-            if parse_rational(cert.payload["det"]) != det:
-                return _verify_fail("payload determinant mismatch")
-            if not (a2 > 0 and det > 0):
-                return _verify_fail("leading quadratic form is not positive-definite")
-            return VerifyResult(True, "leading quadratic form positive-definite")
-
-        if cert.kind in ("HypoNewtonPolygon", "InjSOS"):
-            params = NewtonFamilyParams.from_json(cert.payload["params"])
-            if "symbol" in cert.subject and family_left_symbol(params) != _subject_symbol(cert):
-                return _verify_fail("family parameters do not rebuild the subject symbol")
-            if _weight_fault(params) is not None:
-                return _verify_fail("weights do not give a sum-of-squares identity"
-                                    if cert.kind == "InjSOS" else "family weights out of range")
-            if cert.kind == "InjSOS":
-                return VerifyResult(True, "energy identity weights admissible")
-            polygon = newton_polygon(params)
-            if [list(v) for v in polygon.vertices] != cert.payload["vertices"]:
-                return _verify_fail("polygon vertices mismatch")
-            mixed = params.mu + params.nu > 0
-            if mixed and not polygon.complete:
-                return _verify_fail("polygon is not complete for a nonzero mixed block")
-            return VerifyResult(True, "family weights admissible and polygon complete")
-
-        if cert.kind == "HypoFirstOrder":
-            sym = _subject_symbol(cert)
-            shape = recognize_first_order(sym)
-            if shape is None:
-                return _verify_fail("subject symbol is not of first-order shape")
-            if shape.alpha != GaussianRational.from_json(cert.payload["alpha"]) or shape.m != cert.payload["m"]:
-                return _verify_fail("payload alpha or m does not match the symbol")
-            if shape.alpha.im == 0:
-                return _verify_fail("Im(alpha) vanishes")
-            return VerifyResult(True, "complex lower-order coefficient keeps zeros compact")
-
-        if cert.kind == "HypoUnfalsified":
-            if (cert.payload["radii"] != list(DEFAULT_RADII)
-                    or cert.payload["samples_per_circle"] != DEFAULT_SAMPLES):
-                return _verify_fail("sampling differs from the falsifier's default radii and samples")
-            sym = _subject_symbol(cert)
-            try:
-                result = hypo_falsify(sym)
-            except ValueError as exc:
-                return _verify_fail(f"cannot re-sample the subject symbol: {exc}")
-            if result.falsified:
-                return _verify_fail("falsifier now finds a witness")
-            return VerifyResult(True, "deterministic re-sampling finds no witness")
-
-        if cert.kind == "InjQuadraticEstimate":
-            qc = QuadraticCoeffs.from_json(cert.subject["quadratic"])
-            s1_sq = parse_rational(cert.payload["s1_sq"])
-            s0_sq = parse_rational(cert.payload["s0_sq"])
-            r1_sq = parse_rational(cert.payload["r1_sq"])
-            r0_sq = parse_rational(cert.payload["r0_sq"])
-            if s1_sq < 0 or s0_sq < 0 or s1_sq + s0_sq > qc.c0:
-                return _verify_fail("split of c0 is infeasible")
-            if r1_sq * s1_sq != qc.b1 * qc.b1 or (qc.b1 == 0 and r1_sq != 0):
-                return _verify_fail("r1^2 s1^2 != b1^2")
-            if r0_sq * s0_sq != qc.b0 * qc.b0 or (qc.b0 == 0 and r0_sq != 0):
-                return _verify_fail("r0^2 s0^2 != b0^2")
-            lead = qc.a2 - r1_sq
-            if lead <= 0:
-                return _verify_fail("shifted leading coefficient is not positive")
-            margin = 4 * lead * (qc.a0 - r0_sq) - qc.a1 * qc.a1
-            if parse_rational(cert.payload["margin"]) != margin:
-                return _verify_fail("margin mismatch")
-            if margin < 0:
-                return _verify_fail("margin is negative")
-            if parse_rational(cert.payload["bound"]) != margin / lead:
-                return _verify_fail("bound mismatch")
-            if bool(cert.payload["relaxed"]) != (margin == 0):
-                return _verify_fail("relaxed flag inconsistent with the margin")
-            return VerifyResult(True, "shifted quadratic non-negative with positive leading coefficient")
-
-        if cert.kind == "InjWickPositive":
-            if ((cert.payload["radius"], cert.payload["count"], cert.payload["directions"])
-                    != (WICK_RADIUS, WICK_COUNT, WICK_DIRECTIONS)):
-                return _verify_fail("sampling differs from the default radius, count and directions")
-            sym = _subject_symbol(cert)
-            try:
-                fresh = injectivity_wick(sym)
-            except ValueError as exc:
-                return _verify_fail(f"cannot re-sample the subject symbol: {exc}")
-            if fresh.kind != "InjWickPositive":
-                return _verify_fail("re-sampling no longer certifies positivity")
-            for key in ("min_sample", "min_leading"):
-                if abs(fresh.payload[key] - cert.payload[key]) > 1e-9 * (1 + abs(cert.payload[key])):
-                    return _verify_fail(f"re-sampled {key} disagrees with the payload")
-            return VerifyResult(True, "deterministic re-sampling confirms positivity")
-
-        if cert.kind in ("InjKernelEscape", "NotInjectiveWitness"):
-            alpha = GaussianRational.from_json(cert.subject["alpha"])
-            m = int(cert.subject["m"])
-            side = cert.subject["side"]
-            fresh = first_order_certify(alpha, m, side)
-            if fresh.kind != cert.kind:
-                return _verify_fail("sign analysis disagrees with the certificate kind")
-            if fresh.payload.get("kernel") != cert.payload.get("kernel"):
-                return _verify_fail("kernel description mismatch")
-            return VerifyResult(True, "kernel decay analysis re-derived")
-
-        return _verify_fail(f"no verifier for kind {cert.kind!r}")
-    except (KeyError, ValueError, TypeError) as exc:
-        return _verify_fail(f"malformed certificate: {exc}")
+        if any(cert.payload[key] != value for key, value in sampling.items()):
+            return VerifyResult(False, "sampling differs from the certifier's default sampling")
+        args = read(cert, None if symbol is None else symbol.promote(MODEL_VARS))
+        if args is None:
+            return VerifyResult(False, "certificate subject does not match the supplied symbol")
+        try:
+            rebuilt = certifier(*args)
+        except ValueError as exc:
+            if not sampling:
+                raise
+            return VerifyResult(False, f"cannot re-sample the subject symbol: {exc}")
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        return VerifyResult(False, f"malformed certificate: {exc}")
+    if isinstance(rebuilt, FalsifyResult):
+        return VerifyResult(False, f"falsifier now finds a witness: {rebuilt.witness['reason']}")
+    if rebuilt is None:
+        return VerifyResult(False, f"its certifier issues no {cert.kind} for this subject")
+    field = _first_difference(cert.to_json(), rebuilt.to_json(), "certificate")
+    if field is not None:
+        return VerifyResult(False, f"{field} differs from the rebuilt certificate")
+    return VerifyResult(True, "rebuilt by its certifier")

@@ -84,10 +84,6 @@ class GaussianRational:
         return cls(Fraction(0), Fraction(1))
 
     @classmethod
-    def of(cls, re: RationalLike, im: RationalLike = 0) -> "GaussianRational":
-        return cls(_as_fraction(re), _as_fraction(im))
-
-    @classmethod
     def coerce(cls, value: ScalarLike) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
@@ -278,10 +274,6 @@ class MultiPoly:
         if name not in VARS:
             raise ValueError(f"unknown variable {name!r}")
         return cls((name,), {(1,): GR_ONE})
-
-    @classmethod
-    def monomial(cls, vars_: Iterable[str], exp: tuple, coef: ScalarLike = 1) -> "MultiPoly":
-        return cls(vars_, {tuple(exp): GaussianRational.coerce(coef)})
 
     # -- structure ---------------------------------------------------------
 

@@ -120,9 +120,6 @@ class GridFunction2D:
             raise ValueError("grid functions live on different grids")
         return GridFunction2D(self.grid, self.samples - other.samples, self.dual_y)
 
-    def copy(self) -> "GridFunction2D":
-        return GridFunction2D(self.grid, self.samples.copy(), self.dual_y)
-
 
 def _alternating_phase(n: int) -> np.ndarray:
     k = np.arange(-n // 2, n // 2)

@@ -78,13 +78,17 @@ The certifier-chain oracle runs the two stages as hand-unrolled ladders, one
 branch per step and outcome, and composes the verdict in its own branch per
 status, where the library runs one table of steps through one loop and
 composes every verdict with one grading rule.
+
+The field-wise verifier checks each certificate kind in its own branch, by
+the payload fields that branch picks, where the library runs the certifier of
+the kind again and requires the whole certificate back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -100,12 +104,18 @@ from wigreg.certify import (
     WICK_RADIUS,
     Certificate,
     FalsifyResult,
+    NewtonFamilyParams,
+    QuadraticCoeffs,
     RegularityVerdict,
+    VerifyResult,
     _model_symbol,
     _not_applicable,
     _quad_margin_at,
+    _quadratic_shape,
     _refine_circle_zero,
+    _weight_fault,
     extract_quadratic_coeffs,
+    family_left_symbol,
     first_order_certify,
     hypo_certify_first_order,
     hypo_certify_newton,
@@ -114,11 +124,12 @@ from wigreg.certify import (
     injectivity_quadratic,
     injectivity_sos,
     injectivity_wick,
+    newton_polygon,
     recognize_first_order,
     recognize_newton_family,
     unfalsified_certificate,
 )
-from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
+from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly, parse_rational
 from wigreg.hermite import PI_QUARTER_INV, apply_model_operator, to_polygauss
 from wigreg.pipeline import POSITIVITY_COUNT, POSITIVITY_RADIUS, PositivityError, _psd_minors
 from wigreg.symbols import MODEL_VARS, PHASE_VARS, LinearChange, OperatorSpec, symbol_compose, weyl_wick
@@ -801,3 +812,136 @@ def ladder_verdict(a: MultiPoly, wick: MultiPoly) -> tuple[RegularityVerdict, li
         grade = EXACT if all(c.grade == EXACT for c in chain) else EVIDENCE
         verdict = RegularityVerdict(status="Unknown", chain=chain, grade=grade)
     return verdict, attempts
+
+
+def fieldwise_verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] = None) -> VerifyResult:
+    """wigreg.certify.verify_certificate as one hand-written check per kind.
+
+    Exact kinds are re-checked with rational arithmetic; evidence kinds redo
+    their deterministic sampling at the certifiers' default settings, and a
+    payload that records any other sampling is rejected.  A well-formed
+    subject that cannot be sampled (a coefficient beyond the float range)
+    fails as such; a certificate that does not parse fails as malformed.
+    When ``symbol`` is supplied it must match the embedded subject.
+    """
+    try:
+        if symbol is not None and "symbol" in cert.subject:
+            if MultiPoly.from_json(cert.subject["symbol"]) != symbol.promote(MODEL_VARS):
+                return VerifyResult(False, "certificate subject does not match the supplied symbol")
+
+        if cert.kind == "NotApplicable":
+            return VerifyResult(True, "no claim to verify")
+
+        if cert.kind == "HypoQuadraticForm":
+            sym = MultiPoly.from_json(cert.subject["symbol"])
+            shape = _quadratic_shape(sym)
+            if shape is None:
+                return VerifyResult(False, "subject symbol is not a real quadratic")
+            for key in ("a2", "b1", "c0"):
+                if parse_rational(cert.payload[key]) != shape[key]:
+                    return VerifyResult(False, f"payload {key} does not match the symbol")
+            a2, b1, c0 = shape["a2"], shape["b1"], shape["c0"]
+            det = a2 * c0 - b1 * b1
+            if parse_rational(cert.payload["det"]) != det:
+                return VerifyResult(False, "payload determinant mismatch")
+            if not (a2 > 0 and det > 0):
+                return VerifyResult(False, "leading quadratic form is not positive-definite")
+            return VerifyResult(True, "leading quadratic form positive-definite")
+
+        if cert.kind in ("HypoNewtonPolygon", "InjSOS"):
+            params = NewtonFamilyParams.from_json(cert.payload["params"])
+            if "symbol" in cert.subject and family_left_symbol(params) != MultiPoly.from_json(cert.subject["symbol"]):
+                return VerifyResult(False, "family parameters do not rebuild the subject symbol")
+            if _weight_fault(params) is not None:
+                return VerifyResult(False, "weights do not give a sum-of-squares identity"
+                                    if cert.kind == "InjSOS" else "family weights out of range")
+            if cert.kind == "InjSOS":
+                return VerifyResult(True, "energy identity weights admissible")
+            polygon = newton_polygon(params)
+            if [list(v) for v in polygon.vertices] != cert.payload["vertices"]:
+                return VerifyResult(False, "polygon vertices mismatch")
+            mixed = params.mu + params.nu > 0
+            if mixed and not polygon.complete:
+                return VerifyResult(False, "polygon is not complete for a nonzero mixed block")
+            return VerifyResult(True, "family weights admissible and polygon complete")
+
+        if cert.kind == "HypoFirstOrder":
+            sym = MultiPoly.from_json(cert.subject["symbol"])
+            shape = recognize_first_order(sym)
+            if shape is None:
+                return VerifyResult(False, "subject symbol is not of first-order shape")
+            if shape.alpha != GaussianRational.from_json(cert.payload["alpha"]) or shape.m != cert.payload["m"]:
+                return VerifyResult(False, "payload alpha or m does not match the symbol")
+            if shape.alpha.im == 0:
+                return VerifyResult(False, "Im(alpha) vanishes")
+            return VerifyResult(True, "complex lower-order coefficient keeps zeros compact")
+
+        if cert.kind == "HypoUnfalsified":
+            if (cert.payload["radii"] != list(DEFAULT_RADII)
+                    or cert.payload["samples_per_circle"] != DEFAULT_SAMPLES):
+                return VerifyResult(False, "sampling differs from the falsifier's default radii and samples")
+            sym = MultiPoly.from_json(cert.subject["symbol"])
+            try:
+                result = hypo_falsify(sym)
+            except ValueError as exc:
+                return VerifyResult(False, f"cannot re-sample the subject symbol: {exc}")
+            if result.falsified:
+                return VerifyResult(False, "falsifier now finds a witness")
+            return VerifyResult(True, "deterministic re-sampling finds no witness")
+
+        if cert.kind == "InjQuadraticEstimate":
+            qc = QuadraticCoeffs.from_json(cert.subject["quadratic"])
+            s1_sq = parse_rational(cert.payload["s1_sq"])
+            s0_sq = parse_rational(cert.payload["s0_sq"])
+            r1_sq = parse_rational(cert.payload["r1_sq"])
+            r0_sq = parse_rational(cert.payload["r0_sq"])
+            if s1_sq < 0 or s0_sq < 0 or s1_sq + s0_sq > qc.c0:
+                return VerifyResult(False, "split of c0 is infeasible")
+            if r1_sq * s1_sq != qc.b1 * qc.b1 or (qc.b1 == 0 and r1_sq != 0):
+                return VerifyResult(False, "r1^2 s1^2 != b1^2")
+            if r0_sq * s0_sq != qc.b0 * qc.b0 or (qc.b0 == 0 and r0_sq != 0):
+                return VerifyResult(False, "r0^2 s0^2 != b0^2")
+            lead = qc.a2 - r1_sq
+            if lead <= 0:
+                return VerifyResult(False, "shifted leading coefficient is not positive")
+            margin = 4 * lead * (qc.a0 - r0_sq) - qc.a1 * qc.a1
+            if parse_rational(cert.payload["margin"]) != margin:
+                return VerifyResult(False, "margin mismatch")
+            if margin < 0:
+                return VerifyResult(False, "margin is negative")
+            if parse_rational(cert.payload["bound"]) != margin / lead:
+                return VerifyResult(False, "bound mismatch")
+            if bool(cert.payload["relaxed"]) != (margin == 0):
+                return VerifyResult(False, "relaxed flag inconsistent with the margin")
+            return VerifyResult(True, "shifted quadratic non-negative with positive leading coefficient")
+
+        if cert.kind == "InjWickPositive":
+            if ((cert.payload["radius"], cert.payload["count"], cert.payload["directions"])
+                    != (WICK_RADIUS, WICK_COUNT, WICK_DIRECTIONS)):
+                return VerifyResult(False, "sampling differs from the default radius, count and directions")
+            sym = MultiPoly.from_json(cert.subject["symbol"])
+            try:
+                fresh = injectivity_wick(sym)
+            except ValueError as exc:
+                return VerifyResult(False, f"cannot re-sample the subject symbol: {exc}")
+            if fresh.kind != "InjWickPositive":
+                return VerifyResult(False, "re-sampling no longer certifies positivity")
+            for key in ("min_sample", "min_leading"):
+                if abs(fresh.payload[key] - cert.payload[key]) > 1e-9 * (1 + abs(cert.payload[key])):
+                    return VerifyResult(False, f"re-sampled {key} disagrees with the payload")
+            return VerifyResult(True, "deterministic re-sampling confirms positivity")
+
+        if cert.kind in ("InjKernelEscape", "NotInjectiveWitness"):
+            alpha = GaussianRational.from_json(cert.subject["alpha"])
+            m = int(cert.subject["m"])
+            side = cert.subject["side"]
+            fresh = first_order_certify(alpha, m, side)
+            if fresh.kind != cert.kind:
+                return VerifyResult(False, "sign analysis disagrees with the certificate kind")
+            if fresh.payload.get("kernel") != cert.payload.get("kernel"):
+                return VerifyResult(False, "kernel description mismatch")
+            return VerifyResult(True, "kernel decay analysis re-derived")
+
+        return VerifyResult(False, f"no verifier for kind {cert.kind!r}")
+    except (KeyError, ValueError, TypeError) as exc:
+        return VerifyResult(False, f"malformed certificate: {exc}")

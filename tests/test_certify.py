@@ -39,13 +39,15 @@ from wigreg.certify import (
     unfalsified_certificate,
     verify_certificate,
 )
-from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
-from wigreg.pipeline import parse_spec
+from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly, parse_rational
+from wigreg.pipeline import certify as certify_spec
+from wigreg.pipeline import generate_from_positive_symbol, generate_quasi_homogeneous, parse_spec
 from wigreg.symbols import MODEL_VARS, weyl_wick_inverse
 
 from oracles import (
     composed_mixed_block_dmd,
     composed_mixed_block_mdm,
+    fieldwise_verify_certificate,
     fraction_quad_best_split,
     meshgrid_injectivity_wick,
     quadratic_split_exists,
@@ -701,3 +703,172 @@ def test_verify_rejects_wick_certificate_at_other_sampling():
     assert verify_certificate(good).ok
     for key, value in (("radius", 2 * WICK_RADIUS), ("count", 10**9), ("directions", 10**9)):
         assert not verify_certificate(tampered(good, **{key: value})).ok
+
+
+# ---------------------------------------------------------------------------
+# verification rebuilds each certificate with the certifier of its kind
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_REPORTS = {p.stem.split("_", 1)[1]: json.loads(p.read_text())
+                  for p in sorted(GOLDEN.glob("certify_*.out"))}
+
+
+def _golden_cert(name: str, kind: str) -> dict:
+    (raw,) = [c for c in GOLDEN_REPORTS[name]["verdict"]["chain"] if c["kind"] == kind]
+    return raw
+
+
+def _leaves(obj, path: tuple):
+    if isinstance(obj, (dict, list)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path, obj
+
+
+def _forged_leaf(value):
+    """A different value of the same JSON type; rationals stay canonical."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1 + abs(value)
+    try:
+        return str(parse_rational(value) + 1)
+    except ValueError:
+        return value + " forged"
+
+
+def _with_leaf(raw: dict, path: tuple, value) -> Certificate:
+    obj = json.loads(json.dumps(raw))
+    holder = obj
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return Certificate.from_json(obj)
+
+
+def test_verify_rejects_every_forged_leaf_of_the_golden_certificates():
+    # a forged subject may be the true subject of the rebuilt certificate (a
+    # relaxed quadratic estimate holds for any larger a2), so subjects are
+    # checked against the report's symbol; payload and notes need no symbol
+    certs = forged = 0
+    for name, report in GOLDEN_REPORTS.items():
+        symbol = MultiPoly.from_json(report["symbols"]["a"])
+        for raw in report["verdict"]["chain"]:
+            certs += 1
+            assert verify_certificate(Certificate.from_json(raw), symbol=symbol).ok, (name, raw["kind"])
+            for part in ("payload", "subject", "notes"):
+                for path, value in _leaves(raw[part], (part,)):
+                    forged += 1
+                    res = verify_certificate(_with_leaf(raw, path, _forged_leaf(value)),
+                                             symbol=symbol if part == "subject" else None)
+                    assert not res.ok, (name, raw["kind"], path)
+    assert len(GOLDEN_REPORTS) == 13 and certs == 19 and forged >= 800
+
+
+def _drop_notes(raw: dict) -> Certificate:
+    return Certificate.from_json({**raw, "notes": []})
+
+
+# forgeries the field-wise checks let through, each with the field it forges
+NAMED_FORGERIES = [
+    ("SEXTIC", "HypoUnfalsified",
+     lambda raw: _with_leaf(raw, ("payload", "trend"), [[r, 0.0] for r, _ in raw["payload"]["trend"]]),
+     "certificate.payload.trend.0.1"),
+    ("SEXTIC", "HypoUnfalsified", _drop_notes, "certificate.notes"),
+    ("QUARTIC", "HypoNewtonPolygon",
+     lambda raw: _with_leaf(raw, ("payload", "mixed_block"), not raw["payload"]["mixed_block"]),
+     "certificate.payload.mixed_block"),
+    ("QUARTIC", "InjSOS", lambda raw: _with_leaf(raw, ("payload", "energy_terms", 0, 2), "-5"),
+     "certificate.payload.energy_terms.0.2"),
+    ("FIRST_MINUS", "NotInjectiveWitness", lambda raw: _with_leaf(raw, ("payload", "im_alpha"), "7"),
+     "certificate.payload.im_alpha"),
+    ("FIRST_MINUS", "HypoFirstOrder", lambda raw: _with_leaf(raw, ("payload", "scale", "re"), "9"),
+     "certificate.payload.scale.re"),
+    ("EQ44", "InjQuadraticEstimate", lambda raw: _with_leaf(raw, ("payload", "grid_stages"), [1]),
+     "certificate.payload.grid_stages"),
+    ("wick6_p1o3", "InjWickPositive",
+     lambda raw: _with_leaf(raw, ("payload", "near_zero_directions"), 99),
+     "certificate.payload.near_zero_directions"),
+]
+
+
+@pytest.mark.parametrize("name, kind, forge, field", NAMED_FORGERIES,
+                         ids=[f"{n}-{f.split('.', 2)[-1]}" for n, _, _, f in NAMED_FORGERIES])
+def test_verify_names_the_forged_field(name, kind, forge, field):
+    res = verify_certificate(forge(_golden_cert(name, kind)))
+    assert not res.ok
+    assert res.reason == f"{field} differs from the rebuilt certificate"
+
+
+def test_verify_rejects_what_its_certifiers_never_emit():
+    raw = _golden_cert("EQ44", "InjQuadraticEstimate")
+    assert verify_certificate(Certificate.from_json(raw)).ok
+    # a non-canonical rational of the same value
+    num, den = Fraction(raw["subject"]["quadratic"]["c0"]).as_integer_ratio()
+    res = verify_certificate(_with_leaf(raw, ("subject", "quadratic", "c0"), f"{2 * num}/{2 * den}"))
+    assert res.reason == "certificate.subject.quadratic.c0 differs from the rebuilt certificate"
+    # a split that leaves part of c0 unused
+    s0_sq = Fraction(raw["payload"]["s0_sq"])
+    res = verify_certificate(_with_leaf(raw, ("payload", "s0_sq"), str(s0_sq / 2)))
+    assert res.reason == "certificate.payload.s0_sq differs from the rebuilt certificate"
+    # a family certificate without its subject symbol
+    for kind in ("HypoNewtonPolygon", "InjSOS"):
+        obj = json.loads(json.dumps(_golden_cert("QUARTIC", kind)))
+        del obj["subject"]["symbol"]
+        res = verify_certificate(Certificate.from_json(obj))
+        assert res.reason == "certificate.subject.symbol differs from the rebuilt certificate"
+
+
+def test_verify_labels_a_field_its_certifier_cannot_take_malformed():
+    raw = _golden_cert("FIRST_PLUS", "InjKernelEscape")
+    res = verify_certificate(_with_leaf(raw, ("subject", "alpha"), "i"))
+    assert res.reason == "malformed certificate: 'str' object has no attribute 'get'"
+    res = verify_certificate(_with_leaf(raw, ("subject", "m"), 0))
+    assert res.reason == "malformed certificate: m must be a positive integer"
+
+
+def test_verify_matches_subjectless_kinds_against_the_symbol():
+    symbol = {name: MultiPoly.from_json(GOLDEN_REPORTS[name]["symbols"]["a"])
+              for name in ("EQ44", "QUARTIC", "FIRST_PLUS", "FIRST_MINUS")}
+    for owner, kind, other in (("EQ44", "InjQuadraticEstimate", "QUARTIC"),
+                               ("FIRST_MINUS", "NotInjectiveWitness", "FIRST_PLUS"),
+                               ("FIRST_PLUS", "InjKernelEscape", "EQ44")):
+        cert = Certificate.from_json(_golden_cert(owner, kind))
+        assert verify_certificate(cert, symbol=symbol[owner]).ok
+        res = verify_certificate(cert, symbol=symbol[other])
+        assert not res.ok
+        assert res.reason == "certificate subject does not match the supplied symbol"
+    # both sides of the adjoint analysis name the operator's alpha
+    adjoint = GOLDEN_REPORTS["FIRST_MINUS"]["adjoint"]
+    for side in ("operator", "adjoint"):
+        cert = Certificate.from_json(adjoint[side])
+        assert verify_certificate(cert, symbol=symbol["FIRST_MINUS"]).ok
+        assert not verify_certificate(cert, symbol=symbol["FIRST_PLUS"]).ok
+
+
+def test_verify_is_no_looser_than_the_fieldwise_oracle():
+    # the certificates of acceptance criterion 9: every one the pinned
+    # fixtures and both generators emit, and the quadratic certificates of its
+    # 100 random forms
+    emitted = []
+    for name in ("EQ44", "C11", "QUARTIC", "SEXTIC", "FIRST_PLUS", "FIRST_MINUS"):
+        report = certify_spec(parse_spec((GOLDEN / "specs" / f"{name}.json").read_text())[0])
+        emitted.extend(report.verdict.chain)
+        if report.adjoint is not None:
+            emitted += [Certificate.from_json(report.adjoint[side]) for side in ("operator", "adjoint")]
+    target = poly({(2, 0): GR_ONE, (0, 2): GR_ONE, (0, 0): gr(2)})
+    emitted.extend(generate_from_positive_symbol(target, Fraction(1, 2)).report.verdict.chain)
+    emitted.extend(generate_quasi_homogeneous(1, -1, 1, 2).report.verdict.chain)
+    rng = random.Random(909)
+    for _ in range(100):
+        qc = QuadraticCoeffs(*(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4)))
+                               for _ in range(6)))
+        cert = injectivity_quadratic(qc)
+        if cert is not None and cert.kind == "InjQuadraticEstimate":
+            emitted.append(cert)
+    assert len(emitted) >= 14 + 2
+    for cert in emitted:
+        if verify_certificate(cert).ok:
+            assert fieldwise_verify_certificate(cert).ok, cert.to_json()
