@@ -26,6 +26,7 @@ from .pipeline import (
     generate_quasi_homogeneous,
     parse_spec,
     render_summary,
+    verify_report,
 )
 from .spectral import intertwine_residual
 from .symbols import t_conjugate
@@ -199,40 +200,29 @@ def _cmd_generate(args) -> int:
     return result.report.exit_code
 
 
-def _iter_certificates(doc) -> list[dict]:
-    if isinstance(doc, dict) and "kind" in doc:
-        return [doc]
-    if isinstance(doc, dict) and "verdict" in doc:
-        chain = doc["verdict"].get("chain", [])
-        if isinstance(chain, list):
-            return [c for c in chain if isinstance(c, dict)]
-    raise ValueError("expected a certificate object or a report with a verdict chain")
-
-
 def _cmd_verify_certificate(args) -> int:
+    """A bare certificate is verified on its own; a report's chain against
+    the report's spec, and then the report as a whole (verify_report)."""
     try:
         doc = json.loads(_read_text(args.cert))
-        raw_certs = _iter_certificates(doc)
+        if isinstance(doc, dict) and "kind" in doc:
+            try:
+                cert = Certificate.from_json(doc)
+            except (KeyError, TypeError, ValueError) as exc:
+                print(f"malformed certificate: {exc}")
+                return 1
+            results = [(cert.kind, verify_certificate(cert))]
+        elif isinstance(doc, dict) and "verdict" in doc:
+            results = verify_report(doc)
+            if not doc["verdict"]["chain"]:
+                print("no certificates to verify (empty chain)")
+        else:
+            raise ValueError("expected a certificate object or a report with a verdict chain")
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    if not raw_certs:
-        print("no certificates to verify (empty chain)")
-        return 0
-    all_ok = True
-    for raw in raw_certs:
-        try:
-            cert = Certificate.from_json(raw)
-        except (KeyError, TypeError, ValueError) as exc:
-            print(f"malformed certificate: {exc}")
-            all_ok = False
-            continue
-        result = verify_certificate(cert)
-        if result.ok:
-            print(f"{cert.kind}: ok")
-        else:
-            print(f"{cert.kind}: FAIL ({result.reason})")
-            all_ok = False
-    return 0 if all_ok else 1
+    for label, result in results:
+        print(f"{label}: ok" if result.ok else f"{label}: FAIL ({result.reason})")
+    return 0 if all(result.ok for _, result in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -32,11 +32,13 @@ import numpy as np
 from .certify import (
     EVIDENCE,
     EXACT,
+    HYPO_KINDS,
     Certificate,
     FalsifyResult,
     FirstOrderShape,
     NewtonFamilyParams,
     RegularityVerdict,
+    VerifyResult,
     extract_quadratic_coeffs,
     first_order_certify,
     hypo_certify_first_order,
@@ -49,6 +51,7 @@ from .certify import (
     recognize_first_order,
     recognize_newton_family,
     unfalsified_certificate,
+    verify_certificate,
 )
 from .exact import GR_ONE, GaussianRational, MultiPoly
 from .symbols import (
@@ -88,6 +91,14 @@ def parse_spec(source: Union[str, Mapping]) -> tuple[OperatorSpec, Optional[Line
     return spec, change
 
 
+def _exit_code(verdict: RegularityVerdict) -> int:
+    if verdict.status == "Regular":
+        return EXIT_REGULAR_EXACT if verdict.grade == EXACT else EXIT_REGULAR_EVIDENCE
+    if verdict.status == "NotRegular":
+        return EXIT_NOT_REGULAR
+    return EXIT_UNKNOWN
+
+
 @dataclass
 class Report:
     """Everything certify derives from one spec, JSON-ready and deterministic."""
@@ -103,11 +114,7 @@ class Report:
 
     @property
     def exit_code(self) -> int:
-        if self.verdict.status == "Regular":
-            return EXIT_REGULAR_EXACT if self.verdict.grade == EXACT else EXIT_REGULAR_EVIDENCE
-        if self.verdict.status == "NotRegular":
-            return EXIT_NOT_REGULAR
-        return EXIT_UNKNOWN
+        return _exit_code(self.verdict)
 
     def to_json(self) -> dict:
         return {
@@ -317,6 +324,69 @@ def certify(spec: OperatorSpec, change: Optional[LinearChange] = None) -> Report
         degeneracy_holds=degeneracy.holds,
         adjoint=_adjoint_analysis(subject),
     )
+
+
+def _report_fault(doc: Mapping, chain: list[Certificate], a: MultiPoly) -> Optional[str]:
+    """Why a report whose links all verify against ``a`` does not hold
+    together, or None."""
+    symbols = doc.get("symbols")
+    if not isinstance(symbols, Mapping) or symbols.get("a") != a.to_json():
+        return "symbols.a is not the model symbol of the report's spec"
+    stages = [c.kind in HYPO_KINDS for c in chain]
+    if stages not in ([], [True], [False], [True, False]):
+        return "the chain must hold at most one link per stage, hypo-ellipticity first"
+    hypo = chain[0] if stages[:1] == [True] else None
+    inj = chain[-1] if stages[-1:] == [False] else None
+    try:
+        verdict = _compose_verdict(hypo, inj, [])
+    except (KeyError, TypeError, ValueError) as exc:
+        return f"the chain composes no verdict: {exc}"
+    if verdict.to_json() != doc["verdict"]:
+        return "verdict differs from the one its chain composes"
+    if doc.get("grade") != verdict.grade:
+        return "grade differs from the verdict's"
+    if doc.get("exit_code") != _exit_code(verdict):
+        return "exit_code differs from the verdict's"
+    return None
+
+
+def verify_report(doc: Mapping) -> list[tuple[str, VerifyResult]]:
+    """Re-check a certify report against the spec it names.
+
+    Every link of the verdict chain is verified with the spec's model symbol
+    a, so its subject must be a's; the report's ``symbols.a`` must be a too.
+    Once every link holds, the chain must compose (``_compose_verdict``)
+    into the report's verdict, grade and exit code.  Returns (kind, result)
+    for each link in chain order, then ("verdict", failure) when the report
+    does not hold together; a report that does gets no entry beyond its
+    links.  A report that names no spec may only hold an empty chain.
+    Raises ValueError when there is no verdict chain or the spec does not
+    parse.
+    """
+    verdict = doc.get("verdict")
+    chain = verdict.get("chain") if isinstance(verdict, Mapping) else None
+    if not isinstance(chain, list):
+        raise ValueError("report has no verdict chain")
+    if "spec" not in doc:
+        if chain:
+            raise ValueError("report names no spec to verify its chain against")
+        return []
+    spec, _ = parse_spec(doc["spec"])
+    a = spec.a_symbol().promote(MODEL_VARS)
+    results, certs = [], []
+    for raw in chain:
+        try:
+            cert = Certificate.from_json(raw)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            results.append(("malformed certificate", VerifyResult(False, str(exc))))
+            continue
+        certs.append(cert)
+        results.append((cert.kind, verify_certificate(cert, symbol=a)))
+    if all(result.ok for _, result in results):
+        fault = _report_fault(doc, certs, a)
+        if fault is not None:
+            results.append(("verdict", VerifyResult(False, fault)))
+    return results
 
 
 # ---------------------------------------------------------------------------

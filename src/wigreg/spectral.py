@@ -29,16 +29,16 @@ Two independent checks tie the exact layer to the transform:
 * intertwine_residual compares B applied to Wig_p[u (x) v] against
   Wig_p[(A u) (x) v], with A u computed symbolically (PolyGauss closure).
   The edges of both pairs are checked on lines before any plane is built.
-  The two forwards share the argument planes x + q z and x - p z and one
-  evaluation of v, and the right-hand transform is done before B runs, so
-  those planes are gone by then.  B takes its frame of Y by an FFT in place
+  The two forwards are filled together a block of x rows at a time, sharing
+  each block's arguments x + q z and x - p z and one evaluation of v on
+  them, and both are done before B runs.  B takes its frame of Y by an FFT in place
   over the left transform, which nothing reads again, and its last row
   lands in that same plane.  Since B evaluates its symbols and their Horner
   polynomials a block of rows at a time, straight into the plane they
   scale, it adds to the two transforms only the plane of the terms without
   a derivative, the running total and one row in flight: five planes at
   most, whatever the orders.  All of this keeps the operations, and so the
-  bits, of separate transforms.  The generator mode shares v's plane the
+  bits, of separate transforms.  The generator mode shares v's values the
   same way among u, D u and x u;
 * wick_energy_compare compares the discrete energy form (A u | u), with A u
   computed symbolically as above, with the phase-space average of the
@@ -56,7 +56,7 @@ import numpy as np
 from .exact import GR_ONE, MultiPoly
 from .hermite import PI_QUARTER_INV, apply_model_operator, to_polygauss
 from .symbols import MODEL_VARS, OperatorSpec
-from .wigner import Grid2D, GridFunction2D, _alternating_phase, _forward_samples
+from .wigner import Grid2D, GridFunction2D, _alternating_phase, _forward_samples, _row_blocks
 
 BOUNDARY_WARN_REL = 1e-12
 
@@ -85,15 +85,6 @@ def _check_boundary_decay(samples: np.ndarray, what: str) -> None:
 def _wavenumbers(n: int, spacing: float) -> np.ndarray:
     """The symbol of D = -i d/dx on the FFT modes of a periodic axis."""
     return 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
-
-
-# grid points in one block of rows of the polynomial products below
-BLOCK_POINTS = 32768
-
-
-def _row_blocks(plane: np.ndarray) -> list[slice]:
-    step = max(1, BLOCK_POINTS * plane.shape[0] // plane.size)
-    return [slice(lo, lo + step) for lo in range(0, plane.shape[0], step)]
 
 
 def _horner(coeffs: Mapping[int, complex], plane: np.ndarray):
@@ -221,7 +212,7 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
         Wig_p[(D u) (x) v] = (y + p D_x) Wig_p[u (x) v],
         Wig_p[(x u) (x) v] = (x - q D_y) Wig_p[u (x) v].
 
-    The forwards of one call share v's plane and run before any operator, so
+    The forwards of one call share v's values and run before any operator, so
     a pair that has not decayed at the window edge fails first.  The default
     boundary precondition is looser than the standalone transform: applying
     the operator multiplies the windows by polynomials, and edge mass of 1e-8

@@ -27,6 +27,12 @@ the z node z_l with l = a - b + N/2 whenever it falls inside the window
 zero), and the first argument is x_a - q z_l: column l shifted by q z_l,
 which one FFT along x, a phase factor and one inverse FFT give for every
 point at once.
+
+Memory is counted in planes, one N x N complex array each.  The forward
+fills its output plane one block of x rows at a time, so it holds that plane
+and a few blocks of rows; the inverse runs in one plane besides its input; a
+CSV read holds the samples, the lines this process parses (two planes
+divided by the number of row blocks) and one block of rows.
 """
 
 from __future__ import annotations
@@ -47,7 +53,11 @@ TWO_PI_SQRT = float(np.sqrt(2.0 * np.pi))
 DEFAULT_BOUNDARY_TOL = 1e-12
 
 # largest sample count per axis: an N x N complex plane takes 16 N^2 bytes,
-# 256 MiB at the limit, and its CSV text about 80 N^2
+# 256 MiB at the limit, and its CSV text about 80 N^2.  The forward holds one
+# plane per window, the inverse one besides its input and a CSV read two on
+# two or more CPUs, each plus blocks of BLOCK_POINTS points (an eighth of a
+# plane at N = 512, a 512th at the limit): transform --inverse peaks at 2.3
+# planes at N = 512 and near two, 512 MiB, at the limit
 MAX_GRID_N = 4096
 
 
@@ -126,15 +136,28 @@ def _alternating_phase(n: int) -> np.ndarray:
     return np.where(k % 2 == 0, 1.0, -1.0)
 
 
+# grid points in one block of rows: the stages that fill or read a plane a
+# block at a time hold about this many points in each temporary
+BLOCK_POINTS = 32768
+
+
+def _row_blocks(plane: np.ndarray) -> list[slice]:
+    step = max(1, BLOCK_POINTS * plane.shape[0] // plane.size)
+    return [slice(lo, lo + step) for lo in range(0, plane.shape[0], step)]
+
+
 def _forward_samples(firsts: Sequence[Callable], v: Callable, p: float, grid: Grid2D,
                      boundary_tol: float) -> list[np.ndarray]:
-    """Samples of Wig_p[f (x) v] for each first window f, sharing v's plane.
+    """Samples of Wig_p[f (x) v] for each first window f, sharing v's values.
 
     The edge check of every pair runs first, on lines, so a pair that has not
-    decayed fails before any N x N plane is built.  Then the argument planes
-    x + q z and x - p z are built once and v is evaluated once; each f is
-    evaluated on the shared first argument, multiplied by v's values and
-    transformed in place.
+    decayed fails before any N x N plane is built.  Then the output planes are
+    filled one block of x rows at a time (_row_blocks): the block's arguments
+    x + q z and x - p z and v's values on them are built once, and each f is
+    evaluated on the shared first argument, multiplied by v's values, given
+    the sign (-1)^l, transformed and scaled in its own plane's rows.  So the
+    forward holds one plane per window and a few blocks of rows, and every
+    value has the bits it would have on whole planes.
     """
     p = float(p)
     q = 1.0 - p
@@ -152,18 +175,23 @@ def _forward_samples(firsts: Sequence[Callable], v: Callable, p: float, grid: Gr
             )
     # z in FFT order with the sign (-1)^l, so the FFT lands centred (see the
     # module docstring); a window whose argument does not move with z is
-    # evaluated on the x column alone
+    # evaluated on the block's x column alone
+    n = grid.N
     col = x[:, None]
-    z = np.roll(x, grid.N // 2)
-    second = v(col - p * z if p else col)
-    first_arg = col + q * z if q else col
-    out = []
-    for f in firsts:
-        g = np.multiply(f(first_arg), second, dtype=complex)
-        np.negative(g[:, 1::2], out=g[:, 1::2])
-        np.fft.fft(g, axis=1, out=g)
-        g *= grid.dx / TWO_PI_SQRT
-        out.append(g)
+    z = np.roll(x, n // 2)
+    out = [np.empty((n, n), dtype=complex) for _ in firsts]
+    for rows in _row_blocks(out[0]):
+        block = col[rows]
+        second = v(block - p * z if p else block)
+        first_arg = block + q * z if q else block
+        for f, plane in zip(firsts, out):
+            g = plane[rows]
+            np.multiply(f(first_arg), second, out=g, dtype=complex)
+            np.negative(g[:, 1::2], out=g[:, 1::2])
+            np.fft.fft(g, axis=1, out=g)
+            g *= grid.dx / TWO_PI_SQRT
+        # gone before the next block's are built
+        del second, first_arg
     return out
 
 
@@ -189,23 +217,44 @@ def wig_inverse(transform: GridFunction2D, p: float) -> GridFunction2D:
     its x nodes shifted by a constant, so it is evaluated by its
     trigonometric interpolant: an FFT along x, the phase exp(-i w q z_l),
     and an inverse FFT.  This is exact for any p on band-limited columns.
+
+    All of it runs in one plane besides the input: each half of the dual
+    axis is divided into the opposite half of the plane (the ifftshift), the
+    FFTs run in place, the phase is built one block of frequency rows at a
+    time, and each row is gathered in place from one copy of itself.
     """
     if not transform.dual_y:
         raise ValueError("wig_inverse expects a transform with a dual second axis")
     q = 1.0 - float(p)
     grid = transform.grid
     n = grid.N
-    spectrum = transform.samples / ((grid.dx / TWO_PI_SQRT) * _alternating_phase(n)[None, :])
-    g = np.fft.ifft(np.fft.ifftshift(spectrum, axes=1), axis=1)
+    half = n // 2
+    samples = transform.samples
+    divisor = (grid.dx / TWO_PI_SQRT) * _alternating_phase(n)
+    g = np.empty((n, n), dtype=complex)
+    np.divide(samples[:, half:], divisor[half:], out=g[:, :half])
+    np.divide(samples[:, :half], divisor[:half], out=g[:, half:])
+    np.fft.ifft(g, axis=1, out=g)
 
     omega = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
-    phase = np.exp(-1j * q * np.outer(omega, grid.x_nodes))
-    shifted = np.fft.ifft(np.fft.fft(g, axis=0) * phase, axis=0)
+    x = grid.x_nodes
+    np.fft.fft(g, axis=0, out=g)
+    for rows in _row_blocks(g):
+        g[rows] *= np.exp(-1j * q * np.outer(omega[rows], x))
+    np.fft.ifft(g, axis=0, out=g)
 
-    l_idx = np.arange(n)[:, None] - np.arange(n)[None, :] + n // 2
-    window = (l_idx >= 0) & (l_idx < n)
-    values = np.take_along_axis(shifted, np.clip(l_idx, 0, n - 1), axis=1)
-    return GridFunction2D(grid, np.where(window, values, 0.0), dual_y=False)
+    # f(x_a, x_b) is G[a, l] with l = a - b + N/2: with r row a reversed, it
+    # is r[b + s] for s = N/2 - 1 - a, and zero where b + s leaves [0, N)
+    for a in range(n):
+        r = g[a, ::-1].copy()
+        s = half - 1 - a
+        if s >= 0:
+            g[a, :n - s] = r[s:]
+            g[a, n - s:] = 0.0
+        else:
+            g[a, -s:] = r[:n + s]
+            g[a, :-s] = 0.0
+    return GridFunction2D(grid, g, dual_y=False)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +395,8 @@ def write_grid(gf: GridFunction2D, path: str, fmt: str = "csv",
     if fmt == "csv":
         _write_csv(gf, path)
     else:
-        pairs = np.empty(gf.samples.shape + (2,), dtype="<f8")
-        pairs[..., 0] = gf.samples.real
-        pairs[..., 1] = gf.samples.imag
-        pairs.tofile(path)
+        # re, im float64 pairs: the samples' own bytes on a little-endian host
+        np.ascontiguousarray(gf.samples, dtype="<c16").tofile(path)
     with open(manifest_path(path), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -391,18 +438,18 @@ def read_manifest(path: str) -> dict:
     return manifest
 
 
-def _check_csv_nodes(table: np.ndarray, grid: Grid2D, dual_y: bool) -> None:
-    """The x,y columns must list the manifest grid's nodes in write_grid's
-    order (%.17g round-trips them exactly); name the first line that does not."""
-    n = grid.N
-    x_nodes, y_nodes = grid.x_nodes, grid.axis_nodes(dual_y)
-    wrong = ((table[:, 0].reshape(n, n) != x_nodes[:, None])
-             | (table[:, 1].reshape(n, n) != y_nodes[None, :])).ravel()
+def _check_csv_nodes(lines: np.ndarray, first: int, grid: Grid2D, dual_y: bool) -> None:
+    """``lines`` holds the x,y,re,im lines of the x rows from row ``first`` on,
+    shaped (rows, N, 4).  Their x,y columns must list the manifest grid's
+    nodes in write_grid's order (%.17g round-trips them exactly); name the
+    first line that does not."""
+    x_nodes, y_nodes = grid.x_nodes[first:first + len(lines)], grid.axis_nodes(dual_y)
+    wrong = (lines[..., 0] != x_nodes[:, None]) | (lines[..., 1] != y_nodes)
     if wrong.any():
-        row = int(np.argmax(wrong))
-        found = tuple(table[row, :2].tolist())
-        expected = (x_nodes[row // n].item(), y_nodes[row % n].item())
-        raise ValueError(f"grid CSV line {row + 2} holds node {found}, "
+        row, col = divmod(int(np.argmax(wrong)), grid.N)
+        found = tuple(lines[row, col, :2].tolist())
+        expected = (x_nodes[row].item(), y_nodes[col].item())
+        raise ValueError(f"grid CSV line {(first + row) * grid.N + col + 2} holds node {found}, "
                          f"expected {expected} from the manifest grid")
 
 
@@ -443,14 +490,20 @@ def _reject_blank_or_comment(path: str) -> None:
 def read_grid(path: str) -> GridFunction2D:
     """Read a grid file written by write_grid (manifest sidecar required).
 
-    The data file's size is checked against the manifest's N before any
-    table is allocated.  A CSV of at least 2 * MIN_BLOCK_POINTS lines is
+    The data file's size is checked against the manifest's N before the
+    samples are allocated.  A CSV of at least 2 * MIN_BLOCK_POINTS lines is
     parsed in forked row blocks, one per usable CPU, each by np.loadtxt over
-    its own lines; the result is bit for bit that of one np.loadtxt call, and
-    the shape and node checks see the whole table.  Every line after the
-    header must hold a node: a blank or '#' line is rejected at any size and
-    any block count, by a ValueError that names it.  Both formats give back
-    the written samples bit for bit, the sign of every zero included.
+    its own lines; the values are bit for bit those of one np.loadtxt call.
+    The blocks are taken in row order: this process's own block as parsed,
+    each child's through the pipe a block of rows (_row_blocks) at a time.
+    Each block's nodes are checked and its re, im columns copied into the
+    one plane of samples, so no (N^2, 4) table is ever built: besides the
+    samples, the read holds this process's parsed lines (two planes'
+    worth divided by the block count) and one block of rows.  Every line
+    after the header must hold a node: a blank or '#' line is rejected at
+    any size and any block count, by a ValueError that names it.  Both
+    formats give back the written samples bit for bit, the sign of every
+    zero included.
     """
     manifest = read_manifest(path)
     grid = Grid2D(float(manifest["L"]), manifest["N"])
@@ -469,7 +522,18 @@ def read_grid(path: str) -> GridFunction2D:
     if not _one_line_per_row(path, 1 + n * n):
         # np.loadtxt skips empty lines, which only the line count shows
         _reject_blank_or_comment(path)
-    table = np.empty((n * n, 4))
+    samples = np.empty((n, n), dtype=complex)
+    # filled as float pairs: adding 1j * im would turn a -0.0 into +0.0
+    values = samples.view(np.float64).reshape(n, n, 2)
+
+    def take(first: int, table: np.ndarray) -> None:
+        """Check the nodes of the lines of the x rows from row ``first`` on
+        and copy their re, im columns into those rows, a block at a time."""
+        lines = table.reshape(-1, n, 4)
+        target = values[first:first + len(lines)]
+        for block in _row_blocks(lines[..., 0]):
+            _check_csv_nodes(lines[block], first + block.start, grid, dual_y)
+            target[block] = lines[block, :, 2:]
 
     def work(lo: int, hi: int, out) -> None:
         try:
@@ -490,24 +554,22 @@ def read_grid(path: str) -> GridFunction2D:
         if rows.shape[1] != 4:
             raise ValueError(f"grid CSV lines have {rows.shape[1]} fields, expected 4")
         if out is None:
-            table[lo * n:hi * n] = rows
+            take(lo, rows)
         else:
             out.write(rows)
 
     def deliver(lo: int, hi: int, src) -> None:
-        view = memoryview(table[lo * n:hi * n]).cast("B")
-        if src.readinto(view) != view.nbytes:
-            raise ValueError(f"grid CSV row block {lo}..{hi - 1} came back short")
+        rows = samples[lo:hi]
+        for block in _row_blocks(rows):
+            table = np.empty((rows[block].size, 4))
+            if src.readinto(memoryview(table).cast("B")) != table.nbytes:
+                raise ValueError(f"grid CSV row block {lo}..{hi - 1} came back short")
+            take(lo + block.start, table)
 
     try:
         _split_rows(n, work, deliver)
-        _check_csv_nodes(table, grid, dual_y)
     except ValueError:
         # a '#' or blank line fails a block's parse or shifts the blocks after it
         _reject_blank_or_comment(path)
         raise
-    # filled part by part: adding 1j * im would turn a -0.0 into +0.0
-    samples = np.empty(n * n, dtype=complex)
-    samples.real = table[:, 2]
-    samples.imag = table[:, 3]
-    return GridFunction2D(grid, samples.reshape(n, n), dual_y=dual_y)
+    return GridFunction2D(grid, samples, dual_y=dual_y)

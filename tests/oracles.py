@@ -46,9 +46,9 @@ The mixed-block oracles compose the two factors of each sandwich with the
 general composition formula, where the library writes out their Leibniz sums.
 
 The intertwining oracle runs one independent forward transform per window
-pair, each evaluating v on its own plane, and applies the planar operator
+pair, each evaluating v for itself, and applies the planar operator
 to a transform it keeps, on whole planes of symbol values with a fresh
-plane for every product, where the library shares v's plane among the
+plane for every product, where the library shares v's values among the
 pairs, evaluates the symbols a block of rows at a time into the plane they
 scale, and lets the operator overwrite the transform it no longer needs.
 
@@ -82,13 +82,26 @@ composes every verdict with one grading rule.
 The field-wise verifier checks each certificate kind in its own branch, by
 the payload fields that branch picks, where the library runs the certifier of
 the kind again and requires the whole certificate back.
+
+The plane-transform byte oracles keep the earlier whole-plane forms of the
+three grid stages, where the library works in a fixed number of planes: the
+forward builds its argument planes, v's plane and each window's plane for
+all x rows at once, where the library fills its output one block of rows at
+a time; the inverse divides into a fresh spectrum, shifts it with
+ifftshift, builds the whole phase plane and gathers with index planes, where
+the library works in one plane in place; the CSV reader parses every block
+into one (N^2, 4) table and checks its nodes as a whole, where the library
+checks each block and copies its value columns straight into the samples.
+All three must give the library's bytes.
 """
 
 from __future__ import annotations
 
+import os
+import warnings
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -133,7 +146,18 @@ from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly, parse_ration
 from wigreg.hermite import PI_QUARTER_INV, apply_model_operator, to_polygauss
 from wigreg.pipeline import POSITIVITY_COUNT, POSITIVITY_RADIUS, PositivityError, _psd_minors
 from wigreg.symbols import MODEL_VARS, PHASE_VARS, LinearChange, OperatorSpec, symbol_compose, weyl_wick
-from wigreg.wigner import TWO_PI_SQRT, GridFunction2D, _alternating_phase, wig_forward
+from wigreg.wigner import (
+    TWO_PI_SQRT,
+    BoundaryDecayError,
+    Grid2D,
+    GridFunction2D,
+    _alternating_phase,
+    _one_line_per_row,
+    _reject_blank_or_comment,
+    _split_rows,
+    read_manifest,
+    wig_forward,
+)
 
 ORACLE_DEPTH = 512
 
@@ -945,3 +969,123 @@ def fieldwise_verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] 
         return VerifyResult(False, f"no verifier for kind {cert.kind!r}")
     except (KeyError, ValueError, TypeError) as exc:
         return VerifyResult(False, f"malformed certificate: {exc}")
+
+
+def one_plane_forward_samples(firsts: Sequence[Callable], v: Callable, p: float, grid,
+                              boundary_tol: float) -> list[np.ndarray]:
+    """Forward samples of f (x) v for each f, on whole argument and window
+    planes: x + q z, x - p z, v's values and each f's values for all x rows
+    at once (a z-free argument is the x column)."""
+    p = float(p)
+    q = 1.0 - p
+    x = grid.x_nodes
+    v_low, v_high = np.asarray(v(x - p * grid.L)), np.asarray(v(x + p * grid.L))
+    for f in firsts:
+        edge = max(
+            float(np.max(np.abs(np.asarray(f(x + q * grid.L)) * v_low))),
+            float(np.max(np.abs(np.asarray(f(x - q * grid.L)) * v_high))),
+        )
+        if edge >= boundary_tol:
+            raise BoundaryDecayError(
+                f"inputs reach {edge:.3e} at the z window edge (need < {boundary_tol:.1e}); "
+                f"enlarge L"
+            )
+    col = x[:, None]
+    z = np.roll(x, grid.N // 2)
+    second = v(col - p * z if p else col)
+    first_arg = col + q * z if q else col
+    out = []
+    for f in firsts:
+        g = np.multiply(f(first_arg), second, dtype=complex)
+        np.negative(g[:, 1::2], out=g[:, 1::2])
+        np.fft.fft(g, axis=1, out=g)
+        g *= grid.dx / TWO_PI_SQRT
+        out.append(g)
+    return out
+
+
+def shift_table_wig_inverse(transform, p: float) -> np.ndarray:
+    """Pair-function samples from a dual-axis transform, on whole planes:
+    a divided spectrum, its ifftshift, two FFT copies, the full phase plane
+    and a gather by index planes."""
+    q = 1.0 - float(p)
+    grid = transform.grid
+    n = grid.N
+    spectrum = transform.samples / ((grid.dx / TWO_PI_SQRT) * _alternating_phase(n)[None, :])
+    g = np.fft.ifft(np.fft.ifftshift(spectrum, axes=1), axis=1)
+    omega = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
+    phase = np.exp(-1j * q * np.outer(omega, grid.x_nodes))
+    shifted = np.fft.ifft(np.fft.fft(g, axis=0) * phase, axis=0)
+    l_idx = np.arange(n)[:, None] - np.arange(n)[None, :] + n // 2
+    window = (l_idx >= 0) & (l_idx < n)
+    values = np.take_along_axis(shifted, np.clip(l_idx, 0, n - 1), axis=1)
+    return np.where(window, values, 0.0)
+
+
+def _check_table_nodes(table: np.ndarray, grid, dual_y: bool) -> None:
+    n = grid.N
+    x_nodes, y_nodes = grid.x_nodes, grid.axis_nodes(dual_y)
+    wrong = ((table[:, 0].reshape(n, n) != x_nodes[:, None])
+             | (table[:, 1].reshape(n, n) != y_nodes[None, :])).ravel()
+    if wrong.any():
+        row = int(np.argmax(wrong))
+        found = tuple(table[row, :2].tolist())
+        expected = (x_nodes[row // n].item(), y_nodes[row % n].item())
+        raise ValueError(f"grid CSV line {row + 2} holds node {found}, "
+                         f"expected {expected} from the manifest grid")
+
+
+def table_read_grid(path: str) -> np.ndarray:
+    """Samples of a grid file; a CSV is parsed into one (N^2, 4) table, whose
+    nodes are checked as a whole before its value columns become samples."""
+    manifest = read_manifest(path)
+    grid = Grid2D(float(manifest["L"]), manifest["N"])
+    dual_y = manifest["axis_y"] == "dual"
+    n = grid.N
+    size = os.path.getsize(path)
+    if manifest["format"] == "raw":
+        if size != 16 * n * n:
+            raise ValueError(f"raw grid holds {size} bytes, expected {16 * n * n}")
+        return np.fromfile(path, dtype="<c16", count=n * n).reshape(n, n)
+    if size < 8 * n * n:
+        raise ValueError(f"grid CSV holds {size} bytes, too few for {n * n} lines")
+    if not _one_line_per_row(path, 1 + n * n):
+        _reject_blank_or_comment(path)
+    table = np.empty((n * n, 4))
+
+    def work(lo: int, hi: int, out) -> None:
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
+                rows = np.loadtxt(path, delimiter=",", skiprows=1 + lo * n, ndmin=2,
+                                  comments=None,
+                                  max_rows=None if hi == n else (hi - lo) * n)
+        except ValueError as exc:
+            if lo == 0:
+                raise
+            raise ValueError(f"grid CSV from line {lo * n + 2}: {exc}") from None
+        if rows.shape[0] != (hi - lo) * n:
+            raise ValueError(f"grid CSV has {lo * n + rows.shape[0]} data lines, expected {n * n}")
+        if rows.shape[1] != 4:
+            raise ValueError(f"grid CSV lines have {rows.shape[1]} fields, expected 4")
+        if out is None:
+            table[lo * n:hi * n] = rows
+        else:
+            out.write(rows)
+
+    def deliver(lo: int, hi: int, src) -> None:
+        view = memoryview(table[lo * n:hi * n]).cast("B")
+        if src.readinto(view) != view.nbytes:
+            raise ValueError(f"grid CSV row block {lo}..{hi - 1} came back short")
+
+    try:
+        _split_rows(n, work, deliver)
+        _check_table_nodes(table, grid, dual_y)
+    except ValueError:
+        _reject_blank_or_comment(path)
+        raise
+    samples = np.empty(n * n, dtype=complex)
+    samples.real = table[:, 2]
+    samples.imag = table[:, 3]
+    return samples.reshape(n, n)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,42 @@ def test_transform_raw_format(spec_file, tmp_path):
     assert gf.grid.N == 32
 
 
+def test_transform_round_trip_reads_back_the_same_bytes_from_csv_and_raw(spec_file, tmp_path,
+                                                                          monkeypatch):
+    # at N = 512 the CSV files are written and read in forked row blocks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    spec = spec_file(EQ44)
+    back = {}
+    for fmt in ("csv", "raw"):
+        fwd, inv = tmp_path / f"fwd.{fmt}", tmp_path / f"inv.{fmt}"
+        assert main(["transform", spec, "--forward", "--N", "512", "--format", fmt,
+                     "--out", str(fwd)]) == 0
+        assert main(["transform", spec, "--inverse", "--format", fmt, "--in", str(fwd),
+                     "--out", str(inv)]) == 0
+        back[fmt] = read_grid(str(inv)).samples.tobytes()
+    assert back["csv"] == back["raw"]
+
+
+def test_transform_inverse_stays_within_its_plane_budget(spec_file, tmp_path, monkeypatch):
+    # the read's peak (the samples, half of the lines parsed in this process
+    # and a block of rows), then the read transform and the inverse's one
+    # plane; on whole planes the command took about 7.7
+    spec = spec_file(EQ44)
+    fwd, inv = tmp_path / "fwd.csv", tmp_path / "inv.csv"
+    assert main(["transform", spec, "--forward", "--N", "512", "--p", "1/3",
+                 "--w", "hermite:2,1", "--out", str(fwd)]) == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    tracemalloc.start()
+    try:
+        code = main(["transform", spec, "--inverse", "--p", "1/3", "--in", str(fwd),
+                     "--out", str(inv)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 2.75 * 16 * 512 ** 2
+
+
 def test_transform_inverse_needs_input(spec_file, capsys):
     assert main(["transform", spec_file(EQ44), "--inverse", "--out", "x.csv"]) == 1
     assert "--in" in capsys.readouterr().err
@@ -424,6 +461,44 @@ def test_verify_certificate_single_and_tampered(spec_file, tmp_path, capsys):
     single.write_text(json.dumps(forged))
     assert main(["verify-certificate", str(single)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+GOLDEN = Path(__file__).with_name("golden")
+
+
+def test_verify_certificate_prints_one_ok_line_per_link_of_a_sound_report(capsys):
+    for path in sorted(GOLDEN.glob("certify_*.out")):
+        chain = json.loads(path.read_text())["verdict"]["chain"]
+        assert main(["verify-certificate", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ([f"{c['kind']}: ok" for c in chain] if chain
+                         else ["no certificates to verify (empty chain)"]), path
+
+
+def test_verify_certificate_rejects_another_operators_verdict(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "certify_FIRST_MINUS.out").read_text())
+    doc["verdict"] = json.loads((GOLDEN / "certify_EQ44.out").read_text())["verdict"]
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-certificate", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "HypoQuadraticForm: FAIL (certificate subject does not match the supplied symbol)",
+        "InjQuadraticEstimate: FAIL (certificate subject does not match the supplied symbol)",
+    ]
+
+
+def test_verify_certificate_rejects_a_verdict_its_chain_does_not_compose(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "certify_SEXTIC.out").read_text())
+    doc["verdict"]["status"] = "Regular"
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-certificate", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "verdict: FAIL (verdict differs from the one its chain composes)"
+    del doc["spec"]
+    path.write_text(json.dumps(doc))
+    assert main(["verify-certificate", str(path)]) == 1
+    assert "names no spec" in capsys.readouterr().err
 
 
 def test_verify_certificate_empty_chain(tmp_path, capsys):

@@ -24,6 +24,7 @@ from wigreg.pipeline import (
     generate_quasi_homogeneous,
     parse_spec,
     render_summary,
+    verify_report,
 )
 from wigreg.symbols import MODEL_VARS, OperatorSpec
 
@@ -538,6 +539,83 @@ def test_emit_report_stamps_current_time_by_default():
     spec, _ = parse_spec(EQ44_JSON)
     doc = emit_report(certify(spec))
     assert "generated_at" in doc and doc["generated_at"]
+
+
+# ---------------------------------------------------------------------------
+# report verification against the spec it names
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).with_name("golden")
+
+
+def golden_report(name: str) -> dict:
+    return json.loads((GOLDEN / f"certify_{name}.out").read_text())
+
+
+def test_verify_report_passes_every_golden_report_with_one_entry_per_link():
+    reports = sorted(GOLDEN.glob("certify_*.out"))
+    assert len(reports) == 13
+    for path in reports:
+        doc = json.loads(path.read_text())
+        results = verify_report(doc)
+        assert [kind for kind, _ in results] == [c["kind"] for c in doc["verdict"]["chain"]], path
+        assert all(result.ok for _, result in results), (path, results)
+
+
+def test_verify_report_rejects_another_operators_verdict():
+    # FIRST_MINUS (NotRegular) carrying EQ44's verdict: each certificate is
+    # valid for EQ44, whose symbol is not FIRST_MINUS's
+    doc = golden_report("FIRST_MINUS")
+    doc["verdict"] = golden_report("EQ44")["verdict"]
+    results = verify_report(doc)
+    assert [kind for kind, _ in results] == ["HypoQuadraticForm", "InjQuadraticEstimate"]
+    assert all(not result.ok and result.reason ==
+               "certificate subject does not match the supplied symbol" for _, result in results)
+
+
+def _forged(name, edit):
+    doc = golden_report(name)
+    edit(doc)
+    return doc
+
+
+REPORT_FORGERIES = {
+    "status": ("SEXTIC", lambda d: d["verdict"].update(status="Regular"),
+               "verdict differs from the one its chain composes"),
+    "verdict_grade": ("SEXTIC", lambda d: d["verdict"].update(grade="exact"),
+                      "verdict differs from the one its chain composes"),
+    "witness": ("FIRST_MINUS", lambda d: d["verdict"].update(witness="0"),
+                "verdict differs from the one its chain composes"),
+    "grade": ("EQ44", lambda d: d.update(grade="evidence"), "grade differs from the verdict's"),
+    "exit_code": ("EQ44", lambda d: d.update(exit_code=2), "exit_code differs from the verdict's"),
+    "symbols_a": ("EQ44", lambda d: d["symbols"].update(a=d["symbols"]["b"]),
+                  "symbols.a is not the model symbol of the report's spec"),
+    "links_swapped": ("EQ44", lambda d: d["verdict"]["chain"].reverse(),
+                      "the chain must hold at most one link per stage, hypo-ellipticity first"),
+    "link_repeated": ("EQ44", lambda d: d["verdict"]["chain"].append(d["verdict"]["chain"][-1]),
+                      "the chain must hold at most one link per stage, hypo-ellipticity first"),
+    "link_dropped": ("EQ44", lambda d: d["verdict"]["chain"].pop(),
+                     "verdict differs from the one its chain composes"),
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(REPORT_FORGERIES))
+def test_verify_report_requires_the_verdict_its_chain_composes(forgery):
+    name, edit, reason = REPORT_FORGERIES[forgery]
+    results = verify_report(_forged(name, edit))
+    assert all(result.ok for _, result in results[:-1])
+    assert results[-1][0] == "verdict"
+    assert results[-1][1].reason == reason
+
+
+def test_verify_report_needs_a_spec_for_a_nonempty_chain():
+    doc = golden_report("EQ44")
+    del doc["spec"]
+    with pytest.raises(ValueError, match="names no spec"):
+        verify_report(doc)
+    assert verify_report({"verdict": {"chain": []}}) == []
+    with pytest.raises(ValueError, match="no verdict chain"):
+        verify_report({"verdict": ["HypoQuadraticForm"]})
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,29 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import direct_wig_inverse, shifted_wig_forward
-from wigreg.hermite import GaussianPacket, Hermite
+from oracles import (
+    direct_wig_inverse,
+    one_plane_forward_samples,
+    shift_table_wig_inverse,
+    shifted_wig_forward,
+    table_read_grid,
+)
+from wigreg.hermite import GaussianPacket, Hermite, to_polygauss
 from wigreg import wigner
 from wigreg.wigner import (
+    DEFAULT_BOUNDARY_TOL,
     MAX_GRID_N,
     BoundaryDecayError,
     Grid2D,
     GridFunction2D,
     _alternating_phase,
     _block_count,
+    _forward_samples,
     manifest_path,
     read_grid,
     wig_forward,
@@ -142,6 +151,43 @@ def test_forward_matches_shifted_oracle_bit_for_bit(n):
                 (n, p, m, k)
 
 
+def forward_window_sets():
+    # one window; several first windows sharing v, PolyGauss ones among them
+    h1 = to_polygauss(H1)
+    yield (H2,), H1
+    yield (H0, h1, h1.apply_d(), h1.mul_t()), H2
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_forward_blocks_match_the_one_plane_oracle_byte_for_byte(n):
+    # the sign of every zero included, which np.array_equal does not compare
+    for p in FORWARD_PS:
+        grid = Grid2D(12.0 if 0.0 <= p <= 1.0 else 20.0, n)
+        for firsts, v in forward_window_sets():
+            ours = _forward_samples(firsts, v, p, grid, DEFAULT_BOUNDARY_TOL)
+            oracle = one_plane_forward_samples(firsts, v, p, grid, DEFAULT_BOUNDARY_TOL)
+            assert [s.tobytes() for s in ours] == [s.tobytes() for s in oracle], (n, p, len(firsts))
+
+
+def peak_planes(run, n):
+    """run() and its tracemalloc peak in N x N complex planes; what was
+    allocated before the call does not count."""
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / (16 * n * n)
+
+
+def test_forward_stays_within_its_plane_budget():
+    # the output plane plus a block of rows (an eighth of a plane at N = 512)
+    # of arguments, v's values and the window's values
+    _, planes = peak_planes(lambda: wig_forward(H2, H1, 1.0 / 3.0, Grid2D(12.0, 512)), 512)
+    assert planes <= 1.5
+
+
 class ShapeRecorder:
     def __init__(self, fn):
         self.fn = fn
@@ -154,14 +200,19 @@ class ShapeRecorder:
 
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
 def test_forward_evaluates_a_z_free_window_on_one_column(p):
-    # after the two edge lines, v's argument x - p z is z-free at p = 0 and
-    # u's argument x + q z at p = 1
+    # after the two edge lines, each window is evaluated once per block of x
+    # rows; v's argument x - p z is z-free at p = 0 and u's argument x + q z
+    # at p = 1, so that window gets the block's column alone
     n = GRID.N
     u, v = ShapeRecorder(H1), ShapeRecorder(H2)
     wig_forward(u, v, p, GRID)
-    assert u.shapes[-1] == ((n, 1) if p == 1.0 else (n, n))
-    assert v.shapes[-1] == ((n, 1) if p == 0.0 else (n, n))
-    assert u.shapes[:-1] == v.shapes[:-1] == [(n,), (n,)]
+    assert u.shapes[:2] == v.shapes[:2] == [(n,), (n,)]
+    u_blocks, v_blocks = u.shapes[2:], v.shapes[2:]
+    assert len(u_blocks) == len(v_blocks) > 1
+    assert [rows for rows, _ in u_blocks] == [rows for rows, _ in v_blocks]
+    assert sum(rows for rows, _ in u_blocks) == n
+    assert {cols for _, cols in u_blocks} == {1 if p == 1.0 else n}
+    assert {cols for _, cols in v_blocks} == {1 if p == 0.0 else n}
 
 
 def test_forward_is_bilinear():
@@ -231,6 +282,34 @@ def test_inverse_matches_direct_sum_off_band():
     transform = GridFunction2D(grid, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
     for p in (1.0 / 3.0, 0.5, 0.7):
         assert max_err(wig_inverse(transform, p), direct_wig_inverse(transform, p)) <= 1e-13
+
+
+INVERSE_PS = [0.0, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0, 1.25, -1.0]
+
+
+def inverse_inputs(n, p):
+    """Two Hermite transforms and random full-band samples."""
+    grid = Grid2D(12.0 if 0.0 <= p <= 1.0 else 20.0, n)
+    rng = np.random.default_rng(n)
+    return [wig_forward(H2, H1, p, grid), wig_forward(H0, Hermite(3), p, grid),
+            GridFunction2D(grid, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))]
+
+
+@pytest.mark.parametrize("n", [4, 8, 64, 512])
+def test_inverse_matches_the_whole_plane_oracle_byte_for_byte(n):
+    for p in INVERSE_PS:
+        for transform in inverse_inputs(n, p):
+            given = transform.samples.tobytes()
+            ours = wig_inverse(transform, p).samples.tobytes()
+            assert ours == shift_table_wig_inverse(transform, p).tobytes(), (n, p)
+            assert transform.samples.tobytes() == given
+
+
+def test_inverse_stays_within_its_plane_budget():
+    # one plane besides its input, plus a block of phase rows
+    transform = wig_forward(H2, H1, 1.0 / 3.0, Grid2D(12.0, 512))
+    _, planes = peak_planes(lambda: wig_inverse(transform, 1.0 / 3.0), 512)
+    assert planes <= 1.5
 
 
 def test_inverse_rejects_spatial_axis():
@@ -335,6 +414,34 @@ def test_csv_bytes_match_savetxt(tmp_path, monkeypatch, case, cpus):
     assert read_grid(path).samples.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "raw"])
+@pytest.mark.parametrize("n, cpus", [(64, None), (512, 2), (512, 3)],
+                         ids=["N64", "N512-2cpu", "N512-3cpu"])
+def test_read_grid_matches_the_table_oracle_byte_for_byte(tmp_path, monkeypatch, fmt, n, cpus):
+    # an inverse has exact zeros outside its window; at 3 CPUs the row
+    # blocks do not fall on whole blocks of BLOCK_POINTS
+    gf = wig_inverse(wig_forward(H2, H1, 1.0 / 3.0, Grid2D(12.0, n)), 1.0 / 3.0)
+    path = str(tmp_path / f"grid.{fmt}")
+    write_grid(gf, path, fmt=fmt)
+    if cpus is not None:
+        use_cpus(monkeypatch, cpus)
+    assert _block_count(n) == (1 if cpus is None else cpus)
+    assert read_grid(path).samples.tobytes() == table_read_grid(path).tobytes()
+    assert_no_child_left()
+
+
+def test_read_grid_stays_within_its_plane_budget(tmp_path, monkeypatch):
+    # the samples, this process's half of the lines parsed as (N^2 / 2, 4)
+    # floats, and a block of rows; the parent's table alone took two planes
+    gf = wig_forward(H2, H1, 1.0 / 3.0, Grid2D(12.0, 512))
+    path = str(tmp_path / "grid.csv")
+    write_grid(gf, path)
+    use_cpus(monkeypatch, 2)
+    back, planes = peak_planes(lambda: read_grid(path), 512)
+    assert back.samples.tobytes() == gf.samples.tobytes()
+    assert planes <= 2.25
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -393,6 +500,39 @@ def test_read_grid_rejects_damaged_large_csv(tmp_path, monkeypatch, capfd, n256_
     assert_no_child_left()
     # no block, here or in a child, printed a warning of its own
     assert capfd.readouterr().err == ""
+
+
+def _edited_node(line):
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        x, y, re, im = lines[line - 1].split(",")
+        lines[line - 1] = ",".join([x, repr(float(y) + 1e-9), re, im])
+        return "".join(lines)
+    return edit
+
+
+# at 2 CPUs the child's block starts on line 32770; 65537 is the last line
+NODE_EDITS = {f"node_on_line_{line}": _edited_node(line) for line in (5, 32769, 32770, 60000, 65537)}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("defect", sorted(N256_DEFECTS) + sorted(NODE_EDITS))
+def test_read_grid_fails_as_the_table_oracle_does(tmp_path, monkeypatch, n256_csv_text, defect,
+                                                  cpus):
+    # the blocks are checked one by one, but each single fault is named as
+    # when the whole table was checked at once
+    edit = NODE_EDITS[defect] if defect in NODE_EDITS else N256_DEFECTS[defect][0]
+    text, manifest = n256_csv_text
+    path = tmp_path / "grid.csv"
+    path.write_text(edit(text))
+    (tmp_path / "grid.csv.manifest.json").write_text(manifest)
+    use_cpus(monkeypatch, cpus)
+    with pytest.raises(ValueError) as ours:
+        read_grid(str(path))
+    with pytest.raises(ValueError) as oracle:
+        table_read_grid(str(path))
+    assert str(ours.value) == str(oracle.value)
+    assert_no_child_left()
 
 
 def test_child_block_error_names_its_first_line(tmp_path, monkeypatch, n256_csv_text):
