@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .certify import Certificate, verify_certificate
+from .certify import Certificate, VerifyResult, verify_certificate
 from .exact import MultiPoly, parse_rational
 from .hermite import Hermite
 from .pipeline import (
@@ -200,18 +200,21 @@ def _cmd_generate(args) -> int:
     return result.report.exit_code
 
 
+def _verify_bare_certificate(doc: dict) -> list[tuple[str, VerifyResult]]:
+    try:
+        cert = Certificate.from_json(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        return [("malformed certificate", VerifyResult(False, str(exc)))]
+    return [(cert.kind, verify_certificate(cert))]
+
+
 def _cmd_verify_certificate(args) -> int:
-    """A bare certificate is verified on its own; a report's chain against
-    the report's spec, and then the report as a whole (verify_report)."""
+    """A bare certificate is verified on its own, a report against the spec
+    it names (verify_report)."""
     try:
         doc = json.loads(_read_text(args.cert))
         if isinstance(doc, dict) and "kind" in doc:
-            try:
-                cert = Certificate.from_json(doc)
-            except (KeyError, TypeError, ValueError) as exc:
-                print(f"malformed certificate: {exc}")
-                return 1
-            results = [(cert.kind, verify_certificate(cert))]
+            results = _verify_bare_certificate(doc)
         elif isinstance(doc, dict) and "verdict" in doc:
             results = verify_report(doc)
             if not doc["verdict"]["chain"]:

@@ -74,6 +74,16 @@ MODEL_VARS = ("x", "xi")
 MAX_ORDER = 64
 
 
+def _json_rational(value) -> Fraction:
+    """A rational read from JSON: a string such as "-3/4", or a number."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"rational must be a string or a finite number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class OperatorSpec:
     """Coefficients c[j,k] (nonzero, j,k >= 0) plus the rational parameter p."""
@@ -133,7 +143,7 @@ class OperatorSpec:
     def from_json(cls, obj: Mapping) -> "OperatorSpec":
         if "p" not in obj:
             raise ValueError("operator spec needs a rational 'p'")
-        p = parse_rational(obj["p"]) if isinstance(obj["p"], str) else Fraction(obj["p"])
+        p = _json_rational(obj["p"])
         raw = obj.get("coeffs")
         if not isinstance(raw, list):
             raise ValueError("operator spec needs a 'coeffs' list")
@@ -423,7 +433,7 @@ class LinearChange:
         for row in obj:
             if not isinstance(row, list) or len(row) != 2:
                 raise ValueError("T must be a 2x2 matrix of rationals")
-            rows.append(tuple(parse_rational(v) if isinstance(v, str) else Fraction(v) for v in row))
+            rows.append(tuple(_json_rational(v) for v in row))
         return cls((rows[0], rows[1]))
 
 

@@ -67,6 +67,14 @@ def test_certify_missing_and_malformed_spec(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", [[], {}, float("inf"), float("nan")], ids=["list", "object", "inf", "nan"])
+def test_certify_rejects_a_p_that_is_no_rational(spec_file, capsys, p):
+    assert main(["certify", spec_file({"p": p, "coeffs": EQ44["coeffs"]})]) == 1
+    assert "rational must be a string or a finite number, got" in capsys.readouterr().err
+    assert main(["certify", spec_file({**EQ44, "T": [["1", p], ["0", "1"]]})]) == 1
+    assert "rational must be a string or a finite number, got" in capsys.readouterr().err
+
+
 def test_certify_rejects_oversized_order_fast(spec_file, capsys):
     huge = {"p": "1/2", "coeffs": [{"j": 1000000, "k": 0, "re": "1"}]}
     start = time.perf_counter()
@@ -499,6 +507,13 @@ def test_verify_certificate_rejects_a_verdict_its_chain_does_not_compose(tmp_pat
     path.write_text(json.dumps(doc))
     assert main(["verify-certificate", str(path)]) == 1
     assert "names no spec" in capsys.readouterr().err
+
+
+def test_verify_certificate_names_a_malformed_certificate(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"kind": "HypoQuadraticForm"}))
+    assert main(["verify-certificate", str(path)]) == 1
+    assert capsys.readouterr().out == "malformed certificate: FAIL ('grade')\n"
 
 
 def test_verify_certificate_empty_chain(tmp_path, capsys):

@@ -596,6 +596,13 @@ REPORT_FORGERIES = {
                       "the chain must hold at most one link per stage, hypo-ellipticity first"),
     "link_dropped": ("EQ44", lambda d: d["verdict"]["chain"].pop(),
                      "verdict differs from the one its chain composes"),
+    # a NotApplicable link claims nothing, so it verifies, but no Regular
+    # verdict rests on it
+    "not_applicable_link": ("EQ44", lambda d: d["verdict"]["chain"].__setitem__(
+        1, {"kind": "NotApplicable", "grade": "none", "payload": {"reason": "x"},
+            "subject": {}, "notes": []}),
+        "the chain composes no verdict: Regular verdict needs a hypo-ellipticity "
+        "and an injectivity certificate"),
 }
 
 
@@ -606,6 +613,15 @@ def test_verify_report_requires_the_verdict_its_chain_composes(forgery):
     assert all(result.ok for _, result in results[:-1])
     assert results[-1][0] == "verdict"
     assert results[-1][1].reason == reason
+
+
+def test_verify_report_names_a_malformed_link_and_composes_nothing():
+    doc = golden_report("EQ44")
+    del doc["verdict"]["chain"][1]["grade"]
+    results = verify_report(doc)
+    assert [(kind, result.ok) for kind, result in results] == [
+        ("HypoQuadraticForm", True), ("malformed certificate", False)]
+    assert results[1][1].reason == "'grade'"
 
 
 def test_verify_report_needs_a_spec_for_a_nonempty_chain():

@@ -516,12 +516,12 @@ NODE_EDITS = {f"node_on_line_{line}": _edited_node(line) for line in (5, 32769, 
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("defect", sorted(N256_DEFECTS) + sorted(NODE_EDITS))
-def test_read_grid_fails_as_the_table_oracle_does(tmp_path, monkeypatch, n256_csv_text, defect,
-                                                  cpus):
-    # the blocks are checked one by one, but each single fault is named as
-    # when the whole table was checked at once
-    edit = NODE_EDITS[defect] if defect in NODE_EDITS else N256_DEFECTS[defect][0]
+@pytest.mark.parametrize("defect", sorted(NODE_EDITS))
+def test_read_grid_names_the_node_the_table_oracle_names(tmp_path, monkeypatch, n256_csv_text,
+                                                         defect, cpus):
+    # the nodes are checked a block of rows at a time, but a wrong node is
+    # named as when the whole table was checked at once
+    edit = NODE_EDITS[defect]
     text, manifest = n256_csv_text
     path = tmp_path / "grid.csv"
     path.write_text(edit(text))
