@@ -31,9 +31,9 @@ Two independent checks tie the exact layer to the transform:
   The edges of both pairs are checked on lines before any plane is built.
   The two forwards are filled together a block of x rows at a time, sharing
   each block's arguments x + q z and x - p z and one evaluation of v on
-  them, and both are done before B runs.  B takes its frame of Y by an FFT in place
-  over the left transform, which nothing reads again, and its last row
-  lands in that same plane.  Since B evaluates its symbols and their Horner
+  them, and both are done before B runs.  B takes its frame of Y by an FFT
+  in place over the left transform, which nothing reads again, and its last
+  row lands in that same plane.  Since B evaluates its symbols and their Horner
   polynomials a block of rows at a time, straight into the plane they
   scale, it adds to the two transforms only the plane of the terms without
   a derivative, the running total and one row in flight: five planes at

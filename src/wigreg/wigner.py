@@ -202,7 +202,9 @@ def wig_forward(u: Callable, v: Callable, p: float, grid: Grid2D,
     Both inputs are evaluated analytically at the shifted arguments, so no
     interpolation enters the forward direction.  The product must lie below
     ``boundary_tol`` at the z window edges; otherwise the quadrature window
-    is too small and a BoundaryDecayError reports the worst offender.
+    is too small and a BoundaryDecayError reports the worst offender.  The
+    windows are evaluated a block of x rows at a time, so besides its one
+    output plane the forward holds only a few blocks of rows.
     """
     samples, = _forward_samples((u,), v, p, grid, boundary_tol)
     return GridFunction2D(grid, samples, dual_y=True)
