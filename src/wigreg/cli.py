@@ -24,6 +24,7 @@ from .pipeline import (
     emit_report,
     generate_from_positive_symbol,
     generate_quasi_homogeneous,
+    json_text,
     parse_spec,
     render_summary,
     verify_report,
@@ -110,7 +111,7 @@ def _cmd_symbol(args) -> int:
             out[name] = t_conjugate(b, change)
     if args.json:
         doc = {name: poly.to_json() for name, poly in out.items()}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json_text(doc))
     else:
         for name in names:
             print(f"{name} = {out[name]}")
@@ -157,11 +158,12 @@ def _cmd_transform(args) -> int:
         else:
             if args.infile is None:
                 return _fail("--inverse needs --in <grid file>")
-            grid_p = read_manifest(args.infile).get("p")
+            manifest = read_manifest(args.infile)
+            grid_p = manifest.get("p")
             if grid_p is not None and parse_rational(grid_p) != spec.p:
                 return _fail(f"{args.infile} was transformed with p = {grid_p}, "
                              f"but the inverse asks for p = {spec.p}")
-            gf = read_grid(args.infile)
+            gf = read_grid(args.infile, manifest)
             pair = wig_inverse(gf, p)
             write_grid(pair, args.out, fmt=args.format, extra={"p": str(spec.p)})
     except (OSError, ValueError) as exc:
@@ -192,7 +194,7 @@ def _cmd_generate(args) -> int:
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     doc = result.to_json()
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json_text(doc)
     if args.out is not None:
         Path(args.out).write_text(text + "\n")
     else:

@@ -47,7 +47,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: RationalLike) -> str:
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def _as_fraction(value) -> Fraction:

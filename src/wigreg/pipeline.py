@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from json.encoder import encode_basestring_ascii as _json_string
+from math import comb, inf
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
@@ -55,12 +56,15 @@ from .certify import (
 )
 from .exact import GR_ONE, GaussianRational, MultiPoly
 from .symbols import (
+    MAX_RATIONAL_BITS,
+    MAX_RATIONAL_DIGITS,
     MODEL_VARS,
     PHASE_VARS,
     LinearChange,
     OperatorSpec,
     a_tilde,
     build_b_symbol,
+    check_spec_size,
     t_conjugate,
     verify_degeneracy,
     weyl_wick,
@@ -73,11 +77,25 @@ EXIT_UNKNOWN = 3
 EXIT_NOT_REGULAR = 4
 
 
+def _json_int(text: str) -> int:
+    """An integer literal of a spec, refused before int() when it is too long
+    for any rational that MAX_RATIONAL_BITS allows."""
+    digits = len(text.lstrip("-"))
+    if digits > MAX_RATIONAL_DIGITS:
+        raise ValueError(f"spec holds an integer of {digits} digits, beyond the limit of "
+                         f"{MAX_RATIONAL_BITS} bits per rational")
+    return int(text)
+
+
 def parse_spec(source: Union[str, Mapping]) -> tuple[OperatorSpec, Optional[LinearChange]]:
-    """Parse a JSON operator spec, with an optional change of variables "T"."""
+    """Parse a JSON operator spec, with an optional change of variables "T".
+
+    The limits on the size of its rationals (MAX_RATIONAL_BITS) and of the
+    whole spec (MAX_SPEC_BITS) are checked as it is read, before any symbol
+    is built."""
     if isinstance(source, str):
         try:
-            obj = json.loads(source)
+            obj = json.loads(source, parse_int=_json_int)
         except json.JSONDecodeError as exc:
             raise ValueError(f"spec is not valid JSON: {exc}") from exc
     else:
@@ -88,6 +106,7 @@ def parse_spec(source: Union[str, Mapping]) -> tuple[OperatorSpec, Optional[Line
     change = None
     if obj.get("T") is not None:
         change = LinearChange.from_json(obj["T"])
+        check_spec_size(spec, change)
     return spec, change
 
 
@@ -579,6 +598,62 @@ def render_summary(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_scalar(value) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == inf:
+            return "Infinity"
+        if value == -inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(value, newline: str) -> str:
+    """The text of ``value``; ``newline`` ends a line and indents the next one
+    to the depth of ``value``.  A key that is not a str fails in
+    encode_basestring_ascii with a TypeError."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_json_string(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return _json_scalar(value)
+
+
+def json_text(doc) -> str:
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``, in one recursive
+    pass; the json module encodes an indented document in pure Python, a
+    generator per container.  Each container's text is joined from its
+    items' as soon as they are written, so no list of pieces of the whole
+    document is held.
+
+    Strings go through json's C ``encode_basestring_ascii``, ints through
+    ``int.__repr__`` and floats through ``float.__repr__``, with NaN and
+    +-Infinity spelled as json spells them.  A value json cannot encode (a
+    set, a Fraction) or a key that is not a str raises TypeError.
+    """
+    return _json_text(doc, "\n")
+
+
 def emit_report(report: Report, json_path=None, summary_path=None,
                 timestamp: Optional[str] = None) -> dict:
     """Serialize the report; identical specs give byte-identical output apart
@@ -586,7 +661,7 @@ def emit_report(report: Report, json_path=None, summary_path=None,
     doc = report.to_json()
     doc["generated_at"] = timestamp or datetime.now(timezone.utc).isoformat(timespec="seconds")
     if json_path is not None:
-        Path(json_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        Path(json_path).write_text(json_text(doc) + "\n")
     if summary_path is not None:
         Path(summary_path).write_text(render_summary(report))
     return doc

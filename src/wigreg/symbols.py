@@ -54,12 +54,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, log10
 from typing import Mapping, Optional
 
 from .exact import (
     GR_I,
-    GR_ONE,
     GaussianRational,
     MultiPoly,
     format_rational,
@@ -72,6 +71,22 @@ MODEL_VARS = ("x", "xi")
 # spec has up to C(d + 4, 4) terms, so larger orders fail fast instead of
 # running for hours.
 MAX_ORDER = 64
+# Largest size of one rational of a spec (a coefficient's re or im, p, an
+# entry of T): the bits of its numerator plus those of its denominator.
+MAX_RATIONAL_BITS = 2048
+# Largest size of a whole spec: the bits of every coefficient, plus those of
+# p and of T's entries once per power up to the order, since a~ and b raise q
+# and p, and the conjugated symbol T's rows, to powers up to the order.  It
+# keeps every coefficient of a~, b, W[a] and the conjugated symbol within
+# the 4300 digits Python converts to a string.
+MAX_SPEC_BITS = 4096
+# More significant digits than this put a rational beyond MAX_RATIONAL_BITS
+MAX_RATIONAL_DIGITS = int(MAX_RATIONAL_BITS * log10(2)) + 2
+
+
+def rational_bits(value: Fraction) -> int:
+    """Size of a rational: the bits of its numerator and of its denominator."""
+    return abs(value.numerator).bit_length() + value.denominator.bit_length()
 
 
 def _json_rational(value) -> Fraction:
@@ -82,6 +97,24 @@ def _json_rational(value) -> Fraction:
         return Fraction(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"rational must be a string or a finite number, got {value!r}") from None
+
+
+def _spec_rational(value, field: str, parse=_json_rational) -> Fraction:
+    """``parse(value)`` for the spec field ``field``, no larger than
+    MAX_RATIONAL_BITS.  A string is measured by its significant digits before
+    it is converted, so an oversized one fails here and never reaches the
+    4300-digit limit of Python's int()."""
+    if isinstance(value, str) and len(value) > MAX_RATIONAL_DIGITS:
+        digits = sum(len(part.strip().lstrip("+-0")) for part in value.split("/"))
+        if digits > MAX_RATIONAL_DIGITS:
+            raise ValueError(f"{field} has {digits} digits, beyond the limit of "
+                             f"{MAX_RATIONAL_BITS} bits per rational")
+    r = parse(value)
+    bits = rational_bits(r)
+    if bits > MAX_RATIONAL_BITS:
+        raise ValueError(f"{field} has {bits} bits, beyond the limit of "
+                         f"{MAX_RATIONAL_BITS} bits per rational")
+    return r
 
 
 @dataclass(frozen=True)
@@ -141,9 +174,11 @@ class OperatorSpec:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "OperatorSpec":
+        """Parse a spec; each rational is held to MAX_RATIONAL_BITS as it is
+        read, and the spec to MAX_SPEC_BITS (check_spec_size)."""
         if "p" not in obj:
             raise ValueError("operator spec needs a rational 'p'")
-        p = _json_rational(obj["p"])
+        p = _spec_rational(obj["p"], "p")
         raw = obj.get("coeffs")
         if not isinstance(raw, list):
             raise ValueError("operator spec needs a 'coeffs' list")
@@ -157,11 +192,37 @@ class OperatorSpec:
                 raise ValueError(f"negative index in coefficient entry {entry!r}")
             if (j, k) in coeffs:
                 raise ValueError(f"duplicate coefficient index ({j},{k})")
-            coeffs[(j, k)] = GaussianRational.from_json(entry)
+            re = _spec_rational(entry.get("re", "0"), f"x^{j} D^{k} re", parse_rational)
+            im = _spec_rational(entry.get("im", "0"), f"x^{j} D^{k} im", parse_rational)
+            coeffs[(j, k)] = GaussianRational(re, im)
         coeffs = {jk: c for jk, c in coeffs.items() if not c.is_zero()}
         if not coeffs:
             raise ValueError("empty operator: no nonzero coefficients")
-        return cls(coeffs, p)
+        spec = cls(coeffs, p)
+        check_spec_size(spec)
+        return spec
+
+
+def check_spec_size(spec: OperatorSpec, change: Optional["LinearChange"] = None) -> None:
+    """Raise a ValueError naming the largest share when the spec, with its
+    change of variables, holds more than MAX_SPEC_BITS: the bits of every
+    coefficient, plus those of p and of T's entries once per power up to the
+    order."""
+    powered = [spec.p] + ([v for row in change.rows for v in row] if change is not None else [])
+    total = (sum(rational_bits(c.re) + rational_bits(c.im) for c in spec.coeffs.values())
+             + spec.order * sum(map(rational_bits, powered)))
+    if total > MAX_SPEC_BITS:
+        shares = {f"x^{j} D^{k} {part}": rational_bits(getattr(c, part))
+                  for (j, k), c in spec.coeffs.items() for part in ("re", "im")}
+        shares["p"] = spec.order * rational_bits(spec.p)
+        if change is not None:
+            for i, row in enumerate(change.rows):
+                for j, value in enumerate(row):
+                    shares[f"T[{i}][{j}]"] = spec.order * rational_bits(value)
+        largest = max(shares, key=shares.get)
+        raise ValueError(f"spec holds {total} bits, beyond the limit of {MAX_SPEC_BITS} bits "
+                         f"(p and T count once per power up to the order); "
+                         f"its largest share is {largest}, {shares[largest]} bits")
 
 
 def symbol_compose(p_sym: MultiPoly, q_sym: MultiPoly) -> MultiPoly:
@@ -184,24 +245,39 @@ def symbol_compose(p_sym: MultiPoly, q_sym: MultiPoly) -> MultiPoly:
     return total
 
 
+def _powers(base: int, top: int) -> list[int]:
+    """[base^0, ..., base^top]."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
+
+
 def a_tilde(spec: OperatorSpec) -> MultiPoly:
     """Degenerate model symbol: the value of the full symbol along the planes.
 
     a~(x, xi) = sum_{j,k} c[j,k] sum_{n<=min(j,k)} (i q)^n n! C(j,n) C(k,n)
                 x^{j-n} xi^{k-n}.
+
+    Each term's weight q^n n! C(j,n) C(k,n) is one Fraction over powers of
+    q's numerator and denominator; i^n turns (re, im) by n quarter turns.
     """
-    iq = GR_I * spec.q
-    iq_powers = [GR_ONE]
-    for _ in range(max(min(j, k) for j, k in spec.coeffs)):
-        iq_powers.append(iq_powers[-1] * iq)
-    terms: dict[tuple[int, int], GaussianRational] = {}
+    q = spec.q
+    top = max(min(j, k) for j, k in spec.coeffs)
+    nums, dens = _powers(q.numerator, top), _powers(q.denominator, top)
+    terms: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
     for (j, k), c in spec.coeffs.items():
+        re, im = c.re, c.im
+        turns = ((re, im), (-im, re), (-re, -im), (im, -re))
         for n in range(min(j, k) + 1):
-            coef = c * iq_powers[n] * (factorial(n) * comb(j, n) * comb(k, n))
+            w = Fraction(nums[n] * factorial(n) * comb(j, n) * comb(k, n), dens[n])
+            t_re, t_im = turns[n % 4]
+            t_re, t_im = t_re * w, t_im * w
             key = (j - n, k - n)
             acc = terms.get(key)
-            terms[key] = coef if acc is None else acc + coef
-    return MultiPoly(MODEL_VARS, {e: c for e, c in terms.items() if not c.is_zero()})
+            terms[key] = (t_re, t_im) if acc is None else (acc[0] + t_re, acc[1] + t_im)
+    return MultiPoly(MODEL_VARS, {e: GaussianRational(re, im)
+                                  for e, (re, im) in terms.items() if re or im})
 
 
 def build_b_symbol(spec: OperatorSpec, atilde: Optional[MultiPoly] = None) -> MultiPoly:
@@ -210,22 +286,30 @@ def build_b_symbol(spec: OperatorSpec, atilde: Optional[MultiPoly] = None) -> Mu
     Each term c x^m xi^n of a~ spreads into the monomials
     x^a y^b xi^(n-b) eta^(m-a) with coefficient
     c C(m,a) C(n,b) (-q)^(m-a) p^(n-b); distinct (m, n, a, b) give distinct
-    exponents, so no two contributions meet.  ``atilde`` is a_tilde(spec)
-    when the caller already has it.
+    exponents, so no two contributions meet.  With p = P/D and -q = (P - D)/D
+    the weight is one Fraction C(m,a) C(n,b) (P - D)^(m-a) P^(n-b) /
+    D^(m-a+n-b) over integer powers.  ``atilde`` is a_tilde(spec) when the
+    caller already has it.
     """
     if atilde is None:
         atilde = a_tilde(spec)
-    minus_q, p = -spec.q, spec.p
+    top = atilde.total_degree()
+    den = spec.p.denominator
+    p_nums = _powers(spec.p.numerator, top)
+    mq_nums = _powers(spec.p.numerator - den, top)
+    dens = _powers(den, top)
     terms: dict[tuple[int, int, int, int], GaussianRational] = {}
     for (m, n), c in atilde.terms.items():
+        re, im = c.re, c.im
         for a in range(m + 1):
-            x_part = comb(m, a) * minus_q ** (m - a)
+            x_part = comb(m, a) * mq_nums[m - a]
             if x_part == 0:
                 continue
             for b in range(n + 1):
-                f = x_part * comb(n, b) * p ** (n - b)
+                f = x_part * comb(n, b) * p_nums[n - b]
                 if f != 0:
-                    terms[(a, b, n - b, m - a)] = GaussianRational(c.re * f, c.im * f)
+                    w = Fraction(f, dens[m - a + n - b])
+                    terms[(a, b, n - b, m - a)] = GaussianRational(re * w, im * w)
     return MultiPoly(PHASE_VARS, terms)
 
 
@@ -430,10 +514,10 @@ class LinearChange:
         if not isinstance(obj, list) or len(obj) != 2:
             raise ValueError("T must be a 2x2 matrix of rationals")
         rows = []
-        for row in obj:
+        for i, row in enumerate(obj):
             if not isinstance(row, list) or len(row) != 2:
                 raise ValueError("T must be a 2x2 matrix of rationals")
-            rows.append(tuple(_json_rational(v) for v in row))
+            rows.append(tuple(_spec_rational(v, f"T[{i}][{j}]") for j, v in enumerate(row)))
         return cls((rows[0], rows[1]))
 
 

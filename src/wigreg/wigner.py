@@ -489,7 +489,7 @@ def _reject_blank_or_comment(path: str) -> None:
                                  f"after the header holds x,y,re,im")
 
 
-def read_grid(path: str) -> GridFunction2D:
+def read_grid(path: str, manifest: Optional[dict] = None) -> GridFunction2D:
     """Read a grid file written by write_grid (manifest sidecar required).
 
     The data file's size is checked against the manifest's N before the
@@ -505,9 +505,11 @@ def read_grid(path: str) -> GridFunction2D:
     after the header must hold a node: a blank or '#' line is rejected at
     any size and any block count, by a ValueError that names it.  Both
     formats give back the written samples bit for bit, the sign of every
-    zero included.
+    zero included.  ``manifest`` is read_manifest(path) when the caller
+    already has it.
     """
-    manifest = read_manifest(path)
+    if manifest is None:
+        manifest = read_manifest(path)
     grid = Grid2D(float(manifest["L"]), manifest["N"])
     dual_y = manifest["axis_y"] == "dual"
     n = grid.N

@@ -27,6 +27,12 @@ The planar-symbol oracle composes the left symbols of the two first-order
 factors one factor at a time with the general composition formula, where the
 library expands the closed form b = a~(x - q eta, y + p xi).
 
+The Fraction-chain oracles for a~ and b expand the same closed forms as the
+library, term by term in the same order, but take each weight as a chain of
+GaussianRational and Fraction products with a Fraction power per term, where
+the library builds each weight as one Fraction over integer powers computed
+once per call.
+
 The planar-operator oracle applies B one first-order factor at a time, an
 FFT pair per factor application, where the library applies each factor as a
 multiplication in the frame that diagonalizes it.
@@ -100,7 +106,7 @@ from __future__ import annotations
 import os
 import warnings
 from fractions import Fraction
-from math import lcm
+from math import comb, factorial, lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -183,6 +189,42 @@ def composed_b_symbol(spec) -> MultiPoly:
             term = symbol_compose(xf, term)
         total = total + term.scale(c)
     return total
+
+
+def fraction_chain_a_tilde(spec) -> MultiPoly:
+    """a~ = sum c[j,k] sum_n (i q)^n n! C(j,n) C(k,n) x^(j-n) xi^(k-n), with
+    (i q)^n as a chain of GaussianRational products."""
+    iq = GR_I * spec.q
+    iq_powers = [GR_ONE]
+    for _ in range(max(min(j, k) for j, k in spec.coeffs)):
+        iq_powers.append(iq_powers[-1] * iq)
+    terms: dict[tuple[int, int], GaussianRational] = {}
+    for (j, k), c in spec.coeffs.items():
+        for n in range(min(j, k) + 1):
+            coef = c * iq_powers[n] * (factorial(n) * comb(j, n) * comb(k, n))
+            key = (j - n, k - n)
+            acc = terms.get(key)
+            terms[key] = coef if acc is None else acc + coef
+    return MultiPoly(MODEL_VARS, {e: c for e, c in terms.items() if not c.is_zero()})
+
+
+def fraction_chain_b_symbol(spec, atilde: Optional[MultiPoly] = None) -> MultiPoly:
+    """b = a~(x - q eta, y + p xi) term by term, each weight
+    C(m,a) (-q)^(m-a) C(n,b) p^(n-b) as Fraction powers and products."""
+    if atilde is None:
+        atilde = fraction_chain_a_tilde(spec)
+    minus_q, p = -spec.q, spec.p
+    terms: dict[tuple[int, int, int, int], GaussianRational] = {}
+    for (m, n), c in atilde.terms.items():
+        for a in range(m + 1):
+            x_part = comb(m, a) * minus_q ** (m - a)
+            if x_part == 0:
+                continue
+            for b in range(n + 1):
+                f = x_part * comb(n, b) * p ** (n - b)
+                if f != 0:
+                    terms[(a, b, n - b, m - a)] = GaussianRational(c.re * f, c.im * f)
+    return MultiPoly(PHASE_VARS, terms)
 
 
 def accumulated_transport_residuals_vanish(b: MultiPoly, p: Fraction, q: Fraction) -> bool:

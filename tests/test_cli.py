@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wigreg import cli, wigner
 from wigreg.cli import main
 from wigreg.wigner import read_grid
 
@@ -83,6 +85,44 @@ def test_certify_rejects_oversized_order_fast(spec_file, capsys):
     assert code == 1
     assert "operator order 1000000 exceeds the limit of 64" in capsys.readouterr().err
     assert elapsed < 1.0
+
+
+def _dense_order_20_with_100_digit_rationals():
+    rng = random.Random(20)
+
+    def r100():
+        return f"{rng.choice((-1, 1)) * rng.randrange(10 ** 99, 10 ** 100)}/{rng.randrange(10 ** 99, 10 ** 100)}"
+
+    return {"p": "3/7", "coeffs": [{"j": j, "k": k, "re": r100(), "im": r100()}
+                                   for j in range(21) for k in range(21 - j)]}
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"p": "1/2", "coeffs": [{"j": 1, "k": 1, "re": "1"}, {"j": 0, "k": 0, "re": "1" + "0" * 4399}]},
+     "error: x^0 D^0 re has 4400 digits, beyond the limit of 2048 bits per rational"),
+    (_dense_order_20_with_100_digit_rationals(),
+     "error: spec holds 305599 bits, beyond the limit of 4096 bits (p and T count once per "
+     "power up to the order); its largest share is x^1 D^1 im, 666 bits"),
+    ({**EQ44, "T": [["1", "0"], ["1" * 700, "1"]]},
+     "error: T[1][0] has 700 digits, beyond the limit of 2048 bits per rational"),
+], ids=["4400-digit-coefficient", "dense-order-20", "700-digit-T"])
+def test_certify_rejects_oversized_rationals_fast_naming_the_field(spec_file, capsys, spec, message):
+    path = spec_file(spec)
+    for argv in (["certify", path, "--quiet"], ["symbol", path, "--emit", "b"]):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        assert code == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert elapsed < 1.0
+
+
+def test_certify_rejects_an_oversized_json_integer_before_converting_it(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text('{"p": 1' + "0" * 4400 + ', "coeffs": [{"j": 1, "k": 1, "re": "1"}]}')
+    assert main(["certify", str(path), "--quiet"]) == 1
+    assert ("spec holds an integer of 4401 digits, beyond the limit of 2048 bits per rational"
+            in capsys.readouterr().err)
 
 
 BEYOND_FLOAT = "1" + "0" * 310
@@ -324,6 +364,32 @@ def test_transform_inverse_rejects_other_p(spec_file, tmp_path, capsys):
     # an equal rational in another spelling is the same p
     assert main(["transform", spec, "--inverse", "--in", str(fwd), "--p", "2/4",
                  "--out", str(inv)]) == 0
+
+
+def test_transform_inverse_reads_the_grid_manifest_once(spec_file, tmp_path, monkeypatch, capsys):
+    spec = spec_file(EQ44)
+    fwd = tmp_path / "fwd.csv"
+    assert main(["transform", spec, "--forward", "--N", "16", "--p", "1/2", "--out", str(fwd)]) == 0
+    manifest = str(fwd) + ".manifest.json"
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(wigner, "open", counting_open, raising=False)
+    for _ in range(2):
+        opened.clear()
+        assert main(["transform", spec, "--inverse", "--in", str(fwd), "--out",
+                     str(tmp_path / "inv.csv")]) == 0
+        assert opened.count(manifest) == 1
+    # a p mismatch is still reported from that one read, before any data line
+    monkeypatch.setattr(cli, "read_grid", lambda *args: pytest.fail("read_grid was called"))
+    opened.clear()
+    assert main(["transform", spec, "--inverse", "--in", str(fwd), "--p", "1/3",
+                 "--out", str(tmp_path / "never.csv")]) == 1
+    assert opened == [manifest]
+    assert "was transformed with p = 1/2, but the inverse asks for p = 1/3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["transform", "--forward", "--out", "never.csv"],

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wigreg import certify as certify_module
 from wigreg import pipeline
@@ -22,6 +24,7 @@ from wigreg.pipeline import (
     emit_report,
     generate_from_positive_symbol,
     generate_quasi_homogeneous,
+    json_text,
     parse_spec,
     render_summary,
     verify_report,
@@ -29,6 +32,9 @@ from wigreg.pipeline import (
 from wigreg.symbols import MODEL_VARS, OperatorSpec
 
 from oracles import ladder_verdict, meshgrid_check_positivity, multipoly_quasi_homogeneous_target
+
+
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def gr(re, im=0):
@@ -541,12 +547,47 @@ def test_emit_report_stamps_current_time_by_default():
     assert "generated_at" in doc and doc["generated_at"]
 
 
+def test_json_text_writes_every_golden_output_byte_for_byte():
+    outputs = sorted(GOLDEN.glob("*.out"))
+    assert len(outputs) == 17
+    for path in outputs:
+        text = path.read_text()
+        doc = json.loads(text)
+        assert json_text(doc) + "\n" == text, path.name
+        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2 ** 64, 2 ** 200).map(lambda n: -n)
+    | st.integers(2 ** 64, 2 ** 200) | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308,
+                       float("nan"), float("inf"), float("-inf")])
+    | st.text() | st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2603\U0001f600", '"\\/\b\f\n\r\t']),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+@settings(max_examples=300, deadline=None)
+def test_json_text_equals_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, Fraction(1, 2), {1: "one"}, {"a": {None: 1}}, [frozenset()], {"k": Fraction(1, 3)},
+    {"terms": [{"exp": [1, 0], "re": GR_ONE}]}, {(1, 2): "tuple key"}, b"bytes", 1 + 2j,
+], ids=["set", "fraction", "int-key", "none-key", "nested-frozenset", "nested-fraction",
+        "gaussian", "tuple-key", "bytes", "complex"])
+def test_json_text_raises_type_error_where_it_cannot_match_json_dumps(value):
+    with pytest.raises(TypeError):
+        json_text(value)
+
+
 # ---------------------------------------------------------------------------
 # report verification against the spec it names
 # ---------------------------------------------------------------------------
-
-GOLDEN = Path(__file__).with_name("golden")
-
 
 def golden_report(name: str) -> dict:
     return json.loads((GOLDEN / f"certify_{name}.out").read_text())

@@ -1,8 +1,10 @@
 """Operator specs, symbol composition, and the Weyl-Wick transform."""
 
 import random
+import re
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 
 from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
 from wigreg.symbols import (
+    MAX_RATIONAL_BITS,
+    MAX_SPEC_BITS,
     MODEL_VARS,
     PHASE_VARS,
     LinearChange,
@@ -17,6 +21,8 @@ from wigreg.symbols import (
     _transport_residuals_vanish,
     a_tilde,
     build_b_symbol,
+    check_spec_size,
+    rational_bits,
     symbol_compose,
     t_conjugate,
     verify_degeneracy,
@@ -28,6 +34,8 @@ from oracles import (
     accumulated_transport_residuals_vanish,
     composed_b_symbol,
     factor_symbols,
+    fraction_chain_a_tilde,
+    fraction_chain_b_symbol,
     series_weyl_wick,
     series_weyl_wick_inverse,
     substitute_t_conjugate,
@@ -228,6 +236,57 @@ def test_closed_form_b_matches_composition_oracle():
         assert b.vars == PHASE_VARS
 
 
+def _limit_rational(rng):
+    """A rational of exactly MAX_RATIONAL_BITS bits, with a seeded sign."""
+    half = MAX_RATIONAL_BITS // 2
+    num = rng.getrandbits(half - 1) | (1 << (half - 1))
+    den = rng.getrandbits(half - 1) | (1 << (half - 1)) | 1
+    while gcd(num, den) != 1:
+        den += 2
+    value = Fraction(rng.choice((-1, 1)) * num, den)
+    assert rational_bits(value) == MAX_RATIONAL_BITS
+    return value
+
+
+def _weight_oracle_specs():
+    """Seeded specs of orders 1 to 12 at each p, one coefficient per spec at
+    the per-rational limit."""
+    rng = random.Random(1717)
+    p40 = Fraction(rng.randrange(10 ** 39, 10 ** 40), 10 ** 40 - 3)
+    assert len(str(p40.denominator)) == 40
+    ps = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(-2, 3),
+          Fraction(5, 4), p40]
+    specs = []
+    for p in ps:
+        for order in range(1, 13):
+            top = rng.randint(0, order)
+            keys = {(top, order - top)}
+            for _ in range(rng.randint(1, 6)):
+                j = rng.randint(0, order)
+                keys.add((j, rng.randint(0, order - j)))
+            coeffs = {jk: GaussianRational(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                                    rng.randint(1, 7)),
+                                           Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+                      for jk in keys}
+            big = rng.choice(sorted(keys))
+            coeffs[big] = GaussianRational(_limit_rational(rng), coeffs[big].im)
+            specs.append(OperatorSpec(coeffs, p))
+    return specs
+
+
+def test_weights_match_the_fraction_chain_oracle_term_for_term():
+    specs = _weight_oracle_specs()
+    assert {spec.order for spec in specs} == set(range(1, 13))
+    for spec in specs:
+        at, oracle_at = a_tilde(spec), fraction_chain_a_tilde(spec)
+        assert list(at.terms.items()) == list(oracle_at.terms.items()), spec
+        assert at.to_json() == oracle_at.to_json()
+        b, oracle_b = build_b_symbol(spec, at), fraction_chain_b_symbol(spec, oracle_at)
+        assert list(b.terms.items()) == list(oracle_b.terms.items()), spec
+        assert b.to_json() == oracle_b.to_json()
+        assert build_b_symbol(spec).terms == b.terms
+
+
 def test_degeneracy_check_accepts_the_b_it_is_given():
     rng = random.Random(404)
     for p in _oracle_ps(rng)[:12]:
@@ -317,6 +376,59 @@ def test_order_limit_fails_fast():
     with pytest.raises(ValueError, match="operator order 65 exceeds the limit of 64"):
         OperatorSpec.from_json({"p": "1/2", "coeffs": [{"j": 33, "k": 32, "re": "1"}]})
     assert OperatorSpec({(32, 32): GR_ONE}, Fraction(1, 2)).order == 64
+
+
+def test_rational_limit_names_the_field():
+    rng = random.Random(5)
+    at_limit = str(_limit_rational(rng))
+    spec = OperatorSpec.from_json({"p": "1/3", "coeffs": [{"j": 3, "k": 1, "re": "1", "im": at_limit}]})
+    assert rational_bits(spec.coeffs[(3, 1)].im) == MAX_RATIONAL_BITS
+    over = str(2 ** (MAX_RATIONAL_BITS - 1))       # one bit too many with its denominator 1
+    cases = [
+        ({"p": "1/2", "coeffs": [{"j": 3, "k": 1, "re": over}]}, "x^3 D^1 re"),
+        ({"p": "1/2", "coeffs": [{"j": 0, "k": 2, "re": "1", "im": f"1/{over}"}]}, "x^0 D^2 im"),
+        ({"p": over, "coeffs": [{"j": 1, "k": 1, "re": "1"}]}, "p"),
+        ({"p": int(over), "coeffs": [{"j": 1, "k": 1, "re": "1"}]}, "p"),
+    ]
+    for obj, field in cases:
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} has {MAX_RATIONAL_BITS + 1} bits, "
+                                             rf"beyond the limit of {MAX_RATIONAL_BITS} bits per rational$"):
+            OperatorSpec.from_json(obj)
+    with pytest.raises(ValueError, match=r"^T\[1\]\[0\] has 2049 bits, beyond the limit"):
+        LinearChange.from_json([["1", "0"], [over, "1"]])
+
+
+def test_oversized_rational_fails_on_its_digits_before_conversion():
+    digits = "1" + "0" * 4399                     # beyond Python's 4300-digit int() limit
+    for obj, field, count in (
+            ({"p": "1/2", "coeffs": [{"j": 0, "k": 0, "re": digits}]}, "x^0 D^0 re", 4400),
+            ({"p": f"-1/{digits}", "coeffs": [{"j": 1, "k": 0, "re": "1"}]}, "p", 4401)):
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} has {count} digits, beyond the "
+                                             rf"limit of {MAX_RATIONAL_BITS} bits per rational$"):
+            OperatorSpec.from_json(obj)
+    with pytest.raises(ValueError, match=r"^T\[0\]\[1\] has 4400 digits"):
+        LinearChange.from_json([["1", digits], ["0", "1"]])
+    # leading zeros are not significant: 700 of them still make the rational 1
+    spec = OperatorSpec.from_json({"p": "1/2", "coeffs": [{"j": 1, "k": 1, "re": "0" * 700 + "1"}]})
+    assert spec.coeffs[(1, 1)] == GR_ONE
+
+
+def test_spec_size_limit_counts_p_and_t_once_per_power():
+    # p counts once per power up to the order: 3 + 64 * 64 bits are beyond
+    # the limit, 3 + 64 * 63 are not
+    order64 = {"p": f"1/{2 ** 62}", "coeffs": [{"j": 32, "k": 32, "re": "1"}]}
+    with pytest.raises(ValueError, match=rf"^spec holds 4099 bits, beyond the limit of {MAX_SPEC_BITS} "
+                                         r"bits \(p and T count once per power up to the order\); "
+                                         r"its largest share is p, 4096 bits$"):
+        OperatorSpec.from_json(order64)
+    OperatorSpec.from_json({**order64, "p": f"1/{2 ** 61}"})
+    # and so does T: 3 + 4 * (3 + 2 + 1 + 1002 + 2) = 4043 bits at order 4
+    change = LinearChange.from_json([["1", "0"], [str(2 ** 1000), "1"]])
+    check_spec_size(OperatorSpec.from_json({"p": "1/2", "coeffs": [{"j": 2, "k": 2, "re": "1"}]}),
+                    change)
+    with pytest.raises(ValueError, match=r"its largest share is T\[1\]\[0\], 5010 bits$"):
+        check_spec_size(OperatorSpec.from_json({"p": "1/2", "coeffs": [{"j": 3, "k": 2, "re": "1"}]}),
+                        change)
 
 
 # ---------------------------------------------------------------------------
