@@ -33,6 +33,7 @@ from .exact import (
     GaussianRational,
     MultiPoly,
     format_rational,
+    parse_int,
     parse_rational,
 )
 from .symbols import MODEL_VARS
@@ -108,9 +109,9 @@ class NewtonFamilyParams:
 
     def __post_init__(self) -> None:
         for name in ("h", "k", "m", "n"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            parse_int(getattr(self, name), name, least=1)
+        # the family symbol's degree, held to MAX_ORDER as a spec's order is
+        parse_int(2 * max(self.h, self.k, self.m + self.n), "family order")
 
     def to_json(self) -> dict:
         return {
@@ -123,11 +124,8 @@ class NewtonFamilyParams:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "NewtonFamilyParams":
-        return cls(
-            lam=parse_rational(obj["lam"]), mu=parse_rational(obj["mu"]),
-            nu=parse_rational(obj["nu"]), sig=parse_rational(obj["sig"]),
-            h=int(obj["h"]), k=int(obj["k"]), m=int(obj["m"]), n=int(obj["n"]),
-        )
+        return cls(**{name: parse_rational(obj[name], name) for name in ("lam", "mu", "nu", "sig")},
+                   **{name: obj[name] for name in "hkmn"})
 
 
 @dataclass
@@ -557,7 +555,7 @@ class QuadraticCoeffs:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "QuadraticCoeffs":
-        return cls(**{k: parse_rational(obj[k]) for k in ("a2", "a1", "a0", "b1", "b0", "c0")})
+        return cls(**{k: parse_rational(obj[k], k) for k in ("a2", "a1", "a0", "b1", "b0", "c0")})
 
 
 def extract_quadratic_coeffs(a: MultiPoly) -> Optional[QuadraticCoeffs]:
@@ -820,8 +818,7 @@ def first_order_certify(alpha: GaussianRational, m: int, side: str = "operator")
     with |u| = exp(Im(alpha) x^(m+1)/(m+1)).  For odd m the kernel is Schwartz
     exactly when Im(alpha) < 0 (a non-injectivity witness); in every other
     case with Im(alpha) != 0 the kernel escapes every Schwartz seminorm."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("m must be a positive integer")
+    parse_int(m, "m", least=1)
     if side not in ("operator", "adjoint"):
         raise ValueError("side must be 'operator' or 'adjoint'")
     eff = alpha.conjugate() if side == "adjoint" else alpha
@@ -882,7 +879,7 @@ def _quadratic_args(cert: Certificate, symbol: Optional[MultiPoly]) -> Optional[
     qc = QuadraticCoeffs.from_json(cert.subject["quadratic"])
     if symbol is not None and extract_quadratic_coeffs(symbol) != qc:
         return None
-    u = parse_rational(cert.payload["s1_sq"]) / qc.c0 if qc.c0 else Fraction(0)
+    u = parse_rational(cert.payload["s1_sq"], "s1_sq") / qc.c0 if qc.c0 else Fraction(0)
     return qc, _quad_margin_at(qc, u)
 
 

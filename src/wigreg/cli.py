@@ -8,7 +8,6 @@ can never be mistaken for the evidence-grade verdict.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import Optional
 
 from . import __version__
 from .certify import Certificate, VerifyResult, verify_certificate
-from .exact import MultiPoly, parse_rational
+from .exact import MultiPoly, load_json, parse_int, parse_rational
 from .hermite import Hermite
 from .pipeline import (
     PositivityError,
@@ -124,7 +123,7 @@ def _cmd_verify_intertwine(args) -> int:
             raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
         spec, _ = parse_spec(_read_text(args.spec))
         if args.p is not None:
-            spec = spec.with_p(parse_rational(args.p))
+            spec = spec.with_p(parse_rational(args.p, "--p"))
         u, v = _parse_windows(args.w)
         grid = Grid2D(args.L, args.N)
         residuals = intertwine_residual(spec, u, v, spec.p, grid, mode=args.mode)
@@ -145,7 +144,7 @@ def _cmd_transform(args) -> int:
     try:
         spec, _ = parse_spec(_read_text(args.spec))
         if args.p is not None:
-            spec = spec.with_p(parse_rational(args.p))
+            spec = spec.with_p(parse_rational(args.p, "--p"))
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     p = float(spec.p)
@@ -179,15 +178,16 @@ def _cmd_generate(args) -> int:
         if args.positive_symbol is not None:
             if args.p is None:
                 return _fail("--positive-symbol needs --p")
-            obj = json.loads(_read_text(args.positive_symbol))
-            target = MultiPoly.from_json(obj)
-            result = generate_from_positive_symbol(target, parse_rational(args.p))
+            target = MultiPoly.from_json(load_json(_read_text(args.positive_symbol)))
+            result = generate_from_positive_symbol(target, parse_rational(args.p, "--p"))
         else:
             parts = args.quasi_homogeneous.split(",")
             if len(parts) != 4:
                 return _fail("--quasi-homogeneous needs rho,tau,h,k")
-            rho, tau = parse_rational(parts[0]), parse_rational(parts[1])
-            h, k = int(parts[2]), int(parts[3])
+            rho, tau = (parse_rational(text, name) for text, name in zip(parts, ("rho", "tau")))
+            # digits are a JSON integer; any other text is refused by parse_int, by name
+            h, k = (parse_int(load_json(text) if text.isdecimal() else text, name, least=1)
+                    for text, name in zip(parts[2:], "hk"))
             result = generate_quasi_homogeneous(rho, tau, h, k)
     except PositivityError as exc:
         return _fail(str(exc))
@@ -214,7 +214,7 @@ def _cmd_verify_certificate(args) -> int:
     """A bare certificate is verified on its own, a report against the spec
     it names (verify_report)."""
     try:
-        doc = json.loads(_read_text(args.cert))
+        doc = load_json(_read_text(args.cert))
         if isinstance(doc, dict) and "kind" in doc:
             results = _verify_bare_certificate(doc)
         elif isinstance(doc, dict) and "verdict" in doc:

@@ -12,6 +12,9 @@ Conventions:
   union of their variable sets.
 * Rationals serialize as decimal-free ``"num/den"`` strings (``"num"`` when
   the denominator is 1); decimals are rejected on parse.
+* Every number read from outside (a spec, a polynomial, a certificate, a
+  command-line argument) goes through ``parse_rational`` or ``parse_int``,
+  which hold it to the limits below.
 * Term maps never hold zero coefficients, and terms are ordered
   graded-lexicographically (total degree first, then exponents) so printing
   and serialization are deterministic.
@@ -19,31 +22,84 @@ Conventions:
 
 from __future__ import annotations
 
+import json
 import re as _regex
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite, log10
 from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
 VARS = ("x", "y", "xi", "eta")
 
-_RATIONAL_PATTERN = _regex.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_PATTERN = _regex.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "GaussianRational"]
 
+# Largest operator order, polynomial degree, exponent or family weight read
+# from outside.  The planar symbol of an order-d spec has up to C(d + 4, 4)
+# terms, so larger orders fail fast instead of running for hours.
+MAX_ORDER = 64
+# Largest size of one rational read from outside: the bits of its numerator
+# plus those of its denominator.
+MAX_RATIONAL_BITS = 2048
+# More significant digits than this put a rational beyond MAX_RATIONAL_BITS
+MAX_RATIONAL_DIGITS = int(MAX_RATIONAL_BITS * log10(2)) + 2
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a decimal-free rational string such as "-3/4" or "7"."""
-    if not isinstance(text, str):
-        raise ValueError(f"rational must be a string, got {type(text).__name__}")
-    s = text.strip()
-    if not _RATIONAL_PATTERN.match(s):
-        raise ValueError(f"malformed rational {text!r}: expected 'num' or 'num/den'")
-    if "/" in s and s.split("/")[1].lstrip("0") == "":
-        raise ValueError(f"malformed rational {text!r}: zero denominator")
-    return Fraction(s)
+
+def rational_bits(value: Fraction) -> int:
+    """Size of a rational: the bits of its numerator and of its denominator."""
+    return abs(value.numerator).bit_length() + value.denominator.bit_length()
+
+
+def parse_rational(value, field: str = "rational") -> Fraction:
+    """The rational ``field`` read from outside: a decimal-free string such as
+    "-3/4" or "7", or a finite JSON number (never a bool), no larger than
+    MAX_RATIONAL_BITS.  A string is measured by its significant digits before
+    it is converted, so an oversized one fails here and never reaches the
+    4300-digit limit of Python's int()."""
+    if isinstance(value, str):
+        if len(value) > MAX_RATIONAL_DIGITS:
+            digits = sum(len(part.strip().lstrip("+-0")) for part in value.split("/"))
+            if digits > MAX_RATIONAL_DIGITS:
+                raise ValueError(f"{field} has {digits} digits, beyond the limit of "
+                                 f"{MAX_RATIONAL_BITS} bits per rational")
+        if not _RATIONAL_PATTERN.match(value.strip()):
+            raise ValueError(f"malformed rational {value!r:.80}: expected 'num' or 'num/den', den != 0")
+        r = Fraction(value)
+    elif type(value) is int or type(value) is float and isfinite(value):
+        r = Fraction(value)
+    else:
+        raise ValueError(f"rational must be a string or a finite number, got {value!r:.80}")
+    bits = rational_bits(r)
+    if bits > MAX_RATIONAL_BITS:
+        raise ValueError(f"{field} has {bits} bits, beyond the limit of "
+                         f"{MAX_RATIONAL_BITS} bits per rational")
+    return r
+
+
+def parse_int(value, field: str, least: int = 0, most: Optional[int] = MAX_ORDER) -> int:
+    """The index, exponent or weight ``field`` read from outside: a JSON
+    integer (never a bool, a float or a string) from ``least`` to ``most``."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{field} must be a {'positive' if least else 'non-negative'} integer")
+    if most is not None and value > most:
+        raise ValueError(f"{field} = {value} exceeds the limit of {most}")
+    return value
+
+
+def _json_int(text: str):
+    """A JSON integer literal; one too long for any rational that
+    MAX_RATIONAL_BITS allows stays text, which the reader of its field refuses
+    by name, before int() converts it."""
+    return text if len(text.lstrip("-")) > MAX_RATIONAL_DIGITS else int(text)
+
+
+def load_json(text: str):
+    """Parse JSON from outside, keeping over-long integer literals as text."""
+    return json.loads(text, parse_int=_json_int)
 
 
 def format_rational(value: RationalLike) -> str:
@@ -178,7 +234,7 @@ class GaussianRational:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "GaussianRational":
-        return cls(parse_rational(obj.get("re", "0")), parse_rational(obj.get("im", "0")))
+        return cls(*(parse_rational(obj.get(part, "0"), part) for part in ("re", "im")))
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -578,7 +634,8 @@ class MultiPoly:
         vs = _validate_vars(obj["vars"])
         terms: dict[tuple, GaussianRational] = {}
         for entry in obj["terms"]:
-            exp = tuple(entry["exp"])
+            exp = tuple(parse_int(e, "exponent") for e in entry["exp"])
+            parse_int(sum(exp), "polynomial degree")
             coef = GaussianRational.from_json(entry)
             if exp in terms:
                 raise ValueError(f"duplicate exponent {exp} in polynomial JSON")

@@ -54,10 +54,8 @@ from .certify import (
     unfalsified_certificate,
     verify_certificate,
 )
-from .exact import GR_ONE, GaussianRational, MultiPoly
+from .exact import GR_ONE, GaussianRational, MultiPoly, load_json
 from .symbols import (
-    MAX_RATIONAL_BITS,
-    MAX_RATIONAL_DIGITS,
     MODEL_VARS,
     PHASE_VARS,
     LinearChange,
@@ -77,16 +75,6 @@ EXIT_UNKNOWN = 3
 EXIT_NOT_REGULAR = 4
 
 
-def _json_int(text: str) -> int:
-    """An integer literal of a spec, refused before int() when it is too long
-    for any rational that MAX_RATIONAL_BITS allows."""
-    digits = len(text.lstrip("-"))
-    if digits > MAX_RATIONAL_DIGITS:
-        raise ValueError(f"spec holds an integer of {digits} digits, beyond the limit of "
-                         f"{MAX_RATIONAL_BITS} bits per rational")
-    return int(text)
-
-
 def parse_spec(source: Union[str, Mapping]) -> tuple[OperatorSpec, Optional[LinearChange]]:
     """Parse a JSON operator spec, with an optional change of variables "T".
 
@@ -95,7 +83,7 @@ def parse_spec(source: Union[str, Mapping]) -> tuple[OperatorSpec, Optional[Line
     is built."""
     if isinstance(source, str):
         try:
-            obj = json.loads(source, parse_int=_json_int)
+            obj = load_json(source)
         except json.JSONDecodeError as exc:
             raise ValueError(f"spec is not valid JSON: {exc}") from exc
     else:
@@ -520,6 +508,7 @@ def generate_from_positive_symbol(a: MultiPoly, p) -> GenerateResult:
         raise RuntimeError("transform inversion failed to round-trip; this is a bug")
     coeffs = {(exp[0], exp[1]): coef for exp, coef in r.terms.items()}
     spec = OperatorSpec(coeffs, Fraction(p))
+    check_spec_size(spec)
     report = certify(spec)
     return GenerateResult(spec=spec, report=report, positivity=positivity,
                           roundtrip_ok=roundtrip_ok)
@@ -558,6 +547,7 @@ def generate_quasi_homogeneous(rho, tau, h: int, k: int) -> QuasiHomogeneousResu
     lam = (rho - tau) ** (2 * h)
     spec = OperatorSpec({(2 * h, 0): GaussianRational(lam), (0, 2 * k): GR_ONE}, p)
     change = LinearChange(((p, Fraction(0)), (Fraction(0), tau)))
+    check_spec_size(spec, change)
     report = certify(spec, change)
     conjugated = report.symbols["conjugated"]
 

@@ -54,67 +54,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, log10
+from math import comb, factorial, lcm
 from typing import Mapping, Optional
 
 from .exact import (
     GR_I,
+    MAX_ORDER,
     GaussianRational,
     MultiPoly,
     format_rational,
+    parse_int,
     parse_rational,
+    rational_bits,
 )
 
 PHASE_VARS = ("x", "y", "xi", "eta")
 MODEL_VARS = ("x", "xi")
-# Largest operator order a spec may have.  The planar symbol of an order-d
-# spec has up to C(d + 4, 4) terms, so larger orders fail fast instead of
-# running for hours.
-MAX_ORDER = 64
-# Largest size of one rational of a spec (a coefficient's re or im, p, an
-# entry of T): the bits of its numerator plus those of its denominator.
-MAX_RATIONAL_BITS = 2048
 # Largest size of a whole spec: the bits of every coefficient, plus those of
 # p and of T's entries once per power up to the order, since a~ and b raise q
 # and p, and the conjugated symbol T's rows, to powers up to the order.  It
 # keeps every coefficient of a~, b, W[a] and the conjugated symbol within
 # the 4300 digits Python converts to a string.
 MAX_SPEC_BITS = 4096
-# More significant digits than this put a rational beyond MAX_RATIONAL_BITS
-MAX_RATIONAL_DIGITS = int(MAX_RATIONAL_BITS * log10(2)) + 2
-
-
-def rational_bits(value: Fraction) -> int:
-    """Size of a rational: the bits of its numerator and of its denominator."""
-    return abs(value.numerator).bit_length() + value.denominator.bit_length()
-
-
-def _json_rational(value) -> Fraction:
-    """A rational read from JSON: a string such as "-3/4", or a number."""
-    if isinstance(value, str):
-        return parse_rational(value)
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"rational must be a string or a finite number, got {value!r}") from None
-
-
-def _spec_rational(value, field: str, parse=_json_rational) -> Fraction:
-    """``parse(value)`` for the spec field ``field``, no larger than
-    MAX_RATIONAL_BITS.  A string is measured by its significant digits before
-    it is converted, so an oversized one fails here and never reaches the
-    4300-digit limit of Python's int()."""
-    if isinstance(value, str) and len(value) > MAX_RATIONAL_DIGITS:
-        digits = sum(len(part.strip().lstrip("+-0")) for part in value.split("/"))
-        if digits > MAX_RATIONAL_DIGITS:
-            raise ValueError(f"{field} has {digits} digits, beyond the limit of "
-                             f"{MAX_RATIONAL_BITS} bits per rational")
-    r = parse(value)
-    bits = rational_bits(r)
-    if bits > MAX_RATIONAL_BITS:
-        raise ValueError(f"{field} has {bits} bits, beyond the limit of "
-                         f"{MAX_RATIONAL_BITS} bits per rational")
-    return r
 
 
 @dataclass(frozen=True)
@@ -174,30 +135,24 @@ class OperatorSpec:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "OperatorSpec":
-        """Parse a spec; each rational is held to MAX_RATIONAL_BITS as it is
-        read, and the spec to MAX_SPEC_BITS (check_spec_size)."""
+        """Parse a spec; each number is read by parse_rational or parse_int,
+        and the spec is held to MAX_SPEC_BITS (check_spec_size)."""
         if "p" not in obj:
             raise ValueError("operator spec needs a rational 'p'")
-        p = _spec_rational(obj["p"], "p")
+        p = parse_rational(obj["p"], "p")
         raw = obj.get("coeffs")
         if not isinstance(raw, list):
             raise ValueError("operator spec needs a 'coeffs' list")
         coeffs: dict[tuple[int, int], GaussianRational] = {}
-        for entry in raw:
-            try:
-                j, k = int(entry["j"]), int(entry["k"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"bad coefficient entry {entry!r}") from exc
-            if j < 0 or k < 0:
-                raise ValueError(f"negative index in coefficient entry {entry!r}")
+        for n, entry in enumerate(raw):
+            if not isinstance(entry, Mapping):
+                raise ValueError(f"coeffs[{n}] must be an object with 'j', 'k', 're' and 'im'")
+            # OperatorSpec bounds the order j + k, so neither index has its own limit
+            j, k = (parse_int(entry.get(index), f"coeffs[{n}].{index}", most=None) for index in "jk")
             if (j, k) in coeffs:
                 raise ValueError(f"duplicate coefficient index ({j},{k})")
-            re = _spec_rational(entry.get("re", "0"), f"x^{j} D^{k} re", parse_rational)
-            im = _spec_rational(entry.get("im", "0"), f"x^{j} D^{k} im", parse_rational)
-            coeffs[(j, k)] = GaussianRational(re, im)
-        coeffs = {jk: c for jk, c in coeffs.items() if not c.is_zero()}
-        if not coeffs:
-            raise ValueError("empty operator: no nonzero coefficients")
+            coeffs[(j, k)] = GaussianRational(*(parse_rational(entry.get(part, "0"), f"x^{j} D^{k} {part}")
+                                                for part in ("re", "im")))
         spec = cls(coeffs, p)
         check_spec_size(spec)
         return spec
@@ -517,7 +472,7 @@ class LinearChange:
         for i, row in enumerate(obj):
             if not isinstance(row, list) or len(row) != 2:
                 raise ValueError("T must be a 2x2 matrix of rationals")
-            rows.append(tuple(_spec_rational(v, f"T[{i}][{j}]") for j, v in enumerate(row)))
+            rows.append(tuple(parse_rational(v, f"T[{i}][{j}]") for j, v in enumerate(row)))
         return cls((rows[0], rows[1]))
 
 

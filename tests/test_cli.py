@@ -20,6 +20,7 @@ EQ44 = {"p": "1/2", "coeffs": [{"j": 2, "k": 0, "re": "4"},
                                {"j": 0, "k": 2, "re": "1/4"}]}
 FIRST_MINUS = {"p": "1/2", "coeffs": [{"j": 0, "k": 1, "re": "1"},
                                       {"j": 1, "k": 0, "im": "-1"}]}
+GOLDEN = Path(__file__).with_name("golden")
 SEXTIC = {"p": "1/2", "coeffs": [
     {"j": 6, "k": 0, "re": "1"}, {"j": 2, "k": 2, "re": "2"},
     {"j": 1, "k": 1, "im": "-4"}, {"j": 0, "k": 6, "re": "1"},
@@ -121,8 +122,120 @@ def test_certify_rejects_an_oversized_json_integer_before_converting_it(tmp_path
     path = tmp_path / "spec.json"
     path.write_text('{"p": 1' + "0" * 4400 + ', "coeffs": [{"j": 1, "k": 1, "re": "1"}]}')
     assert main(["certify", str(path), "--quiet"]) == 1
-    assert ("spec holds an integer of 4401 digits, beyond the limit of 2048 bits per rational"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err == "error: p has 4401 digits, beyond the limit of 2048 bits per rational\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ('"p": -1' + "0" * 4400, "p has 4401 digits, beyond the limit of 2048 bits per rational"),
+    ('"p": "1/2", "T": [["1", 1' + "0" * 700 + '], ["0", "1"]]',
+     "T[0][1] has 701 digits, beyond the limit of 2048 bits per rational"),
+], ids=["negative-p", "T"])
+def test_an_oversized_json_integer_is_refused_by_the_field_it_fills(tmp_path, capsys, text, message):
+    path = tmp_path / "spec.json"
+    path.write_text("{" + text + ', "coeffs": [{"j": 1, "k": 1, "re": "1"}]}')
+    assert main(["certify", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    path.write_text('{"p": "1/2", "coeffs": [{"j": 1' + "0" * 4400 + ', "k": 1, "re": "1"}]}')
+    assert main(["certify", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: coeffs[0].j must be a non-negative integer\n"
+
+
+@pytest.mark.parametrize("entry", [{"j": 2.7, "k": 0, "re": "1"}, {"j": True, "k": 0, "re": "1"},
+                                   {"j": "2", "k": 0, "re": "1"}, {"k": 0, "re": "1"}],
+                         ids=["float", "bool", "string", "missing"])
+def test_certify_refuses_an_index_that_is_no_json_integer(spec_file, capsys, entry):
+    # at 2.7 the index once truncated to 2, which read the spec as x^2 + xi^2
+    spec = {"p": "1/2", "coeffs": [{"j": 0, "k": 2, "re": "1"}, entry]}
+    assert main(["certify", spec_file(spec), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: coeffs[1].j must be a non-negative integer\n"
+
+
+def test_certify_reads_rationals_given_as_json_numbers(spec_file, capsys):
+    numbers = {"p": 0.5, "coeffs": [{"j": 2, "k": 0, "re": 4}, {"j": 0, "k": 2, "re": 0.25, "im": 0}]}
+    outputs = []
+    for spec in (EQ44, numbers):
+        assert main(["symbol", spec_file(spec), "--emit", "a,b,atilde", "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    for spec in ({"p": True, "coeffs": EQ44["coeffs"]},
+                 {"p": "1/2", "coeffs": [{"j": 2, "k": 0, "re": True}]}):
+        assert main(["certify", spec_file(spec), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: rational must be a string or a finite number, got True\n"
+
+
+def _exit_1_within_a_second(argv, capsys):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert elapsed < 1.0, f"{argv[0]} took {elapsed:.2f} s"
+    return capsys.readouterr()
+
+
+def test_generate_refuses_a_target_beyond_the_degree_limit_fast(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    for terms, message in (([[3000, 0], [0, 2]], "exponent = 3000 exceeds the limit of 64"),
+                           ([[40, 40], [0, 2]], "polynomial degree = 80 exceeds the limit of 64")):
+        target.write_text(json.dumps({"vars": ["x", "xi"],
+                                      "terms": [{"exp": exp, "re": "1"} for exp in terms]}))
+        err = _exit_1_within_a_second(["generate", "--positive-symbol", str(target), "--p", "1/2"],
+                                      capsys).err
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("weights,message", [
+    ("5/2,1,20000000,1", "h = 20000000 exceeds the limit of 64"),
+    ("5/2,1,1,0", "k must be a positive integer"),
+    ("5/2,1,1.5,1", "h must be a positive integer"),
+    ("5/2,1,1," + "1" * 5000, "k must be a positive integer"),
+    ("5/2,1,40,1", "operator order 80 exceeds the limit of 64"),
+    ("1/2" + "0" * 700 + ",1,1,1", "rho has 702 digits, beyond the limit of 2048 bits per rational"),
+    (f"{3 ** 1200}/7,1,32,32", "spec holds 609078 bits, beyond the limit of 4096 bits"),
+], ids=["h-beyond-the-limit", "zero-k", "fractional-h", "5000-digit-k", "order-80", "702-digit-rho",
+        "1900-bit-rho"])
+def test_generate_quasi_homogeneous_refuses_oversized_weights_fast(capsys, weights, message):
+    err = _exit_1_within_a_second(["generate", "--quasi-homogeneous", weights], capsys).err
+    assert err.startswith(f"error: {message}")
+
+
+def test_generate_positive_symbol_holds_its_spec_to_the_size_limit(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"vars": ["x", "xi"], "terms": [
+        {"exp": [20, 0], "re": "1"}, {"exp": [0, 20], "re": "1"}, {"exp": [10, 10], "re": "1"}]}))
+    err = _exit_1_within_a_second(["generate", "--positive-symbol", str(target),
+                                   "--p", f"1/{3 ** 1200}"], capsys).err
+    assert err.startswith("error: spec holds ")
+    assert "its largest share is p, " in err
+
+
+def _forged_certificate(tmp_path, name, kind, edit):
+    doc = json.loads((GOLDEN / f"certify_{name}.out").read_text())
+    cert = next(c for c in doc["verdict"]["chain"] if c["kind"] == kind)
+    edit(cert)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    return str(path)
+
+
+@pytest.mark.parametrize("name,kind,edit,line", [
+    ("QUARTIC", "InjSOS",
+     lambda c: c["payload"]["params"].update(h=40001, k=40001, m=40000, n=40000),
+     "InjSOS: FAIL (malformed certificate: h = 40001 exceeds the limit of 64)"),
+    ("QUARTIC", "HypoNewtonPolygon", lambda c: c["payload"]["params"].update(m=20, n=20),
+     "HypoNewtonPolygon: FAIL (malformed certificate: family order = 80 exceeds the limit of 64)"),
+    ("QUARTIC", "InjSOS", lambda c: c["payload"]["params"].update(h=True),
+     "InjSOS: FAIL (malformed certificate: h must be a positive integer)"),
+    ("SEXTIC", "HypoUnfalsified",
+     lambda c: c["subject"].update(symbol={"vars": ["x", "xi"], "terms": [{"exp": [0, 2000000], "re": "1"}]}),
+     "HypoUnfalsified: FAIL (malformed certificate: exponent = 2000000 exceeds the limit of 64)"),
+    ("FIRST_PLUS", "InjKernelEscape", lambda c: c["subject"].update(m=True),
+     "InjKernelEscape: FAIL (malformed certificate: m must be a positive integer)"),
+], ids=["sos-h-40001", "newton-order-80", "sos-bool-h", "unfalsified-xi-2000000", "kernel-bool-m"])
+def test_verify_certificate_refuses_a_bare_certificate_beyond_the_limits_fast(tmp_path, capsys,
+                                                                              name, kind, edit, line):
+    out = _exit_1_within_a_second(["verify-certificate", _forged_certificate(tmp_path, name, kind, edit)],
+                                  capsys).out
+    assert out == line + "\n"
 
 
 BEYOND_FLOAT = "1" + "0" * 310
@@ -535,9 +648,6 @@ def test_verify_certificate_single_and_tampered(spec_file, tmp_path, capsys):
     single.write_text(json.dumps(forged))
     assert main(["verify-certificate", str(single)]) == 1
     assert "FAIL" in capsys.readouterr().out
-
-
-GOLDEN = Path(__file__).with_name("golden")
 
 
 def test_verify_certificate_prints_one_ok_line_per_link_of_a_sound_report(capsys):

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,10 +14,15 @@ from wigreg.exact import (
     GR_I,
     GR_ONE,
     GR_ZERO,
+    MAX_ORDER,
+    MAX_RATIONAL_BITS,
+    MAX_RATIONAL_DIGITS,
     GaussianRational,
     MultiPoly,
     _digit_count,
     format_rational,
+    load_json,
+    parse_int,
     parse_rational,
 )
 
@@ -42,6 +48,55 @@ def test_parse_rational_rejects_garbage(bad):
 def test_format_round_trips_parse():
     for text in ["0", "5", "-12", "7/3", "-1/9"]:
         assert format_rational(parse_rational(text)) == text
+
+
+def test_parse_rational_reads_finite_json_numbers_and_nothing_else():
+    assert parse_rational(3) == Fraction(3)
+    assert parse_rational(-0.25) == Fraction(-1, 4)
+    assert parse_rational(0.1) == Fraction(0.1)         # the double's exact value
+    for bad in (True, False, None, [], {}, float("inf"), float("nan"), Fraction(1, 2)):
+        with pytest.raises(ValueError, match="^rational must be a string or a finite number, got "):
+            parse_rational(bad)
+
+
+def test_parse_rational_names_the_field_and_never_echoes_an_oversized_value():
+    with pytest.raises(ValueError, match=f"^lam has 2049 bits, beyond the limit of {MAX_RATIONAL_BITS} "):
+        parse_rational(2 ** 2047, "lam")
+    with pytest.raises(ValueError, match="^rational has 5000 digits, beyond the limit"):
+        parse_rational("7" * 5000)
+    with pytest.raises(ValueError) as info:
+        parse_rational("0" * 5000 + "1.5")
+    assert len(str(info.value)) < 160
+
+
+def test_parse_int_takes_only_json_integers_within_the_limit():
+    assert parse_int(0, "j") == 0
+    assert parse_int(MAX_ORDER, "h", least=1) == MAX_ORDER
+    assert parse_int(10 ** 6, "j", most=None) == 10 ** 6
+    for bad in (-1, True, 2.0, 2.7, "2", None, [2]):
+        with pytest.raises(ValueError, match="^j must be a non-negative integer$"):
+            parse_int(bad, "j")
+    with pytest.raises(ValueError, match="^m must be a positive integer$"):
+        parse_int(0, "m", least=1)
+    with pytest.raises(ValueError, match=f"^h = {MAX_ORDER + 1} exceeds the limit of {MAX_ORDER}$"):
+        parse_int(MAX_ORDER + 1, "h")
+
+
+def test_load_json_keeps_only_over_long_integer_literals_as_text():
+    digits = "9" * MAX_RATIONAL_DIGITS
+    doc = load_json(f'{{"a": {digits}, "b": -{digits}9, "c": 1.5, "d": "7"}}')
+    assert doc == {"a": int(digits), "b": f"-{digits}9", "c": 1.5, "d": "7"}
+
+
+def test_polynomial_json_reads_exponents_through_the_integer_reader():
+    for exp, message in (([2.0, 0], "exponent must be a non-negative integer"),
+                         ([True, 0], "exponent must be a non-negative integer"),
+                         ([65, 0], "exponent = 65 exceeds the limit of 64"),
+                         ([33, 32], "polynomial degree = 65 exceeds the limit of 64")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MultiPoly.from_json({"vars": ["x", "xi"], "terms": [{"exp": exp, "re": 1}]})
+    poly = MultiPoly.from_json({"vars": ["x", "xi"], "terms": [{"exp": [32, 32], "re": 1, "im": "-1/2"}]})
+    assert poly.terms == {(32, 32): GaussianRational(Fraction(1), Fraction(-1, 2))}
 
 
 def test_gaussian_rational_basic_identities():

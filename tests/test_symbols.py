@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
+from wigreg.exact import GR_I, GR_ONE, MAX_RATIONAL_BITS, GaussianRational, MultiPoly
 from wigreg.symbols import (
-    MAX_RATIONAL_BITS,
     MAX_SPEC_BITS,
     MODEL_VARS,
     PHASE_VARS,
