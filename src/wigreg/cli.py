@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -16,9 +17,8 @@ from typing import Optional
 from . import __version__
 from .certify import Certificate, VerifyResult, verify_certificate
 from .exact import MultiPoly, load_json, parse_int, parse_rational
-from .hermite import Hermite
+from .hermite import MAX_WINDOW_INDEX, Hermite
 from .pipeline import (
-    PositivityError,
     certify,
     emit_report,
     generate_from_positive_symbol,
@@ -51,6 +51,13 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _parse_int_arg(text: str, field: str, **limits) -> int:
+    """An integer argument, read as a JSON integer within parse_int's limits;
+    any other text ("+2", "1_0", "01", "1.5") is refused by parse_int, by name."""
+    digits = re.fullmatch(r"0|[1-9][0-9]*", text)
+    return parse_int(load_json(text) if digits else text, field, **limits)
+
+
 def _parse_windows(text: str):
     """Window pair syntax: hermite:m,n."""
     kind, _, rest = text.partition(":")
@@ -59,30 +66,23 @@ def _parse_windows(text: str):
     parts = rest.split(",")
     if len(parts) != 2:
         raise ValueError("window spec must be hermite:m,n")
-    m, n = (int(s) for s in parts)
-    if m < 0 or n < 0:
-        raise ValueError("window indices must be non-negative")
+    m, n = (_parse_int_arg(text, f"window index {name}", most=MAX_WINDOW_INDEX)
+            for text, name in zip(parts, "mn"))
     return Hermite(m), Hermite(n)
 
 
 def _cmd_certify(args) -> int:
-    try:
-        spec, change = parse_spec(_read_text(args.spec))
-        report = certify(spec, change)
-        if args.report or args.summary:
-            emit_report(report, json_path=args.report, summary_path=args.summary)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    spec, change = parse_spec(_read_text(args.spec))
+    report = certify(spec, change)
+    if args.report or args.summary:
+        emit_report(report, json_path=args.report, summary_path=args.summary)
     if not args.quiet:
         sys.stdout.write(render_summary(report))
     return report.exit_code
 
 
 def _cmd_symbol(args) -> int:
-    try:
-        spec, change = parse_spec(_read_text(args.spec))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    spec, change = parse_spec(_read_text(args.spec))
     from .symbols import a_tilde, build_b_symbol, weyl_wick
 
     names = [s.strip() for s in args.emit.split(",") if s.strip()]
@@ -118,17 +118,14 @@ def _cmd_symbol(args) -> int:
 
 
 def _cmd_verify_intertwine(args) -> int:
-    try:
-        if not (math.isfinite(args.tol) and args.tol >= 0):
-            raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
-        spec, _ = parse_spec(_read_text(args.spec))
-        if args.p is not None:
-            spec = spec.with_p(parse_rational(args.p, "--p"))
-        u, v = _parse_windows(args.w)
-        grid = Grid2D(args.L, args.N)
-        residuals = intertwine_residual(spec, u, v, spec.p, grid, mode=args.mode)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        return _fail(f"--tol must be a finite number >= 0, got {args.tol}")
+    spec, _ = parse_spec(_read_text(args.spec))
+    if args.p is not None:
+        spec = spec.with_p(parse_rational(args.p, "--p"))
+    u, v = _parse_windows(args.w)
+    grid = Grid2D(args.L, args.N)
+    residuals = intertwine_residual(spec, u, v, spec.p, grid, mode=args.mode)
     worst = 0.0
     for name, value in residuals:
         print(f"{name}: {value:.3e}")
@@ -141,32 +138,26 @@ def _cmd_verify_intertwine(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    try:
-        spec, _ = parse_spec(_read_text(args.spec))
-        if args.p is not None:
-            spec = spec.with_p(parse_rational(args.p, "--p"))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    spec, _ = parse_spec(_read_text(args.spec))
+    if args.p is not None:
+        spec = spec.with_p(parse_rational(args.p, "--p"))
     p = float(spec.p)
-    try:
-        if args.forward:
-            u, v = _parse_windows(args.w)
-            grid = Grid2D(args.L, args.N)
-            gf = wig_forward(u, v, p, grid)
-            write_grid(gf, args.out, fmt=args.format, extra={"p": str(spec.p)})
-        else:
-            if args.infile is None:
-                return _fail("--inverse needs --in <grid file>")
-            manifest = read_manifest(args.infile)
-            grid_p = manifest.get("p")
-            if grid_p is not None and parse_rational(grid_p) != spec.p:
-                return _fail(f"{args.infile} was transformed with p = {grid_p}, "
-                             f"but the inverse asks for p = {spec.p}")
-            gf = read_grid(args.infile, manifest)
-            pair = wig_inverse(gf, p)
-            write_grid(pair, args.out, fmt=args.format, extra={"p": str(spec.p)})
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    if args.forward:
+        u, v = _parse_windows(args.w)
+        grid = Grid2D(args.L, args.N)
+        gf = wig_forward(u, v, p, grid)
+        write_grid(gf, args.out, fmt=args.format, extra={"p": str(spec.p)})
+    else:
+        if args.infile is None:
+            return _fail("--inverse needs --in <grid file>")
+        manifest = read_manifest(args.infile)
+        grid_p = manifest.get("p")
+        if grid_p is not None and parse_rational(grid_p) != spec.p:
+            return _fail(f"{args.infile} was transformed with p = {grid_p}, "
+                         f"but the inverse asks for p = {spec.p}")
+        gf = read_grid(args.infile, manifest)
+        pair = wig_inverse(gf, p)
+        write_grid(pair, args.out, fmt=args.format, extra={"p": str(spec.p)})
     print(f"wrote {args.out} (and manifest)")
     return 0
 
@@ -174,25 +165,18 @@ def _cmd_transform(args) -> int:
 def _cmd_generate(args) -> int:
     if (args.positive_symbol is None) == (args.quasi_homogeneous is None):
         return _fail("choose exactly one of --positive-symbol or --quasi-homogeneous")
-    try:
-        if args.positive_symbol is not None:
-            if args.p is None:
-                return _fail("--positive-symbol needs --p")
-            target = MultiPoly.from_json(load_json(_read_text(args.positive_symbol)))
-            result = generate_from_positive_symbol(target, parse_rational(args.p, "--p"))
-        else:
-            parts = args.quasi_homogeneous.split(",")
-            if len(parts) != 4:
-                return _fail("--quasi-homogeneous needs rho,tau,h,k")
-            rho, tau = (parse_rational(text, name) for text, name in zip(parts, ("rho", "tau")))
-            # digits are a JSON integer; any other text is refused by parse_int, by name
-            h, k = (parse_int(load_json(text) if text.isdecimal() else text, name, least=1)
-                    for text, name in zip(parts[2:], "hk"))
-            result = generate_quasi_homogeneous(rho, tau, h, k)
-    except PositivityError as exc:
-        return _fail(str(exc))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    if args.positive_symbol is not None:
+        if args.p is None:
+            return _fail("--positive-symbol needs --p")
+        target = MultiPoly.from_json(load_json(_read_text(args.positive_symbol)))
+        result = generate_from_positive_symbol(target, parse_rational(args.p, "--p"))
+    else:
+        parts = args.quasi_homogeneous.split(",")
+        if len(parts) != 4:
+            return _fail("--quasi-homogeneous needs rho,tau,h,k")
+        rho, tau = (parse_rational(text, name) for text, name in zip(parts, ("rho", "tau")))
+        h, k = (_parse_int_arg(text, name, least=1) for text, name in zip(parts[2:], "hk"))
+        result = generate_quasi_homogeneous(rho, tau, h, k)
     doc = result.to_json()
     text = json_text(doc)
     if args.out is not None:
@@ -213,18 +197,15 @@ def _verify_bare_certificate(doc: dict) -> list[tuple[str, VerifyResult]]:
 def _cmd_verify_certificate(args) -> int:
     """A bare certificate is verified on its own, a report against the spec
     it names (verify_report)."""
-    try:
-        doc = load_json(_read_text(args.cert))
-        if isinstance(doc, dict) and "kind" in doc:
-            results = _verify_bare_certificate(doc)
-        elif isinstance(doc, dict) and "verdict" in doc:
-            results = verify_report(doc)
-            if not doc["verdict"]["chain"]:
-                print("no certificates to verify (empty chain)")
-        else:
-            raise ValueError("expected a certificate object or a report with a verdict chain")
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    doc = load_json(_read_text(args.cert))
+    if isinstance(doc, dict) and "kind" in doc:
+        results = _verify_bare_certificate(doc)
+    elif isinstance(doc, dict) and "verdict" in doc:
+        results = verify_report(doc)
+        if not doc["verdict"]["chain"]:
+            print("no certificates to verify (empty chain)")
+    else:
+        return _fail("expected a certificate object or a report with a verdict chain")
     for label, result in results:
         print(f"{label}: ok" if result.ok else f"{label}: FAIL ({result.reason})")
     return 0 if all(result.ok for _, result in results) else 1
@@ -296,12 +277,16 @@ _PARSER: Optional[argparse.ArgumentParser] = None
 
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one command.  The parser is built on the first call and reused:
-    parse_args keeps no state between calls."""
+    parse_args keeps no state between calls.  The OSError or ValueError of
+    any reader of outside data exits 1 here, with one ``error:`` line."""
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

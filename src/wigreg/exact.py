@@ -286,29 +286,19 @@ class MultiPoly:
 
     ``terms`` maps exponent tuples (parallel to ``vars``) to nonzero
     coefficients.  The zero polynomial has an empty term map.
+    The constructor takes the package's term maps as given (each key a tuple
+    of len(vars) non-negative ints); from_json checks outside polynomials.
     """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars_: Iterable[str], terms: Mapping[tuple, GaussianRational]):
-        vs = _validate_vars(vars_)
+        self.vars = _validate_vars(vars_)
         clean: dict[tuple, GaussianRational] = {}
         for exp, coef in terms.items():
-            e = tuple(exp)
-            if len(e) != len(vs):
-                raise ValueError(f"exponent {e} does not match variables {vs}")
-            if any((not isinstance(k, int)) or k < 0 for k in e):
-                raise ValueError(f"exponents must be non-negative integers, got {e}")
             c = GaussianRational.coerce(coef)
-            if c.is_zero():
-                continue
-            if e in clean:
-                c = clean[e] + c
-                if c.is_zero():
-                    del clean[e]
-                    continue
-            clean[e] = c
-        self.vars = vs
+            if not c.is_zero():
+                clean[exp] = c
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -319,16 +309,11 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, value: ScalarLike, vars_: Iterable[str] = ()) -> "MultiPoly":
-        c = GaussianRational.coerce(value)
-        vs = _validate_vars(vars_)
-        if c.is_zero():
-            return cls(vs, {})
-        return cls(vs, {(0,) * len(vs): c})
+        vs = tuple(vars_)
+        return cls(vs, {(0,) * len(vs): value})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        if name not in VARS:
-            raise ValueError(f"unknown variable {name!r}")
         return cls((name,), {(1,): GR_ONE})
 
     # -- structure ---------------------------------------------------------
@@ -371,7 +356,7 @@ class MultiPoly:
     # -- promotion ---------------------------------------------------------
 
     def promote(self, vars_: Iterable[str]) -> "MultiPoly":
-        vs = _validate_vars(vars_)
+        vs = tuple(vars_)
         if vs == self.vars:
             return self
         if any(v not in vs for v in self.vars):
@@ -460,8 +445,6 @@ class MultiPoly:
 
     def scale(self, scalar: ScalarLike) -> "MultiPoly":
         c = GaussianRational.coerce(scalar)
-        if c.is_zero():
-            return MultiPoly.zero(self.vars)
         return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "MultiPoly":
@@ -628,12 +611,22 @@ class MultiPoly:
         }
 
     @classmethod
-    def from_json(cls, obj: Mapping) -> "MultiPoly":
-        if "vars" not in obj or "terms" not in obj:
+    def from_json(cls, obj) -> "MultiPoly":
+        """A polynomial read from outside: ``vars`` and ``terms`` are lists,
+        each term an object whose ``exp`` lists one JSON integer per variable
+        (parse_int), with its degree capped and no exponent repeated, and
+        whose coefficient GaussianRational.from_json reads."""
+        if not isinstance(obj, Mapping) or "vars" not in obj or "terms" not in obj:
             raise ValueError("polynomial JSON needs 'vars' and 'terms'")
+        if not isinstance(obj["vars"], list) or not isinstance(obj["terms"], list):
+            raise ValueError("polynomial 'vars' and 'terms' must be lists")
         vs = _validate_vars(obj["vars"])
         terms: dict[tuple, GaussianRational] = {}
-        for entry in obj["terms"]:
+        for n, entry in enumerate(obj["terms"]):
+            if not isinstance(entry, Mapping):
+                raise ValueError(f"terms[{n}] must be an object with 'exp', 're' and 'im'")
+            if not isinstance(entry.get("exp"), list) or len(entry["exp"]) != len(vs):
+                raise ValueError(f"terms[{n}].exp must be a list of {len(vs)} integers")
             exp = tuple(parse_int(e, "exponent") for e in entry["exp"])
             parse_int(sum(exp), "polynomial degree")
             coef = GaussianRational.from_json(entry)

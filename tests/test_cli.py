@@ -183,16 +183,32 @@ def test_generate_refuses_a_target_beyond_the_degree_limit_fast(tmp_path, capsys
         assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("target,message", [
+    ({"vars": ["x", "xi"], "terms": [{"re": "1"}]}, "terms[0].exp must be a list of 2 integers"),
+    ({"vars": ["x", "xi"], "terms": 5}, "polynomial 'vars' and 'terms' must be lists"),
+    ({"vars": ["x", "xi"], "terms": ["a"]}, "terms[0] must be an object with 'exp', 're' and 'im'"),
+    ({"vars": ["x", "xi"], "terms": [{"exp": [0, 2], "re": "1"}, {"exp": 5, "re": "1"}]},
+     "terms[1].exp must be a list of 2 integers"),
+    ({"vars": ["x", "xi"], "terms": [{"exp": [1], "re": "1"}]}, "terms[0].exp must be a list of 2 integers"),
+], ids=["no-exp", "terms-a-number", "term-a-string", "exp-a-number", "short-exp"])
+def test_generate_refuses_a_malformed_target_naming_the_term(tmp_path, capsys, target, message):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(target))
+    err = _exit_1_within_a_second(["generate", "--positive-symbol", str(path), "--p", "1/2"], capsys).err
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("weights,message", [
     ("5/2,1,20000000,1", "h = 20000000 exceeds the limit of 64"),
+    ("5/2,1,01,1", "h must be a positive integer"),
     ("5/2,1,1,0", "k must be a positive integer"),
     ("5/2,1,1.5,1", "h must be a positive integer"),
     ("5/2,1,1," + "1" * 5000, "k must be a positive integer"),
     ("5/2,1,40,1", "operator order 80 exceeds the limit of 64"),
     ("1/2" + "0" * 700 + ",1,1,1", "rho has 702 digits, beyond the limit of 2048 bits per rational"),
     (f"{3 ** 1200}/7,1,32,32", "spec holds 609078 bits, beyond the limit of 4096 bits"),
-], ids=["h-beyond-the-limit", "zero-k", "fractional-h", "5000-digit-k", "order-80", "702-digit-rho",
-        "1900-bit-rho"])
+], ids=["h-beyond-the-limit", "leading-zero-h", "zero-k", "fractional-h", "5000-digit-k", "order-80",
+        "702-digit-rho", "1900-bit-rho"])
 def test_generate_quasi_homogeneous_refuses_oversized_weights_fast(capsys, weights, message):
     err = _exit_1_within_a_second(["generate", "--quasi-homogeneous", weights], capsys).err
     assert err.startswith(f"error: {message}")
@@ -228,9 +244,16 @@ def _forged_certificate(tmp_path, name, kind, edit):
     ("SEXTIC", "HypoUnfalsified",
      lambda c: c["subject"].update(symbol={"vars": ["x", "xi"], "terms": [{"exp": [0, 2000000], "re": "1"}]}),
      "HypoUnfalsified: FAIL (malformed certificate: exponent = 2000000 exceeds the limit of 64)"),
+    ("SEXTIC", "HypoUnfalsified",
+     lambda c: c["subject"].update(symbol={"vars": ["x", "xi"], "terms": [{"exp": [1], "re": "1"}]}),
+     "HypoUnfalsified: FAIL (malformed certificate: terms[0].exp must be a list of 2 integers)"),
+    ("SEXTIC", "HypoUnfalsified",
+     lambda c: c["subject"].update(symbol={"vars": ["x", "xi"], "terms": [{"re": "1"}]}),
+     "HypoUnfalsified: FAIL (malformed certificate: terms[0].exp must be a list of 2 integers)"),
     ("FIRST_PLUS", "InjKernelEscape", lambda c: c["subject"].update(m=True),
      "InjKernelEscape: FAIL (malformed certificate: m must be a positive integer)"),
-], ids=["sos-h-40001", "newton-order-80", "sos-bool-h", "unfalsified-xi-2000000", "kernel-bool-m"])
+], ids=["sos-h-40001", "newton-order-80", "sos-bool-h", "unfalsified-xi-2000000", "unfalsified-short-exp",
+        "unfalsified-no-exp", "kernel-bool-m"])
 def test_verify_certificate_refuses_a_bare_certificate_beyond_the_limits_fast(tmp_path, capsys,
                                                                               name, kind, edit, line):
     out = _exit_1_within_a_second(["verify-certificate", _forged_certificate(tmp_path, name, kind, edit)],
@@ -345,6 +368,20 @@ def test_verify_intertwine_fails_on_tiny_tolerance(spec_file, capsys):
 def test_verify_intertwine_bad_window(spec_file, capsys):
     assert main(["verify-intertwine", spec_file(EQ44), "--w", "sine:1,2"]) == 1
     assert "window family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window,message", [
+    ("hermite:100000,0", "window index m = 100000 exceeds the limit of 40"),
+    ("hermite:0,41", "window index n = 41 exceeds the limit of 40"),
+    ("hermite:+2,0", "window index m must be a non-negative integer"),
+    ("hermite:0,1_0", "window index n must be a non-negative integer"),
+    ("hermite:-1,0", "window index m must be a non-negative integer"),
+], ids=["m-100000", "n-41", "plus-sign", "underscore", "negative"])
+def test_verify_intertwine_reads_window_indices_as_bounded_json_integers(spec_file, capsys, window,
+                                                                         message):
+    err = _exit_1_within_a_second(["verify-intertwine", spec_file(EQ44), "--w", window, "--N", "64"],
+                                  capsys).err
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -92,7 +92,10 @@ def test_polynomial_json_reads_exponents_through_the_integer_reader():
     for exp, message in (([2.0, 0], "exponent must be a non-negative integer"),
                          ([True, 0], "exponent must be a non-negative integer"),
                          ([65, 0], "exponent = 65 exceeds the limit of 64"),
-                         ([33, 32], "polynomial degree = 65 exceeds the limit of 64")):
+                         ([33, 32], "polynomial degree = 65 exceeds the limit of 64"),
+                         ([1], "terms[0].exp must be a list of 2 integers"),
+                         ([1, 0, 0], "terms[0].exp must be a list of 2 integers"),
+                         (5, "terms[0].exp must be a list of 2 integers")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MultiPoly.from_json({"vars": ["x", "xi"], "terms": [{"exp": exp, "re": 1}]})
     poly = MultiPoly.from_json({"vars": ["x", "xi"], "terms": [{"exp": [32, 32], "re": 1, "im": "-1/2"}]})
