@@ -201,6 +201,10 @@ def hypo_falsify(a: MultiPoly) -> FalsifyResult:
     sample spacing), or when the per-circle maximum of (|d_x a| + |d_xi a|)/|a|
     fails to decrease (last > first and last > 1e-1).  A pass is evidence,
     never a proof.
+
+    All circles are sampled at once, a row per radius, so the symbol and its
+    two derivatives are each evaluated once, on one shared power cache; every
+    row holds the floats a separate evaluation of its circle would give.
     """
     sym = _model_symbol(a)
     if sym.is_zero():
@@ -209,19 +213,19 @@ def hypo_falsify(a: MultiPoly) -> FalsifyResult:
     dx = sym.diff("x", 1)
     dxi = sym.diff("xi", 1)
     theta = 2.0 * np.pi * np.arange(DEFAULT_SAMPLES) / DEFAULT_SAMPLES
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    radii = np.array(DEFAULT_RADII)[:, None]
+    xs_all, xis_all = radii * np.cos(theta), radii * np.sin(theta)
+    point, planes = {"x": xs_all, "xi": xis_all}, {}
+    vals_all = np.abs(sym.eval_numpy(point, planes))
+    # after eval_numpy, whose error names a term beyond the float range
+    magnitudes = [(c.abs_float(), sum(e)) for e, c in sym.terms.items()]
+    grads_all = np.abs(dx.eval_numpy(point, planes)) + np.abs(dxi.eval_numpy(point, planes))
 
-    magnitudes: list[tuple[float, int]] = []   # (|c|, degree) per term, in term order
     trend = []
     witness = None
     falsified = False
-    for radius in DEFAULT_RADII:
-        xs, xis = radius * cos_t, radius * sin_t
-        point, planes = {"x": xs, "xi": xis}, {}
-        vals = np.abs(sym.eval_numpy(point, planes))
-        grads = np.abs(dx.eval_numpy(point, planes)) + np.abs(dxi.eval_numpy(point, planes))
-        if not magnitudes:   # after eval_numpy, whose error names a term beyond the float range
-            magnitudes = [(c.abs_float(), sum(e)) for e, c in sym.terms.items()]
+    for row, radius in enumerate(DEFAULT_RADII):
+        xs, xis, vals, grads = xs_all[row], xis_all[row], vals_all[row], grads_all[row]
         scale = sum(size * radius ** degree for size, degree in magnitudes)
         zero_mask = vals <= _ZERO_REL_TOL * max(scale, 1.0)
         if radius == DEFAULT_RADII[-1] and zero_mask.any():

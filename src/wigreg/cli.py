@@ -19,6 +19,7 @@ from .certify import Certificate, VerifyResult, verify_certificate
 from .exact import MultiPoly, load_json, parse_int, parse_rational
 from .hermite import MAX_WINDOW_INDEX, Hermite
 from .pipeline import (
+    _as_is,
     certify,
     emit_report,
     generate_from_positive_symbol,
@@ -109,8 +110,7 @@ def _cmd_symbol(args) -> int:
         elif name == "conjugated":
             out[name] = t_conjugate(b, change)
     if args.json:
-        doc = {name: poly.to_json() for name, poly in out.items()}
-        print(json_text(doc))
+        print(json_text(out))
     else:
         for name in names:
             print(f"{name} = {out[name]}")
@@ -177,8 +177,7 @@ def _cmd_generate(args) -> int:
         rho, tau = (parse_rational(text, name) for text, name in zip(parts, ("rho", "tau")))
         h, k = (_parse_int_arg(text, name, least=1) for text, name in zip(parts[2:], "hk"))
         result = generate_quasi_homogeneous(rho, tau, h, k)
-    doc = result.to_json()
-    text = json_text(doc)
+    text = json_text(result._document(_as_is))
     if args.out is not None:
         Path(args.out).write_text(text + "\n")
     else:

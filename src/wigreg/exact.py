@@ -26,6 +26,7 @@ import json
 import re as _regex
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 from math import isfinite, log10
 from typing import Iterable, Mapping, Optional, Union
 
@@ -97,8 +98,20 @@ def _json_int(text: str):
     return text if len(text.lstrip("-")) > MAX_RATIONAL_DIGITS else int(text)
 
 
+# maps every digit to 9, so a run of 9s in the translated text is a digit run
+_DIGITS_AS_NINES = bytes.maketrans(b"012345678", b"999999999")
+_LONG_DIGIT_RUN = b"9" * (MAX_RATIONAL_DIGITS + 1)
+
+
 def load_json(text: str):
-    """Parse JSON from outside, keeping over-long integer literals as text."""
+    """Parse JSON from outside, keeping over-long integer literals as text.
+
+    A text with no run of more than MAX_RATIONAL_DIGITS digits holds no such
+    literal, so json's C scanner reads its integers; one C-speed pass over
+    the text's bytes decides.  Any other text calls _json_int per integer."""
+    runs = text.encode("utf-8", "surrogatepass").translate(_DIGITS_AS_NINES)
+    if _LONG_DIGIT_RUN not in runs:
+        return json.loads(text)
     return json.loads(text, parse_int=_json_int)
 
 
@@ -609,6 +622,26 @@ class MultiPoly:
                 for exp, coef in self.sorted_terms()
             ],
         }
+
+    def json_text(self, newline: str = "\n") -> str:
+        """Exactly ``json.dumps(self.to_json(), indent=2, sort_keys=True)``
+        with every line break written as ``newline``, which ends a line and
+        indents the next to the depth of the polynomial.  Each term fills one
+        string template from its exponents and format_rational's text, so no
+        dict is built per term; a rational's text needs no JSON escape."""
+        lines = [newline + "  " * depth for depth in range(1, 5)]
+        vars_text = ("[" + lines[1] + ("," + lines[1]).join(map(_json_string, self.vars))
+                     + lines[0] + "]") if self.vars else "[]"
+        if not self.terms:
+            return "{" + lines[0] + '"terms": [],' + lines[0] + '"vars": ' + vars_text + newline + "}"
+        exp_text = ("[" + lines[3] + ("," + lines[3]).join(["%d"] * len(self.vars))
+                    + lines[2] + "]") if self.vars else "[]"
+        term = ("{" + lines[2] + '"exp": ' + exp_text + "," + lines[2] + '"im": "%s",'
+                + lines[2] + '"re": "%s"' + lines[1] + "}")
+        terms = [term % (*exp, format_rational(coef.im), format_rational(coef.re))
+                 for exp, coef in self.sorted_terms()]
+        return ("{" + lines[0] + '"terms": [' + lines[1] + ("," + lines[1]).join(terms)
+                + lines[0] + "]," + lines[0] + '"vars": ' + vars_text + newline + "}")
 
     @classmethod
     def from_json(cls, obj) -> "MultiPoly":

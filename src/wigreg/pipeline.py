@@ -124,12 +124,16 @@ class Report:
         return _exit_code(self.verdict)
 
     def to_json(self) -> dict:
+        return self._document(MultiPoly.to_json)
+
+    def _document(self, poly: Callable[[MultiPoly], object]) -> dict:
+        """The report's JSON document with each symbol rendered by ``poly``."""
         return {
             "spec": self.spec.to_json(),
             "change": self.change.to_json() if self.change is not None else None,
             "order": self.spec.order,
             "q": str(self.spec.q),
-            "symbols": {name: sym.to_json() for name, sym in sorted(self.symbols.items())},
+            "symbols": {name: poly(sym) for name, sym in sorted(self.symbols.items())},
             "degeneracy": {"holds": self.degeneracy_holds},
             "verdict": self.verdict.to_json(),
             "grade": self.verdict.grade,
@@ -479,11 +483,14 @@ class GenerateResult:
     roundtrip_ok: bool
 
     def to_json(self) -> dict:
+        return self._document(MultiPoly.to_json)
+
+    def _document(self, poly: Callable[[MultiPoly], object]) -> dict:
         return {
             "spec": self.spec.to_json(),
             "positivity": self.positivity,
             "roundtrip": self.roundtrip_ok,
-            "report": self.report.to_json(),
+            "report": self.report._document(poly),
         }
 
 
@@ -522,11 +529,14 @@ class QuasiHomogeneousResult:
     report: Report
 
     def to_json(self) -> dict:
+        return self._document(MultiPoly.to_json)
+
+    def _document(self, poly: Callable[[MultiPoly], object]) -> dict:
         return {
             "spec": self.spec.to_json(),
             "T": self.change.to_json(),
-            "conjugated_symbol": self.conjugated.to_json(),
-            "report": self.report.to_json(),
+            "conjugated_symbol": poly(self.conjugated),
+            "report": self.report._document(poly),
         }
 
 
@@ -626,6 +636,8 @@ def _json_text(value, newline: str) -> str:
         inner = newline + "  "
         items = [_json_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, MultiPoly):
+        return value.json_text(newline)
     return _json_scalar(value)
 
 
@@ -638,17 +650,27 @@ def json_text(doc) -> str:
 
     Strings go through json's C ``encode_basestring_ascii``, ints through
     ``int.__repr__`` and floats through ``float.__repr__``, with NaN and
-    +-Infinity spelled as json spells them.  A value json cannot encode (a
-    set, a Fraction) or a key that is not a str raises TypeError.
+    +-Infinity spelled as json spells them.  A MultiPoly at any depth is
+    written from its terms (MultiPoly.json_text), as its to_json() document
+    would be.  A value json cannot encode (a set, a Fraction) or a key that
+    is not a str raises TypeError.
     """
     return _json_text(doc, "\n")
+
+
+def _as_is(poly: MultiPoly) -> MultiPoly:
+    """The polynomial hook of the write path: a document that keeps each
+    MultiPoly, which json_text writes straight from its terms."""
+    return poly
 
 
 def emit_report(report: Report, json_path=None, summary_path=None,
                 timestamp: Optional[str] = None) -> dict:
     """Serialize the report; identical specs give byte-identical output apart
-    from the generated_at stamp."""
-    doc = report.to_json()
+    from the generated_at stamp.  Returns the document written, whose
+    ``symbols`` hold the MultiPoly values themselves (Report.to_json gives
+    them as plain JSON)."""
+    doc = report._document(_as_is)
     doc["generated_at"] = timestamp or datetime.now(timezone.utc).isoformat(timespec="seconds")
     if json_path is not None:
         Path(json_path).write_text(json_text(doc) + "\n")

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Mapping
 
 import numpy as np
@@ -108,7 +109,15 @@ def _poly_times(coeffs: Mapping[int, complex], sym: Callable[[slice], np.ndarray
     return out
 
 
-class _ScratchTransform(GridFunction2D):
+class _CheckPlane(GridFunction2D):
+    """A plane of the intertwining check, which finds non-finite samples
+    once, in _relative_gap, so the constructor does not scan it."""
+
+    __slots__ = ()
+    _scan_finite = False
+
+
+class _ScratchTransform(_CheckPlane):
     """A transform whose samples apply_operator_2d may overwrite: the
     intertwining check's own forward, which nothing reads afterwards."""
 
@@ -184,7 +193,9 @@ def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunc
         total += term
     if q:
         np.fft.ifft(total, axis=1, out=total)
-    return GridFunction2D(grid, total, dual_y=True)
+    # the check's planes give a plane of the check, which it scans itself
+    made = _CheckPlane if isinstance(transform, _CheckPlane) else GridFunction2D
+    return made(grid, total, dual_y=True)
 
 
 DEFAULT_GRID = Grid2D(12.0, 256)
@@ -195,8 +206,12 @@ INTERTWINE_BOUNDARY_TOL = 1e-8
 
 def _relative_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """max|lhs - rhs| / max(max|lhs|, max|rhs|); lhs is overwritten with the
-    difference."""
-    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
+    difference.  A non-finite sample on either side makes its max|.|
+    non-finite, which raises the ValueError of GridFunction2D's scan."""
+    sizes = (float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+    if not all(map(isfinite, sizes)):
+        raise ValueError("samples must be finite")
+    scale = max(*sizes, 1e-300)
     lhs -= rhs
     return float(np.max(np.abs(lhs))) / scale
 
@@ -228,18 +243,17 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
     if mode == "full":
         au = apply_model_operator(spec.complex_coeffs(), u)
         w, rhs = _forward_samples((u, au), v, pf, grid, boundary_tol)
-        rhs = GridFunction2D(grid, rhs).samples
         # the operator may work in w's plane: nothing reads w afterwards
         lhs = apply_operator_2d(spec, _ScratchTransform(grid, w)).samples
         return [("intertwining", _relative_gap(lhs, rhs))]
     base = to_polygauss(u)
     w, lhs_d, lhs_m = _forward_samples((u, base.apply_d(), base.mul_t()), v, pf, grid,
                                        boundary_tol)
-    w = GridFunction2D(grid, w)
+    w = _CheckPlane(grid, w)
     rhs_d = apply_operator_2d(OperatorSpec({(0, 1): GR_ONE}, p), w).samples
-    derivative = _relative_gap(GridFunction2D(grid, lhs_d).samples, rhs_d)
+    derivative = _relative_gap(lhs_d, rhs_d)
     rhs_m = apply_operator_2d(OperatorSpec({(1, 0): GR_ONE}, p), w).samples
-    position = _relative_gap(GridFunction2D(grid, lhs_m).samples, rhs_m)
+    position = _relative_gap(lhs_m, rhs_m)
     return [("derivative_factor", derivative), ("position_factor", position)]
 
 

@@ -286,7 +286,8 @@ def series_weyl_wick_inverse(a: MultiPoly) -> MultiPoly:
 
 def separate_planes_hypo_falsify(a: MultiPoly, radii: Sequence[float] = DEFAULT_RADII,
                                  samples_per_circle: int = DEFAULT_SAMPLES) -> FalsifyResult:
-    """wigreg.certify.hypo_falsify with a power table per evaluation."""
+    """wigreg.certify.hypo_falsify one circle at a time, with a power table
+    per evaluation of each circle."""
     sym = _model_symbol(a)
     if sym.is_zero():
         raise ValueError("zero symbol cannot be tested for hypo-ellipticity")

@@ -579,6 +579,16 @@ def test_falsifier_matches_separate_planes_oracle_bit_for_bit(monkeypatch):
                                                    if rng.random() < 0.5 else 0)
         if any(not c.is_zero() for c in terms.values()):
             symbols.append(poly(terms))
+    # the model symbols of every golden spec, and of seeded dense specs of
+    # order 2 to 10 (up to 66 terms) as the order-sweep benchmark draws them
+    symbols += [parse_spec(path.read_text())[0].a_symbol()
+                for path in sorted((GOLDEN / "specs").glob("*.json"))
+                if path.name != "positive_target.json"]
+    for order in (2, 4, 6, 8, 10):
+        coeffs = [{"j": j, "k": k, "re": f"{rng.choice((-1, 1)) * rng.randint(16, 31)}/{1 + (j + 2 * k) % 4}",
+                   "im": f"{rng.choice((-1, 1)) * rng.randint(16, 31)}/{1 + (2 * j + k) % 4}"}
+                  for j in range(order + 1) for k in range(order + 1 - j)]
+        symbols.append(parse_spec({"p": "3/7", "coeffs": coeffs})[0].a_symbol())
     reasons = set()
     # the falsifier always samples DEFAULT_RADII and DEFAULT_SAMPLES; a second,
     # coarser sampling is set through those module constants

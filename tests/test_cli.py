@@ -14,6 +14,7 @@ import pytest
 
 from wigreg import cli, wigner
 from wigreg.cli import main
+from wigreg.hermite import Hermite
 from wigreg.wigner import read_grid
 
 EQ44 = {"p": "1/2", "coeffs": [{"j": 2, "k": 0, "re": "4"},
@@ -411,6 +412,23 @@ def test_verify_intertwine_fails_fast_on_the_operator_pair(spec_file, capsys, mo
     assert captured.out == ""
     assert captured.err == ("error: inputs reach 5.314e-06 at the z window edge "
                             "(need < 1.0e-08); enlarge L\n")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("mode", ["full", "generators"])
+def test_verify_intertwine_exits_1_on_a_window_with_non_finite_values(spec_file, capsys,
+                                                                      monkeypatch, mode, bad):
+    # v is bad near t = 3/16, which the plane reaches and the edge lines miss
+    def spoiled(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(np.abs(t - 0.1875) < 0.01, bad, Hermite(0)(t))
+
+    monkeypatch.setattr(cli, "_parse_windows", lambda text: (Hermite(1), spoiled))
+    assert main(["verify-intertwine", spec_file(EQ44), "--N", "64", "--mode", mode]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: samples must be finite\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Exact scalar and polynomial layer."""
 
 import gc
+import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wigreg import exact as exact_module
 from wigreg.exact import (
     GR_I,
     GR_ONE,
@@ -20,6 +23,7 @@ from wigreg.exact import (
     GaussianRational,
     MultiPoly,
     _digit_count,
+    _json_int,
     format_rational,
     load_json,
     parse_int,
@@ -27,6 +31,8 @@ from wigreg.exact import (
 )
 
 from oracles import fresh_planes_eval, python_eval
+
+GOLDEN = Path(__file__).with_name("golden")
 
 # ---------------------------------------------------------------------------
 # rationals and Gaussian rationals
@@ -86,6 +92,42 @@ def test_load_json_keeps_only_over_long_integer_literals_as_text():
     digits = "9" * MAX_RATIONAL_DIGITS
     doc = load_json(f'{{"a": {digits}, "b": -{digits}9, "c": 1.5, "d": "7"}}')
     assert doc == {"a": int(digits), "b": f"-{digits}9", "c": 1.5, "d": "7"}
+
+
+@pytest.mark.parametrize("length", range(MAX_RATIONAL_DIGITS - 1, MAX_RATIONAL_DIGITS + 3))
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("where", ["value", "string", "float"])
+def test_load_json_matches_the_integer_hook_around_the_digit_limit(length, sign, where):
+    digits = "1" + "0" * (length - 1)
+    literal = {"value": sign + digits, "string": f'"{sign}{digits}"',
+               "float": f"{sign}{digits}.5"}[where]
+    text = f'{{"p": {literal}, "coeffs": [{{"j": 2, "k": 0, "re": 3}}], "q": [-7, 0]}}'
+    # the hook path: every integer literal through _json_int
+    got, expected = load_json(text), json.loads(text, parse_int=_json_int)
+    assert got == expected
+    assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
+
+    def refusal(doc):
+        try:
+            return parse_rational(doc["p"], "p")
+        except ValueError as exc:
+            return str(exc)
+
+    assert refusal(got) == refusal(expected)
+    if where == "value":
+        assert isinstance(got["p"], str) == (length > MAX_RATIONAL_DIGITS)
+
+
+def test_load_json_reads_integers_on_the_c_path_when_no_digit_run_is_long(monkeypatch):
+    def no_hook(text):
+        raise AssertionError("an integer went through _json_int")
+
+    monkeypatch.setattr(exact_module, "_json_int", no_hook)
+    text = (GOLDEN / "certify_dense6_p3o7.out").read_text()
+    assert load_json(text) == json.loads(text)
+    long_run = f'{{"a": "{"7" * (MAX_RATIONAL_DIGITS + 1)}", "b": 1}}'
+    with pytest.raises(AssertionError, match="_json_int"):
+        load_json(long_run)
 
 
 def test_polynomial_json_reads_exponents_through_the_integer_reader():

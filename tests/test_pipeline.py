@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wigreg import certify as certify_module
-from wigreg import pipeline
+from wigreg import cli, pipeline
 from wigreg import symbols as symbols_module
 from wigreg.certify import verify_certificate
 from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
@@ -29,7 +30,7 @@ from wigreg.pipeline import (
     render_summary,
     verify_report,
 )
-from wigreg.symbols import MODEL_VARS, OperatorSpec
+from wigreg.symbols import MODEL_VARS, PHASE_VARS, OperatorSpec
 
 from oracles import ladder_verdict, meshgrid_check_positivity, multipoly_quasi_homogeneous_target
 
@@ -573,6 +574,81 @@ json_values = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_json_text_equals_json_dumps(value):
     assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def _plain(value):
+    """value with every MultiPoly replaced by its to_json() document."""
+    if isinstance(value, MultiPoly):
+        return value.to_json()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+rationals = (st.fractions(max_denominator=50)
+             | st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 120)))
+
+
+@st.composite
+def polynomials(draw):
+    vars_ = draw(st.sampled_from([(), ("x",), ("eta",), MODEL_VARS, PHASE_VARS]))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 12)] * len(vars_)),
+                                 st.builds(GaussianRational, rationals, rationals), max_size=6))
+    return MultiPoly(vars_, terms)
+
+
+@st.composite
+def documents_with_polynomials(draw):
+    """A polynomial, or the zero one, nested 0 to 3 containers deep beside
+    other JSON values and polynomials."""
+    doc = draw(polynomials() | st.sampled_from([MultiPoly.zero(), MultiPoly.zero(PHASE_VARS)]))
+    for _ in range(draw(st.integers(0, 3))):
+        sibling = draw(polynomials() | json_values)
+        doc = draw(st.sampled_from([[doc, sibling], (sibling, doc), {"poly": doc, "other": sibling},
+                                    {"b": sibling, "a": {"inner": doc}}]))
+    return doc
+
+
+@given(documents_with_polynomials())
+@settings(max_examples=300, deadline=None)
+def test_json_text_writes_polynomials_at_any_depth_as_json_dumps_of_to_json(doc):
+    assert json_text(doc) == json.dumps(_plain(doc), indent=2, sort_keys=True)
+
+
+def _dense_spec(order: int, seed: int) -> dict:
+    rng = random.Random(seed)
+    return {"p": "3/7", "coeffs": [
+        {"j": j, "k": k, "re": f"{rng.randint(-31, 31)}/{rng.randint(1, 9)}",
+         "im": f"{rng.randint(-31, 31)}/{rng.randint(1, 9)}"}
+        for j in range(order + 1) for k in range(order + 1 - j)]}
+
+
+@pytest.mark.parametrize("order", [8, 10])
+def test_certify_report_of_a_dense_spec_is_json_dumps_of_to_json(tmp_path, order):
+    spec_json = _dense_spec(order, seed=order)
+    spec_path, report_path = tmp_path / "spec.json", tmp_path / "report.json"
+    spec_path.write_text(json.dumps(spec_json))
+    cli.main(["certify", str(spec_path), "--quiet", "--report", str(report_path)])
+    text = report_path.read_text()
+    doc = certify(*parse_spec(spec_json)).to_json()
+    doc["generated_at"] = json.loads(text)["generated_at"]
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_generate_output_is_json_dumps_of_to_json(tmp_path):
+    out = tmp_path / "quasi.json"
+    cli.main(["generate", "--quasi-homogeneous", "23/2,-19/3,2,1", "--out", str(out)])
+    result = generate_quasi_homogeneous(Fraction(23, 2), Fraction(-19, 3), 2, 1)
+    assert out.read_text() == json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n"
+    target = {"vars": ["x", "xi"], "terms": [{"exp": [2, 0], "re": "3/2"}, {"exp": [0, 2], "re": "5"},
+                                             {"exp": [0, 0], "re": "1"}]}
+    (tmp_path / "target.json").write_text(json.dumps(target))
+    cli.main(["generate", "--positive-symbol", str(tmp_path / "target.json"), "--p", "2/5",
+              "--out", str(out)])
+    result = generate_from_positive_symbol(MultiPoly.from_json(target), Fraction(2, 5))
+    assert out.read_text() == json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("value", [

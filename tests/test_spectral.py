@@ -336,6 +336,52 @@ def test_intertwining_check_stays_within_its_plane_budget():
     assert peak < 5.75 * plane
 
 
+class SpoiledWindow:
+    """A Hermite window whose value near t = 3/16 is ``bad``.  On Grid2D(12,
+    64) at p = 1/2 the plane reaches that point and the edge lines do not, so
+    the non-finite samples pass the edge check and land in the planes."""
+
+    def __init__(self, n: int, bad: float):
+        self.fn, self.bad = Hermite(n), bad
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(np.abs(t - 0.1875) < 0.01, self.bad, self.fn(t))
+
+    def to_polygauss(self):
+        return self.fn.to_polygauss()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("spoiled", ["u", "v"])
+@pytest.mark.parametrize("mode", ["full", "generators"])
+def test_intertwining_check_refuses_non_finite_samples_once(monkeypatch, mode, spoiled, bad):
+    # the check's own planes skip GridFunction2D's scan; the residual finds
+    # the non-finite sample and raises the scan's error
+    scans = []
+    real_isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: scans.append(np.shape(a)) or real_isfinite(a))
+    u = SpoiledWindow(1, bad) if spoiled == "u" else H1
+    v = SpoiledWindow(0, bad) if spoiled == "v" else H0
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        intertwine_residual(EQ44, u, v, Fraction(1, 2), Grid2D(12.0, 64), mode=mode)
+    assert (64, 64) not in scans
+
+
+def test_only_public_planes_are_scanned_for_non_finite_samples(monkeypatch):
+    scans = []
+    real_isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: scans.append(np.shape(a)) or real_isfinite(a))
+    for mode in ("full", "generators"):
+        intertwine_residual(EQ44, H1, H0, Fraction(1, 2), Grid2D(12.0, 64), mode=mode)
+    assert (64, 64) not in scans
+    # the public constructor and operator keep their scan
+    result = apply_operator_2d(EQ44, GridFunction2D(Grid2D(12.0, 64), np.zeros((64, 64))))
+    assert type(result) is GridFunction2D
+    assert scans.count((64, 64)) == 2
+
+
 def test_intertwine_mode_validation():
     with pytest.raises(ValueError):
         intertwine_residual(EQ44, H0, H0, Fraction(1, 2), mode="sideways")
