@@ -7,22 +7,26 @@ about the one-variable model symbol a(x, xi):
   confined to a compact set), and
 * is the model operator A injective on Schwartz functions?
 
-Each positive answer is packaged as a Certificate.  It is valid when the
-certifier of its kind, run again on the certificate's subject and on the
-choices its payload records (never a search), rebuilds the same certificate:
-equal JSON, floats equal to a relative 1e-9.  Exact certificates rest on
-closed rational arithmetic; evidence certificates record deterministic
-sampling.  A RegularityVerdict combines one certificate of each
-kind (or a non-injectivity witness) into Regular / NotRegular / Unknown.
+Each positive answer is packaged as a Certificate.  The certifiers run from
+one table, ``_CHAIN``: exact before evidence, cheap before expensive, and
+each stage stops at its first decisive step.  A certificate is valid when
+the row that issues its kind, run again on the certificate's subject and on
+the choices its payload records (never a search), rebuilds the same
+certificate: equal JSON, floats equal to a relative 1e-9.  Exact
+certificates rest on closed rational arithmetic; evidence certificates
+record deterministic sampling.  A RegularityVerdict combines one
+certificate of each kind (or a non-injectivity witness) into Regular /
+NotRegular / Unknown.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, perm
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -41,9 +45,7 @@ from .symbols import MODEL_VARS
 EXACT = "exact"
 EVIDENCE = "evidence"
 
-HYPO_KINDS = ("HypoQuadraticForm", "HypoNewtonPolygon", "HypoFirstOrder", "HypoUnfalsified")
-INJ_KINDS = ("InjQuadraticEstimate", "InjSOS", "InjWickPositive", "InjKernelEscape")
-ALL_KINDS = HYPO_KINDS + INJ_KINDS + ("NotInjectiveWitness", "NotApplicable")
+# HYPO_KINDS, INJ_KINDS and ALL_KINDS are read off the rows of _CHAIN
 
 
 @dataclass
@@ -853,14 +855,36 @@ def first_order_certify(alpha: GaussianRational, m: int, side: str = "operator")
 
 
 # ---------------------------------------------------------------------------
-# verification
+# the certifier chain: one table issues every certificate and rebuilds it
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    reason: str
+@dataclass
+class _Subject:
+    """The model symbol a and W[a], with a's recognized shapes, each matched at
+    most once and only when a step first asks for it, and the answer of each
+    step that ran, by method."""
+
+    a: MultiPoly
+    wick: MultiPoly
+    answers: dict = field(default_factory=dict)
+
+    @cached_property
+    def newton(self) -> Optional[NewtonFamilyParams]:
+        return recognize_newton_family(self.a)
+
+    @cached_property
+    def first_order(self) -> Optional[FirstOrderShape]:
+        return recognize_first_order(self.a)
+
+    @property
+    def complex_first_order(self) -> Optional[FirstOrderShape]:
+        shape = self.first_order
+        return shape if shape is not None and shape.alpha.im != 0 else None
+
+
+def _one(value) -> Optional[tuple]:
+    return None if value is None else (value,)
 
 
 def _symbol_args(cert: Certificate, symbol: Optional[MultiPoly]) -> Optional[tuple]:
@@ -891,26 +915,186 @@ def _kernel_args(cert: Certificate, symbol: Optional[MultiPoly]) -> Optional[tup
     return alpha, m, cert.subject["side"]
 
 
-# kind -> (reads the certifier's arguments off a certificate, None when the
-# subject is not the supplied symbol's; the certifier, looked up by name when
-# it runs, so a rebound name (a tracer) takes effect)
-_REBUILD = {
-    "HypoQuadraticForm": (_symbol_args, lambda a: hypo_certify_quadratic(a)),
-    "HypoNewtonPolygon": (_params_args, lambda params: hypo_certify_newton(params)),
-    "HypoFirstOrder": (_symbol_args, lambda a: hypo_certify_first_order(a)),
-    "HypoUnfalsified": (_symbol_args, lambda a: _falsify_or_certify(a)),
-    "InjQuadraticEstimate": (_quadratic_args, lambda qc, split: _quadratic_certificate(qc, split)),
-    "InjSOS": (_params_args, lambda params: injectivity_sos(params)),
-    "InjWickPositive": (_symbol_args, lambda a: injectivity_wick(a)),
-    "InjKernelEscape": (_kernel_args, lambda alpha, m, side: first_order_certify(alpha, m, side)),
-    "NotInjectiveWitness": (_kernel_args, lambda alpha, m, side: first_order_certify(alpha, m, side)),
-}
+def _quadratic_estimate(qc: QuadraticCoeffs, *recorded: Optional[_QuadCandidate]):
+    """injectivity_quadratic(qc); given the split a certificate records, the
+    certificate of that split, with no search."""
+    return _quadratic_certificate(qc, *recorded) if recorded else injectivity_quadratic(qc)
 
-# the one sampling that the certifier of each evidence kind runs
-_SAMPLING = {
-    "HypoUnfalsified": {"radii": list(DEFAULT_RADII), "samples_per_circle": DEFAULT_SAMPLES},
-    "InjWickPositive": {"radius": WICK_RADIUS, "count": WICK_COUNT, "directions": WICK_DIRECTIONS},
-}
+
+class _Step(NamedTuple):
+    """One certifier of the chain and the certificate ``kinds`` it issues.
+
+    ``recognize`` reads the certifier's arguments off the subject (None:
+    outcome not_applicable, detail ``unrecognized``); ``read`` reads them off
+    a certificate of one of its kinds (None: the subject is not the supplied
+    symbol's).  ``certify`` answers either (None: no_certificate, detail
+    ``uncertified``); it looks its certifier up by module name when it runs,
+    so a rebound name (a tracer, a test) takes effect.  ``sampling`` is the
+    one sampling an evidence certifier runs."""
+
+    stage: str
+    method: str
+    kinds: tuple[str, ...]
+    recognize: Callable[[_Subject], Optional[tuple]]
+    read: Callable[[Certificate, Optional[MultiPoly]], Optional[tuple]]
+    certify: Callable[..., object]
+    unrecognized: Optional[str] = None
+    uncertified: Optional[str] = None
+    sampling: Mapping = {}
+
+
+_CHAIN = (
+    _Step("hypo", "quadratic_form", ("HypoQuadraticForm",), lambda s: (s.a,), _symbol_args,
+          lambda a: hypo_certify_quadratic(a),
+          uncertified="leading quadratic form is not positive definite"),
+    _Step("hypo", "newton_polygon", ("HypoNewtonPolygon",), lambda s: _one(s.newton), _params_args,
+          lambda params: hypo_certify_newton(params),
+          "symbol is not in the two-block family",
+          "mixed vertex lies inside the exponent polygon"),
+    _Step("hypo", "first_order", ("HypoFirstOrder",),
+          lambda s: None if s.complex_first_order is None else (s.a, s.complex_first_order),
+          _symbol_args, lambda a, shape=None: hypo_certify_first_order(a, shape),
+          "symbol is not scale*(xi + alpha x^m) with Im(alpha) != 0"),
+    _Step("hypo", "falsifier", ("HypoUnfalsified",), lambda s: (s.a,), _symbol_args,
+          _falsify_or_certify,
+          sampling={"radii": list(DEFAULT_RADII), "samples_per_circle": DEFAULT_SAMPLES}),
+    _Step("injectivity", "quadratic_estimate", ("InjQuadraticEstimate",),
+          lambda s: _one(extract_quadratic_coeffs(s.a)), _quadratic_args, _quadratic_estimate,
+          "symbol is not a symmetric quadratic",
+          "no rational split yields a non-negative margin"),
+    _Step("injectivity", "sum_of_squares", ("InjSOS",), lambda s: _one(s.newton), _params_args,
+          lambda params: injectivity_sos(params),
+          "symbol is not in the two-block family",
+          "family weights fail the positivity requirements"),
+    _Step("injectivity", "wick_positivity", ("InjWickPositive",), lambda s: (s.a, s.wick),
+          _symbol_args, lambda a, wick=None: injectivity_wick(a, wick),
+          sampling={"radius": WICK_RADIUS, "count": WICK_COUNT, "directions": WICK_DIRECTIONS}),
+    _Step("injectivity", "first_order_kernel", ("InjKernelEscape", "NotInjectiveWitness"),
+          lambda s: (None if s.first_order is None
+                     else (s.first_order.alpha, s.first_order.m, "operator")),
+          _kernel_args, lambda alpha, m, side: first_order_certify(alpha, m, side),
+          "symbol is not scale*(xi + alpha x^m)"),
+)
+
+_ISSUER = {kind: step for step in _CHAIN for kind in step.kinds}
+HYPO_KINDS = tuple(kind for step in _CHAIN if step.stage == "hypo" for kind in step.kinds)
+# a kernel witness decides injectivity against, never for, the model operator
+INJ_KINDS = tuple(kind for step in _CHAIN if step.stage == "injectivity"
+                  for kind in step.kinds if kind != "NotInjectiveWitness")
+ALL_KINDS = tuple(_ISSUER) + ("NotApplicable",)
+
+
+def _attempt(stage: str, method: str, outcome: str, detail: str) -> dict:
+    return {"stage": stage, "method": method, "outcome": outcome, "detail": detail}
+
+
+def _outcome(answer, uncertified: Optional[str]) -> tuple[str, str]:
+    """(outcome, detail) of a certifier's answer."""
+    if answer is None:
+        return "no_certificate", uncertified
+    if isinstance(answer, FalsifyResult):
+        return "falsified", answer.witness["reason"]
+    if answer.kind == "NotApplicable":
+        return "not_applicable", answer.payload["reason"]
+    if answer.kind == "NotInjectiveWitness":
+        return "witness", "kernel element stays in the Schwartz class"
+    return "certified", answer.kind + (" (evidence only)" if answer.grade == EVIDENCE else "")
+
+
+def _run_chain(subject: _Subject, attempts: list[dict]) -> dict[str, Optional[Certificate]]:
+    """Run the steps in order; maps each decided stage to its certificate or
+    kernel witness (None after a falsification)."""
+    decided: dict[str, Optional[Certificate]] = {}
+    for step in _CHAIN:
+        if step.stage in decided:
+            continue
+        found = step.recognize(subject)
+        if found is None:
+            attempts.append(_attempt(step.stage, step.method, "not_applicable", step.unrecognized))
+            continue
+        answer = subject.answers[step.method] = step.certify(*found)
+        outcome, detail = _outcome(answer, step.uncertified)
+        attempts.append(_attempt(step.stage, step.method, outcome, detail))
+        if outcome in ("certified", "witness", "falsified"):
+            decided[step.stage] = None if outcome == "falsified" else answer
+    return decided
+
+
+def _compose_verdict(hypo: Optional[Certificate], inj: Optional[Certificate],
+                     attempts: list[dict]) -> RegularityVerdict:
+    """Regular or NotRegular needs an exact hypo-ellipticity certificate and a
+    decided injectivity link (a certificate or a kernel witness); anything else
+    is Unknown.  The grade is that of the weakest link in the chain."""
+    chain = [c for c in (hypo, inj) if c is not None]
+    grade = EXACT if all(c.grade == EXACT for c in chain) else EVIDENCE
+    certified = hypo is not None and hypo.grade == EXACT
+    if certified and inj is not None:
+        if inj.kind == "NotInjectiveWitness":
+            return RegularityVerdict(status="NotRegular", chain=chain,
+                                     witness=inj.payload["kernel"]["rendered"], grade=grade)
+        return RegularityVerdict(status="Regular", chain=chain, grade=grade)
+    detail = ("hypo-ellipticity certified but injectivity undecided" if certified else
+              "hypo-ellipticity is uncertified, so the reduction to the model operator "
+              "gives no verdict about the planar operator")
+    attempts.append(_attempt("verdict", "compose", "unknown", detail))
+    return RegularityVerdict(status="Unknown", chain=chain, grade=grade)
+
+
+def _adjoint_analysis(subject: _Subject) -> Optional[dict]:
+    """Kernel analysis of the adjoint model for first-order shapes.
+
+    The adjoint of scale*(D + alpha x^m) conjugates alpha; a Schwartz kernel
+    element on the adjoint side means the operator misses a one-dimensional
+    subspace (index -1) even when it is injective.  The operator side is the
+    first_order_kernel step's answer: no earlier injectivity step decides a
+    complex first-order symbol, so that step ran.
+    """
+    shape = subject.complex_first_order
+    if shape is None:
+        return None
+    operator = subject.answers["first_order_kernel"]
+    adjoint = first_order_certify(shape.alpha, shape.m, side="adjoint")
+    adj_nontrivial = adjoint.kind == "NotInjectiveWitness"
+    op_nontrivial = operator.kind == "NotInjectiveWitness"
+    if adj_nontrivial and not op_nontrivial:
+        remark = ("N(A*) != 0: the adjoint kernel contains "
+                  f"{adjoint.payload['kernel']['rendered']}, so the operator is "
+                  "injective but not surjective (index -1)")
+    elif op_nontrivial and not adj_nontrivial:
+        remark = ("N(A) != 0 while N(A*) = 0: the operator has a one-dimensional "
+                  "kernel and dense range (index +1)")
+    elif adj_nontrivial and op_nontrivial:
+        remark = "both N(A) and N(A*) are nontrivial"
+    else:
+        remark = "both N(A) and N(A*) are trivial"
+    return {
+        "operator": operator.to_json(),
+        "adjoint": adjoint.to_json(),
+        "adjoint_kernel_nontrivial": adj_nontrivial,
+        "remark": remark,
+    }
+
+
+def _decide(a: MultiPoly, wick: MultiPoly) -> tuple[RegularityVerdict, list[dict], Optional[dict]]:
+    """Run the chain on the model symbol a, with W[a] given as ``wick``: the
+    verdict, every attempt in order, and the adjoint analysis."""
+    attempts: list[dict] = []
+    subject = _Subject(a, wick)
+    decided = _run_chain(subject, attempts)
+    verdict = _compose_verdict(decided.get("hypo"), decided.get("injectivity"), attempts)
+    return verdict, attempts, _adjoint_analysis(subject)
+
+
+# ---------------------------------------------------------------------------
+# verification
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class VerifyResult:
+    ok: bool
+    reason: str
+
 
 _FLOAT_REL_TOL = 1e-9
 _ABSENT = object()
@@ -934,29 +1118,29 @@ def _first_difference(claimed, rebuilt, path: str) -> Optional[str]:
 
 
 def verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] = None) -> VerifyResult:
-    """Valid when the certifier of the certificate's kind, run on its subject
-    and on the choices its payload records, rebuilds it: equal JSON, floats
-    equal to a relative 1e-9, and a failure names the first field that differs.
+    """Valid when the chain step that issues the certificate's kind, run on
+    its subject and on the choices its payload records, rebuilds it: equal
+    JSON, floats equal to a relative 1e-9, and a failure names the first
+    field that differs.
 
     An evidence kind that records other sampling than its certifier's fails
     before any re-sampling; a subject that parses but cannot be sampled (a
     coefficient beyond the float range) fails as such; a certificate that does
     not parse, or whose arguments its certifier refuses, fails as malformed.
     With ``symbol``, the subject must be the one that symbol gives."""
-    if cert.kind not in _REBUILD:
+    step = _ISSUER.get(cert.kind)
+    if step is None:
         return VerifyResult(True, "no claim to verify")
-    read, certifier = _REBUILD[cert.kind]
-    sampling = _SAMPLING.get(cert.kind, {})
     try:
-        if any(cert.payload[key] != value for key, value in sampling.items()):
+        if any(cert.payload[key] != value for key, value in step.sampling.items()):
             return VerifyResult(False, "sampling differs from the certifier's default sampling")
-        args = read(cert, None if symbol is None else symbol.promote(MODEL_VARS))
+        args = step.read(cert, None if symbol is None else symbol.promote(MODEL_VARS))
         if args is None:
             return VerifyResult(False, "certificate subject does not match the supplied symbol")
         try:
-            rebuilt = certifier(*args)
+            rebuilt = step.certify(*args)
         except ValueError as exc:
-            if not sampling:
+            if not step.sampling:
                 raise
             return VerifyResult(False, f"cannot re-sample the subject symbol: {exc}")
     except (KeyError, ValueError, TypeError, AttributeError) as exc:

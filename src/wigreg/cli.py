@@ -11,6 +11,7 @@ import argparse
 import math
 import re
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -86,29 +87,24 @@ def _cmd_symbol(args) -> int:
     spec, change = parse_spec(_read_text(args.spec))
     from .symbols import a_tilde, build_b_symbol, weyl_wick
 
+    derive = cache(lambda name: derivations[name]())
+    derivations = {
+        "a": spec.a_symbol,
+        "b": lambda: build_b_symbol(spec, derive("atilde")),
+        "atilde": lambda: a_tilde(spec),
+        "wick": lambda: weyl_wick(derive("a")),
+        "conjugated": lambda: t_conjugate(derive("b"), change),
+    }
     names = [s.strip() for s in args.emit.split(",") if s.strip()]
     if not names:
-        return _fail("--emit needs at least one of a, b, atilde, wick, conjugated")
-    available = {"a", "b", "atilde", "wick", "conjugated"}
-    unknown = [n for n in names if n not in available]
+        return _fail(f"--emit needs at least one of {', '.join(derivations)}")
+    unknown = [n for n in names if n not in derivations]
     if unknown:
         return _fail(f"unknown symbol name(s) {', '.join(unknown)}; "
-                     f"choose from {', '.join(sorted(available))}")
+                     f"choose from {', '.join(sorted(derivations))}")
     if "conjugated" in names and change is None:
         return _fail("--emit conjugated needs a \"T\" entry in the spec")
-    b = build_b_symbol(spec) if {"b", "conjugated"} & set(names) else None
-    out: dict[str, MultiPoly] = {}
-    for name in names:
-        if name == "a":
-            out[name] = spec.a_symbol()
-        elif name == "b":
-            out[name] = b
-        elif name == "atilde":
-            out[name] = a_tilde(spec)
-        elif name == "wick":
-            out[name] = weyl_wick(spec.a_symbol())
-        elif name == "conjugated":
-            out[name] = t_conjugate(b, change)
+    out = {name: derive(name) for name in names}
     if args.json:
         print(json_text(out))
     else:

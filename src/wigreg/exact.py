@@ -488,7 +488,8 @@ class MultiPoly:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, var: str, order: int = 1) -> "MultiPoly":
-        """Formal partial derivative of the given order."""
+        """Formal partial derivative of the given order; no two terms merge,
+        so each is built directly, in term order."""
         if var not in self.vars:
             raise ValueError(f"unknown variable {var!r}: polynomial has {self.vars}")
         if not isinstance(order, int) or order < 0:
@@ -499,11 +500,10 @@ class MultiPoly:
             nxt: dict[tuple, GaussianRational] = {}
             for exp, coef in terms.items():
                 k = exp[i]
-                if k == 0:
-                    continue
-                e = exp[:i] + (k - 1,) + exp[i + 1:]
-                nxt[e] = nxt.get(e, GR_ZERO) + coef * k
-            terms = {e: c for e, c in nxt.items() if not c.is_zero()}
+                if k:
+                    e = exp[:i] + (k - 1,) + exp[i + 1:]
+                    nxt[e] = GaussianRational(coef.re * k, coef.im * k)
+            terms = nxt
         return MultiPoly(self.vars, terms)
 
     def substitute(self, images) -> "MultiPoly":

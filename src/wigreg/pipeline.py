@@ -1,5 +1,6 @@
-"""Orchestration: parse operator specs, run the certificate chain, generate
-regular operators, and emit reports.
+"""Orchestration: parse operator specs, assemble their symbols, run the
+certificate chain, verify reports, generate regular operators, and emit
+reports.
 
 The verdict logic rests on the exact reduction for the planar operators
 B = sum c[j,k] (x - q D_y)^j (y + p D_x)^k: once the one-variable model symbol
@@ -9,10 +10,8 @@ says nothing, so the pipeline reports Unknown rather than guessing; evidence
 grade hypo-ellipticity (the unfalsified heuristic) is likewise never enough
 for a Regular or NotRegular verdict.
 
-The chain runs from one table, ``_CHAIN``: exact before evidence, cheap before
-expensive, and each stage stops at its first decisive step.
-``_compose_verdict`` turns what the two stages decided into the verdict and
-grades it by the weakest link of its chain; ``Report.exit_code`` maps that to
+The chain and the rule that composes its verdict live in ``wigreg.certify``
+(``_CHAIN``, ``_compose_verdict``); ``Report.exit_code`` maps the verdict to
 0 Regular (exact), 2 Regular (evidence), 3 Unknown, 4 NotRegular.
 """
 
@@ -22,36 +21,21 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string
 from math import comb, inf
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
 from .certify import (
-    EVIDENCE,
     EXACT,
     HYPO_KINDS,
     Certificate,
-    FalsifyResult,
-    FirstOrderShape,
-    NewtonFamilyParams,
     RegularityVerdict,
     VerifyResult,
-    extract_quadratic_coeffs,
-    first_order_certify,
-    hypo_certify_first_order,
-    hypo_certify_newton,
-    hypo_certify_quadratic,
-    hypo_falsify,
-    injectivity_quadratic,
-    injectivity_sos,
-    injectivity_wick,
-    recognize_first_order,
-    recognize_newton_family,
-    unfalsified_certificate,
+    _compose_verdict,
+    _decide,
     verify_certificate,
 )
 from .exact import GR_ONE, GaussianRational, MultiPoly, load_json
@@ -144,169 +128,6 @@ class Report:
         }
 
 
-def _attempt(stage: str, method: str, outcome: str, detail: str) -> dict:
-    return {"stage": stage, "method": method, "outcome": outcome, "detail": detail}
-
-
-@dataclass
-class _Subject:
-    """The model symbol a and W[a], with a's recognized shapes, each matched at
-    most once and only when a step first asks for it."""
-
-    a: MultiPoly
-    wick: MultiPoly
-
-    @cached_property
-    def newton(self) -> Optional[NewtonFamilyParams]:
-        return recognize_newton_family(self.a)
-
-    @cached_property
-    def first_order(self) -> Optional[FirstOrderShape]:
-        return recognize_first_order(self.a)
-
-    @property
-    def complex_first_order(self) -> Optional[FirstOrderShape]:
-        shape = self.first_order
-        return shape if shape is not None and shape.alpha.im != 0 else None
-
-    @cached_property
-    def kernel(self) -> Optional[Certificate]:
-        """The operator side's kernel analysis, shared by the chain and the
-        adjoint analysis."""
-        shape = self.first_order
-        return None if shape is None else first_order_certify(shape.alpha, shape.m, side="operator")
-
-
-class _Step(NamedTuple):
-    """``recognize`` reads the certifier's input off the subject (None: outcome
-    not_applicable, detail ``unrecognized``); ``certify`` answers it (None:
-    no_certificate, detail ``uncertified``).  Both look certifiers up by module
-    name when they run, so a rebound name (a tracer, a test) takes effect."""
-
-    stage: str
-    method: str
-    recognize: Callable[[_Subject], object]
-    certify: Callable[[_Subject, object], object]
-    unrecognized: Optional[str] = None
-    uncertified: Optional[str] = None
-
-
-def _falsify(a: MultiPoly) -> Union[Certificate, FalsifyResult]:
-    result = hypo_falsify(a)
-    return result if result.falsified else unfalsified_certificate(a, result)
-
-
-_CHAIN = (
-    _Step("hypo", "quadratic_form", lambda s: s.a, lambda s, a: hypo_certify_quadratic(a),
-          uncertified="leading quadratic form is not positive definite"),
-    _Step("hypo", "newton_polygon", lambda s: s.newton,
-          lambda s, params: hypo_certify_newton(params),
-          "symbol is not in the two-block family",
-          "mixed vertex lies inside the exponent polygon"),
-    _Step("hypo", "first_order", lambda s: s.complex_first_order,
-          lambda s, shape: hypo_certify_first_order(s.a, shape),
-          "symbol is not scale*(xi + alpha x^m) with Im(alpha) != 0"),
-    _Step("hypo", "falsifier", lambda s: s.a, lambda s, a: _falsify(a)),
-    _Step("injectivity", "quadratic_estimate", lambda s: extract_quadratic_coeffs(s.a),
-          lambda s, qc: injectivity_quadratic(qc),
-          "symbol is not a symmetric quadratic",
-          "no rational split yields a non-negative margin"),
-    _Step("injectivity", "sum_of_squares", lambda s: s.newton,
-          lambda s, params: injectivity_sos(params),
-          "symbol is not in the two-block family",
-          "family weights fail the positivity requirements"),
-    _Step("injectivity", "wick_positivity", lambda s: s.a,
-          lambda s, a: injectivity_wick(a, wick=s.wick)),
-    _Step("injectivity", "first_order_kernel", lambda s: s.first_order,
-          lambda s, shape: s.kernel,
-          "symbol is not scale*(xi + alpha x^m)"),
-)
-
-def _outcome(answer, uncertified: Optional[str]) -> tuple[str, str]:
-    """(outcome, detail) of a certifier's answer."""
-    if answer is None:
-        return "no_certificate", uncertified
-    if isinstance(answer, FalsifyResult):
-        return "falsified", answer.witness["reason"]
-    if answer.kind == "NotApplicable":
-        return "not_applicable", answer.payload["reason"]
-    if answer.kind == "NotInjectiveWitness":
-        return "witness", "kernel element stays in the Schwartz class"
-    return "certified", answer.kind + (" (evidence only)" if answer.grade == EVIDENCE else "")
-
-
-def _run_chain(subject: _Subject, attempts: list[dict]) -> dict[str, Optional[Certificate]]:
-    """Run the steps in order; maps each decided stage to its certificate or
-    kernel witness (None after a falsification)."""
-    decided: dict[str, Optional[Certificate]] = {}
-    for step in _CHAIN:
-        if step.stage in decided:
-            continue
-        found = step.recognize(subject)
-        if found is None:
-            attempts.append(_attempt(step.stage, step.method, "not_applicable", step.unrecognized))
-            continue
-        answer = step.certify(subject, found)
-        outcome, detail = _outcome(answer, step.uncertified)
-        attempts.append(_attempt(step.stage, step.method, outcome, detail))
-        if outcome in ("certified", "witness", "falsified"):
-            decided[step.stage] = None if outcome == "falsified" else answer
-    return decided
-
-
-def _compose_verdict(hypo: Optional[Certificate], inj: Optional[Certificate],
-                     attempts: list[dict]) -> RegularityVerdict:
-    """Regular or NotRegular needs an exact hypo-ellipticity certificate and a
-    decided injectivity link (a certificate or a kernel witness); anything else
-    is Unknown.  The grade is that of the weakest link in the chain."""
-    chain = [c for c in (hypo, inj) if c is not None]
-    grade = EXACT if all(c.grade == EXACT for c in chain) else EVIDENCE
-    certified = hypo is not None and hypo.grade == EXACT
-    if certified and inj is not None:
-        if inj.kind == "NotInjectiveWitness":
-            return RegularityVerdict(status="NotRegular", chain=chain,
-                                     witness=inj.payload["kernel"]["rendered"], grade=grade)
-        return RegularityVerdict(status="Regular", chain=chain, grade=grade)
-    detail = ("hypo-ellipticity certified but injectivity undecided" if certified else
-              "hypo-ellipticity is uncertified, so the reduction to the model operator "
-              "gives no verdict about the planar operator")
-    attempts.append(_attempt("verdict", "compose", "unknown", detail))
-    return RegularityVerdict(status="Unknown", chain=chain, grade=grade)
-
-
-def _adjoint_analysis(subject: _Subject) -> Optional[dict]:
-    """Kernel analysis of the adjoint model for first-order shapes.
-
-    The adjoint of scale*(D + alpha x^m) conjugates alpha; a Schwartz kernel
-    element on the adjoint side means the operator misses a one-dimensional
-    subspace (index -1) even when it is injective.
-    """
-    shape = subject.complex_first_order
-    if shape is None:
-        return None
-    operator = subject.kernel
-    adjoint = first_order_certify(shape.alpha, shape.m, side="adjoint")
-    adj_nontrivial = adjoint.kind == "NotInjectiveWitness"
-    op_nontrivial = operator.kind == "NotInjectiveWitness"
-    if adj_nontrivial and not op_nontrivial:
-        remark = ("N(A*) != 0: the adjoint kernel contains "
-                  f"{adjoint.payload['kernel']['rendered']}, so the operator is "
-                  "injective but not surjective (index -1)")
-    elif op_nontrivial and not adj_nontrivial:
-        remark = ("N(A) != 0 while N(A*) = 0: the operator has a one-dimensional "
-                  "kernel and dense range (index +1)")
-    elif adj_nontrivial and op_nontrivial:
-        remark = "both N(A) and N(A*) are nontrivial"
-    else:
-        remark = "both N(A) and N(A*) are trivial"
-    return {
-        "operator": operator.to_json(),
-        "adjoint": adjoint.to_json(),
-        "adjoint_kernel_nontrivial": adj_nontrivial,
-        "remark": remark,
-    }
-
-
 def certify(spec: OperatorSpec, change: Optional[LinearChange] = None) -> Report:
     """Run the full certificate chain and compose the verdict.
 
@@ -321,11 +142,7 @@ def certify(spec: OperatorSpec, change: Optional[LinearChange] = None) -> Report
         symbols["conjugated"] = t_conjugate(b, change)
     degeneracy = verify_degeneracy(spec, b, atilde)
 
-    attempts: list[dict] = []
-    subject = _Subject(a, symbols["wick"])
-    decided = _run_chain(subject, attempts)
-    verdict = _compose_verdict(decided.get("hypo"), decided.get("injectivity"), attempts)
-
+    verdict, attempts, adjoint = _decide(a, symbols["wick"])
     return Report(
         spec=spec,
         change=change,
@@ -333,7 +150,7 @@ def certify(spec: OperatorSpec, change: Optional[LinearChange] = None) -> Report
         attempts=attempts,
         symbols=symbols,
         degeneracy_holds=degeneracy.holds,
-        adjoint=_adjoint_analysis(subject),
+        adjoint=adjoint,
     )
 
 

@@ -80,7 +80,8 @@ MAX_SPEC_BITS = 4096
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Coefficients c[j,k] (nonzero, j,k >= 0) plus the rational parameter p."""
+    """Coefficients c[j,k] (nonzero, j,k >= 0; from_json reads each index
+    with parse_int) plus the rational parameter p."""
 
     coeffs: Mapping[tuple[int, int], GaussianRational]
     p: Fraction
@@ -88,12 +89,9 @@ class OperatorSpec:
     def __post_init__(self) -> None:
         cleaned: dict[tuple[int, int], GaussianRational] = {}
         for key, value in dict(self.coeffs).items():
-            j, k = key
-            if not (isinstance(j, int) and isinstance(k, int)) or j < 0 or k < 0:
-                raise ValueError(f"coefficient index {key} must be non-negative integers")
             c = GaussianRational.coerce(value)
             if not c.is_zero():
-                cleaned[(j, k)] = c
+                cleaned[key] = c
         if not cleaned:
             raise ValueError("empty operator: no nonzero coefficients")
         order = max(j + k for j, k in cleaned)

@@ -84,6 +84,21 @@ def test_certificate_rejects_unknown_kind_and_grade():
         Certificate(kind="InjSOS", grade="guess", payload={}, subject={})
 
 
+def test_every_certificate_kind_is_issued_by_one_chain_row():
+    issued = [kind for step in certify_module._CHAIN for kind in step.kinds]
+    assert sorted(issued) == sorted(set(certify_module.ALL_KINDS) - {"NotApplicable"})
+    stage_prefixes = {"hypo": ("Hypo",), "injectivity": ("Inj", "NotInjective")}
+    for step in certify_module._CHAIN:
+        assert all(kind.startswith(stage_prefixes[step.stage]) for kind in step.kinds), step.method
+    assert certify_module.HYPO_KINDS == ("HypoQuadraticForm", "HypoNewtonPolygon",
+                                         "HypoFirstOrder", "HypoUnfalsified")
+    # a kernel witness decides injectivity but is no injectivity certificate
+    assert certify_module.INJ_KINDS == ("InjQuadraticEstimate", "InjSOS", "InjWickPositive",
+                                        "InjKernelEscape")
+    assert certify_module.ALL_KINDS == (certify_module.HYPO_KINDS + certify_module.INJ_KINDS
+                                        + ("NotInjectiveWitness", "NotApplicable"))
+
+
 def test_certificate_json_round_trip():
     cert = hypo_certify_quadratic(HARMONIC)
     again = Certificate.from_json(cert.to_json())
