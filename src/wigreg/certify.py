@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import comb, perm
 from typing import Callable, Mapping, NamedTuple, Optional, Union
 
@@ -349,42 +348,43 @@ def hypo_certify_quadratic(a: MultiPoly) -> Optional[Certificate]:
 _MINUS_I_POWERS = (GR_ONE, -GR_I, -GR_ONE, GR_I)  # (-i)^k for k mod 4
 
 
+def _mixed_block_terms(m: int, n: int, mu: Fraction, nu: Fraction) -> dict:
+    """Terms of mu*sigma(M^m D^(2n) M^m) + nu*sigma(D^n M^(2m) D^n), by Leibniz:
+
+        sum_k (-i)^k (mu C(2n, k) m!/(m-k)! + nu C(n, k) (2m)!/(2m-k)!) x^(2m-k) xi^(2n-k)
+
+    over k = 0..2 min(m, n), in ascending k (zero weights included)."""
+    return {(2 * m - k, 2 * n - k): _MINUS_I_POWERS[k % 4]
+            * (mu * comb(2 * n, k) * perm(m, k) + nu * comb(n, k) * perm(2 * m, k))
+            for k in range(2 * min(m, n) + 1)}
+
+
 def mixed_block_symbol_mdm(m: int, n: int) -> MultiPoly:
-    """Left symbol of M^m D^(2n) M^m (multiplication sandwich), by Leibniz:
-
-        sum_k C(2n, k) (-i)^k m!/(m-k)! x^(2m-k) xi^(2n-k),  k = 0..min(2n, m),
-
-    with terms in ascending k."""
-    return MultiPoly(MODEL_VARS, {
-        (2 * m - k, 2 * n - k): _MINUS_I_POWERS[k % 4] * (comb(2 * n, k) * perm(m, k))
-        for k in range(min(2 * n, m) + 1)
-    })
+    """Left symbol of M^m D^(2n) M^m (multiplication sandwich)."""
+    return MultiPoly(MODEL_VARS, _mixed_block_terms(m, n, 1, 0))
 
 
 def mixed_block_symbol_dmd(m: int, n: int) -> MultiPoly:
-    """Left symbol of D^n M^(2m) D^n (derivative sandwich), by Leibniz:
-
-        sum_k C(n, k) (-i)^k (2m)!/(2m-k)! x^(2m-k) xi^(2n-k),  k = 0..min(n, 2m),
-
-    with terms in ascending k."""
-    return MultiPoly(MODEL_VARS, {
-        (2 * m - k, 2 * n - k): _MINUS_I_POWERS[k % 4] * (comb(n, k) * perm(2 * m, k))
-        for k in range(min(n, 2 * m) + 1)
-    })
+    """Left symbol of D^n M^(2m) D^n (derivative sandwich)."""
+    return MultiPoly(MODEL_VARS, _mixed_block_terms(m, n, 0, 1))
 
 
 def family_left_symbol(params: NewtonFamilyParams) -> MultiPoly:
-    lead = MultiPoly(MODEL_VARS, {
-        (2 * params.h, 0): GaussianRational(params.lam),
-        (0, 2 * params.k): GaussianRational(params.sig),
-    })
-    mixed = (mixed_block_symbol_mdm(params.m, params.n).scale(GaussianRational(params.mu))
-             + mixed_block_symbol_dmd(params.m, params.n).scale(GaussianRational(params.nu)))
-    return (lead + mixed).promote(MODEL_VARS)
+    terms = _mixed_block_terms(params.m, params.n, params.mu, params.nu)
+    # a certificate's params may put lam or sig on a mixed monomial
+    for exp, weight in (((2 * params.h, 0), params.lam), ((0, 2 * params.k), params.sig)):
+        terms[exp] = terms.get(exp, GR_ZERO) + weight
+    return MultiPoly(MODEL_VARS, terms)
 
 
 def recognize_newton_family(a: MultiPoly) -> Optional[NewtonFamilyParams]:
-    """Match a against the two-block family with m < h and n < k, exactly."""
+    """Match a against the two-block family with m < h and n < k, exactly.
+
+    Both blocks weigh x^(2m) xi^(2n) by 1, so that coefficient of the mixed
+    part is mu + nu; at x^(2m-2) xi^(2n-2) the first block's coefficient
+    exceeds the second's by n m (n - m), which gives mu.  For m = n the blocks are one
+    symbol and the weight is split evenly.  The mixed part these real weights
+    give must then be the whole residual."""
     sym = _model_symbol(a)
     if sym.is_zero():
         return None
@@ -406,36 +406,13 @@ def recognize_newton_family(a: MultiPoly) -> Optional[NewtonFamilyParams]:
     m, n = rx // 2, rxi // 2
     if not (m < h and n < k):
         return None
-    s1 = mixed_block_symbol_mdm(m, n)
-    s2 = mixed_block_symbol_dmd(m, n)
-    if s1 == s2:
-        w = resid.coefficient({"x": 2 * m, "xi": 2 * n})
-        if not w.is_real():
-            return None
-        half = w.re / 2
-        if s1.scale(GaussianRational(w.re)) == resid:
-            return NewtonFamilyParams(lam, half, half, sig, h, k, m, n)
+    total = resid.coefficient({"x": 2 * m, "xi": 2 * n}).re
+    second = resid.coefficient({"x": 2 * m - 2, "xi": 2 * n - 2}).re
+    mu = total / 2 if m == n else (second + total * comb(n, 2) * perm(2 * m, 2)) / (n * m * (n - m))
+    nu = total - mu
+    if MultiPoly(MODEL_VARS, _mixed_block_terms(m, n, mu, nu)) != resid:
         return None
-    # Solve mu*s1 + nu*s2 = resid from two independent monomials, then confirm.
-    exps = sorted(set(s1.terms) | set(s2.terms), reverse=True)
-
-    def det_at(e1, e2):
-        return (s1.terms.get(e1, GR_ZERO) * s2.terms.get(e2, GR_ZERO)
-                - s1.terms.get(e2, GR_ZERO) * s2.terms.get(e1, GR_ZERO))
-    pivot = next(((e1, e2) for e1, e2 in combinations(exps, 2) if not det_at(e1, e2).is_zero()), None)
-    if pivot is None:
-        return None
-    e1, e2 = pivot
-    det = det_at(e1, e2)
-    r1 = resid.terms.get(e1, GR_ZERO)
-    r2 = resid.terms.get(e2, GR_ZERO)
-    mu = (r1 * s2.terms.get(e2, GR_ZERO) - r2 * s2.terms.get(e1, GR_ZERO)) / det
-    nu = (s1.terms.get(e1, GR_ZERO) * r2 - s1.terms.get(e2, GR_ZERO) * r1) / det
-    if not mu.is_real() or not nu.is_real():
-        return None
-    if s1.scale(mu) + s2.scale(nu) != resid:
-        return None
-    return NewtonFamilyParams(lam, mu.re, nu.re, sig, h, k, m, n)
+    return NewtonFamilyParams(lam, mu, nu, sig, h, k, m, n)
 
 
 def _weight_fault(params: NewtonFamilyParams) -> Optional[str]:

@@ -156,7 +156,9 @@ def certify(spec: OperatorSpec, change: Optional[LinearChange] = None) -> Report
 
 def _report_fault(doc: Mapping, chain: list[Certificate], a: MultiPoly) -> Optional[str]:
     """Why a report whose links all verify against ``a`` does not hold
-    together, or None."""
+    together, or None.  Past the composed verdict, every link must be one the
+    chain issues: never NotApplicable, and a kernel link about the operator,
+    not its adjoint (a bare adjoint certificate still verifies alone)."""
     symbols = doc.get("symbols")
     if not isinstance(symbols, Mapping) or symbols.get("a") != a.to_json():
         return "symbols.a is not the model symbol of the report's spec"
@@ -175,6 +177,11 @@ def _report_fault(doc: Mapping, chain: list[Certificate], a: MultiPoly) -> Optio
         return "grade differs from the verdict's"
     if doc.get("exit_code") != _exit_code(verdict):
         return "exit_code differs from the verdict's"
+    for cert in chain:
+        if cert.kind == "NotApplicable":
+            return "the chain never holds a NotApplicable link"
+        if cert.subject.get("side", "operator") != "operator":
+            return f"the chain's {cert.kind} link must analyse the operator, not its adjoint"
     return None
 
 

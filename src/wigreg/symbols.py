@@ -76,6 +76,9 @@ MODEL_VARS = ("x", "xi")
 # keeps every coefficient of a~, b, W[a] and the conjugated symbol within
 # the 4300 digits Python converts to a string.
 MAX_SPEC_BITS = 4096
+# Most terms b may have: the dense order-30 spec has 46 376 of them, and
+# certify --report on it writes a 9.8 MB report.
+MAX_B_TERMS = 50_000
 
 
 @dataclass(frozen=True)
@@ -242,10 +245,16 @@ def build_b_symbol(spec: OperatorSpec, atilde: Optional[MultiPoly] = None) -> Mu
     exponents, so no two contributions meet.  With p = P/D and -q = (P - D)/D
     the weight is one Fraction C(m,a) C(n,b) (P - D)^(m-a) P^(n-b) /
     D^(m-a+n-b) over integer powers.  ``atilde`` is a_tilde(spec) when the
-    caller already has it.
+    caller already has it.  No weight is zero but a power of q = 0 or of
+    p = 0, so b has exactly the terms counted first; more than MAX_B_TERMS
+    raise a ValueError.
     """
     if atilde is None:
         atilde = a_tilde(spec)
+    x_spreads, xi_spreads = spec.q != 0, spec.p != 0
+    count = sum((m + 1 if x_spreads else 1) * (n + 1 if xi_spreads else 1) for m, n in atilde.terms)
+    if count > MAX_B_TERMS:
+        raise ValueError(f"b would have {count} terms, beyond the limit of {MAX_B_TERMS} terms")
     top = atilde.total_degree()
     den = spec.p.denominator
     p_nums = _powers(spec.p.numerator, top)

@@ -207,6 +207,39 @@ def test_recognize_asymmetric_blocks():
     assert family_left_symbol(params) == sym
 
 
+def _composed_family(lam, mu, nu, sig, h, k, m, n):
+    """The two-block family with its blocks from the general composition formula."""
+    return (poly({(2 * h, 0): gr(lam), (0, 2 * k): gr(sig)})
+            + composed_mixed_block_mdm(m, n).scale(gr(mu))
+            + composed_mixed_block_dmd(m, n).scale(gr(nu)))
+
+
+def test_recognizer_round_trips_seeded_family_params():
+    rng = random.Random(22)
+
+    def weight():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+    shapes = [(1, 1), (1, 4), (3, 1), (2, 2), (5, 5)]
+    shapes += [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(25)]
+    for m, n in shapes:
+        h, k = rng.randint(m + 1, 6), rng.randint(n + 1, 6)
+        lam, mu, nu, sig = weight(), weight(), weight(), weight()
+        if mu + nu == 0:
+            nu += 1
+        sym = _composed_family(lam, mu, nu, sig, h, k, m, n)
+        if m == n:                     # one symbol: the weight is split evenly
+            mu = nu = (mu + nu) / 2
+        params = NewtonFamilyParams(lam, mu, nu, sig, h, k, m, n)
+        assert recognize_newton_family(sym) == params, (m, n)
+        assert family_left_symbol(params) == sym
+        # no family member differs from another in the top coefficient or the
+        # one below it alone
+        for exp in ((2 * m, 2 * n), (2 * m - 1, 2 * n - 1)):
+            bump = gr(weight(), rng.choice((0, 1, -1)))
+            assert recognize_newton_family(sym + poly({exp: bump})) is None, (m, n, exp)
+
+
 def test_recognizer_accepts_pure_diagonal():
     # no mixed block: mu = nu = 0 and the placeholder exponents are 1
     params = recognize_newton_family(HARMONIC)

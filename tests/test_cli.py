@@ -119,6 +119,18 @@ def test_certify_rejects_oversized_rationals_fast_naming_the_field(spec_file, ca
         assert elapsed < 1.0
 
 
+def test_a_spec_whose_b_has_too_many_terms_exits_1_where_b_is_built(spec_file, capsys):
+    path = spec_file({"p": "3/7", "coeffs": [{"j": j, "k": k, "re": "1"}
+                                             for j in range(32) for k in range(32 - j)]})
+    for argv in (["certify", path, "--quiet"], ["symbol", path, "--emit", "b"]):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: b would have 52360 terms, beyond the limit of 50000 terms\n"
+        assert time.perf_counter() - start < 1.0
+    assert main(["symbol", path, "--emit", "a"]) == 0
+    assert capsys.readouterr().out.startswith("a = x^31 + x^30*xi")
+
+
 def test_certify_rejects_an_oversized_json_integer_before_converting_it(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text('{"p": 1' + "0" * 4400 + ', "coeffs": [{"j": 1, "k": 1, "re": "1"}]}')

@@ -694,6 +694,19 @@ def _forged(name, edit):
     return doc
 
 
+_NOT_APPLICABLE = {"kind": "NotApplicable", "grade": "none", "payload": {"reason": "x"},
+                   "subject": {}, "notes": []}
+
+
+def _on_adjoint_link(doc, status):
+    """Rest the verdict on the report's own adjoint kernel certificate, with
+    the status, witness and exit code that chain composes."""
+    adjoint = doc["adjoint"]["adjoint"]
+    witness = adjoint["payload"]["kernel"]["rendered"] if status == "NotRegular" else None
+    doc["verdict"].update(status=status, witness=witness, chain=[doc["verdict"]["chain"][0], adjoint])
+    doc["exit_code"] = 0 if status == "Regular" else 4
+
+
 REPORT_FORGERIES = {
     "status": ("SEXTIC", lambda d: d["verdict"].update(status="Regular"),
                "verdict differs from the one its chain composes"),
@@ -713,11 +726,18 @@ REPORT_FORGERIES = {
                      "verdict differs from the one its chain composes"),
     # a NotApplicable link claims nothing, so it verifies, but no Regular
     # verdict rests on it
-    "not_applicable_link": ("EQ44", lambda d: d["verdict"]["chain"].__setitem__(
-        1, {"kind": "NotApplicable", "grade": "none", "payload": {"reason": "x"},
-            "subject": {}, "notes": []}),
-        "the chain composes no verdict: Regular verdict needs a hypo-ellipticity "
-        "and an injectivity certificate"),
+    "not_applicable_link": ("EQ44", lambda d: d["verdict"]["chain"].__setitem__(1, _NOT_APPLICABLE),
+                            "the chain composes no verdict: Regular verdict needs a hypo-ellipticity "
+                            "and an injectivity certificate"),
+    # links that verify alone and compose a verdict, but that the chain never issues
+    "lone_not_applicable_link": ("SEXTIC", lambda d: d["verdict"].update(chain=[_NOT_APPLICABLE]),
+                                 "the chain never holds a NotApplicable link"),
+    "adjoint_escape_as_regular": ("FIRST_MINUS", lambda d: _on_adjoint_link(d, "Regular"),
+                                  "the chain's InjKernelEscape link must analyse the operator, "
+                                  "not its adjoint"),
+    "adjoint_witness_as_not_regular": ("FIRST_PLUS", lambda d: _on_adjoint_link(d, "NotRegular"),
+                                       "the chain's NotInjectiveWitness link must analyse the "
+                                       "operator, not its adjoint"),
 }
 
 

@@ -5,13 +5,16 @@ import re
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wigreg.exact import GR_I, GR_ONE, MAX_RATIONAL_BITS, GaussianRational, MultiPoly
+from wigreg.pipeline import parse_spec
 from wigreg.symbols import (
+    MAX_B_TERMS,
     MAX_SPEC_BITS,
     MODEL_VARS,
     PHASE_VARS,
@@ -233,6 +236,44 @@ def test_closed_form_b_matches_composition_oracle():
         b = build_b_symbol(spec)
         assert b == composed_b_symbol(spec), spec
         assert b.vars == PHASE_VARS
+
+
+def _b_term_count(spec):
+    """b's terms read off a~: x^m xi^n spreads over m + 1 powers of x unless
+    q = 0, and over n + 1 powers of y unless p = 0."""
+    return sum((m + 1 if spec.q else 1) * (n + 1 if spec.p else 1) for m, n in a_tilde(spec).terms)
+
+
+GOLDEN_SPECS = sorted(p for p in (Path(__file__).resolve().parent / "golden" / "specs").glob("*.json")
+                      if p.name != "positive_target.json")
+
+
+@pytest.mark.parametrize("path", GOLDEN_SPECS, ids=lambda p: p.stem)
+def test_b_has_the_terms_counted_off_a_tilde_for_golden_specs(path):
+    spec, _ = parse_spec(path.read_text())
+    assert len(build_b_symbol(spec).terms) == _b_term_count(spec)
+
+
+def test_b_has_the_terms_counted_off_a_tilde_for_seeded_specs():
+    rng = random.Random(41)
+    for p in _oracle_ps(rng):
+        for _ in range(3):
+            spec = _random_spec(rng, p)
+            assert len(build_b_symbol(spec).terms) == _b_term_count(spec), spec
+
+
+def _dense_unit_spec(order):
+    return OperatorSpec({(j, k): GR_ONE for j in range(order + 1) for k in range(order + 1 - j)},
+                        Fraction(3, 7))
+
+
+def test_b_term_limit_admits_dense_order_30_and_refuses_order_31_fast():
+    assert _b_term_count(_dense_unit_spec(30)) == 46376 <= MAX_B_TERMS
+    spec = _dense_unit_spec(31)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^b would have 52360 terms, beyond the limit of 50000 terms$"):
+        build_b_symbol(spec)
+    assert time.perf_counter() - start < 1.0
 
 
 def _limit_rational(rng):
