@@ -35,6 +35,7 @@ from .exact import (
     GR_ZERO,
     GaussianRational,
     MultiPoly,
+    NonFiniteSampleError,
     format_rational,
     parse_int,
     parse_rational,
@@ -728,8 +729,10 @@ def injectivity_wick(a: MultiPoly, wick: Optional[MultiPoly] = None) -> Certific
     of the leading form on a circle of directions (near-zero directions are
     re-checked pointwise at larger radii).  The sampling is WICK_RADIUS,
     WICK_COUNT and WICK_DIRECTIONS, the only one verify_certificate accepts.
-    The grid is evaluated from its two axis lines (MultiPoly.eval_grid), and
-    a witness is read back as (line[i], line[j]).
+    The grid is sampled a block of rows at a time (MultiPoly.grid_blocks),
+    keeping the minimum and its first row-major index (i, j), whose witness
+    is (line[i], line[j]).  A sample beyond the float range makes the method
+    not applicable: the sampled symbol leaves the float range.
 
     ``wick`` is W[a] when the caller has it already; it is computed from
     ``a`` otherwise."""
@@ -742,12 +745,20 @@ def injectivity_wick(a: MultiPoly, wick: Optional[MultiPoly] = None) -> Certific
         return _not_applicable("coherent-state average symbol has complex coefficients")
 
     line = np.linspace(-WICK_RADIUS, WICK_RADIUS, WICK_COUNT)
-    vals = np.real(wick.eval_grid(line, line))
-    if vals.min() <= 0:
-        i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    low, at = np.inf, None
+    try:
+        for rows, block in wick.grid_blocks(line, line):
+            vals = block.real
+            i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+            if vals[i, j] < low:
+                low, at = vals[i, j], (rows.start + i, j)
+    except NonFiniteSampleError as exc:
+        return _not_applicable(str(exc))
+    if low <= 0:
+        i, j = at
         return _not_applicable(
             "sampled non-positive value of the coherent-state average symbol",
-            {"x": float(line[i]), "xi": float(line[j]), "value": float(vals[i, j])})
+            {"x": float(line[i]), "xi": float(line[j]), "value": float(low)})
 
     lead = wick.leading_form()
     theta = 2.0 * np.pi * np.arange(WICK_DIRECTIONS) / WICK_DIRECTIONS
@@ -780,7 +791,7 @@ def injectivity_wick(a: MultiPoly, wick: Optional[MultiPoly] = None) -> Certific
             "radius": WICK_RADIUS,
             "count": WICK_COUNT,
             "directions": WICK_DIRECTIONS,
-            "min_sample": float(vals.min()),
+            "min_sample": float(low),
             "min_leading": float(lead_vals.min()),
             "near_zero_directions": int(near_zero.sum()),
         },
@@ -865,8 +876,13 @@ def _one(value) -> Optional[tuple]:
 
 
 def _symbol_args(cert: Certificate, symbol: Optional[MultiPoly]) -> Optional[tuple]:
+    """The subject symbol read off the certificate, or the supplied symbol
+    when it equals that one: a sampling certifier then re-samples the
+    caller's symbol in its own term order, not in the JSON's descending one."""
     sym = MultiPoly.from_json(cert.subject["symbol"])
-    return (sym,) if symbol is None or sym == symbol else None
+    if symbol is None:
+        return (sym,)
+    return (symbol,) if sym == symbol else None
 
 
 def _params_args(cert: Certificate, symbol: Optional[MultiPoly]) -> Optional[tuple]:

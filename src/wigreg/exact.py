@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
 from math import isfinite, log10
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -280,6 +280,15 @@ def _digit_count(n: int) -> int:
 def _monomial_text(vars_: tuple[str, ...], exp: tuple) -> str:
     """x^2*xi for exp (2, 1) over (x, xi); empty for the constant monomial."""
     return "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(vars_, exp) if k)
+
+
+# Rows of x per block that MultiPoly.grid_blocks evaluates: 40 rows of a
+# 401-point line are about 16k samples, a tenth of the whole grid.
+GRID_BLOCK_ROWS = 40
+
+
+class NonFiniteSampleError(ValueError):
+    """A sampled polynomial value is inf or NaN."""
 
 
 def _validate_vars(vars_: Iterable[str]) -> tuple[str, ...]:
@@ -535,17 +544,26 @@ class MultiPoly:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval_grid(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Values on the tensor grid x × xi, shape (len(x), len(xi)).
+    def grid_blocks(self, x: np.ndarray, xi: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+        """Values on the tensor grid x × xi, GRID_BLOCK_ROWS rows of x at a
+        time: pairs (rows, block), block[i, j] the value at (x[rows][i],
+        xi[j]), shape (len(x[rows]), len(xi)).
 
-        The two axis lines go to eval_numpy as a column and a row, so each
-        power is taken on one line and only the products broadcast to the
-        grid.  Every grid point gets the float operations, in the same order,
-        that meshgrid planes would give it.  A polynomial over x alone or xi
-        alone comes back as a read-only broadcast view.
+        Each block goes to eval_numpy as a column of x and the row of xi, so
+        every grid point gets the float operations, in the same order, that
+        meshgrid planes would give it, and only one block and its term in
+        flight are held at a time.  A polynomial over x alone or xi alone
+        gives read-only broadcast views.  A value beyond the float range
+        (inf or NaN) raises NonFiniteSampleError before its block is yielded.
         """
-        vals = self.eval_numpy({"x": x[:, None], "xi": xi[None, :]})
-        return np.broadcast_to(vals, (len(x), len(xi)))
+        for start in range(0, len(x), GRID_BLOCK_ROWS):
+            rows = slice(start, min(start + GRID_BLOCK_ROWS, len(x)))
+            # overflow is reported by the finiteness check, not as a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = self.eval_numpy({"x": x[rows, None], "xi": xi[None, :]})
+            if not np.isfinite(vals).all():
+                raise NonFiniteSampleError("sampled symbol leaves the float range")
+            yield rows, np.broadcast_to(vals, (rows.stop - start, len(xi)))
 
     def eval_numpy(self, values: Mapping[str, "np.ndarray | complex | float"],
                    powers: Optional[dict] = None):

@@ -270,29 +270,41 @@ def check_positivity(a: MultiPoly) -> dict:
     """Exact certificate when possible, sampling evidence otherwise.
 
     The samples are a POSITIVITY_COUNT² grid on [-POSITIVITY_RADIUS,
-    POSITIVITY_RADIUS]², evaluated from its two axis lines
-    (MultiPoly.eval_grid).  Raises PositivityError with a witness point
-    (line[i], line[j]) when a sample is strictly negative; zero samples are
-    allowed (positive almost everywhere suffices for the generated operator).
+    POSITIVITY_RADIUS]², sampled a block of rows at a time
+    (MultiPoly.grid_blocks); the minimum and the most central negative
+    sample are kept as the blocks go by.  Raises PositivityError with that
+    sample's point (line[i], line[j]), the first in row-major order among
+    equally central ones, when a sample is strictly negative; zero samples
+    are allowed (positive almost everywhere suffices for the generated
+    operator).  A sample beyond the float range raises a ValueError: the
+    sampled symbol leaves the float range.
     """
     minors = _psd_minors(a)
     if minors is not None and all(v >= 0 for v in minors):
         return {"method": "exact-psd", "minors": [str(v) for v in minors]}
     line = np.linspace(-POSITIVITY_RADIUS, POSITIVITY_RADIUS, POSITIVITY_COUNT)
-    vals = np.real(a.eval_grid(line, line))
-    if vals.min() < 0:
-        # report the most central counterexample, not the most negative one
-        sq = line * line
-        dist = np.where(vals < 0, sq[:, None] + sq[None, :], np.inf)
-        i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
+    sq = line * line
+    low, central, at = inf, inf, None
+    for rows, block in a.grid_blocks(line, line):
+        vals = block.real
+        block_low = vals.min()
+        low = min(low, block_low)
+        if block_low < 0:
+            # report the most central counterexample, not the most negative one
+            dist = np.where(vals < 0, sq[rows, None] + sq[None, :], inf)
+            i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
+            if dist[i, j] < central:
+                central, at = dist[i, j], (rows.start + i, j, vals[i, j])
+    if at is not None:
+        i, j, value = at
         witness = (float(line[i]), float(line[j]))
         raise PositivityError(
             f"symbol is negative at (x, xi) = ({witness[0]:g}, {witness[1]:g}): "
-            f"value {float(vals[i, j]):g}",
+            f"value {float(value):g}",
             witness=witness,
-            value=float(vals[i, j]),
+            value=float(value),
         )
-    record = {"method": "sampled", "min_sample": float(vals.min()),
+    record = {"method": "sampled", "min_sample": float(low),
               "radius": POSITIVITY_RADIUS, "count": POSITIVITY_COUNT}
     if minors is not None:
         record["note"] = "exact PSD check failed; accepted on sampling evidence only"

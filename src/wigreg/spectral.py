@@ -303,7 +303,9 @@ def wick_energy_compare(a: MultiPoly, u, grid: Grid2D = DEFAULT_GRID) -> WickEne
     Requires W[a] to have real coefficients (a ValueError otherwise) and a
     window u with to_polygauss, since A u is computed symbolically; both
     sides are plain Riemann sums on the grid, spectrally accurate for
-    Schwartz-class inputs.
+    Schwartz-class inputs.  W[a] is sampled a block of rows at a time
+    (MultiPoly.grid_blocks), so a sample beyond the float range raises a
+    ValueError too.
     """
     from .symbols import weyl_wick
 
@@ -321,6 +323,8 @@ def wick_energy_compare(a: MultiPoly, u, grid: Grid2D = DEFAULT_GRID) -> WickEne
     direct = float(np.real(np.sum(aut * np.conj(ut)) * grid.dx))
 
     vu = coherent_transform(u, grid)
-    wick_vals = np.real(wick_sym.eval_grid(grid.x_nodes, grid.dual_nodes))
-    wick = float(np.sum(wick_vals * np.abs(vu) ** 2) * grid.dx * grid.dy_dual / (2.0 * np.pi))
+    weight = np.abs(vu) ** 2
+    wick = sum(float(np.sum(block.real * weight[rows]))
+               for rows, block in wick_sym.grid_blocks(grid.x_nodes, grid.dual_nodes))
+    wick *= grid.dx * grid.dy_dual / (2.0 * np.pi)
     return WickEnergy(direct=direct, wick=wick, gap=abs(direct - wick))

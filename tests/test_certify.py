@@ -6,6 +6,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wigreg import certify as certify_module
@@ -39,9 +40,15 @@ from wigreg.certify import (
     unfalsified_certificate,
     verify_certificate,
 )
-from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly, parse_rational
+from wigreg.exact import GR_I, GR_ONE, GRID_BLOCK_ROWS, GaussianRational, MultiPoly, parse_rational
+from wigreg.pipeline import EXIT_UNKNOWN, PositivityError, check_positivity
 from wigreg.pipeline import certify as certify_spec
-from wigreg.pipeline import generate_from_positive_symbol, generate_quasi_homogeneous, parse_spec
+from wigreg.pipeline import (
+    generate_from_positive_symbol,
+    generate_quasi_homogeneous,
+    parse_spec,
+    verify_report,
+)
 from wigreg.symbols import MODEL_VARS, weyl_wick_inverse
 
 from oracles import (
@@ -49,6 +56,7 @@ from oracles import (
     composed_mixed_block_mdm,
     fieldwise_verify_certificate,
     fraction_quad_best_split,
+    meshgrid_check_positivity,
     meshgrid_injectivity_wick,
     quadratic_split_exists,
     separate_planes_hypo_falsify,
@@ -527,6 +535,10 @@ WICK_TARGETS = [
     ({(2, 0): 1, (0, 0): 1}, "InjWickPositive"),          # one variable
     ({(2, 0): 1, (0, 0): -1}, "sampled non-positive"),
     ({(0, 4): 1, (0, 0): -3}, "sampled non-positive"),
+    # (x - 20)^2 + xi^2 - 1: the one minimum is in the last row block, x = 20
+    ({(2, 0): 1, (1, 0): -40, (0, 2): 1, (0, 0): 399}, "sampled non-positive"),
+    # (x^2 - 4)^2 + xi^2 - 1: the minimum ties at x = -2 and x = 2, two blocks apart
+    ({(4, 0): 1, (2, 0): -8, (0, 2): 1, (0, 0): 15}, "sampled non-positive"),
 ]
 
 
@@ -548,9 +560,34 @@ def test_wick_one_variable_witness_is_the_first_grid_minimum():
     assert cert.payload["witness"] == {"x": -WICK_RADIUS, "xi": 0.0, "value": -3.0}
 
 
+@pytest.mark.parametrize("terms,outcome", WICK_TARGETS)
+def test_positivity_sampling_matches_meshgrid_oracle_on_wick_targets(terms, outcome):
+    target = poly({e: gr(Fraction(c)) for e, c in terms.items()})
+
+    def run(check):
+        try:
+            return check(target)
+        except PositivityError as exc:
+            return exc.witness, exc.value, str(exc)
+
+    assert run(check_positivity) == run(meshgrid_check_positivity)
+
+
+def test_wick_witness_is_the_first_minimum_across_row_blocks():
+    line = np.linspace(-WICK_RADIUS, WICK_RADIUS, WICK_COUNT)
+    first, second = (int(np.flatnonzero(line == x)[0]) for x in (-2.0, 2.0))
+    assert first // GRID_BLOCK_ROWS < second // GRID_BLOCK_ROWS
+    last, tie = (_wick_target(terms) for terms, _ in WICK_TARGETS[-2:])
+    cert = injectivity_wick(last)
+    assert cert.payload["witness"] == {"x": WICK_RADIUS, "xi": 0.0, "value": -1.0}
+    # a later block's equal minimum does not replace the first one
+    cert = injectivity_wick(tie)
+    assert cert.payload["witness"] == {"x": -2.0, "xi": 0.0, "value": -1.0}
+
+
 def test_wick_grid_stays_within_its_plane_budget():
-    # the grid is sampled from its axis lines into one summed plane, plus one
-    # term in flight; meshgrid planes would take about seven
+    # the grid is sampled a block of rows at a time, about a tenth of it,
+    # plus one term in flight; the whole grid took about 1.1 planes
     spec, _ = parse_spec(Path(__file__).with_name("golden").joinpath(
         "specs", "wick6_p1o3.json").read_text())
     a = spec.a_symbol()
@@ -562,7 +599,25 @@ def test_wick_grid_stays_within_its_plane_budget():
     finally:
         tracemalloc.stop()
     assert cert.kind == "InjWickPositive"
-    assert peak < 2.5 * plane
+    assert peak < 0.5 * plane
+
+
+# 10^300 (x^10 - x^9 + D^10) at p = 1/2: W[a] overflows to inf and NaN on
+# most of the grid, and its finite samples include negative ones
+OVERFLOW_SPEC = {"p": "1/2", "coeffs": [{"j": 10, "k": 0, "re": "1" + "0" * 300},
+                                        {"j": 9, "k": 0, "re": "-1" + "0" * 300},
+                                        {"j": 0, "k": 10, "re": "1" + "0" * 300}]}
+
+
+def test_wick_grid_beyond_the_float_range_is_not_applicable():
+    report = certify_spec(parse_spec(json.dumps(OVERFLOW_SPEC))[0])
+    assert "InjWickPositive" not in [c.kind for c in report.verdict.chain]
+    (attempt,) = [a for a in report.attempts if a["method"] == "wick_positivity"]
+    assert (attempt["outcome"], attempt["detail"]) == (
+        "not_applicable", "sampled symbol leaves the float range")
+    assert report.exit_code == EXIT_UNKNOWN
+    results = verify_report(json.loads(json.dumps(report.to_json())))
+    assert all(result.ok for _, result in results), results
 
 
 # ---------------------------------------------------------------------------
@@ -884,6 +939,24 @@ def test_verify_labels_a_field_its_certifier_cannot_take_malformed():
     assert res.reason == "malformed certificate: 'str' object has no attribute 'get'"
     res = verify_certificate(_with_leaf(raw, ("subject", "m"), 0))
     assert res.reason == "malformed certificate: m must be a positive integer"
+
+
+def test_sampled_golden_links_rebuild_bit_for_bit_from_the_spec(monkeypatch):
+    # verify_report re-samples the spec's symbol, which the report stores in
+    # (j, k) order; where the spec file lists its coefficients in that order
+    # too, certify sampled the same terms in the same order
+    monkeypatch.setattr(certify_module, "_FLOAT_REL_TOL", 0.0)
+    checked = 0
+    for name, doc in GOLDEN_REPORTS.items():
+        spec = json.loads((GOLDEN / "specs" / f"{name}.json").read_text())
+        listed = [(c["j"], c["k"]) for c in spec["coeffs"]]
+        if listed != sorted(listed):
+            continue
+        for kind, result in verify_report(doc):
+            if kind in ("HypoUnfalsified", "InjWickPositive"):
+                assert result.ok, (name, kind, result.reason)
+                checked += 1
+    assert checked == 3
 
 
 def test_verify_matches_subjectless_kinds_against_the_symbol():

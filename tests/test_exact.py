@@ -17,11 +17,13 @@ from wigreg.exact import (
     GR_I,
     GR_ONE,
     GR_ZERO,
+    GRID_BLOCK_ROWS,
     MAX_ORDER,
     MAX_RATIONAL_BITS,
     MAX_RATIONAL_DIGITS,
     GaussianRational,
     MultiPoly,
+    NonFiniteSampleError,
     _digit_count,
     _json_int,
     format_rational,
@@ -338,8 +340,18 @@ def _bits(z):
     return np.ascontiguousarray(z).view(np.uint64)
 
 
-def test_eval_grid_matches_meshgrid_planes_bit_for_bit():
-    x, xi = np.linspace(-3.0, 3.0, 31), np.linspace(-2.0, 5.0, 17)
+def _grid(poly, x, xi):
+    """The row blocks of poly.grid_blocks(x, xi), checked to tile the grid in
+    order, stacked into the whole grid."""
+    blocks = list(poly.grid_blocks(x, xi))
+    assert [rows.start for rows, _ in blocks] == list(range(0, len(x), GRID_BLOCK_ROWS))
+    assert all(block.shape == (len(x[rows]), len(xi)) for rows, block in blocks)
+    return np.concatenate([block for _, block in blocks])
+
+
+def test_grid_blocks_match_meshgrid_planes_bit_for_bit():
+    # 93 rows: two whole blocks and a short last one
+    x, xi = np.linspace(-3.0, 3.0, 93), np.linspace(-2.0, 5.0, 17)
     planes = dict(zip(("x", "xi"), np.meshgrid(x, xi, indexing="ij")))
     c = GaussianRational(Fraction(-1, 3), Fraction(2, 7))
     polys = [
@@ -354,9 +366,24 @@ def test_eval_grid_matches_meshgrid_planes_bit_for_bit():
         MultiPoly.constant(c),
     ]
     for poly in polys:
-        got = poly.eval_grid(x, xi)
-        assert got.shape == (31, 17)
+        got = _grid(poly, x, xi)
+        assert got.shape == (93, 17)
         assert np.array_equal(_bits(got), _bits(fresh_planes_eval(poly, planes)))
+
+
+def test_grid_blocks_refuse_samples_beyond_the_float_range():
+    # 10^300 x^10 and 10^300 x^9 overflow to inf near the edge of the grid,
+    # and their sum to NaN
+    big = GaussianRational(Fraction(10 ** 300))
+    poly = MultiPoly(("x", "xi"), {(10, 0): big, (9, 0): -big, (0, 10): big})
+    line = np.linspace(-20.0, 20.0, 401)
+    with np.errstate(all="raise"):   # no warning escapes the sampler either
+        blocks = poly.grid_blocks(line, line)
+        with pytest.raises(NonFiniteSampleError, match="^sampled symbol leaves the float range$"):
+            next(blocks)
+    assert issubclass(NonFiniteSampleError, ValueError)
+    inner = np.linspace(-1.0, 1.0, 50)
+    assert np.isfinite(_grid(poly, inner, inner)).all()
 
 
 def _reference_polys():
@@ -387,7 +414,7 @@ def test_eval_matches_python_scalar_reference_bit_for_bit():
         assert np.array_equal(_bits(column), _bits(want[:, None]))
         grid = np.array([[python_eval(poly, {"x": a, "xi": b}) for b in xi.tolist()]
                          for a in x.tolist()])
-        assert np.array_equal(_bits(poly.eval_grid(x, xi)), _bits(grid))
+        assert np.array_equal(_bits(_grid(poly, x, xi)), _bits(grid))
 
 
 def test_eval_numpy_leaves_no_cyclic_garbage():
@@ -397,7 +424,7 @@ def test_eval_numpy_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         poly.eval_numpy({"x": x, "xi": x}, {})
-        poly.eval_grid(x, x)
+        _grid(poly, x, x)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from wigreg.pipeline import (
     EXIT_NOT_REGULAR,
     EXIT_REGULAR_EXACT,
     EXIT_UNKNOWN,
+    POSITIVITY_COUNT,
     PositivityError,
     certify,
     check_positivity,
@@ -407,6 +409,10 @@ POSITIVITY_TARGETS = [
     (("x",), {(4,): 1, (1,): 3, (0,): 3}, "sampled"),
     (("x",), {(2,): 1, (0,): -1}, "negative"),
     (("xi",), {(5,): 1, (0,): 1}, "negative"),
+    # 399/20 - x is negative only in the last row block, x = 20
+    (MODEL_VARS, {(1, 0): -1, (0, 0): Fraction(399, 20)}, "negative"),
+    # (x^2 - 4)^2 - 1/100 is negative only at x = -2 and x = 2, two blocks apart
+    (MODEL_VARS, {(4, 0): 1, (2, 0): -8, (0, 0): Fraction(1599, 100)}, "negative"),
 ]
 
 
@@ -423,6 +429,36 @@ def test_check_positivity_axis_lines_match_meshgrid_oracle(vars_, terms, outcome
     got = run(check_positivity)
     assert got == run(meshgrid_check_positivity)
     assert (got[0] if isinstance(got, tuple) else got["method"]) == outcome
+
+
+def test_sampled_positivity_stays_within_its_plane_budget():
+    # a block of rows, about a tenth of the grid, plus one term in flight;
+    # the whole grid took about 2.1 planes
+    a = MultiPoly(MODEL_VARS, {(4, 0): GR_ONE, (2, 2): GR_ONE, (0, 4): gr(2), (0, 0): GR_ONE})
+    plane = 16 * POSITIVITY_COUNT ** 2
+    tracemalloc.start()
+    try:
+        record = check_positivity(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record["method"] == "sampled"
+    assert peak < 0.5 * plane
+
+
+def test_positivity_samples_beyond_the_float_range_raise(tmp_path, capsys):
+    big = gr(10 ** 300)
+    a = MultiPoly(MODEL_VARS, {(10, 0): big, (9, 0): -big, (0, 10): big})
+    with pytest.raises(ValueError, match="^sampled symbol leaves the float range$") as err:
+        check_positivity(a)
+    assert not isinstance(err.value, PositivityError)
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(a.to_json()))
+    out = tmp_path / "out.json"
+    assert cli.main(["generate", "--positive-symbol", str(target), "--p", "1/2",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: sampled symbol leaves the float range\n"
+    assert not out.exists()
 
 
 def test_generate_from_positive_symbol_round_trips():
