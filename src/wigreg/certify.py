@@ -206,7 +206,8 @@ def hypo_falsify(a: MultiPoly) -> FalsifyResult:
 
     All circles are sampled at once, a row per radius, so the symbol and its
     two derivatives are each evaluated once, on one shared power cache; every
-    row holds the floats a separate evaluation of its circle would give.
+    row holds the floats a separate evaluation of its circle would give.  A
+    sample beyond the float range raises eval_numpy's NonFiniteSampleError.
     """
     sym = _model_symbol(a)
     if sym.is_zero():
@@ -731,8 +732,8 @@ def injectivity_wick(a: MultiPoly, wick: Optional[MultiPoly] = None) -> Certific
     WICK_COUNT and WICK_DIRECTIONS, the only one verify_certificate accepts.
     The grid is sampled a block of rows at a time (MultiPoly.grid_blocks),
     keeping the minimum and its first row-major index (i, j), whose witness
-    is (line[i], line[j]).  A sample beyond the float range makes the method
-    not applicable: the sampled symbol leaves the float range.
+    is (line[i], line[j]).  A sample beyond the float range, on the grid or
+    on the circles, raises eval_numpy's NonFiniteSampleError.
 
     ``wick`` is W[a] when the caller has it already; it is computed from
     ``a`` otherwise."""
@@ -746,14 +747,11 @@ def injectivity_wick(a: MultiPoly, wick: Optional[MultiPoly] = None) -> Certific
 
     line = np.linspace(-WICK_RADIUS, WICK_RADIUS, WICK_COUNT)
     low, at = np.inf, None
-    try:
-        for rows, block in wick.grid_blocks(line, line):
-            vals = block.real
-            i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
-            if vals[i, j] < low:
-                low, at = vals[i, j], (rows.start + i, j)
-    except NonFiniteSampleError as exc:
-        return _not_applicable(str(exc))
+    for rows, block in wick.grid_blocks(line, line):
+        vals = block.real
+        i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        if vals[i, j] < low:
+            low, at = vals[i, j], (rows.start + i, j)
     if low <= 0:
         i, j = at
         return _not_applicable(
@@ -996,7 +994,8 @@ def _outcome(answer, uncertified: Optional[str]) -> tuple[str, str]:
 
 def _run_chain(subject: _Subject, attempts: list[dict]) -> dict[str, Optional[Certificate]]:
     """Run the steps in order; maps each decided stage to its certificate or
-    kernel witness (None after a falsification)."""
+    kernel witness (None after a falsification).  A step whose samples leave
+    the float range (NonFiniteSampleError) is not applicable."""
     decided: dict[str, Optional[Certificate]] = {}
     for step in _CHAIN:
         if step.stage in decided:
@@ -1005,7 +1004,11 @@ def _run_chain(subject: _Subject, attempts: list[dict]) -> dict[str, Optional[Ce
         if found is None:
             attempts.append(_attempt(step.stage, step.method, "not_applicable", step.unrecognized))
             continue
-        answer = subject.answers[step.method] = step.certify(*found)
+        try:
+            answer = step.certify(*found)
+        except NonFiniteSampleError as exc:
+            answer = _not_applicable(str(exc))
+        subject.answers[step.method] = answer
         outcome, detail = _outcome(answer, step.uncertified)
         attempts.append(_attempt(step.stage, step.method, outcome, detail))
         if outcome in ("certified", "witness", "falsified"):

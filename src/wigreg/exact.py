@@ -141,18 +141,6 @@ class GaussianRational:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "GaussianRational":
-        return cls(Fraction(0))
-
-    @classmethod
-    def one(cls) -> "GaussianRational":
-        return cls(Fraction(1))
-
-    @classmethod
-    def i_unit(cls) -> "GaussianRational":
-        return cls(Fraction(0), Fraction(1))
-
-    @classmethod
     def coerce(cls, value: ScalarLike) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
@@ -213,7 +201,7 @@ class GaussianRational:
     def __pow__(self, exponent: int) -> "GaussianRational":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = GaussianRational.one()
+        result = GR_ONE
         base = self
         e = exponent
         while e:
@@ -264,9 +252,9 @@ class GaussianRational:
         return f"{format_rational(self.re)}{sign}{imag}"
 
 
-GR_ZERO = GaussianRational.zero()
-GR_ONE = GaussianRational.one()
-GR_I = GaussianRational.i_unit()
+GR_ZERO = GaussianRational(Fraction(0))
+GR_ONE = GaussianRational(Fraction(1))
+GR_I = GaussianRational(Fraction(0), Fraction(1))
 
 
 def _digit_count(n: int) -> int:
@@ -554,15 +542,12 @@ class MultiPoly:
         meshgrid planes would give it, and only one block and its term in
         flight are held at a time.  A polynomial over x alone or xi alone
         gives read-only broadcast views.  A value beyond the float range
-        (inf or NaN) raises NonFiniteSampleError before its block is yielded.
+        (inf or NaN) raises eval_numpy's NonFiniteSampleError before its
+        block is yielded.
         """
         for start in range(0, len(x), GRID_BLOCK_ROWS):
             rows = slice(start, min(start + GRID_BLOCK_ROWS, len(x)))
-            # overflow is reported by the finiteness check, not as a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = self.eval_numpy({"x": x[rows, None], "xi": xi[None, :]})
-            if not np.isfinite(vals).all():
-                raise NonFiniteSampleError("sampled symbol leaves the float range")
+            vals = self.eval_numpy({"x": x[rows, None], "xi": xi[None, :]})
             yield rows, np.broadcast_to(vals, (rows.stop - start, len(xi)))
 
     def eval_numpy(self, values: Mapping[str, "np.ndarray | complex | float"],
@@ -576,54 +561,60 @@ class MultiPoly:
         x^k is at most (k - 1) * 2^-53 relative.  ``powers`` caches the
         power planes under ``(v, k)``; polynomials evaluated at the same
         ``values`` may share one dict.  Terms are summed in term order into
-        one result array, so the result is the only full-size array besides
-        the term in flight.  A coefficient beyond the float range raises a
-        ValueError naming its term.
+        one result array, starting from the first term, so the result is the
+        only full-size array besides the term in flight.  A coefficient
+        beyond the float range raises a ValueError naming its term; a value
+        beyond it (inf or NaN) raises NonFiniteSampleError, and numpy warns
+        of no overflow on the way.
         """
         for v in self.vars:
             if v not in values:
                 raise ValueError(f"no value supplied for variable {v!r}")
         power_cache: dict[tuple[str, int], np.ndarray] = {} if powers is None else powers
         wanted = {(v, k) for exp in self.terms for v, k in zip(self.vars, exp) if k}
-        for v, k in sorted(wanted - power_cache.keys()):
-            # from the highest cached power of v below k: one new array,
-            # multiplied up in place so no temporaries are freed; the powers
-            # between are not cached, and a recursive closure would form a
-            # reference cycle that keeps the planes alive until the cyclic GC
-            base = np.asarray(values[v])
-            j = max((i for w, i in power_cache if w == v and i < k), default=1)
-            plane = base if j == 1 else power_cache[v, j]
-            if j < k:
-                plane = plane * base
-                for _ in range(k - j - 1):
-                    plane *= base
-            power_cache[v, k] = plane
-
         shape = np.broadcast_shapes(*[np.shape(values[v]) for v in self.vars])
         total = None
-        for exp, coef in self.terms.items():
-            try:
-                piece = np.asarray(coef.to_complex(), dtype=complex)
-            except ValueError as exc:
-                name = _monomial_text(self.vars, exp) or "constant"
-                raise ValueError(f"{name} term: {exc}") from None
-            for v, k in zip(self.vars, exp):
-                if k:
-                    piece = piece * power_cache[v, k]
-            if total is None:
-                total = piece
-            elif total.shape == shape:
-                total += piece
-            else:
-                total = total + piece
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v, k in sorted(wanted - power_cache.keys()):
+                # from the highest cached power of v below k: one new array,
+                # multiplied up in place so no temporaries are freed; the powers
+                # between are not cached, and a recursive closure would form a
+                # reference cycle that keeps the planes alive until the cyclic GC
+                base = np.asarray(values[v])
+                j = max((i for w, i in power_cache if w == v and i < k), default=1)
+                plane = base if j == 1 else power_cache[v, j]
+                if j < k:
+                    plane = plane * base
+                    for _ in range(k - j - 1):
+                        plane *= base
+                power_cache[v, k] = plane
+
+            for exp, coef in self.terms.items():
+                try:
+                    piece = np.asarray(coef.to_complex(), dtype=complex)
+                except ValueError as exc:
+                    name = _monomial_text(self.vars, exp) or "constant"
+                    raise ValueError(f"{name} term: {exc}") from None
+                for v, k in zip(self.vars, exp):
+                    if k:
+                        piece = piece * power_cache[v, k]
+                if total is None:
+                    total = piece
+                elif total.shape == shape:
+                    total += piece
+                else:
+                    total = total + piece
         if total is None:
-            return np.zeros(shape, dtype=complex)
-        if total.shape != shape:
+            total = np.zeros(shape, dtype=complex)
+        elif total.shape != shape:
             # constant and zero-degree terms never touch the inputs
-            return np.broadcast_to(total + 0j, shape).copy()
-        if not total.ndim:
-            return total + 0j
-        total += 0j
+            total = np.broadcast_to(total + 0j, shape).copy()
+        elif not total.ndim:
+            total = total + 0j
+        else:
+            total += 0j
+        if not np.isfinite(total).all():
+            raise NonFiniteSampleError("sampled symbol leaves the float range")
         return total
 
     # -- ordering and serialization ----------------------------------------

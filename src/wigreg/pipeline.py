@@ -101,7 +101,6 @@ class Report:
     symbols: dict[str, MultiPoly]
     degeneracy_holds: bool
     adjoint: Optional[dict] = None
-    residuals: Optional[list] = None
 
     @property
     def exit_code(self) -> int:
@@ -123,7 +122,7 @@ class Report:
             "grade": self.verdict.grade,
             "attempts": self.attempts,
             "adjoint": self.adjoint,
-            "residuals": self.residuals,
+            "residuals": None,
             "exit_code": self.exit_code,
         }
 

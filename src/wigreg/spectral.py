@@ -217,8 +217,7 @@ def _relative_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
 
 
 def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID,
-                        mode: str = "full",
-                        boundary_tol: float = INTERTWINE_BOUNDARY_TOL) -> list[tuple[str, float]]:
+                        mode: str = "full") -> list[tuple[str, float]]:
     """Relative sup-norm residuals of the intertwining identity.
 
     mode "full": compare B Wig_p[u (x) v] with Wig_p[(A u) (x) v], A u computed
@@ -228,10 +227,11 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
         Wig_p[(x u) (x) v] = (x - q D_y) Wig_p[u (x) v].
 
     The forwards of one call share v's values and run before any operator, so
-    a pair that has not decayed at the window edge fails first.  The default
-    boundary precondition is looser than the standalone transform: applying
-    the operator multiplies the windows by polynomials, and edge mass of 1e-8
-    still sits two orders below the 1e-6 comparison tolerance.
+    a pair that has not decayed at the window edge fails first.  The boundary
+    precondition, INTERTWINE_BOUNDARY_TOL, is looser than the standalone
+    transform: applying the operator multiplies the windows by polynomials,
+    and edge mass of 1e-8 still sits two orders below the 1e-6 comparison
+    tolerance.
     """
     from fractions import Fraction
 
@@ -242,13 +242,13 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
     pf = float(p)
     if mode == "full":
         au = apply_model_operator(spec.complex_coeffs(), u)
-        w, rhs = _forward_samples((u, au), v, pf, grid, boundary_tol)
+        w, rhs = _forward_samples((u, au), v, pf, grid, INTERTWINE_BOUNDARY_TOL)
         # the operator may work in w's plane: nothing reads w afterwards
         lhs = apply_operator_2d(spec, _ScratchTransform(grid, w)).samples
         return [("intertwining", _relative_gap(lhs, rhs))]
     base = to_polygauss(u)
     w, lhs_d, lhs_m = _forward_samples((u, base.apply_d(), base.mul_t()), v, pf, grid,
-                                       boundary_tol)
+                                       INTERTWINE_BOUNDARY_TOL)
     w = _CheckPlane(grid, w)
     rhs_d = apply_operator_2d(OperatorSpec({(0, 1): GR_ONE}, p), w).samples
     derivative = _relative_gap(lhs_d, rhs_d)

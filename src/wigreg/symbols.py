@@ -84,14 +84,15 @@ MAX_B_TERMS = 50_000
 @dataclass(frozen=True)
 class OperatorSpec:
     """Coefficients c[j,k] (nonzero, j,k >= 0; from_json reads each index
-    with parse_int) plus the rational parameter p."""
+    with parse_int), kept in (j, k) order, plus the rational parameter p."""
 
     coeffs: Mapping[tuple[int, int], GaussianRational]
     p: Fraction
 
     def __post_init__(self) -> None:
+        # in (j, k) order, so no symbol or sample depends on the file's order
         cleaned: dict[tuple[int, int], GaussianRational] = {}
-        for key, value in dict(self.coeffs).items():
+        for key, value in sorted(dict(self.coeffs).items()):
             c = GaussianRational.coerce(value)
             if not c.is_zero():
                 cleaned[key] = c
@@ -130,7 +131,7 @@ class OperatorSpec:
 
     def to_json(self) -> dict:
         entries = []
-        for (j, k), c in sorted(self.coeffs.items()):
+        for (j, k), c in self.coeffs.items():
             entries.append({"j": j, "k": k, **c.to_json()})
         return {"p": format_rational(self.p), "coeffs": entries}
 

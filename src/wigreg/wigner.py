@@ -129,11 +129,6 @@ class GridFunction2D:
         dy = self.grid.dy_dual if self.dual_y else self.grid.dx
         return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.grid.dx * dy))
 
-    def __sub__(self, other: "GridFunction2D") -> "GridFunction2D":
-        if self.grid != other.grid or self.dual_y != other.dual_y:
-            raise ValueError("grid functions live on different grids")
-        return GridFunction2D(self.grid, self.samples - other.samples, self.dual_y)
-
 
 def _alternating_phase(n: int) -> np.ndarray:
     k = np.arange(-n // 2, n // 2)

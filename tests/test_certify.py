@@ -3,6 +3,7 @@
 import json
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,10 +41,19 @@ from wigreg.certify import (
     unfalsified_certificate,
     verify_certificate,
 )
-from wigreg.exact import GR_I, GR_ONE, GRID_BLOCK_ROWS, GaussianRational, MultiPoly, parse_rational
+from wigreg.exact import (
+    GR_I,
+    GR_ONE,
+    GRID_BLOCK_ROWS,
+    GaussianRational,
+    MultiPoly,
+    NonFiniteSampleError,
+    parse_rational,
+)
 from wigreg.pipeline import EXIT_UNKNOWN, PositivityError, check_positivity
 from wigreg.pipeline import certify as certify_spec
 from wigreg.pipeline import (
+    emit_report,
     generate_from_positive_symbol,
     generate_quasi_homogeneous,
     parse_spec,
@@ -620,6 +630,21 @@ def test_wick_grid_beyond_the_float_range_is_not_applicable():
     assert all(result.ok for _, result in results), results
 
 
+def test_falsifier_beyond_the_float_range_is_not_applicable():
+    # the outer circles overflow to inf and NaN, which are no witness of a zero
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        report = certify_spec(parse_spec(json.dumps(OVERFLOW_SPEC))[0])
+        with pytest.raises(NonFiniteSampleError, match="^sampled symbol leaves the float range$"):
+            hypo_falsify(report.symbols["a"])
+    (attempt,) = [a for a in report.attempts if a["method"] == "falsifier"]
+    assert (attempt["outcome"], attempt["detail"]) == (
+        "not_applicable", "sampled symbol leaves the float range")
+    assert report.verdict.chain == [] and report.exit_code == EXIT_UNKNOWN
+    results = verify_report(json.loads(json.dumps(report.to_json())))
+    assert all(result.ok for _, result in results), results
+
+
 # ---------------------------------------------------------------------------
 # falsifier
 # ---------------------------------------------------------------------------
@@ -803,6 +828,16 @@ def test_verify_labels_an_unsampleable_subject_apart_from_a_malformed_one():
         assert res.reason.startswith("malformed certificate: ")
 
 
+def test_verify_cannot_re_sample_a_subject_beyond_the_float_range():
+    # 10^300 x^6 stays finite on the circle of radius 16 and overflows on
+    # the one of radius 32
+    good = unfalsified_certificate(SEXTIC, hypo_falsify(SEXTIC))
+    assert good.subject["symbol"]["terms"][0]["exp"] == [6, 0]
+    res = verify_certificate(_with_first_coefficient(good, "1" + "0" * 300))
+    assert (res.ok, res.reason) == (
+        False, "cannot re-sample the subject symbol: sampled symbol leaves the float range")
+
+
 def test_verify_rejects_wick_certificate_at_other_sampling():
     sym = HARMONIC + poly({(0, 0): gr(2)})
     good = injectivity_wick(sym)
@@ -943,20 +978,32 @@ def test_verify_labels_a_field_its_certifier_cannot_take_malformed():
 
 def test_sampled_golden_links_rebuild_bit_for_bit_from_the_spec(monkeypatch):
     # verify_report re-samples the spec's symbol, which the report stores in
-    # (j, k) order; where the spec file lists its coefficients in that order
-    # too, certify sampled the same terms in the same order
+    # (j, k) order, the order certify samples it in whatever the file's order
     monkeypatch.setattr(certify_module, "_FLOAT_REL_TOL", 0.0)
+    generated = json.loads((GOLDEN / "generate_positive.out").read_text())["report"]
     checked = 0
-    for name, doc in GOLDEN_REPORTS.items():
-        spec = json.loads((GOLDEN / "specs" / f"{name}.json").read_text())
-        listed = [(c["j"], c["k"]) for c in spec["coeffs"]]
-        if listed != sorted(listed):
-            continue
+    for name, doc in [*GOLDEN_REPORTS.items(), ("generate_positive", generated)]:
         for kind, result in verify_report(doc):
             if kind in ("HypoUnfalsified", "InjWickPositive"):
                 assert result.ok, (name, kind, result.reason)
                 checked += 1
-    assert checked == 3
+    assert checked == 7
+
+
+@pytest.mark.parametrize("name", ["wick6_p1o3", "dense4_p1o2", "generated"])
+def test_report_does_not_depend_on_the_order_of_the_coefficients(name, tmp_path):
+    if name == "generated":
+        target = MultiPoly.from_json(json.loads((GOLDEN / "specs" / "positive_target.json").read_text()))
+        spec = generate_from_positive_symbol(target, Fraction(2, 5)).spec.to_json()
+    else:
+        spec = json.loads((GOLDEN / "specs" / f"{name}.json").read_text())
+    coeffs = spec["coeffs"]
+    written = set()
+    for i, order in enumerate((coeffs, coeffs[::-1], random.Random(5).sample(coeffs, len(coeffs)))):
+        report = certify_spec(parse_spec({**spec, "coeffs": order})[0])
+        emit_report(report, tmp_path / f"{i}.json", timestamp="PINNED")
+        written.add((tmp_path / f"{i}.json").read_bytes())
+    assert len(written) == 1
 
 
 def test_verify_matches_subjectless_kinds_against_the_symbol():

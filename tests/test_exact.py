@@ -381,6 +381,11 @@ def test_grid_blocks_refuse_samples_beyond_the_float_range():
         blocks = poly.grid_blocks(line, line)
         with pytest.raises(NonFiniteSampleError, match="^sampled symbol leaves the float range$"):
             next(blocks)
+        # eval_numpy makes the check itself, for every sampler: here on the
+        # circle of radius 64, where 10^300 x^10 and 10^300 xi^10 overflow
+        theta = 2.0 * np.pi * np.arange(64) / 64
+        with pytest.raises(NonFiniteSampleError, match="^sampled symbol leaves the float range$"):
+            poly.eval_numpy({"x": 64.0 * np.cos(theta), "xi": 64.0 * np.sin(theta)})
     assert issubclass(NonFiniteSampleError, ValueError)
     inner = np.linspace(-1.0, 1.0, 50)
     assert np.isfinite(_grid(poly, inner, inner)).all()
