@@ -345,12 +345,13 @@ def generate_from_positive_symbol(a: MultiPoly, p) -> GenerateResult:
         raise ValueError("target symbol must be nonzero")
     positivity = check_positivity(a)
     r = weyl_wick_inverse(a)
+    coeffs = {(exp[0], exp[1]): coef for exp, coef in r.terms.items()}
+    spec = OperatorSpec(coeffs, Fraction(p))
+    # first, so an r too large for a spec is refused by size, not by weyl_wick
+    check_spec_size(spec)
     roundtrip_ok = weyl_wick(r) == a
     if not roundtrip_ok:
         raise RuntimeError("transform inversion failed to round-trip; this is a bug")
-    coeffs = {(exp[0], exp[1]): coef for exp, coef in r.terms.items()}
-    spec = OperatorSpec(coeffs, Fraction(p))
-    check_spec_size(spec)
     report = certify(spec)
     return GenerateResult(spec=spec, report=report, positivity=positivity,
                           roundtrip_ok=roundtrip_ok)

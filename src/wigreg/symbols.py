@@ -216,20 +216,21 @@ def a_tilde(spec: OperatorSpec) -> MultiPoly:
     a~(x, xi) = sum_{j,k} c[j,k] sum_{n<=min(j,k)} (i q)^n n! C(j,n) C(k,n)
                 x^{j-n} xi^{k-n}.
 
-    Each term's weight q^n n! C(j,n) C(k,n) is one Fraction over powers of
-    q's numerator and denominator; i^n turns (re, im) by n quarter turns.
+    With q = Q/E, each part r/s of c turned by i^n gives one Fraction
+    (r Q^n n! C(j,n) C(k,n), s E^n).
     """
     q = spec.q
     top = max(min(j, k) for j, k in spec.coeffs)
     nums, dens = _powers(q.numerator, top), _powers(q.denominator, top)
     terms: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
     for (j, k), c in spec.coeffs.items():
-        re, im = c.re, c.im
-        turns = ((re, im), (-im, re), (-re, -im), (im, -re))
+        re_num, re_den, im_num, im_den = c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator
+        turns = ((re_num, re_den, im_num, im_den), (-im_num, im_den, re_num, re_den),
+                 (-re_num, re_den, -im_num, im_den), (im_num, im_den, -re_num, re_den))
         for n in range(min(j, k) + 1):
-            w = Fraction(nums[n] * factorial(n) * comb(j, n) * comb(k, n), dens[n])
-            t_re, t_im = turns[n % 4]
-            t_re, t_im = t_re * w, t_im * w
+            f = nums[n] * factorial(n) * comb(j, n) * comb(k, n)
+            t_re, t_re_den, t_im, t_im_den = turns[n % 4]
+            t_re, t_im = Fraction(t_re * f, t_re_den * dens[n]), Fraction(t_im * f, t_im_den * dens[n])
             key = (j - n, k - n)
             acc = terms.get(key)
             terms[key] = (t_re, t_im) if acc is None else (acc[0] + t_re, acc[1] + t_im)
@@ -244,8 +245,8 @@ def build_b_symbol(spec: OperatorSpec, atilde: Optional[MultiPoly] = None) -> Mu
     x^a y^b xi^(n-b) eta^(m-a) with coefficient
     c C(m,a) C(n,b) (-q)^(m-a) p^(n-b); distinct (m, n, a, b) give distinct
     exponents, so no two contributions meet.  With p = P/D and -q = (P - D)/D
-    the weight is one Fraction C(m,a) C(n,b) (P - D)^(m-a) P^(n-b) /
-    D^(m-a+n-b) over integer powers.  ``atilde`` is a_tilde(spec) when the
+    each part r/s of c gives one Fraction(r C(m,a) C(n,b) (P - D)^(m-a)
+    P^(n-b), s D^(m-a+n-b)).  ``atilde`` is a_tilde(spec) when the
     caller already has it.  No weight is zero but a power of q = 0 or of
     p = 0, so b has exactly the terms counted first; more than MAX_B_TERMS
     raise a ValueError.
@@ -263,7 +264,7 @@ def build_b_symbol(spec: OperatorSpec, atilde: Optional[MultiPoly] = None) -> Mu
     dens = _powers(den, top)
     terms: dict[tuple[int, int, int, int], GaussianRational] = {}
     for (m, n), c in atilde.terms.items():
-        re, im = c.re, c.im
+        re_num, re_den, im_num, im_den = c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator
         for a in range(m + 1):
             x_part = comb(m, a) * mq_nums[m - a]
             if x_part == 0:
@@ -271,8 +272,9 @@ def build_b_symbol(spec: OperatorSpec, atilde: Optional[MultiPoly] = None) -> Mu
             for b in range(n + 1):
                 f = x_part * comb(n, b) * p_nums[n - b]
                 if f != 0:
-                    w = Fraction(f, dens[m - a + n - b])
-                    terms[(a, b, n - b, m - a)] = GaussianRational(re * w, im * w)
+                    d = dens[m - a + n - b]
+                    terms[(a, b, n - b, m - a)] = GaussianRational(Fraction(re_num * f, re_den * d),
+                                                                   Fraction(im_num * f, im_den * d))
     return MultiPoly(PHASE_VARS, terms)
 
 
@@ -283,20 +285,12 @@ class DegeneracyCheck:
     residual: MultiPoly   # difference against the degenerate model symbol
 
 
-def _pair_cancels(f1: int, c1: GaussianRational, f2: int,
-                  c2: Optional[GaussianRational]) -> bool:
-    """f1*c1 + f2*c2 == 0 for integer weights (c2 None reads as zero).
-
-    Each of re and im is tested as n1/d1 * f1 + n2/d2 * f2 == 0, that is
-    f1 n1 d2 + f2 n2 d1 == 0, on the integers alone.
-    """
-    for a, b in ((c1.re, None if c2 is None else c2.re), (c1.im, None if c2 is None else c2.im)):
-        if b is None:
-            if f1 and a:
-                return False
-        elif f1 * a.numerator * b.denominator + f2 * b.numerator * a.denominator:
-            return False
-    return True
+def _pair_cancels(f1: int, c1: tuple, f2: int, c2: Optional[tuple]) -> bool:
+    """f1*c1 + f2*c2 == 0 for integer weights on (re num, re den, im num,
+    im den) quadruples, c2 None as zero: f1 n1 d2 + f2 n2 d1 == 0 per part."""
+    if c2 is None:
+        return not (f1 and (c1[0] or c1[2]))
+    return not (f1 * c1[0] * c2[1] + f2 * c2[0] * c1[1] or f1 * c1[2] * c2[3] + f2 * c2[2] * c1[3])
 
 
 def _transport_residuals_vanish(b: MultiPoly, p: Fraction, q: Fraction) -> bool:
@@ -308,8 +302,10 @@ def _transport_residuals_vanish(b: MultiPoly, p: Fraction, q: Fraction) -> bool:
     q (p).  A term with t > 0 (j > 0) is the partner of the term with i + 1
     (s + 1) and is tested there; when that term is missing it stands alone,
     and its residual coefficient is nonzero unless its weight (p j) is zero.
+    Each coefficient's numerators and denominators are read once.
     """
-    terms = b.terms
+    terms = {e: (c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
+             for e, c in b.terms.items()}
     qn, qd, pn, pd = q.numerator, q.denominator, p.numerator, p.denominator
     for (i, j, s, t), c in terms.items():
         if i and not _pair_cancels(qn * i, c, qd * (t + 1), terms.get((i - 1, j, s, t + 1))):
@@ -341,27 +337,29 @@ def verify_degeneracy(spec: OperatorSpec, b: Optional[MultiPoly] = None,
     if b is None:
         b = build_b_symbol(spec, atilde)
     b = b.promote(PHASE_VARS)
+    model_terms = {(m, n, 0, 0): c for (m, n), c in atilde.terms.items()}
     transported = _transport_residuals_vanish(b, spec.p, spec.q)
     if transported:
         value = MultiPoly(PHASE_VARS, {e: c for e, c in b.terms.items()
                                        if e[2] == 0 and e[3] == 0})
+        if value.terms == model_terms:
+            return DegeneracyCheck(True, value, MultiPoly.zero(PHASE_VARS))
     else:
         x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
         xi, eta = MultiPoly.variable("xi"), MultiPoly.variable("eta")
         value = b.substitute({"x": x + eta.scale(spec.q), "y": y - xi.scale(spec.p),
                               "xi": xi, "eta": eta})
-    model = MultiPoly(PHASE_VARS, {(m, n, 0, 0): c for (m, n), c in atilde.terms.items()})
-    residual = value - model
+    residual = value - MultiPoly(PHASE_VARS, model_terms)
     return DegeneracyCheck(transported and residual.is_zero(), value, residual)
 
 
 def _add_scaled(out: dict, cur: dict, turn: int, div: int) -> None:
-    """out += (i^turn / div) * cur on (re, im) pairs.  A key whose sum
-    reaches zero leaves ``out`` and comes back at the end, as MultiPoly
-    addition drops and re-appends it."""
+    """out += (i^turn / div) * cur on (re, im) pairs, div exact.  A key
+    whose sum reaches zero leaves ``out`` and comes back at the end, as
+    MultiPoly addition drops and re-appends it."""
     for key, (re, im) in cur.items():
         re, im = ((re, im), (-im, re), (-re, -im), (im, -re))[turn % 4]
-        re, im = re / div, im / div
+        re, im = re // div, im // div
         old = out.get(key)
         if old is not None:
             re, im = old[0] + re, old[1] + im
@@ -409,23 +407,41 @@ def _laplace_series(terms: dict, sign: int) -> dict:
 
 
 def _wick_expand(a: MultiPoly, sign: int) -> MultiPoly:
-    """W[a] for sign = -1 and W^-1[a] for sign = +1 on plain (re, im) pairs.
+    """W[a] for sign = -1 and W^-1[a] for sign = +1.
 
-    Stage l of the mixed series and stage n of the Laplacian series give each
-    monomial its closed-form weight (module docstring) with no MultiPoly or
-    GaussianRational in between.  The stages run in the order of the
+    Stage l (n) of the mixed (Laplacian) series divides by 2^l l! (4^n n!),
+    l, n <= h = floor(deg/2), so over one common denominator L S, L the lcm
+    of a's denominators and S = 2^h h! 4^h h!, every stage runs on integer
+    (re, im) pairs and divides exactly.  The stages run in the order of the
     exponentials, so the terms come out in the order that MultiPoly passes
-    produce; floating-point evaluation sums terms in that order.
+    produce; floating-point evaluation sums terms in that order.  A spec's
+    model symbol has L < 2^MAX_SPEC_BITS, and its images have denominators
+    dividing L S, so an L of more bits than MAX_SPEC_BITS + bits(S) raises a
+    ValueError before any stage runs.
     """
     if not set(a.vars) <= set(MODEL_VARS):
         raise ValueError(f"expected a symbol in {MODEL_VARS}, got variables {a.vars}")
     a = a.promote(MODEL_VARS)
-    pairs = {e: (c.re, c.im) for e, c in a.terms.items()}
+    degree = a.total_degree()
+    h = max(degree, 0) // 2
+    stages = 8 ** h * factorial(h) ** 2           # S = 2^h h! 4^h h!
+    limit = MAX_SPEC_BITS + stages.bit_length()
+    den = 1
+    for c in a.terms.values():
+        den = lcm(den, c.re.denominator, c.im.denominator)
+        if den.bit_length() > limit:
+            raise ValueError(f"common denominator of the symbol's coefficients exceeds the limit of "
+                             f"{limit} bits ({MAX_SPEC_BITS} spec bits plus {limit - MAX_SPEC_BITS} "
+                             f"for degree {degree})")
+    common = den * stages
+    pairs = {e: (c.re.numerator * (common // c.re.denominator),
+                 c.im.numerator * (common // c.im.denominator)) for e, c in a.terms.items()}
     if sign < 0:
         pairs = _laplace_series(_mixed_series(pairs, -1), -1)
     else:
         pairs = _mixed_series(_laplace_series(pairs, 1), 1)
-    return MultiPoly(MODEL_VARS, {e: GaussianRational(re, im) for e, (re, im) in pairs.items()})
+    return MultiPoly(MODEL_VARS, {e: GaussianRational(Fraction(re, common), Fraction(im, common))
+                                  for e, (re, im) in pairs.items()})
 
 
 def weyl_wick(a: MultiPoly) -> MultiPoly:

@@ -12,7 +12,7 @@ one column.
 
 The Weyl-Wick oracles run the exponential series one derivative pass at a
 time on whole MultiPoly objects, where the library runs the same stages on
-plain (re, im) Fraction pairs, with each monomial's closed-form weight.
+integer (re, im) pairs over one common denominator.
 
 The falsifier oracle evaluates the symbol and both partial derivatives with
 their own power tables, and re-samples the outermost circle for a growing
@@ -30,8 +30,8 @@ library expands the closed form b = a~(x - q eta, y + p xi).
 The Fraction-chain oracles for a~ and b expand the same closed forms as the
 library, term by term in the same order, but take each weight as a chain of
 GaussianRational and Fraction products with a Fraction power per term, where
-the library builds each weight as one Fraction over integer powers computed
-once per call.
+the library builds each part of a term as one Fraction from integer powers,
+computed once per call, and the coefficient's numerator and denominator.
 
 The planar-operator oracle applies B one first-order factor at a time, an
 FFT pair per factor application, where the library applies each factor as a

@@ -426,7 +426,6 @@ def test_verify_intertwine_fails_fast_on_the_operator_pair(spec_file, capsys, mo
                             "(need < 1.0e-08); enlarge L\n")
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("mode", ["full", "generators"])
 def test_verify_intertwine_exits_1_on_a_window_with_non_finite_values(spec_file, capsys,

@@ -352,7 +352,6 @@ class SpoiledWindow:
         return self.fn.to_polygauss()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("spoiled", ["u", "v"])
 @pytest.mark.parametrize("mode", ["full", "generators"])

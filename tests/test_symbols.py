@@ -4,7 +4,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wigreg.exact import GR_I, GR_ONE, MAX_RATIONAL_BITS, GaussianRational, MultiPoly
+from wigreg.hermite import Hermite
 from wigreg.pipeline import parse_spec
+from wigreg.spectral import wick_energy_compare
 from wigreg.symbols import (
     MAX_B_TERMS,
     MAX_SPEC_BITS,
@@ -560,6 +562,111 @@ def test_wick_matches_series_oracle_term_for_term():
             assert list(got.terms) == list(want.terms), a
         assert weyl_wick_inverse(weyl_wick(a)) == a
         assert weyl_wick(weyl_wick_inverse(a)) == a
+
+
+def _coprime_odd_numbers(rng, bits, count):
+    """``count`` pairwise coprime odd numbers of exactly ``bits`` bits."""
+    found = []
+    while len(found) < count:
+        n = rng.getrandbits(bits - 1) | (1 << (bits - 1)) | 1
+        if all(gcd(n, m) == 1 for m in found):
+            found.append(n)
+    return found
+
+
+def _kernel_oracle_cases():
+    """Specs at the sizes the order-sweep benchmark and the limits reach."""
+    rng = random.Random(2525)
+    # the order-sweep's dense order 10 (p = 5/6) and x^12 D^12 (p = 1/2), with its
+    # denominators: 1 + (j + 2k) % 4 for re and 1 + (2j + k) % 4 for im
+    def sweep_rational(den):
+        return Fraction(rng.choice((-1, 1)) * rng.choice([r for r in range(16, 32) if gcd(r, den) == 1]), den)
+
+    dense10 = OperatorSpec({(j, k): GaussianRational(sweep_rational(1 + (j + 2 * k) % 4),
+                                                     sweep_rational(1 + (2 * j + k) % 4))
+                            for j in range(11) for k in range(11 - j)}, Fraction(5, 6))
+    # order 64, each of three coefficients over its own ~1000-bit denominator
+    d1, d2, d3 = _coprime_odd_numbers(rng, 1000, 3)
+    order64 = OperatorSpec({(64, 0): gr(Fraction(3, d1)), (32, 32): gr(Fraction(-5, d2)),
+                            (0, 64): gr(Fraction(11, d3)), (3, 1): gr(2, -1), (0, 2): gr(-1)},
+                           Fraction(3, 7))
+    check_spec_size(order64)
+    # dense order 12, every coefficient over its own primes, so the Laplacian
+    # stage merges terms of unequal denominators
+    keys = [(j, k) for j in range(13) for k in range(13 - j)]
+    primes = _primes(2 * len(keys))
+    distinct = OperatorSpec({jk: GaussianRational(Fraction(rng.randint(-40, 40) or 1, primes[2 * n]),
+                                                  Fraction(rng.randint(-40, 40), primes[2 * n + 1]))
+                             for n, jk in enumerate(keys)}, Fraction(2, 5))
+    return {"dense10_p5o6": dense10,
+            "x12d12_p1o2": OperatorSpec({(12, 12): GR_ONE}, Fraction(1, 2)),
+            "dense30_p3o7": _dense_unit_spec(30),
+            "order64_three_1000_bit_denominators": order64,
+            "dense12_distinct_denominators": distinct}
+
+
+@pytest.mark.parametrize("name", list(_kernel_oracle_cases()))
+def test_kernels_match_their_oracles_term_for_term_at_benchmark_and_limit_sizes(name):
+    spec = _kernel_oracle_cases()[name]
+    at = a_tilde(spec)
+    assert list(at.terms.items()) == list(fraction_chain_a_tilde(spec).terms.items())
+    b = build_b_symbol(spec, at)
+    assert list(b.terms.items()) == list(fraction_chain_b_symbol(spec, at).terms.items())
+    check = verify_degeneracy(spec, b, at)
+    assert check.holds and check.residual == MultiPoly.zero(PHASE_VARS)
+    assert list(check.value.terms.items()) == [((m, n, 0, 0), c) for (m, n), c in at.terms.items()]
+    assert _transport_residuals_vanish(b, spec.p, spec.q)
+    assert accumulated_transport_residuals_vanish(b, spec.p, spec.q)
+    # one coefficient bumped, and one term moved onto its transport partner
+    (i, j, s, t), c = next((e, c) for e, c in b.terms.items() if e[3])
+    for bump in ({(i, j, s, t): gr(1, 1)}, {(i, j, s, t): -c, (i + 1, j, s, t - 1): c}):
+        assert not _transport_residuals_vanish(b + MultiPoly(PHASE_VARS, bump), spec.p, spec.q)
+    a = spec.a_symbol()
+    for fast, series in ((weyl_wick, series_weyl_wick), (weyl_wick_inverse, series_weyl_wick_inverse)):
+        got = fast(a)
+        assert list(got.terms.items()) == list(series(a).terms.items())
+        assert list(fast(got).terms.items()) == list(series(got).terms.items())
+
+
+def _bound_symbol(*dens):
+    """x^2/d1 + xi^2/d2 + ...: degree 2, so the stages add S = 8, 4 bits."""
+    exps = [(2, 0), (0, 2), (1, 1), (0, 0)]
+    return MultiPoly(MODEL_VARS, {e: gr(Fraction(1, d)) for e, d in zip(exps, dens)})
+
+
+def test_wick_denominator_bound_admits_every_spec_and_refuses_one_bit_past_it():
+    rng = random.Random(4096)
+    # specs near MAX_SPEC_BITS whose denominators are pairwise coprime, so their
+    # lcm is their product: two near the per-rational limit at order 2, and six
+    # of ~660 bits at order 10
+    halves = _coprime_odd_numbers(rng, MAX_RATIONAL_BITS - 6, 2)
+    sixths = _coprime_odd_numbers(rng, 660, 6)
+    specs = [OperatorSpec({(2, 0): gr(Fraction(1, halves[0])), (0, 2): gr(Fraction(-1, halves[1]))},
+                          Fraction(1, 2)),
+             OperatorSpec({jk: gr(Fraction(n + 1, d), Fraction(0))
+                           for n, (jk, d) in enumerate(zip([(10, 0), (0, 10), (5, 5), (3, 2), (1, 1), (0, 0)],
+                                                           sixths))}, Fraction(1, 3))]
+    for r in specs:
+        check_spec_size(r)
+        total = sum(rational_bits(c.re) + rational_bits(c.im) for c in r.coeffs.values())
+        assert total + r.order * rational_bits(r.p) > MAX_SPEC_BITS - 100
+        a = r.a_symbol()
+        wick_den = lcm(*(c.re.denominator for c in weyl_wick(a).terms.values()))
+        assert wick_den.bit_length() > MAX_SPEC_BITS - 150
+        assert weyl_wick_inverse(weyl_wick(a)) == a
+        assert weyl_wick(weyl_wick_inverse(a)) == a
+    # degree 2: the limit is 4096 + 4 bits; 2^2050 times an odd number of 2050
+    # bits has 4100, and of 2051 bits 4101
+    at_limit = _bound_symbol(1 << 2050, (1 << 2049) | 1)
+    assert weyl_wick(at_limit) == series_weyl_wick(at_limit)
+    past = _bound_symbol(1 << 2050, (1 << 2050) | 1)
+    message = ("common denominator of the symbol's coefficients exceeds the limit of 4100 bits "
+               "(4096 spec bits plus 4 for degree 2)")
+    for transform in (weyl_wick, weyl_wick_inverse):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            transform(past)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        wick_energy_compare(past, Hermite(0))
 
 
 def test_wick_rejects_phase_space_symbols():
