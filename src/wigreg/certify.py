@@ -36,6 +36,7 @@ from .exact import (
     GaussianRational,
     MultiPoly,
     NonFiniteSampleError,
+    SamplingError,
     format_rational,
     parse_int,
     parse_rational,
@@ -1120,9 +1121,10 @@ def verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] = None) ->
     field that differs.
 
     An evidence kind that records other sampling than its certifier's fails
-    before any re-sampling; a subject that parses but cannot be sampled (a
-    coefficient beyond the float range) fails as such; a certificate that does
-    not parse, or whose arguments its certifier refuses, fails as malformed.
+    before any re-sampling; a subject that parses but that the sampler
+    cannot sample (SamplingError: a coefficient or a sample beyond the float
+    range) fails as such; a certificate that does not parse, or whose
+    arguments its certifier refuses in any other way, fails as malformed.
     With ``symbol``, the subject must be the one that symbol gives."""
     step = _ISSUER.get(cert.kind)
     if step is None:
@@ -1135,9 +1137,7 @@ def verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] = None) ->
             return VerifyResult(False, "certificate subject does not match the supplied symbol")
         try:
             rebuilt = step.certify(*args)
-        except ValueError as exc:
-            if not step.sampling:
-                raise
+        except SamplingError as exc:
             return VerifyResult(False, f"cannot re-sample the subject symbol: {exc}")
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         return VerifyResult(False, f"malformed certificate: {exc}")

@@ -275,7 +275,12 @@ def _monomial_text(vars_: tuple[str, ...], exp: tuple) -> str:
 GRID_BLOCK_ROWS = 40
 
 
-class NonFiniteSampleError(ValueError):
+class SamplingError(ValueError):
+    """A polynomial cannot be sampled in floats: a coefficient or a sampled
+    value lies beyond the float range."""
+
+
+class NonFiniteSampleError(SamplingError):
     """A sampled polynomial value is inf or NaN."""
 
 
@@ -537,17 +542,20 @@ class MultiPoly:
         time: pairs (rows, block), block[i, j] the value at (x[rows][i],
         xi[j]), shape (len(x[rows]), len(xi)).
 
-        Each block goes to eval_numpy as a column of x and the row of xi, so
-        every grid point gets the float operations, in the same order, that
-        meshgrid planes would give it, and only one block and its term in
-        flight are held at a time.  A polynomial over x alone or xi alone
-        gives read-only broadcast views.  A value beyond the float range
-        (inf or NaN) raises eval_numpy's NonFiniteSampleError before its
-        block is yielded.
+        The coefficients are converted to floats once per grid, and each
+        block is evaluated as eval_numpy evaluates a column of x and the row
+        of xi, so every grid point gets the float operations, in the same
+        order, that meshgrid planes would give it, and only one block and
+        its term in flight are held at a time.  A polynomial over x alone or
+        xi alone gives read-only broadcast views.  eval_numpy's errors come
+        as it raises them: a coefficient beyond the float range before the
+        first block, a value beyond it (inf or NaN) before its block is
+        yielded.
         """
+        terms = self._float_terms({"x": x, "xi": xi})
         for start in range(0, len(x), GRID_BLOCK_ROWS):
             rows = slice(start, min(start + GRID_BLOCK_ROWS, len(x)))
-            vals = self.eval_numpy({"x": x[rows, None], "xi": xi[None, :]})
+            vals = self._sum_terms({"x": x[rows, None], "xi": xi[None, :]}, terms, None)
             yield rows, np.broadcast_to(vals, (rows.stop - start, len(xi)))
 
     def eval_numpy(self, values: Mapping[str, "np.ndarray | complex | float"],
@@ -563,15 +571,34 @@ class MultiPoly:
         ``values`` may share one dict.  Terms are summed in term order into
         one result array, starting from the first term, so the result is the
         only full-size array besides the term in flight.  A coefficient
-        beyond the float range raises a ValueError naming its term; a value
-        beyond it (inf or NaN) raises NonFiniteSampleError, and numpy warns
-        of no overflow on the way.
+        beyond the float range raises a SamplingError naming its term; a
+        value beyond it (inf or NaN) raises NonFiniteSampleError, a
+        SamplingError too, and numpy warns of no overflow on the way.
         """
+        return self._sum_terms(values, self._float_terms(values), powers)
+
+    def _float_terms(self, values: Mapping) -> list[tuple[tuple, complex]]:
+        """(exponent, coefficient as a complex float) for each term, in term
+        order, once every variable has a value.  A missing variable, then a
+        coefficient beyond the float range, raises a ValueError; the latter
+        is a SamplingError naming its term."""
         for v in self.vars:
             if v not in values:
                 raise ValueError(f"no value supplied for variable {v!r}")
+        terms = []
+        for exp, coef in self.terms.items():
+            try:
+                terms.append((exp, coef.to_complex()))
+            except ValueError as exc:
+                name = _monomial_text(self.vars, exp) or "constant"
+                raise SamplingError(f"{name} term: {exc}") from None
+        return terms
+
+    def _sum_terms(self, values: Mapping, terms: list[tuple[tuple, complex]],
+                   powers: Optional[dict]):
+        """eval_numpy on the terms _float_terms gave."""
         power_cache: dict[tuple[str, int], np.ndarray] = {} if powers is None else powers
-        wanted = {(v, k) for exp in self.terms for v, k in zip(self.vars, exp) if k}
+        wanted = {(v, k) for exp, _ in terms for v, k in zip(self.vars, exp) if k}
         shape = np.broadcast_shapes(*[np.shape(values[v]) for v in self.vars])
         total = None
         with np.errstate(over="ignore", invalid="ignore"):
@@ -589,12 +616,8 @@ class MultiPoly:
                         plane *= base
                 power_cache[v, k] = plane
 
-            for exp, coef in self.terms.items():
-                try:
-                    piece = np.asarray(coef.to_complex(), dtype=complex)
-                except ValueError as exc:
-                    name = _monomial_text(self.vars, exp) or "constant"
-                    raise ValueError(f"{name} term: {exc}") from None
+            for exp, coef in terms:
+                piece = np.asarray(coef, dtype=complex)
                 for v, k in zip(self.vars, exp):
                     if k:
                         piece = piece * power_cache[v, k]

@@ -44,6 +44,7 @@ from .symbols import (
     PHASE_VARS,
     LinearChange,
     OperatorSpec,
+    _wick_denominator,
     a_tilde,
     build_b_symbol,
     check_spec_size,
@@ -334,7 +335,9 @@ def generate_from_positive_symbol(a: MultiPoly, p) -> GenerateResult:
 
     The model symbol is r with W[r] = a; its coefficients, read as c[j,k],
     assemble the planar operator.  The emitted report re-derives W[r] so the
-    round trip back to the input is confirmed exactly.
+    round trip back to the input is confirmed exactly.  A target whose
+    common denominator is beyond the bound of the Wick expansion is refused
+    before its positivity is sampled.
     """
     if not set(a.vars) <= set(MODEL_VARS):
         raise ValueError(f"target symbol must use variables {MODEL_VARS}, got {a.vars}")
@@ -343,6 +346,8 @@ def generate_from_positive_symbol(a: MultiPoly, p) -> GenerateResult:
         raise ValueError("target symbol must have real coefficients")
     if a.is_zero():
         raise ValueError("target symbol must be nonzero")
+    # the Wick inverse's bound first: it costs one lcm, the sampled grid far more
+    _wick_denominator(a)
     positivity = check_positivity(a)
     r = weyl_wick_inverse(a)
     coeffs = {(exp[0], exp[1]): coef for exp, coef in r.terms.items()}

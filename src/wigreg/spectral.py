@@ -29,17 +29,19 @@ Two independent checks tie the exact layer to the transform:
 * intertwine_residual compares B applied to Wig_p[u (x) v] against
   Wig_p[(A u) (x) v], with A u computed symbolically (PolyGauss closure).
   The edges of both pairs are checked on lines before any plane is built.
-  The two forwards are filled together a block of x rows at a time, sharing
-  each block's arguments x + q z and x - p z and one evaluation of v on
-  them, and both are done before B runs.  B takes its frame of Y by an FFT
-  in place over the left transform, which nothing reads again, and its last
-  row lands in that same plane.  Since B evaluates its symbols and their Horner
-  polynomials a block of rows at a time, straight into the plane they
-  scale, it adds to the two transforms only the plane of the terms without
-  a derivative, the running total and one row in flight: five planes at
-  most, whatever the orders.  All of this keeps the operations, and so the
-  bits, of separate transforms.  The generator mode shares v's values the
-  same way among u, D u and x u;
+  Then Wig_p[u (x) v] is filled a block of x rows at a time, and B runs on
+  it: B takes its frame of Y by an FFT in place over that transform, which
+  nothing reads again, and its last row lands in that same plane.  Since B
+  evaluates its symbols and their Horner polynomials a block of rows at a
+  time, straight into the plane they scale, it adds to the transform only
+  the plane of the terms without a derivative, the running total and one
+  row in flight: four planes at most, whatever the orders.  After B has run,
+  the right side Wig_p[(A u) (x) v] is built and compared block by block
+  (wigner._forward_blocks), so it never fills a plane; the price is one
+  more evaluation of v on each block.  All of this keeps the operations,
+  and so the bits, of separate transforms.  The generator mode compares
+  the forwards of D u and x u, which share v's values, with the two
+  factors applied to Wig_p[u (x) v] the same way;
 * wick_energy_compare compares the discrete energy form (A u | u), with A u
   computed symbolically as above, with the phase-space average of the
   coherent-state symbol W[a] against |V u|^2, V the coherent-state transform.
@@ -48,16 +50,18 @@ Two independent checks tie the exact layer to the transform:
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from math import isfinite
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .exact import GR_ONE, MultiPoly
 from .hermite import PI_QUARTER_INV, apply_model_operator, to_polygauss
 from .symbols import MODEL_VARS, OperatorSpec
-from .wigner import Grid2D, GridFunction2D, _alternating_phase, _forward_samples, _row_blocks
+from .wigner import (Grid2D, GridFunction2D, _alternating_phase, _check_edges, _forward_blocks,
+                     _row_blocks)
 
 BOUNDARY_WARN_REL = 1e-12
 
@@ -111,7 +115,7 @@ def _poly_times(coeffs: Mapping[int, complex], sym: Callable[[slice], np.ndarray
 
 class _CheckPlane(GridFunction2D):
     """A plane of the intertwining check, which finds non-finite samples
-    once, in _relative_gap, so the constructor does not scan it."""
+    once, in _relative_gaps, so the constructor does not scan it."""
 
     __slots__ = ()
     _scan_finite = False
@@ -204,16 +208,26 @@ DEFAULT_GRID = Grid2D(12.0, 256)
 INTERTWINE_BOUNDARY_TOL = 1e-8
 
 
-def _relative_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """max|lhs - rhs| / max(max|lhs|, max|rhs|); lhs is overwritten with the
-    difference.  A non-finite sample on either side makes its max|.|
-    non-finite, which raises the ValueError of GridFunction2D's scan."""
-    sizes = (float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    if not all(map(isfinite, sizes)):
-        raise ValueError("samples must be finite")
-    scale = max(*sizes, 1e-300)
-    lhs -= rhs
-    return float(np.max(np.abs(lhs))) / scale
+def _relative_gaps(lhs: Sequence[np.ndarray],
+                   rhs_blocks: Iterator[tuple[slice, list[np.ndarray]]]) -> list[float]:
+    """max|l - r| / max(max|l|, max|r|) for each plane l of lhs and the right
+    side r that rhs_blocks gives a block of rows at a time; the planes of lhs
+    are overwritten with the differences.  The maxima are taken block by
+    block, which gives the bits of whole planes, so no right side is ever a
+    plane.  A non-finite sample on either side makes its max|.| non-finite,
+    which raises the ValueError of GridFunction2D's scan."""
+    sizes = [0.0] * len(lhs)
+    gaps = [0.0] * len(lhs)
+    for rows, blocks in rhs_blocks:
+        for i, (plane, rhs) in enumerate(zip(lhs, blocks)):
+            left = plane[rows]
+            top = (float(np.max(np.abs(left))), float(np.max(np.abs(rhs))))
+            if not all(map(isfinite, top)):
+                raise ValueError("samples must be finite")
+            sizes[i] = max(sizes[i], *top)
+            left -= rhs
+            gaps[i] = max(gaps[i], float(np.max(np.abs(left))))
+    return [gap / max(size, 1e-300) for gap, size in zip(gaps, sizes)]
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -227,14 +241,15 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
         Wig_p[(D u) (x) v] = (y + p D_x) Wig_p[u (x) v],
         Wig_p[(x u) (x) v] = (x - q D_y) Wig_p[u (x) v].
 
-    The forwards of one call share v's values and run before any operator, so
-    a pair that has not decayed at the window edge fails first.  The boundary
+    The edges of every pair are checked on lines before any plane, so a pair
+    that has not decayed at the window edge fails first.  The boundary
     precondition, INTERTWINE_BOUNDARY_TOL, is looser than the standalone
     transform: applying the operator multiplies the windows by polynomials,
     and edge mass of 1e-8 still sits two orders below the 1e-6 comparison
-    tolerance.
+    tolerance.  The right sides, the forwards of A u (or of D u and x u),
+    are compared a block of rows at a time after the operator has run.
 
-    An inf or NaN sample raises _relative_gap's ValueError, with no numpy
+    An inf or NaN sample raises _relative_gaps' ValueError, with no numpy
     warning.
     """
     from fractions import Fraction
@@ -245,20 +260,24 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
     spec = spec.with_p(p)
     pf = float(p)
     if mode == "full":
-        au = apply_model_operator(spec.complex_coeffs(), u)
-        w, rhs = _forward_samples((u, au), v, pf, grid, INTERTWINE_BOUNDARY_TOL)
+        rights = (apply_model_operator(spec.complex_coeffs(), u),)
+    else:
+        base = to_polygauss(u)
+        rights = (base.apply_d(), base.mul_t())
+    _check_edges((u, *rights), v, pf, grid, INTERTWINE_BOUNDARY_TOL)
+    w = np.empty((grid.N, grid.N), dtype=complex)
+    deque(_forward_blocks((u,), v, pf, grid, (w,)), maxlen=0)
+    if mode == "full":
         # the operator may work in w's plane: nothing reads w afterwards
-        lhs = apply_operator_2d(spec, _ScratchTransform(grid, w)).samples
-        return [("intertwining", _relative_gap(lhs, rhs))]
-    base = to_polygauss(u)
-    w, lhs_d, lhs_m = _forward_samples((u, base.apply_d(), base.mul_t()), v, pf, grid,
-                                       INTERTWINE_BOUNDARY_TOL)
-    w = _CheckPlane(grid, w)
-    rhs_d = apply_operator_2d(OperatorSpec({(0, 1): GR_ONE}, p), w).samples
-    derivative = _relative_gap(lhs_d, rhs_d)
-    rhs_m = apply_operator_2d(OperatorSpec({(1, 0): GR_ONE}, p), w).samples
-    position = _relative_gap(lhs_m, rhs_m)
-    return [("derivative_factor", derivative), ("position_factor", position)]
+        lhs = [apply_operator_2d(spec, _ScratchTransform(grid, w)).samples]
+        names = ("intertwining",)
+    else:
+        w = _CheckPlane(grid, w)
+        lhs = [apply_operator_2d(OperatorSpec({jk: GR_ONE}, p), w).samples
+               for jk in ((0, 1), (1, 0))]
+        names = ("derivative_factor", "position_factor")
+    del w
+    return list(zip(names, _relative_gaps(lhs, _forward_blocks(rights, v, pf, grid))))
 
 
 # ---------------------------------------------------------------------------

@@ -406,22 +406,15 @@ def _laplace_series(terms: dict, sign: int) -> dict:
         _add_scaled(out, cur, (1 - sign) * n, div)
 
 
-def _wick_expand(a: MultiPoly, sign: int) -> MultiPoly:
-    """W[a] for sign = -1 and W^-1[a] for sign = +1.
+def _wick_denominator(a: MultiPoly) -> tuple[int, int]:
+    """(L, S) for the Wick expansions of a model symbol a: L the lcm of a's
+    denominators and S = 2^h h! 4^h h!, h = floor(deg/2).
 
-    Stage l (n) of the mixed (Laplacian) series divides by 2^l l! (4^n n!),
-    l, n <= h = floor(deg/2), so over one common denominator L S, L the lcm
-    of a's denominators and S = 2^h h! 4^h h!, every stage runs on integer
-    (re, im) pairs and divides exactly.  The stages run in the order of the
-    exponentials, so the terms come out in the order that MultiPoly passes
-    produce; floating-point evaluation sums terms in that order.  A spec's
-    model symbol has L < 2^MAX_SPEC_BITS, and its images have denominators
-    dividing L S, so an L of more bits than MAX_SPEC_BITS + bits(S) raises a
-    ValueError before any stage runs.
+    A spec's model symbol has L < 2^MAX_SPEC_BITS, and its images have
+    denominators dividing L S, so an L of more bits than MAX_SPEC_BITS +
+    bits(S) raises a ValueError that names the limit; the lcm stops growing
+    as soon as it passes.
     """
-    if not set(a.vars) <= set(MODEL_VARS):
-        raise ValueError(f"expected a symbol in {MODEL_VARS}, got variables {a.vars}")
-    a = a.promote(MODEL_VARS)
     degree = a.total_degree()
     h = max(degree, 0) // 2
     stages = 8 ** h * factorial(h) ** 2           # S = 2^h h! 4^h h!
@@ -433,6 +426,24 @@ def _wick_expand(a: MultiPoly, sign: int) -> MultiPoly:
             raise ValueError(f"common denominator of the symbol's coefficients exceeds the limit of "
                              f"{limit} bits ({MAX_SPEC_BITS} spec bits plus {limit - MAX_SPEC_BITS} "
                              f"for degree {degree})")
+    return den, stages
+
+
+def _wick_expand(a: MultiPoly, sign: int) -> MultiPoly:
+    """W[a] for sign = -1 and W^-1[a] for sign = +1.
+
+    Stage l (n) of the mixed (Laplacian) series divides by 2^l l! (4^n n!),
+    l, n <= h = floor(deg/2), so over one common denominator L S
+    (_wick_denominator, which refuses an L beyond its bound before any stage
+    runs) every stage runs on integer (re, im) pairs and divides exactly.
+    The stages run in the order of the exponentials, so the terms come out
+    in the order that MultiPoly passes produce; floating-point evaluation
+    sums terms in that order.
+    """
+    if not set(a.vars) <= set(MODEL_VARS):
+        raise ValueError(f"expected a symbol in {MODEL_VARS}, got variables {a.vars}")
+    a = a.promote(MODEL_VARS)
+    den, stages = _wick_denominator(a)
     common = den * stages
     pairs = {e: (c.re.numerator * (common // c.re.denominator),
                  c.im.numerator * (common // c.im.denominator)) for e, c in a.terms.items()}

@@ -43,8 +43,9 @@ import math
 import os
 import shutil
 import warnings
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -145,20 +146,11 @@ def _row_blocks(plane: np.ndarray) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, plane.shape[0], step)]
 
 
-def _forward_samples(firsts: Sequence[Callable], v: Callable, p: float, grid: Grid2D,
-                     boundary_tol: float) -> list[np.ndarray]:
-    """Samples of Wig_p[f (x) v] for each first window f, sharing v's values.
-
-    The edge check of every pair runs first, on lines, so a pair that has not
-    decayed fails before any N x N plane is built.  Then the output planes are
-    filled one block of x rows at a time (_row_blocks): the block's arguments
-    x + q z and x - p z and v's values on them are built once, and each f is
-    evaluated on the shared first argument, multiplied by v's values, given
-    the sign (-1)^l, transformed and scaled in its own plane's rows.  So the
-    forward holds one plane per window and a few blocks of rows, and every
-    value has the bits it would have on whole planes.
-    """
-    p = float(p)
+def _check_edges(firsts: Sequence[Callable], v: Callable, p: float, grid: Grid2D,
+                 boundary_tol: float) -> None:
+    """Raise BoundaryDecayError when some f (x) v reaches boundary_tol at the
+    z window edge, f one of firsts.  It runs on lines, v's two shared, so a
+    pair that has not decayed fails before any N x N plane is built."""
     q = 1.0 - p
     x = grid.x_nodes
     v_low, v_high = np.asarray(v(x - p * grid.L)), np.asarray(v(x + p * grid.L))
@@ -172,25 +164,58 @@ def _forward_samples(firsts: Sequence[Callable], v: Callable, p: float, grid: Gr
                 f"inputs reach {edge:.3e} at the z window edge (need < {boundary_tol:.1e}); "
                 f"enlarge L"
             )
+
+
+def _forward_blocks(firsts: Sequence[Callable], v: Callable, p: float, grid: Grid2D,
+                    out: Optional[Sequence[np.ndarray]] = None
+                    ) -> Iterator[tuple[slice, list[np.ndarray]]]:
+    """Finished row blocks of Wig_p[f (x) v] for each first window f, sharing
+    v's values: pairs (rows, blocks), blocks[i] the samples of firsts[i] on
+    those x rows (_row_blocks), written into out[i][rows] when out is given
+    and into a block of their own otherwise.
+
+    A block's arguments x + q z and x - p z and v's values on them are built
+    once, and each f is evaluated on the shared first argument, multiplied
+    by v's values, given the sign (-1)^l, transformed and scaled in place.
+    So every value has the bits it would have on whole planes, and only a
+    few blocks of rows are alive at a time.  The edges are not checked here
+    (_check_edges).
+    """
+    q = 1.0 - p
+    x = grid.x_nodes
     # z in FFT order with the sign (-1)^l, so the FFT lands centred (see the
     # module docstring); a window whose argument does not move with z is
     # evaluated on the block's x column alone
     n = grid.N
     col = x[:, None]
     z = np.roll(x, n // 2)
-    out = [np.empty((n, n), dtype=complex) for _ in firsts]
-    for rows in _row_blocks(out[0]):
+    for rows in _row_blocks(np.broadcast_to(col, (n, n))):
         block = col[rows]
         second = v(block - p * z if p else block)
         first_arg = block + q * z if q else block
-        for f, plane in zip(firsts, out):
-            g = plane[rows]
+        blocks = []
+        for i, f in enumerate(firsts):
+            g = np.empty((len(block), n), dtype=complex) if out is None else out[i][rows]
             np.multiply(f(first_arg), second, out=g, dtype=complex)
             np.negative(g[:, 1::2], out=g[:, 1::2])
             np.fft.fft(g, axis=1, out=g)
             g *= grid.dx / TWO_PI_SQRT
-        # gone before the next block's are built
+            blocks.append(g)
+        # gone before the blocks go out, and so before the next block's
         del second, first_arg
+        yield rows, blocks
+
+
+def _forward_samples(firsts: Sequence[Callable], v: Callable, p: float, grid: Grid2D,
+                     boundary_tol: float) -> list[np.ndarray]:
+    """Samples of Wig_p[f (x) v] for each first window f, sharing v's values,
+    once every pair's edges are checked on lines (_check_edges).  The planes
+    are filled from _forward_blocks, so the forward holds one plane per
+    window and a few blocks of rows."""
+    p = float(p)
+    _check_edges(firsts, v, p, grid, boundary_tol)
+    out = [np.empty((grid.N, grid.N), dtype=complex) for _ in firsts]
+    deque(_forward_blocks(firsts, v, p, grid, out), maxlen=0)
     return out
 
 

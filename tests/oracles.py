@@ -148,7 +148,7 @@ from wigreg.certify import (
     recognize_newton_family,
     unfalsified_certificate,
 )
-from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly, parse_rational
+from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly, SamplingError, parse_rational
 from wigreg.hermite import PI_QUARTER_INV, apply_model_operator, to_polygauss
 from wigreg.pipeline import POSITIVITY_COUNT, POSITIVITY_RADIUS, PositivityError, _psd_minors
 from wigreg.symbols import MODEL_VARS, PHASE_VARS, LinearChange, OperatorSpec, symbol_compose, weyl_wick
@@ -887,8 +887,9 @@ def fieldwise_verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] 
     Exact kinds are re-checked with rational arithmetic; evidence kinds redo
     their deterministic sampling at the certifiers' default settings, and a
     payload that records any other sampling is rejected.  A well-formed
-    subject that cannot be sampled (a coefficient beyond the float range)
-    fails as such; a certificate that does not parse fails as malformed.
+    subject that the sampler cannot sample (SamplingError: a coefficient or
+    a sample beyond the float range) fails as such; a certificate that does
+    not parse, or that its certifier refuses otherwise, fails as malformed.
     When ``symbol`` is supplied it must match the embedded subject.
     """
     try:
@@ -950,7 +951,7 @@ def fieldwise_verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] 
             sym = MultiPoly.from_json(cert.subject["symbol"])
             try:
                 result = hypo_falsify(sym)
-            except ValueError as exc:
+            except SamplingError as exc:
                 return VerifyResult(False, f"cannot re-sample the subject symbol: {exc}")
             if result.falsified:
                 return VerifyResult(False, "falsifier now finds a witness")
@@ -989,7 +990,7 @@ def fieldwise_verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] 
             sym = MultiPoly.from_json(cert.subject["symbol"])
             try:
                 fresh = injectivity_wick(sym)
-            except ValueError as exc:
+            except SamplingError as exc:
                 return VerifyResult(False, f"cannot re-sample the subject symbol: {exc}")
             if fresh.kind != "InjWickPositive":
                 return VerifyResult(False, "re-sampling no longer certifies positivity")

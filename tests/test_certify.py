@@ -5,6 +5,7 @@ import random
 import tracemalloc
 import warnings
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from wigreg.certify import (
     NewtonFamilyParams,
     QuadraticCoeffs,
     RegularityVerdict,
+    VerifyResult,
     _quad_best_split,
     extract_quadratic_coeffs,
     family_left_symbol,
@@ -826,6 +828,28 @@ def test_verify_labels_an_unsampleable_subject_apart_from_a_malformed_one():
         res = verify_certificate(_with_first_coefficient(good, "1.5"))
         assert not res.ok
         assert res.reason.startswith("malformed certificate: ")
+
+
+def test_verify_labels_a_refused_wick_expansion_as_malformed():
+    # (x^2 + xi^2 + 1) / d with pairwise coprime d of 1500 bits: each
+    # rational is within the per-rational limit, their lcm beyond the Wick
+    # expansion's 4100 bits, so weyl_wick refuses the subject before any
+    # sample is taken
+    rng = random.Random(26)
+    dens = []
+    while len(dens) < 3:
+        d = rng.getrandbits(1500) | 1 << 1499 | 1
+        if all(gcd(d, e) == 1 for e in dens):
+            dens.append(d)
+    subject = poly({e: gr(Fraction(1, d)) for e, d in zip([(2, 0), (0, 2), (0, 0)], dens)})
+    good = injectivity_wick(HARMONIC + poly({(0, 0): gr(2)}))
+    obj = json.loads(json.dumps(good.to_json()))
+    obj["subject"]["symbol"] = subject.to_json()
+    forged = Certificate.from_json(obj)
+    reason = ("malformed certificate: common denominator of the symbol's coefficients exceeds the "
+              "limit of 4100 bits (4096 spec bits plus 4 for degree 2)")
+    assert verify_certificate(forged) == VerifyResult(False, reason)
+    assert fieldwise_verify_certificate(forged) == VerifyResult(False, reason)
 
 
 def test_verify_cannot_re_sample_a_subject_beyond_the_float_range():

@@ -24,6 +24,7 @@ from wigreg.exact import (
     GaussianRational,
     MultiPoly,
     NonFiniteSampleError,
+    SamplingError,
     _digit_count,
     _json_int,
     format_rational,
@@ -389,6 +390,25 @@ def test_grid_blocks_refuse_samples_beyond_the_float_range():
     assert issubclass(NonFiniteSampleError, ValueError)
     inner = np.linspace(-1.0, 1.0, 50)
     assert np.isfinite(_grid(poly, inner, inner)).all()
+
+
+def test_grid_blocks_convert_each_coefficient_once_per_grid(monkeypatch):
+    # three row blocks (40, 40 and 21 rows), and eval_numpy's error before
+    # the first block when a coefficient is beyond the float range
+    calls = []
+    real = GaussianRational.to_complex
+    monkeypatch.setattr(GaussianRational, "to_complex", lambda c: calls.append(c) or real(c))
+    poly = MultiPoly(("x", "xi"), {(2, 0): GR_ONE, (1, 1): GR_I, (0, 0): GaussianRational(Fraction(1, 3))})
+    line = np.linspace(-1.0, 1.0, 101)
+    assert len(list(poly.grid_blocks(line, line))) == 3
+    assert len(calls) == 3
+    huge = poly + MultiPoly(("x", "xi"), {(0, 3): GaussianRational(Fraction(10 ** 310))})
+    blocks = huge.grid_blocks(line, line)
+    with pytest.raises(SamplingError, match=r"^xi\^3 term: coefficient has 311 digits, beyond the float range$"):
+        next(blocks)
+    with pytest.raises(SamplingError, match=r"^xi\^3 term: coefficient has 311 digits, beyond the float range$"):
+        huge.eval_numpy({"x": line, "xi": line})
+    assert issubclass(NonFiniteSampleError, SamplingError)
 
 
 def _reference_polys():

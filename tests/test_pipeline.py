@@ -3,8 +3,10 @@
 import dataclasses
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -484,6 +486,30 @@ def test_generate_rejects_bad_targets():
     with pytest.raises(ValueError, match="variables"):
         generate_from_positive_symbol(
             MultiPoly(("x", "y", "xi", "eta"), {(0, 1, 0, 0): GR_ONE}), 0)
+
+
+def test_generate_refuses_the_wick_denominator_before_sampling(monkeypatch):
+    # -x^2 + xi^2 + 1 and a tiny x xi term, each coefficient off by 1/d with
+    # pairwise coprime d of 1100 bits: negative on the sampled grid, and an
+    # lcm of 4400 bits, beyond the limit of 4096 + 4 bits at degree 2
+    rng = random.Random(26)
+    dens = []
+    while len(dens) < 4:
+        d = rng.getrandbits(1100) | 1 << 1099 | 1
+        if all(gcd(d, e) == 1 for e in dens):
+            dens.append(d)
+    a = MultiPoly(MODEL_VARS, {(2, 0): gr(Fraction(-1) + Fraction(1, dens[0])),
+                               (1, 1): gr(Fraction(1, dens[1])),
+                               (0, 2): gr(Fraction(1) + Fraction(1, dens[2])),
+                               (0, 0): gr(Fraction(1) + Fraction(1, dens[3]))})
+    message = ("common denominator of the symbol's coefficients exceeds the limit of 4100 bits "
+               "(4096 spec bits plus 4 for degree 2)")
+    with pytest.raises(PositivityError):
+        check_positivity(a)
+    monkeypatch.setattr(pipeline, "check_positivity", lambda a: pytest.fail("sampled the target"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+        generate_from_positive_symbol(a, Fraction(1, 2))
+    assert not isinstance(err.value, PositivityError)
 
 
 # ---------------------------------------------------------------------------

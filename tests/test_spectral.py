@@ -298,11 +298,13 @@ class WindowRecorder:
 
 @pytest.mark.parametrize("mode", ["full", "generators"])
 def test_intertwining_check_evaluates_v_on_one_plane(mode):
-    # two edge lines for every pair, then one plane for all of them
+    # two edge lines for every pair, then one plane for Wig_p[u, v] and one
+    # more, block by block, for the right sides, which are compared after the
+    # operator has run; u is evaluated on the first plane only
     n = 64
     u, v = WindowRecorder(H1), WindowRecorder(H2)
     intertwine_residual(EQ44, u, v, Fraction(1, 3), Grid2D(12.0, n), mode=mode)
-    assert v.shapes == [(n,), (n,), (n, n)]
+    assert v.shapes == [(n,), (n,), (n, n), (n, n)]
     assert u.shapes == [(n,), (n,), (n, n)]
 
 
@@ -322,18 +324,20 @@ def test_intertwining_check_fails_on_the_operator_pair_before_any_plane(monkeypa
 
 def test_intertwining_check_stays_within_its_plane_budget():
     # QUARTIC at p = 1/3 has a plain term and three derivative rows, so the
-    # operator holds, besides the two transforms, the plain term, the running
-    # total and one row in flight; symbols and Horner values take a block of
-    # rows at a time (an eighth of a plane at N = 512)
+    # operator holds, besides the transform it consumes, the plain term, the
+    # running total and one row in flight; the generators hold the transform
+    # and the two factors' planes.  The right sides come a block of rows at a
+    # time, as do symbols and Horner values (an eighth of a plane at N = 512)
     grid = Grid2D(12.0, 512)
     plane = 16 * grid.N ** 2
-    tracemalloc.start()
-    try:
-        intertwine_residual(QUARTIC, H1, H2, Fraction(1, 3), grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 5.75 * plane
+    for mode in ("full", "generators"):
+        tracemalloc.start()
+        try:
+            intertwine_residual(QUARTIC, H1, H2, Fraction(1, 3), grid, mode=mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.75 * plane, (mode, peak / plane)
 
 
 class SpoiledWindow:
