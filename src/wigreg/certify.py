@@ -362,16 +362,6 @@ def _mixed_block_terms(m: int, n: int, mu: Fraction, nu: Fraction) -> dict:
             for k in range(2 * min(m, n) + 1)}
 
 
-def mixed_block_symbol_mdm(m: int, n: int) -> MultiPoly:
-    """Left symbol of M^m D^(2n) M^m (multiplication sandwich)."""
-    return MultiPoly(MODEL_VARS, _mixed_block_terms(m, n, 1, 0))
-
-
-def mixed_block_symbol_dmd(m: int, n: int) -> MultiPoly:
-    """Left symbol of D^n M^(2m) D^n (derivative sandwich)."""
-    return MultiPoly(MODEL_VARS, _mixed_block_terms(m, n, 0, 1))
-
-
 def family_left_symbol(params: NewtonFamilyParams) -> MultiPoly:
     terms = _mixed_block_terms(params.m, params.n, params.mu, params.nu)
     # a certificate's params may put lam or sig on a mixed monomial
@@ -849,12 +839,10 @@ def first_order_certify(alpha: GaussianRational, m: int, side: str = "operator")
 @dataclass
 class _Subject:
     """The model symbol a and W[a], with a's recognized shapes, each matched at
-    most once and only when a step first asks for it, and the answer of each
-    step that ran, by method."""
+    most once and only when a step first asks for it."""
 
     a: MultiPoly
     wick: MultiPoly
-    answers: dict = field(default_factory=dict)
 
     @cached_property
     def newton(self) -> Optional[NewtonFamilyParams]:
@@ -1009,7 +997,6 @@ def _run_chain(subject: _Subject, attempts: list[dict]) -> dict[str, Optional[Ce
             answer = step.certify(*found)
         except NonFiniteSampleError as exc:
             answer = _not_applicable(str(exc))
-        subject.answers[step.method] = answer
         outcome, detail = _outcome(answer, step.uncertified)
         attempts.append(_attempt(step.stage, step.method, outcome, detail))
         if outcome in ("certified", "witness", "falsified"):
@@ -1037,19 +1024,18 @@ def _compose_verdict(hypo: Optional[Certificate], inj: Optional[Certificate],
     return RegularityVerdict(status="Unknown", chain=chain, grade=grade)
 
 
-def _adjoint_analysis(subject: _Subject) -> Optional[dict]:
+def _adjoint_analysis(subject: _Subject, operator: Optional[Certificate]) -> Optional[dict]:
     """Kernel analysis of the adjoint model for first-order shapes.
 
     The adjoint of scale*(D + alpha x^m) conjugates alpha; a Schwartz kernel
     element on the adjoint side means the operator misses a one-dimensional
     subspace (index -1) even when it is injective.  The operator side is the
-    first_order_kernel step's answer: no earlier injectivity step decides a
-    complex first-order symbol, so that step ran.
+    injectivity link the chain decided: no step before first_order_kernel
+    decides a complex first-order symbol, and that step always does.
     """
     shape = subject.complex_first_order
     if shape is None:
         return None
-    operator = subject.answers["first_order_kernel"]
     adjoint = first_order_certify(shape.alpha, shape.m, side="adjoint")
     adj_nontrivial = adjoint.kind == "NotInjectiveWitness"
     op_nontrivial = operator.kind == "NotInjectiveWitness"
@@ -1079,7 +1065,7 @@ def _decide(a: MultiPoly, wick: MultiPoly) -> tuple[RegularityVerdict, list[dict
     subject = _Subject(a, wick)
     decided = _run_chain(subject, attempts)
     verdict = _compose_verdict(decided.get("hypo"), decided.get("injectivity"), attempts)
-    return verdict, attempts, _adjoint_analysis(subject)
+    return verdict, attempts, _adjoint_analysis(subject, decided.get("injectivity"))
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def _cmd_transform(args) -> int:
             return _fail("--inverse needs --in <grid file>")
         manifest = read_manifest(args.infile)
         grid_p = manifest.get("p")
-        if grid_p is not None and parse_rational(grid_p) != spec.p:
+        if grid_p is not None and parse_rational(grid_p, "p") != spec.p:
             return _fail(f"{args.infile} was transformed with p = {grid_p}, "
                          f"but the inverse asks for p = {spec.p}")
         gf = read_grid(args.infile, manifest)

@@ -385,24 +385,6 @@ class MultiPoly:
             terms[tuple(e)] = coef
         return MultiPoly(vs, terms)
 
-    def restrict(self, vars_: Iterable[str]) -> "MultiPoly":
-        """Narrow to a subset of variables; the dropped ones must not occur."""
-        vs = _validate_vars(vars_)
-        keep = {v: vs.index(v) for v in vs}
-        for pos, v in enumerate(self.vars):
-            if v in keep:
-                continue
-            if any(exp[pos] != 0 for exp in self.terms):
-                raise ValueError(f"cannot drop variable {v!r}: it occurs in the polynomial")
-        terms = {}
-        for exp, coef in self.terms.items():
-            e = [0] * len(vs)
-            for v, k in zip(self.vars, exp):
-                if v in keep:
-                    e[keep[v]] = k
-            terms[tuple(e)] = coef
-        return MultiPoly(vs, terms)
-
     @staticmethod
     def _union_vars(a: "MultiPoly", b: "MultiPoly") -> tuple[str, ...]:
         names = set(a.vars) | set(b.vars)

@@ -61,7 +61,7 @@ from .exact import GR_ONE, MultiPoly
 from .hermite import PI_QUARTER_INV, apply_model_operator, to_polygauss
 from .symbols import MODEL_VARS, OperatorSpec
 from .wigner import (Grid2D, GridFunction2D, _alternating_phase, _check_edges, _forward_blocks,
-                     _row_blocks)
+                     _row_blocks, _wavenumbers)
 
 BOUNDARY_WARN_REL = 1e-12
 
@@ -85,11 +85,6 @@ def _check_boundary_decay(samples: np.ndarray, what: str) -> None:
             BoundaryDecayWarning,
             stacklevel=3,
         )
-
-
-def _wavenumbers(n: int, spacing: float) -> np.ndarray:
-    """The symbol of D = -i d/dx on the FFT modes of a periodic axis."""
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
 
 
 def _horner(coeffs: Mapping[int, complex], plane: np.ndarray):
@@ -283,24 +278,6 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
 # ---------------------------------------------------------------------------
 # coherent-state energy comparison
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoherentFrame:
-    """Normalized Gaussian windows Phi_{y,eta}(t) = pi^(-1/4) e^{i t eta} e^{-(y-t)^2/2}."""
-
-    grid: Grid2D
-
-    def window(self, y: float, eta: float) -> Callable[[np.ndarray], np.ndarray]:
-        def phi(t):
-            t = np.asarray(t, dtype=float)
-            return PI_QUARTER_INV * np.exp(1j * eta * t) * np.exp(-0.5 * (y - t) ** 2)
-        return phi
-
-    def window_norm(self, y: float = 0.0, eta: float = 0.0) -> float:
-        t = self.grid.x_nodes
-        vals = self.window(y, eta)(t)
-        return float(np.sqrt(np.sum(np.abs(vals) ** 2) * self.grid.dx))
 
 
 def coherent_transform(u: Callable, grid: Grid2D) -> np.ndarray:

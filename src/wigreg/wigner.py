@@ -31,8 +31,8 @@ point at once.
 Memory is counted in planes, one N x N complex array each.  The forward
 fills its output plane one block of x rows at a time, so it holds that plane
 and a few blocks of rows; the inverse runs in one plane besides its input; a
-CSV read holds the samples, the lines this process parses (two planes
-divided by the number of row blocks) and one block of rows.
+CSV read holds the samples and the lines this process parses (two planes
+divided by the number of row blocks).
 """
 
 from __future__ import annotations
@@ -49,16 +49,18 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .exact import load_json
+
 TWO_PI_SQRT = float(np.sqrt(2.0 * np.pi))
 
 DEFAULT_BOUNDARY_TOL = 1e-12
 
 # largest sample count per axis: an N x N complex plane takes 16 N^2 bytes,
 # 256 MiB at the limit, and its CSV text about 80 N^2.  The forward holds one
-# plane per window, the inverse one besides its input and a CSV read two on
-# two or more CPUs, each plus blocks of BLOCK_POINTS points (an eighth of a
-# plane at N = 512, a 512th at the limit): transform --inverse peaks at 2.3
-# planes at N = 512 and near two, 512 MiB, at the limit
+# plane and the inverse one besides its input, each plus blocks of
+# BLOCK_POINTS points (an eighth of a plane at N = 512, a 512th at the
+# limit), and a CSV read two on two or more CPUs: transform --inverse peaks
+# at 2.3 planes at N = 512 and near two, 512 MiB, at the limit
 MAX_GRID_N = 4096
 
 
@@ -123,12 +125,10 @@ class GridFunction2D:
         self.samples = arr
         self.dual_y = bool(dual_y)
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.samples)))
 
-    def l2_norm(self) -> float:
-        dy = self.grid.dy_dual if self.dual_y else self.grid.dx
-        return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.grid.dx * dy))
+def _wavenumbers(n: int, spacing: float) -> np.ndarray:
+    """The symbol of D = -i d/dx on the FFT modes of a periodic axis."""
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
 
 
 def _alternating_phase(n: int) -> np.ndarray:
@@ -206,19 +206,6 @@ def _forward_blocks(firsts: Sequence[Callable], v: Callable, p: float, grid: Gri
         yield rows, blocks
 
 
-def _forward_samples(firsts: Sequence[Callable], v: Callable, p: float, grid: Grid2D,
-                     boundary_tol: float) -> list[np.ndarray]:
-    """Samples of Wig_p[f (x) v] for each first window f, sharing v's values,
-    once every pair's edges are checked on lines (_check_edges).  The planes
-    are filled from _forward_blocks, so the forward holds one plane per
-    window and a few blocks of rows."""
-    p = float(p)
-    _check_edges(firsts, v, p, grid, boundary_tol)
-    out = [np.empty((grid.N, grid.N), dtype=complex) for _ in firsts]
-    deque(_forward_blocks(firsts, v, p, grid, out), maxlen=0)
-    return out
-
-
 def wig_forward(u: Callable, v: Callable, p: float, grid: Grid2D,
                 boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> GridFunction2D:
     """Transform a pure tensor u (x) v on the given grid.
@@ -230,7 +217,10 @@ def wig_forward(u: Callable, v: Callable, p: float, grid: Grid2D,
     windows are evaluated a block of x rows at a time, so besides its one
     output plane the forward holds only a few blocks of rows.
     """
-    samples, = _forward_samples((u,), v, p, grid, boundary_tol)
+    p = float(p)
+    _check_edges((u,), v, p, grid, boundary_tol)
+    samples = np.empty((grid.N, grid.N), dtype=complex)
+    deque(_forward_blocks((u,), v, p, grid, (samples,)), maxlen=0)
     return GridFunction2D(grid, samples, dual_y=True)
 
 
@@ -262,7 +252,7 @@ def wig_inverse(transform: GridFunction2D, p: float) -> GridFunction2D:
     np.divide(samples[:, :half], divisor[:half], out=g[:, half:])
     np.fft.ifft(g, axis=1, out=g)
 
-    omega = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx)
+    omega = _wavenumbers(n, grid.dx)
     x = grid.x_nodes
     np.fft.fft(g, axis=0, out=g)
     for rows in _row_blocks(g):
@@ -442,12 +432,14 @@ def read_manifest(path: str) -> dict:
 
     L must be a finite number, N an integer, axis_y "dual" or "spatial" and
     format "csv" or "raw"; a ValueError names the first key that is missing
-    or of the wrong kind.  Other keys pass through unchecked."""
+    or of the wrong kind.  The file is read by exact.load_json, so an integer
+    too long for any rational stays text, which its check refuses.  Other
+    keys pass through unchecked."""
     mpath = manifest_path(path)
     if not os.path.exists(mpath):
         raise FileNotFoundError(f"missing grid manifest {mpath}")
     with open(mpath, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        manifest = load_json(fh.read())
     if not isinstance(manifest, dict):
         raise ValueError(f"grid manifest {mpath} must hold a JSON object")
     checks = (
@@ -460,7 +452,7 @@ def read_manifest(path: str) -> dict:
         if key not in manifest:
             raise ValueError(f"grid manifest {mpath} has no {key!r}")
         if not ok(manifest[key]):
-            raise ValueError(f"grid manifest key {key!r} must be {kind}, got {manifest[key]!r}")
+            raise ValueError(f"grid manifest key {key!r} must be {kind}, got {manifest[key]!r:.80}")
     return manifest
 
 
@@ -520,17 +512,17 @@ def read_grid(path: str, manifest: Optional[dict] = None) -> GridFunction2D:
     samples are allocated.  A CSV of at least 2 * MIN_BLOCK_POINTS lines is
     parsed in forked row blocks, one per usable CPU, each by np.loadtxt over
     its own lines; the values are bit for bit those of one np.loadtxt call.
-    The blocks are taken in row order: this process's own block as parsed,
-    each child's through the pipe a block of rows (_row_blocks) at a time.
-    Each block's nodes are checked and its re, im columns copied into the
-    one plane of samples, so no (N^2, 4) table is ever built: besides the
-    samples, the read holds this process's parsed lines (two planes'
-    worth divided by the block count) and one block of rows.  Every line
-    after the header must hold a node: a blank or '#' line is rejected at
-    any size and any block count, by a ValueError that names it.  Both
-    formats give back the written samples bit for bit, the sign of every
-    zero included.  ``manifest`` is read_manifest(path) when the caller
-    already has it.
+    Whichever process parses a row block checks its nodes
+    (_check_csv_nodes, a block of rows at a time) and keeps only their
+    re, im columns: this process copies its own into the one plane of
+    samples; a child sends them through the pipe, and they are read here,
+    in row order, straight into that plane.  So no (N^2, 4) table is ever
+    built: besides the samples, the read holds this process's parsed lines
+    (two planes' worth divided by the block count).  Every line after the
+    header must hold a node: a blank or '#' line is rejected at any size
+    and any block count, by a ValueError that names it.  Both formats give
+    back the written samples bit for bit, the sign of every zero included.
+    ``manifest`` is read_manifest(path) when the caller already has it.
     """
     if manifest is None:
         manifest = read_manifest(path)
@@ -554,15 +546,6 @@ def read_grid(path: str, manifest: Optional[dict] = None) -> GridFunction2D:
     # filled as float pairs: adding 1j * im would turn a -0.0 into +0.0
     values = samples.view(np.float64).reshape(n, n, 2)
 
-    def take(first: int, table: np.ndarray) -> None:
-        """Check the nodes of the lines of the x rows from row ``first`` on
-        and copy their re, im columns into those rows, a block at a time."""
-        lines = table.reshape(-1, n, 4)
-        target = values[first:first + len(lines)]
-        for block in _row_blocks(lines[..., 0]):
-            _check_csv_nodes(lines[block], first + block.start, grid, dual_y)
-            target[block] = lines[block, :, 2:]
-
     def work(lo: int, hi: int, out) -> None:
         try:
             with warnings.catch_warnings():
@@ -581,18 +564,18 @@ def read_grid(path: str, manifest: Optional[dict] = None) -> GridFunction2D:
             raise ValueError(f"grid CSV has {lo * n + rows.shape[0]} data lines, expected {n * n}")
         if rows.shape[1] != 4:
             raise ValueError(f"grid CSV lines have {rows.shape[1]} fields, expected 4")
-        if out is None:
-            take(lo, rows)
-        else:
-            out.write(rows)
+        lines = rows.reshape(-1, n, 4)
+        target = values[lo:hi]
+        for block in _row_blocks(lines[..., 0]):
+            _check_csv_nodes(lines[block], lo + block.start, grid, dual_y)
+            target[block] = lines[block, :, 2:]
+        if out is not None:
+            out.write(target)
 
     def deliver(lo: int, hi: int, src) -> None:
-        rows = samples[lo:hi]
-        for block in _row_blocks(rows):
-            table = np.empty((rows[block].size, 4))
-            if src.readinto(memoryview(table).cast("B")) != table.nbytes:
-                raise ValueError(f"grid CSV row block {lo}..{hi - 1} came back short")
-            take(lo + block.start, table)
+        target = memoryview(values[lo:hi]).cast("B")
+        if src.readinto(target) != target.nbytes:
+            raise ValueError(f"grid CSV row block {lo}..{hi - 1} came back short")
 
     try:
         _split_rows(n, work, deliver)

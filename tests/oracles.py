@@ -444,18 +444,28 @@ def fraction_quad_best_split(qc):
     return best
 
 
+def _model_composition(outer: MultiPoly, inner: MultiPoly) -> MultiPoly:
+    """symbol_compose(outer, inner) over MODEL_VARS: y and eta are dropped,
+    and no term may carry them."""
+    x, xi = (PHASE_VARS.index(v) for v in MODEL_VARS)
+    composed = symbol_compose(outer, inner)
+    assert composed.vars == PHASE_VARS
+    assert all(sum(exp) == exp[x] + exp[xi] for exp in composed.terms)
+    return MultiPoly(MODEL_VARS, {(exp[x], exp[xi]): c for exp, c in composed.terms.items()})
+
+
 def composed_mixed_block_mdm(m: int, n: int) -> MultiPoly:
     """Left symbol of M^m D^(2n) M^m by the general composition formula."""
     outer = MultiPoly(MODEL_VARS, {(m, 2 * n): GR_ONE})
     inner = MultiPoly(MODEL_VARS, {(m, 0): GR_ONE})
-    return symbol_compose(outer, inner).restrict(MODEL_VARS)
+    return _model_composition(outer, inner)
 
 
 def composed_mixed_block_dmd(m: int, n: int) -> MultiPoly:
     """Left symbol of D^n M^(2m) D^n by the general composition formula."""
     outer = MultiPoly(MODEL_VARS, {(0, n): GR_ONE})
     inner = MultiPoly(MODEL_VARS, {(2 * m, n): GR_ONE})
-    return symbol_compose(outer, inner).restrict(MODEL_VARS)
+    return _model_composition(outer, inner)
 
 
 def hermite_quadrature_values(n: int, t: np.ndarray) -> np.ndarray:

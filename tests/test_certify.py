@@ -24,6 +24,7 @@ from wigreg.certify import (
     QuadraticCoeffs,
     RegularityVerdict,
     VerifyResult,
+    _mixed_block_terms,
     _quad_best_split,
     extract_quadratic_coeffs,
     family_left_symbol,
@@ -35,8 +36,6 @@ from wigreg.certify import (
     injectivity_quadratic,
     injectivity_sos,
     injectivity_wick,
-    mixed_block_symbol_dmd,
-    mixed_block_symbol_mdm,
     newton_polygon,
     recognize_first_order,
     recognize_newton_family,
@@ -187,23 +186,24 @@ def test_quadratic_certifier_not_applicable_off_shape():
 def test_mixed_blocks_agree_when_symmetric():
     # M D^2 M and D M^2 D share the left symbol x^2 xi^2 - 2i x xi
     expected = poly({(2, 2): GR_ONE, (1, 1): gr(0, -2)})
-    assert mixed_block_symbol_mdm(1, 1) == expected
-    assert mixed_block_symbol_dmd(1, 1) == expected
+    assert poly(_mixed_block_terms(1, 1, 1, 0)) == expected
+    assert poly(_mixed_block_terms(1, 1, 0, 1)) == expected
 
 
 def test_mixed_blocks_differ_in_general():
-    assert mixed_block_symbol_mdm(2, 1) != mixed_block_symbol_dmd(2, 1)
+    assert poly(_mixed_block_terms(2, 1, 1, 0)) != poly(_mixed_block_terms(2, 1, 0, 1))
 
 
-@pytest.mark.parametrize("block, oracle", [
-    (mixed_block_symbol_mdm, composed_mixed_block_mdm),
-    (mixed_block_symbol_dmd, composed_mixed_block_dmd),
+# (mu, nu) weights of M^m D^(2n) M^m and of D^n M^(2m) D^n
+@pytest.mark.parametrize("weights, oracle", [
+    ((1, 0), composed_mixed_block_mdm),
+    ((0, 1), composed_mixed_block_dmd),
 ], ids=["mdm", "dmd"])
-def test_mixed_blocks_match_general_composition(block, oracle):
+def test_mixed_blocks_match_general_composition(weights, oracle):
     # same terms in the same order, so every symbol built on them is unchanged
     for m in range(9):
         for n in range(9):
-            got, want = block(m, n), oracle(m, n)
+            got, want = poly(_mixed_block_terms(m, n, *weights)), oracle(m, n)
             assert got.vars == want.vars
             assert list(got.terms.items()) == list(want.terms.items()), (m, n)
 
@@ -219,8 +219,8 @@ def test_recognize_quartic_family():
 
 def test_recognize_asymmetric_blocks():
     sym = (poly({(4, 0): GR_ONE, (0, 6): GR_ONE})
-           + mixed_block_symbol_mdm(1, 2).scale(gr(3))
-           + mixed_block_symbol_dmd(1, 2).scale(gr(5)))
+           + poly(_mixed_block_terms(1, 2, 1, 0)).scale(gr(3))
+           + poly(_mixed_block_terms(1, 2, 0, 1)).scale(gr(5)))
     params = recognize_newton_family(sym)
     assert params is not None
     assert (params.mu, params.nu) == (3, 5)

@@ -592,6 +592,24 @@ def test_transform_inverse_rejects_manifest_without_l(spec_file, tmp_path, capsy
     assert "has no 'L'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, message", [("N", "grid manifest key 'N' must be an integer"),
+                                          ("p", "p has 5000 digits, beyond the limit")],
+                         ids=["N", "p"])
+def test_transform_inverse_names_an_over_long_manifest_integer(spec_file, tmp_path, capsys,
+                                                               key, message):
+    spec = spec_file(EQ44)
+    fwd = tmp_path / "fwd.csv"
+    assert main(["transform", spec, "--forward", "--N", "16", "--out", str(fwd)]) == 0
+    manifest_file = tmp_path / "fwd.csv.manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    manifest[key] = "long"
+    # 5000 digits: beyond the 4300 that Python's int() converts
+    manifest_file.write_text(json.dumps(manifest).replace('"long"', "1" + "0" * 4999))
+    assert main(["transform", spec, "--inverse", "--in", str(fwd),
+                 "--out", str(tmp_path / "inv.csv")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def _non_numeric_late_field(text):
     lines = text.splitlines(keepends=True)
     lines[60000] = "abc," + lines[60000].split(",", 1)[1]

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly
-from wigreg.hermite import Hermite, apply_model_operator
+from wigreg.hermite import PI_QUARTER_INV, Hermite, apply_model_operator
 from wigreg.spectral import (
     BoundaryDecayWarning,
-    CoherentFrame,
     DEFAULT_GRID,
     _ScratchTransform,
     apply_operator_2d,
@@ -396,19 +395,23 @@ def test_intertwine_mode_validation():
 
 
 def test_window_is_normalized():
-    frame = CoherentFrame(DEFAULT_GRID)
-    assert frame.window_norm() == pytest.approx(1.0, abs=1e-12)
+    # with a unit window, V keeps the norm: (1 / 2 pi) sum |V u|^2 = |u|^2
+    for m in range(3):
+        vu = coherent_transform(Hermite(m), DEFAULT_GRID)
+        norm = np.sum(np.abs(vu) ** 2) * DEFAULT_GRID.dx * DEFAULT_GRID.dy_dual / (2.0 * np.pi)
+        assert norm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coherent_transform_matches_direct_quadrature():
     grid = Grid2D(12.0, 128)
-    frame = CoherentFrame(grid)
     vu = coherent_transform(H1, grid)
     t = grid.x_nodes
     for iy in [30, 64, 90]:
         for ieta in [40, 64, 100]:
             y, eta = grid.x_nodes[iy], grid.dual_nodes[ieta]
-            direct = np.sum(H1(t) * np.conj(frame.window(y, eta)(t))) * grid.dx
+            # the window Phi_{y,eta}(t) = pi^(-1/4) e^{i t eta} e^{-(y-t)^2/2}
+            window = PI_QUARTER_INV * np.exp(1j * eta * t) * np.exp(-0.5 * (y - t) ** 2)
+            direct = np.sum(H1(t) * np.conj(window)) * grid.dx
             assert abs(vu[iy, ieta] - direct) < 1e-12
 
 

@@ -3,6 +3,7 @@
 import json
 import os
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from wigreg.wigner import (
     GridFunction2D,
     _alternating_phase,
     _block_count,
-    _forward_samples,
+    _forward_blocks,
     manifest_path,
     read_grid,
     wig_forward,
@@ -77,14 +78,6 @@ def test_grid_function_validation():
     bad[3, 5] = complex(0.0, np.inf)
     with pytest.raises(ValueError, match="finite"):
         GridFunction2D(g, bad)
-
-
-def test_grid_function_norms():
-    g = Grid2D(4.0, 8)
-    gf = GridFunction2D(g, np.full((8, 8), 2.0), dual_y=False)
-    assert gf.sup_norm() == 2.0
-    # 64 cells of area dx*dx = 1, each contributing |2|^2
-    assert gf.l2_norm() == pytest.approx(16.0)
 
 
 def test_alternating_phase_matches_node_parity():
@@ -160,8 +153,9 @@ def test_forward_blocks_match_the_one_plane_oracle_byte_for_byte(n):
     for p in FORWARD_PS:
         grid = Grid2D(12.0 if 0.0 <= p <= 1.0 else 20.0, n)
         for firsts, v in forward_window_sets():
-            ours = _forward_samples(firsts, v, p, grid, DEFAULT_BOUNDARY_TOL)
             oracle = one_plane_forward_samples(firsts, v, p, grid, DEFAULT_BOUNDARY_TOL)
+            ours = [np.empty((n, n), dtype=complex) for _ in firsts]
+            deque(_forward_blocks(firsts, v, p, grid, ours), maxlen=0)
             assert [s.tobytes() for s in ours] == [s.tobytes() for s in oracle], (n, p, len(firsts))
 
 
@@ -229,7 +223,7 @@ def test_boundary_decay_guard():
 def test_high_hermite_pair_clears_default_boundary():
     # worst smoke fixture: h2 (x) h1 at L = 12 sits just under the default
     out = wig_forward(H2, H1, 0.5, GRID)
-    assert np.isfinite(out.sup_norm())
+    assert np.isfinite(out.samples).all()
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +669,23 @@ def test_read_grid_validates_manifest(tmp_path, key, value, message):
     _edit_manifest(path, **{key: value})
     with pytest.raises(ValueError, match=message):
         read_grid(path)
+
+
+@pytest.mark.parametrize("key, message", [("N", "key 'N' must be an integer"),
+                                          ("L", "key 'L' must be a finite number")],
+                         ids=["N", "L"])
+def test_read_grid_names_an_over_long_manifest_integer(tmp_path, key, message):
+    # 5000 digits: beyond the 4300 that Python's int() converts
+    path = _small_grid_file(tmp_path)
+    _edit_manifest(path, **{key: "long"})
+    with open(manifest_path(path)) as fh:
+        text = fh.read().replace('"long"', "1" + "0" * 4999)
+    with open(manifest_path(path), "w") as fh:
+        fh.write(text)
+    with pytest.raises(ValueError, match=message) as info:
+        read_grid(path)
+    # the value is echoed in at most 80 characters
+    assert str(info.value).endswith(", got '" + "1" + "0" * 78)
 
 
 def test_read_grid_rejects_non_object_manifest(tmp_path):
