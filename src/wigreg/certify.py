@@ -184,7 +184,6 @@ def _refine_circle_zero(sym: MultiPoly, radius: float, theta0: float,
                         spread: float) -> tuple[float, float]:
     """Minimize |sym| on the circle arc theta0 +- spread by nested grids."""
     lo, hi = theta0 - spread, theta0 + spread
-    best = theta0
     for _ in range(10):
         grid = np.linspace(lo, hi, 65)
         vals = np.abs(sym.eval_numpy({"x": radius * np.cos(grid), "xi": radius * np.sin(grid)}))
@@ -207,23 +206,23 @@ def hypo_falsify(a: MultiPoly) -> FalsifyResult:
 
     All circles are sampled at once, a row per radius, so the symbol and its
     two derivatives are each evaluated once, on one shared power cache; every
-    row holds the floats a separate evaluation of its circle would give.  A
-    sample beyond the float range raises eval_numpy's NonFiniteSampleError.
+    row holds the floats a separate evaluation of its circle would give, and
+    the derivatives' floats come from the symbol's exact terms.  A sample
+    beyond the float range raises eval_numpy's NonFiniteSampleError.
     """
     sym = _model_symbol(a)
     if sym.is_zero():
         raise ValueError("zero symbol cannot be tested for hypo-ellipticity")
 
-    dx = sym.diff("x", 1)
-    dxi = sym.diff("xi", 1)
     theta = 2.0 * np.pi * np.arange(DEFAULT_SAMPLES) / DEFAULT_SAMPLES
     radii = np.array(DEFAULT_RADII)[:, None]
     xs_all, xis_all = radii * np.cos(theta), radii * np.sin(theta)
     point, planes = {"x": xs_all, "xi": xis_all}, {}
-    vals_all = np.abs(sym.eval_numpy(point, planes))
-    # after eval_numpy, whose error names a term beyond the float range
-    magnitudes = [(c.abs_float(), sum(e)) for e, c in sym.terms.items()]
-    grads_all = np.abs(dx.eval_numpy(point, planes)) + np.abs(dxi.eval_numpy(point, planes))
+    terms = sym._float_terms(point)
+    vals_all = np.abs(sym._sum_terms(point, terms, planes))
+    magnitudes = [(abs(c), sum(e)) for e, c in terms]
+    grads_all = (np.abs(sym._sum_terms(point, sym._float_terms(point, "x"), planes))
+                 + np.abs(sym._sum_terms(point, sym._float_terms(point, "xi"), planes)))
 
     trend = []
     witness = None
@@ -753,7 +752,7 @@ def injectivity_wick(a: MultiPoly, wick: Optional[MultiPoly] = None) -> Certific
     theta = 2.0 * np.pi * np.arange(WICK_DIRECTIONS) / WICK_DIRECTIONS
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     lead_vals = np.real(lead.eval_numpy({"x": cos_t, "xi": sin_t}))
-    lead_scale = max(sum(c.abs_float() for c in lead.terms.values()), 1.0)
+    lead_scale = max(sum(abs(c.to_complex()) for c in lead.terms.values()), 1.0)
     tol = 1e-12 * lead_scale
     if lead_vals.min() < -tol:
         idx = int(np.argmin(lead_vals))

@@ -135,8 +135,9 @@ class GaussianRational:
     im: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+        if type(self.re) is not Fraction or type(self.im) is not Fraction:
+            object.__setattr__(self, "re", _as_fraction(self.re))
+            object.__setattr__(self, "im", _as_fraction(self.im))
 
     # -- constructors ------------------------------------------------------
 
@@ -151,7 +152,7 @@ class GaussianRational:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re.numerator or self.im.numerator)
 
     def is_real(self) -> bool:
         return self.im == 0
@@ -214,19 +215,16 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def to_complex(self) -> complex:
-        """Nearest complex float.  A part beyond the float range raises a
+    def to_complex(self, factor: int = 1) -> complex:
+        """Nearest complex float to factor * self: one correctly rounded
+        integer division per part.  A part beyond the float range raises a
         ValueError that gives its digit count."""
+        re, im = self.re, self.im
         try:
-            return float(self.re) + 1j * float(self.im)
+            return factor * re.numerator / re.denominator + 1j * (factor * im.numerator / im.denominator)
         except OverflowError:
-            big = max(abs(self.re), abs(self.im))
-            digits = _digit_count(big.numerator // big.denominator)
-            raise ValueError(f"coefficient has {digits} digits, "
-                             f"beyond the float range") from None
-
-    def abs_float(self) -> float:
-        return abs(self.to_complex())
+            digits = _digit_count(max(abs(factor * part.numerator) // part.denominator for part in (re, im)))
+            raise ValueError(f"coefficient has {digits} digits, beyond the float range") from None
 
     # -- serialization -----------------------------------------------------
 
@@ -311,7 +309,7 @@ class MultiPoly:
         self.vars = _validate_vars(vars_)
         clean: dict[tuple, GaussianRational] = {}
         for exp, coef in terms.items():
-            c = GaussianRational.coerce(coef)
+            c = coef if type(coef) is GaussianRational else GaussianRational.coerce(coef)
             if not c.is_zero():
                 clean[exp] = c
         self.terms = clean
@@ -524,15 +522,14 @@ class MultiPoly:
         time: pairs (rows, block), block[i, j] the value at (x[rows][i],
         xi[j]), shape (len(x[rows]), len(xi)).
 
-        The coefficients are converted to floats once per grid, and each
-        block is evaluated as eval_numpy evaluates a column of x and the row
-        of xi, so every grid point gets the float operations, in the same
-        order, that meshgrid planes would give it, and only one block and
-        its term in flight are held at a time.  A polynomial over x alone or
-        xi alone gives read-only broadcast views.  eval_numpy's errors come
-        as it raises them: a coefficient beyond the float range before the
-        first block, a value beyond it (inf or NaN) before its block is
-        yielded.
+        The coefficients are converted once per grid, and each block is
+        evaluated as eval_numpy evaluates a column of x and the row of xi, so
+        every grid point gets the float operations, in the same order, that
+        meshgrid planes would give it, and only one block is held at a time.
+        A polynomial over x alone or xi alone gives read-only broadcast
+        views.  eval_numpy's errors come as it raises them: a coefficient
+        beyond the float range before the first block, a value beyond it
+        (inf or NaN) before its block is yielded.
         """
         terms = self._float_terms({"x": x, "xi": xi})
         for start in range(0, len(x), GRID_BLOCK_ROWS):
@@ -540,9 +537,10 @@ class MultiPoly:
             vals = self._sum_terms({"x": x[rows, None], "xi": xi[None, :]}, terms, None)
             yield rows, np.broadcast_to(vals, (rows.stop - start, len(xi)))
 
-    def eval_numpy(self, values: Mapping[str, "np.ndarray | complex | float"],
-                   powers: Optional[dict] = None):
-        """Numerically evaluate at float/complex points (arrays broadcast).
+    def eval_numpy(self, values: Mapping[str, "np.ndarray | float"],
+                   powers: Optional[dict] = None) -> np.ndarray:
+        """Numerically evaluate at real points (arrays broadcast); complex
+        points raise a ValueError.
 
         A power is the left-to-right product of exactly rounded multiplies,
         x^1 = x and x^k = fl(x^(k-1) * x), never numpy's ``pow``, whose
@@ -550,45 +548,53 @@ class MultiPoly:
         the sampled floats are the same wherever numpy runs.  The error of
         x^k is at most (k - 1) * 2^-53 relative.  ``powers`` caches the
         power planes under ``(v, k)``; polynomials evaluated at the same
-        ``values`` may share one dict.  Terms are summed in term order into
-        one result array, starting from the first term, so the result is the
-        only full-size array besides the term in flight.  A coefficient
-        beyond the float range raises a SamplingError naming its term; a
-        value beyond it (inf or NaN) raises NonFiniteSampleError, a
-        SamplingError too, and numpy warns of no overflow on the way.
+        ``values`` may share one dict.  Term by term, the real and imaginary
+        parts are summed into two float planes from +0.0: complex products
+        and sums plus 0j give the same bits, as they differ only in signs of
+        zeros and neither kind of sum is ever -0.0.  A coefficient beyond the
+        float range raises a SamplingError naming its term; a value beyond
+        it (inf or NaN) raises NonFiniteSampleError, with no numpy warning.
         """
         return self._sum_terms(values, self._float_terms(values), powers)
 
-    def _float_terms(self, values: Mapping) -> list[tuple[tuple, complex]]:
+    def _float_terms(self, values: Mapping, along: Optional[str] = None) -> list[tuple[tuple, complex]]:
         """(exponent, coefficient as a complex float) for each term, in term
-        order, once every variable has a value.  A missing variable, then a
+        order, of self or of its first derivative ``along`` a variable
+        (to_complex of the exponent times the coefficient), once every
+        variable has a real value.  A missing or complex value, then a
         coefficient beyond the float range, raises a ValueError; the latter
         is a SamplingError naming its term."""
         for v in self.vars:
             if v not in values:
                 raise ValueError(f"no value supplied for variable {v!r}")
+            if np.iscomplexobj(values[v]):
+                raise ValueError(f"variable {v!r} takes real points only")
+        at = None if along is None else self.vars.index(along)
         terms = []
         for exp, coef in self.terms.items():
-            try:
-                terms.append((exp, coef.to_complex()))
-            except ValueError as exc:
-                name = _monomial_text(self.vars, exp) or "constant"
-                raise SamplingError(f"{name} term: {exc}") from None
+            k = 1 if at is None else exp[at]
+            if k:
+                exp = exp if at is None else exp[:at] + (k - 1,) + exp[at + 1:]
+                try:
+                    terms.append((exp, coef.to_complex(k)))
+                except ValueError as exc:
+                    name = _monomial_text(self.vars, exp) or "constant"
+                    raise SamplingError(f"{name} term: {exc}") from None
         return terms
 
     def _sum_terms(self, values: Mapping, terms: list[tuple[tuple, complex]],
-                   powers: Optional[dict]):
+                   powers: Optional[dict]) -> np.ndarray:
         """eval_numpy on the terms _float_terms gave."""
         power_cache: dict[tuple[str, int], np.ndarray] = {} if powers is None else powers
         wanted = {(v, k) for exp, _ in terms for v, k in zip(self.vars, exp) if k}
         shape = np.broadcast_shapes(*[np.shape(values[v]) for v in self.vars])
-        total = None
+        # a plane of imaginary parts only for a polynomial that has them
+        sums = [np.zeros(shape)] + [np.zeros(shape)] * any(c.imag for _, c in terms)
         with np.errstate(over="ignore", invalid="ignore"):
             for v, k in sorted(wanted - power_cache.keys()):
                 # from the highest cached power of v below k: one new array,
-                # multiplied up in place so no temporaries are freed; the powers
-                # between are not cached, and a recursive closure would form a
-                # reference cycle that keeps the planes alive until the cyclic GC
+                # multiplied up in place; no power between is cached, and no
+                # closure holds the planes in a reference cycle
                 base = np.asarray(values[v])
                 j = max((i for w, i in power_cache if w == v and i < k), default=1)
                 plane = base if j == 1 else power_cache[v, j]
@@ -599,28 +605,20 @@ class MultiPoly:
                 power_cache[v, k] = plane
 
             for exp, coef in terms:
-                piece = np.asarray(coef, dtype=complex)
-                for v, k in zip(self.vars, exp):
-                    if k:
-                        piece = piece * power_cache[v, k]
-                if total is None:
-                    total = piece
-                elif total.shape == shape:
-                    total += piece
-                else:
-                    total = total + piece
-        if total is None:
-            total = np.zeros(shape, dtype=complex)
-        elif total.shape != shape:
-            # constant and zero-degree terms never touch the inputs
-            total = np.broadcast_to(total + 0j, shape).copy()
-        elif not total.ndim:
-            total = total + 0j
-        else:
-            total += 0j
-        if not np.isfinite(total).all():
+                factors = [power_cache[v, k] for v, k in zip(self.vars, exp) if k]
+                for part, total in zip((coef.real, coef.imag), sums):
+                    # a zero part adds zeros, or NaN where a power is inf or
+                    # NaN, and there the other part gives inf or NaN as well
+                    if part or not coef:
+                        for factor in factors:
+                            part = part * factor
+                        total += part
+        if not all(np.isfinite(total).all() for total in sums):
             raise NonFiniteSampleError("sampled symbol leaves the float range")
-        return total
+        result = sums[0].astype(complex)
+        if len(sums) > 1:
+            result.imag = sums[1]
+        return result
 
     # -- ordering and serialization ----------------------------------------
 

@@ -166,7 +166,7 @@ def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunc
     if plain:
         in_x = np.fft.fft(samples, axis=1) if q else samples
         term = _poly_times(plain, x_sym, in_x, in_x if q else np.empty(samples.shape, complex))
-    total = None
+    total = spare = None
     if rows:
         in_y = np.fft.fft(samples, axis=0, out=samples if scratch else None) if p else samples
         last = min(rows) if scratch or p else None
@@ -175,7 +175,7 @@ def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunc
                 for block in _row_blocks(total):
                     total[block] *= x_sym(block)
             if j in rows:
-                out = in_y if j == last else np.empty(samples.shape, complex)
+                out = in_y if j == last else np.empty(samples.shape, complex) if spare is None else spare
                 row = _poly_times(rows[j], y_sym, in_y, out)
                 # each row is a plane of its own, so it changes frame in place
                 if p:
@@ -186,6 +186,7 @@ def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunc
                     total = row
                 else:
                     total += row
+                    spare = row   # added, so free for the next row
     if total is None:
         total = term
     elif term is not None:

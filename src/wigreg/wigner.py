@@ -41,6 +41,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import warnings
 from collections import deque
@@ -510,15 +511,14 @@ def read_grid(path: str, manifest: Optional[dict] = None) -> GridFunction2D:
 
     The data file's size is checked against the manifest's N before the
     samples are allocated.  A CSV of at least 2 * MIN_BLOCK_POINTS lines is
-    parsed in forked row blocks, one per usable CPU, each by np.loadtxt over
-    its own lines; the values are bit for bit those of one np.loadtxt call.
-    Whichever process parses a row block checks its nodes
-    (_check_csv_nodes, a block of rows at a time) and keeps only their
-    re, im columns: this process copies its own into the one plane of
-    samples; a child sends them through the pipe, and they are read here,
-    in row order, straight into that plane.  So no (N^2, 4) table is ever
-    built: besides the samples, the read holds this process's parsed lines
-    (two planes' worth divided by the block count).  Every line after the
+    parsed in forked row blocks, one per usable CPU.  Each process reads its
+    rows from one handle a block of rows (_row_blocks) at a time, by
+    np.loadtxt calls that stop after their lines: the values, and the rows
+    numpy's errors name, are those of one call.  It checks each block's
+    nodes (_check_csv_nodes) and keeps only their re, im columns, copied
+    into the one plane of samples here, or sent through the pipe by a child
+    and read here, in row order, straight into that plane.  So besides the
+    samples the read holds one block of parsed lines.  Every line after the
     header must hold a node: a blank or '#' line is rejected at any size
     and any block count, by a ValueError that names it.  Both formats give
     back the written samples bit for bit, the sign of every zero included.
@@ -547,28 +547,30 @@ def read_grid(path: str, manifest: Optional[dict] = None) -> GridFunction2D:
     values = samples.view(np.float64).reshape(n, n, 2)
 
     def work(lo: int, hi: int, out) -> None:
-        try:
-            with warnings.catch_warnings():
-                # a block past the end of the file is reported by the line
-                # count, an empty line by _reject_blank_or_comment
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
-                rows = np.loadtxt(path, delimiter=",", skiprows=1 + lo * n, ndmin=2,
-                                  comments=None,
-                                  max_rows=None if hi == n else (hi - lo) * n)
-        except ValueError as exc:
-            if lo == 0:
-                raise
-            raise ValueError(f"grid CSV from line {lo * n + 2}: {exc}") from None
-        if rows.shape[0] != (hi - lo) * n:
-            raise ValueError(f"grid CSV has {lo * n + rows.shape[0]} data lines, expected {n * n}")
-        if rows.shape[1] != 4:
-            raise ValueError(f"grid CSV lines have {rows.shape[1]} fields, expected 4")
-        lines = rows.reshape(-1, n, 4)
         target = values[lo:hi]
-        for block in _row_blocks(lines[..., 0]):
-            _check_csv_nodes(lines[block], lo + block.start, grid, dual_y)
-            target[block] = lines[block, :, 2:]
+        with open(path) as fh, warnings.catch_warnings():
+            # a block past the end of the file is reported by the line
+            # count, an empty line by _reject_blank_or_comment
+            warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data")
+            for block in _row_blocks(target[..., 0]):
+                first, want = lo + block.start, len(target[block]) * n
+                # on from where the last call stopped; to the end from the last row
+                try:
+                    rows = np.loadtxt(fh, delimiter=",", skiprows=0 if block.start else 1 + lo * n,
+                                      ndmin=2, comments=None,
+                                      max_rows=None if first * n + want == n * n else want)
+                except ValueError as exc:
+                    # numpy counts rows from where its call started; its "at row" follows any field it quotes
+                    text = re.sub(r" at row (\d+)(?!.* at row )",
+                                  lambda at: f" at row {int(at[1]) + block.start * n}", str(exc))
+                    raise ValueError(text if lo == 0 else f"grid CSV from line {lo * n + 2}: {text}") from None
+                if rows.shape[0] != want:
+                    raise ValueError(f"grid CSV has {first * n + rows.shape[0]} data lines, expected {n * n}")
+                if rows.shape[1] != 4:
+                    raise ValueError(f"grid CSV lines have {rows.shape[1]} fields, expected 4")
+                lines = rows.reshape(-1, n, 4)
+                _check_csv_nodes(lines, first, grid, dual_y)
+                target[block] = lines[..., 2:]
         if out is not None:
             out.write(target)
 

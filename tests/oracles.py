@@ -14,10 +14,18 @@ The Weyl-Wick oracles run the exponential series one derivative pass at a
 time on whole MultiPoly objects, where the library runs the same stages on
 integer (re, im) pairs over one common denominator.
 
-The falsifier oracle evaluates the symbol and both partial derivatives with
-their own power tables, and re-samples the outermost circle for a growing
-trend, where the library shares one power table per circle among the three
-and reuses the outermost samples.
+The falsifier oracle evaluates the symbol and both partial derivatives
+(MultiPoly.diff) with the complex term loop below and their own power
+tables, and re-samples the outermost circle for a growing trend, where the
+library shares one power table per circle among the three, takes the
+derivatives' float coefficients straight from the symbol's exact terms and
+reuses the outermost samples.
+
+The complex term loop samples a polynomial as eval_numpy did before it
+summed real and imaginary parts apart: each term is its complex coefficient
+times its real power planes, in complex products, summed in term order into
+one complex array, plus 0j, where the library sums each part's real
+products into a float plane of its own and skips a zero part.
 
 The transport oracle accumulates both first-order residuals of b in full,
 as (re, im) Fraction pairs per exponent, where the library tests each
@@ -148,7 +156,8 @@ from wigreg.certify import (
     recognize_newton_family,
     unfalsified_certificate,
 )
-from wigreg.exact import GR_I, GR_ONE, GaussianRational, MultiPoly, SamplingError, parse_rational
+from wigreg.exact import (GR_I, GR_ONE, GaussianRational, MultiPoly, NonFiniteSampleError, SamplingError,
+                          _digit_count, parse_rational)
 from wigreg.hermite import PI_QUARTER_INV, apply_model_operator, to_polygauss
 from wigreg.pipeline import POSITIVITY_COUNT, POSITIVITY_RADIUS, PositivityError, _psd_minors
 from wigreg.symbols import MODEL_VARS, PHASE_VARS, LinearChange, OperatorSpec, symbol_compose, weyl_wick
@@ -284,6 +293,67 @@ def series_weyl_wick_inverse(a: MultiPoly) -> MultiPoly:
     return _mixed_series(lap, GR_I * Fraction(1, 2))
 
 
+def complex_terms(poly: MultiPoly) -> list[tuple[tuple, complex]]:
+    """(exponent, float(re) + 1j * float(im)) for each term, in term order;
+    a coefficient beyond the float range raises the sampler's SamplingError."""
+    terms = []
+    for exp, coef in poly.terms.items():
+        try:
+            terms.append((exp, float(coef.re) + 1j * float(coef.im)))
+        except OverflowError:
+            big = max(abs(coef.re), abs(coef.im))
+            name = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(poly.vars, exp) if k)
+            raise SamplingError(f"{name or 'constant'} term: coefficient has "
+                                f"{_digit_count(big.numerator // big.denominator)} digits, "
+                                f"beyond the float range") from None
+    return terms
+
+
+def complex_term_eval(poly: MultiPoly, values: dict, powers: Optional[dict] = None):
+    """MultiPoly.eval_numpy by the complex term loop: the same power planes,
+    errors and messages, from complex products and sums."""
+    for v in poly.vars:
+        if v not in values:
+            raise ValueError(f"no value supplied for variable {v!r}")
+    terms = complex_terms(poly)
+    power_cache = {} if powers is None else powers
+    wanted = {(v, k) for exp, _ in terms for v, k in zip(poly.vars, exp) if k}
+    shape = np.broadcast_shapes(*[np.shape(values[v]) for v in poly.vars])
+    total = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v, k in sorted(wanted - power_cache.keys()):
+            base = np.asarray(values[v])
+            j = max((i for w, i in power_cache if w == v and i < k), default=1)
+            plane = base if j == 1 else power_cache[v, j]
+            if j < k:
+                plane = plane * base
+                for _ in range(k - j - 1):
+                    plane *= base
+            power_cache[v, k] = plane
+        for exp, coef in terms:
+            piece = np.asarray(coef, dtype=complex)
+            for v, k in zip(poly.vars, exp):
+                if k:
+                    piece = piece * power_cache[v, k]
+            if total is None:
+                total = piece
+            elif total.shape == shape:
+                total += piece
+            else:
+                total = total + piece
+    if total is None:
+        total = np.zeros(shape, dtype=complex)
+    elif total.shape != shape:
+        total = np.broadcast_to(total + 0j, shape).copy()
+    elif not total.ndim:
+        total = total + 0j
+    else:
+        total += 0j
+    if not np.isfinite(total).all():
+        raise NonFiniteSampleError("sampled symbol leaves the float range")
+    return total
+
+
 def separate_planes_hypo_falsify(a: MultiPoly, radii: Sequence[float] = DEFAULT_RADII,
                                  samples_per_circle: int = DEFAULT_SAMPLES) -> FalsifyResult:
     """wigreg.certify.hypo_falsify one circle at a time, with a power table
@@ -307,9 +377,10 @@ def separate_planes_hypo_falsify(a: MultiPoly, radii: Sequence[float] = DEFAULT_
     falsified = False
     for radius in radii:
         xs, xis = radius * cos_t, radius * sin_t
-        vals = np.abs(sym.eval_numpy({"x": xs, "xi": xis}))
-        grads = np.abs(dx.eval_numpy({"x": xs, "xi": xis})) + np.abs(dxi.eval_numpy({"x": xs, "xi": xis}))
-        scale = sum(c.abs_float() * radius ** sum(e) for e, c in sym.terms.items())
+        vals = np.abs(complex_term_eval(sym, {"x": xs, "xi": xis}))
+        grads = (np.abs(complex_term_eval(dx, {"x": xs, "xi": xis}))
+                 + np.abs(complex_term_eval(dxi, {"x": xs, "xi": xis})))
+        scale = sum(abs(c.to_complex()) * radius ** sum(e) for e, c in sym.terms.items())
         zero_mask = vals <= _ZERO_REL_TOL * max(scale, 1.0)
         if radius == radii[-1] and zero_mask.any():
             idx = int(np.argmax(zero_mask))
@@ -338,8 +409,9 @@ def separate_planes_hypo_falsify(a: MultiPoly, radii: Sequence[float] = DEFAULT_
         first, last = trend[0][1], trend[-1][1]
         if last > first and last > 1e-1:
             xs, xis = radii[-1] * cos_t, radii[-1] * sin_t
-            vals = np.abs(sym.eval_numpy({"x": xs, "xi": xis}))
-            grads = np.abs(dx.eval_numpy({"x": xs, "xi": xis})) + np.abs(dxi.eval_numpy({"x": xs, "xi": xis}))
+            vals = np.abs(complex_term_eval(sym, {"x": xs, "xi": xis}))
+            grads = (np.abs(complex_term_eval(dx, {"x": xs, "xi": xis}))
+                     + np.abs(complex_term_eval(dxi, {"x": xs, "xi": xis})))
             safe = np.where(vals > 0, vals, np.inf)
             idx = int(np.argmax(grads / safe))
             witness = {"x": float(xs[idx]), "xi": float(xis[idx]), "ratio": float(grads[idx] / vals[idx]),
@@ -668,7 +740,7 @@ def meshgrid_injectivity_wick(a: MultiPoly, wick=None) -> Certificate:
     theta = 2.0 * np.pi * np.arange(WICK_DIRECTIONS) / WICK_DIRECTIONS
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     lead_vals = np.real(lead.eval_numpy({"x": cos_t, "xi": sin_t}))
-    lead_scale = max(sum(c.abs_float() for c in lead.terms.values()), 1.0)
+    lead_scale = max(sum(abs(c.to_complex()) for c in lead.terms.values()), 1.0)
     tol = 1e-12 * lead_scale
     if lead_vals.min() < -tol:
         idx = int(np.argmin(lead_vals))

@@ -49,6 +49,7 @@ from wigreg.exact import (
     GaussianRational,
     MultiPoly,
     NonFiniteSampleError,
+    SamplingError,
     parse_rational,
 )
 from wigreg.pipeline import EXIT_UNKNOWN, PositivityError, check_positivity
@@ -732,6 +733,37 @@ def test_falsifier_matches_separate_planes_oracle_bit_for_bit(monkeypatch):
             reasons.add(got.witness["reason"] if got.witness else None)
     assert reasons == {None, "symbol vanishes on the outermost circle",
                        "gradient-to-symbol ratio grows with the radius"}
+
+
+def _falsify_outcome(falsify, sym):
+    try:
+        return repr(falsify(sym))
+    except SamplingError as exc:
+        return type(exc).__name__, str(exc)
+
+
+MONOMIALS = {f"mono{2 * n}": {"p": "1/2", "coeffs": [{"j": n, "k": n, "re": "1"}]} for n in (2, 4, 6, 8, 12)}
+
+
+@pytest.mark.parametrize("name", ["dense6_p3o7", *MONOMIALS, "overflow", "beyond_float_range"])
+def test_falsifier_matches_the_complex_term_loop(name):
+    # the two float planes and the derivatives' coefficients taken from the
+    # symbol's exact terms give the complex loop's result, or its error: on
+    # the dense golden spec, the order-sweep monomials x^n D^n (falsified),
+    # overflow on the outer circles, and a coefficient beyond the float range
+    specs = {**MONOMIALS, "overflow": OVERFLOW_SPEC,
+             "beyond_float_range": {"p": "1/2", "coeffs": [{"j": 1, "k": 1, "re": "1"},
+                                                           {"j": 0, "k": 0, "re": "1" + "0" * 310}]}}
+    spec = specs.get(name) or json.loads((Path(__file__).parent / "golden" / "specs" / f"{name}.json").read_text())
+    sym = parse_spec(spec)[0].a_symbol()
+    got = _falsify_outcome(hypo_falsify, sym)
+    assert got == _falsify_outcome(separate_planes_hypo_falsify, sym)
+    if name in MONOMIALS:
+        assert "falsified=True" in got
+    elif name == "overflow":
+        assert got == ("NonFiniteSampleError", "sampled symbol leaves the float range")
+    elif name == "beyond_float_range":
+        assert got == ("SamplingError", "constant term: coefficient has 311 digits, beyond the float range")
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from wigreg.exact import (
     parse_rational,
 )
 
-from oracles import fresh_planes_eval, python_eval
+from oracles import complex_term_eval, complex_terms, fresh_planes_eval, python_eval
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -396,7 +396,7 @@ def test_grid_blocks_convert_each_coefficient_once_per_grid(monkeypatch):
     # the first block when a coefficient is beyond the float range
     calls = []
     real = GaussianRational.to_complex
-    monkeypatch.setattr(GaussianRational, "to_complex", lambda c: calls.append(c) or real(c))
+    monkeypatch.setattr(GaussianRational, "to_complex", lambda c, k=1: calls.append(c) or real(c, k))
     poly = MultiPoly(("x", "xi"), {(2, 0): GR_ONE, (1, 1): GR_I, (0, 0): GaussianRational(Fraction(1, 3))})
     line = np.linspace(-1.0, 1.0, 101)
     assert len(list(poly.grid_blocks(line, line))) == 3
@@ -439,6 +439,85 @@ def test_eval_matches_python_scalar_reference_bit_for_bit():
         grid = np.array([[python_eval(poly, {"x": a, "xi": b}) for b in xi.tolist()]
                          for a in x.tolist()])
         assert np.array_equal(_bits(_grid(poly, x, xi)), _bits(grid))
+
+
+# coefficient parts: zero, ordinary, large enough that samples overflow,
+# small enough to round to 0.0, and beyond the float range
+SAMPLE_PARTS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=9),
+    st.sampled_from([Fraction(10 ** 300), Fraction(-7 * 10 ** 300, 3), Fraction(1, 10 ** 400),
+                     Fraction(-1, 10 ** 400), Fraction(10 ** 310)]))
+# points: signed zeros, ordinary values, and values whose powers overflow
+POINT_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.75, 3.0, 1e-200, 1e40, -1e40, 1e200])
+
+
+@st.composite
+def real_symbols(draw):
+    """Polynomials over x and xi, x alone or xi alone, with constant terms,
+    terms in one variable and zero real or imaginary parts."""
+    vars_ = draw(st.sampled_from([("x", "xi"), ("x",), ("xi",)]))
+    exps = st.tuples(*[st.integers(0, 9)] * len(vars_))
+    terms = draw(st.dictionaries(exps, st.tuples(SAMPLE_PARTS, SAMPLE_PARTS), max_size=8))
+    return MultiPoly(vars_, {e: GaussianRational(re, im) for e, (re, im) in terms.items()})
+
+
+def _sampled(sample, *args):
+    """The float64 view and shape of a sample, or its error's type and text."""
+    try:
+        vals = np.asarray(sample(*args))
+        return vals.shape, np.ascontiguousarray(vals).view(np.float64).tolist()
+    except SamplingError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(real_symbols(), st.lists(POINT_VALUES, min_size=1, max_size=5),
+       st.lists(POINT_VALUES, min_size=1, max_size=5), st.sampled_from(["line", "grid", "scalar"]))
+@settings(max_examples=400, deadline=None)
+def test_eval_numpy_matches_the_complex_term_loop_bit_for_bit(poly, xs, xis, layout):
+    # float views are compared as lists, so a NaN would fail the test
+    if layout == "line":
+        n = min(len(xs), len(xis))
+        point = {"x": np.array(xs[:n]), "xi": np.array(xis[:n])}
+    elif layout == "grid":
+        # the column-by-row shapes of grid_blocks
+        point = {"x": np.array(xs)[:, None], "xi": np.array(xis)[None, :]}
+    else:
+        point = {"x": xs[0], "xi": xis[0]}
+    want = _sampled(complex_term_eval, poly, point)
+    assert _sampled(poly.eval_numpy, point) == want
+    if layout == "grid":
+        grid = _sampled(lambda: np.concatenate([b for _, b in poly.grid_blocks(np.array(xs), np.array(xis))]))
+        wide = _sampled(lambda: np.broadcast_to(complex_term_eval(poly, point), (len(xs), len(xis))))
+        assert grid == wide
+
+
+@given(real_symbols(), st.sampled_from(["x", "xi"]))
+@settings(max_examples=200, deadline=None)
+def test_derivative_float_terms_are_the_floats_of_diff(poly, var):
+    if var not in poly.vars:
+        return
+    point = {v: 1.0 for v in poly.vars}
+
+    def terms(convert):
+        try:
+            return convert()
+        except SamplingError as exc:
+            return str(exc)
+
+    ours = terms(lambda: poly._float_terms(point, var))
+    want = terms(lambda: complex_terms(poly.diff(var)))
+    # repr spells out every float, the sign of a zero included
+    assert repr(ours) == repr(want)
+
+
+def test_eval_numpy_refuses_complex_points():
+    poly = MultiPoly(("x", "xi"), {(1, 1): GR_ONE})
+    for point in ({"x": np.array([1j]), "xi": np.ones(1)}, {"x": 1.0, "xi": 2 + 0j}):
+        with pytest.raises(ValueError, match="takes real points only"):
+            poly.eval_numpy(point)
+    with pytest.raises(ValueError, match="takes real points only"):
+        next(poly.grid_blocks(np.ones(3), np.ones(3) + 0j))
 
 
 def test_eval_numpy_leaves_no_cyclic_garbage():

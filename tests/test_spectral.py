@@ -155,6 +155,24 @@ def test_apply_operator_2d_matches_fresh_planes_oracle_bit_for_bit(p):
         assert np.array_equal(apply_operator_2d(spec, scratch).samples, expected), spec.coeffs
 
 
+@pytest.mark.filterwarnings("ignore::wigreg.spectral.BoundaryDecayWarning")
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+def test_reused_row_planes_keep_every_residual_bit(p):
+    # three and four rows that hold a derivative: a row from the third on is
+    # built in the plane of a row already added to the total
+    four_rows = OperatorSpec({(3, 1): gr(1, -1), (2, 2): gr(Fraction(1, 2)), (1, 1): gr(0, 3),
+                              (0, 2): gr(2), (4, 0): gr(1)}, p)
+    grid = Grid2D(12.0, 64)
+    w = wig_forward(H1, H2, float(p), grid)
+    for spec in (QUARTIC.with_p(p), four_rows):
+        assert len({j for j, k in spec.coeffs if k}) >= 3
+        expected = fresh_planes_apply_operator_2d(spec, w)
+        assert np.array_equal(apply_operator_2d(spec, w).samples, expected), spec.coeffs
+        for m, n in [(0, 0), (1, 2)]:
+            args = (spec, Hermite(m), Hermite(n), p, grid)
+            assert intertwine_residual(*args) == separate_intertwine_residual(*args), (spec.coeffs, m, n)
+
+
 def _count_ffts(monkeypatch) -> list:
     """Record the axis of every one-axis FFT and inverse FFT."""
     calls = []
