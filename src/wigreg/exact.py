@@ -108,11 +108,15 @@ def load_json(text: str):
 
     A text with no run of more than MAX_RATIONAL_DIGITS digits holds no such
     literal, so json's C scanner reads its integers; one C-speed pass over
-    the text's bytes decides.  Any other text calls _json_int per integer."""
+    the text's bytes decides.  Any other text calls _json_int per integer.
+    Nesting deeper than the interpreter's recursion limit is a ValueError."""
     runs = text.encode("utf-8", "surrogatepass").translate(_DIGITS_AS_NINES)
-    if _LONG_DIGIT_RUN not in runs:
-        return json.loads(text)
-    return json.loads(text, parse_int=_json_int)
+    try:
+        if _LONG_DIGIT_RUN not in runs:
+            return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply to parse") from None
 
 
 def format_rational(value: RationalLike) -> str:
@@ -534,11 +538,10 @@ class MultiPoly:
         terms = self._float_terms({"x": x, "xi": xi})
         for start in range(0, len(x), GRID_BLOCK_ROWS):
             rows = slice(start, min(start + GRID_BLOCK_ROWS, len(x)))
-            vals = self._sum_terms({"x": x[rows, None], "xi": xi[None, :]}, terms, None)
+            vals = self._sum_terms({"x": x[rows, None], "xi": xi[None, :]}, terms, {})
             yield rows, np.broadcast_to(vals, (rows.stop - start, len(xi)))
 
-    def eval_numpy(self, values: Mapping[str, "np.ndarray | float"],
-                   powers: Optional[dict] = None) -> np.ndarray:
+    def eval_numpy(self, values: Mapping[str, "np.ndarray | float"]) -> np.ndarray:
         """Numerically evaluate at real points (arrays broadcast); complex
         points raise a ValueError.
 
@@ -546,16 +549,15 @@ class MultiPoly:
         x^1 = x and x^k = fl(x^(k-1) * x), never numpy's ``pow``, whose
         result depends on the SIMD code path numpy picks for the machine; so
         the sampled floats are the same wherever numpy runs.  The error of
-        x^k is at most (k - 1) * 2^-53 relative.  ``powers`` caches the
-        power planes under ``(v, k)``; polynomials evaluated at the same
-        ``values`` may share one dict.  Term by term, the real and imaginary
-        parts are summed into two float planes from +0.0: complex products
-        and sums plus 0j give the same bits, as they differ only in signs of
-        zeros and neither kind of sum is ever -0.0.  A coefficient beyond the
-        float range raises a SamplingError naming its term; a value beyond
-        it (inf or NaN) raises NonFiniteSampleError, with no numpy warning.
+        x^k is at most (k - 1) * 2^-53 relative.  Term by term, the real and
+        imaginary parts are summed into two float planes from +0.0: complex
+        products and sums plus 0j give the same bits, as they differ only in
+        signs of zeros and neither kind of sum is ever -0.0.  A coefficient
+        beyond the float range raises a SamplingError naming its term; a
+        value beyond it (inf or NaN) raises NonFiniteSampleError, with no
+        numpy warning.
         """
-        return self._sum_terms(values, self._float_terms(values), powers)
+        return self._sum_terms(values, self._float_terms(values), {})
 
     def _float_terms(self, values: Mapping, along: Optional[str] = None) -> list[tuple[tuple, complex]]:
         """(exponent, coefficient as a complex float) for each term, in term
@@ -583,9 +585,10 @@ class MultiPoly:
         return terms
 
     def _sum_terms(self, values: Mapping, terms: list[tuple[tuple, complex]],
-                   powers: Optional[dict]) -> np.ndarray:
-        """eval_numpy on the terms _float_terms gave."""
-        power_cache: dict[tuple[str, int], np.ndarray] = {} if powers is None else powers
+                   power_cache: dict[tuple[str, int], np.ndarray]) -> np.ndarray:
+        """eval_numpy on the terms _float_terms gave.  ``power_cache`` holds
+        the power planes under ``(v, k)``; polynomials evaluated at the same
+        ``values`` may share one dict."""
         wanted = {(v, k) for exp, _ in terms for v, k in zip(self.vars, exp) if k}
         shape = np.broadcast_shapes(*[np.shape(values[v]) for v in self.vars])
         # a plane of imaginary parts only for a polynomial that has them

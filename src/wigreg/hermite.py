@@ -41,7 +41,10 @@ def hermite_values(n: int, t: np.ndarray) -> np.ndarray:
     prev = np.zeros_like(t)
     cur = np.empty_like(t)
     np.multiply(-0.5, t, out=cur)
-    cur *= t
+    # beyond |t| ~ 1e154 the square overflows to -inf, whose exp is the 0 it
+    # rounds to anyway
+    with np.errstate(over="ignore"):
+        cur *= t
     np.exp(cur, out=cur)
     np.multiply(PI_QUARTER_INV, cur, out=cur)
     spare = np.empty_like(t)
@@ -128,8 +131,10 @@ class PolyGauss:
         stays zero."""
         t = np.asarray(t, dtype=float)
         envelope = np.subtract(t, self.x0)
-        np.square(envelope, out=envelope)
-        envelope *= -self.a
+        # a square that overflows gives exp(-inf) = 0, as hermite_values
+        with np.errstate(over="ignore"):
+            np.square(envelope, out=envelope)
+            envelope *= -self.a
         np.exp(envelope, out=envelope)
         values = np.zeros(t.shape, dtype=complex)
         for part, coeffs in ((values.real, self.coeffs.real), (values.imag, self.coeffs.imag)):

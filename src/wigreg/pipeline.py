@@ -155,18 +155,16 @@ def certify(spec: OperatorSpec, change: Optional[LinearChange] = None) -> Report
 
 
 def _report_fault(doc: Mapping, chain: list[Certificate], a: MultiPoly) -> Optional[str]:
-    """Why a report whose links all verify against ``a`` does not hold
-    together, or None.  Past the composed verdict, every link must be one the
-    chain issues: never NotApplicable, and a kernel link about the operator,
-    not its adjoint (a bare adjoint certificate still verifies alone)."""
+    """Why a report whose chain is in shape and whose links all verify
+    against ``a`` does not hold together, or None.  Past the composed
+    verdict, every link must be one the chain issues: never NotApplicable,
+    and a kernel link about the operator, not its adjoint (a bare adjoint
+    certificate still verifies alone)."""
     symbols = doc.get("symbols")
     if not isinstance(symbols, Mapping) or symbols.get("a") != a.to_json():
         return "symbols.a is not the model symbol of the report's spec"
-    stages = [c.kind in HYPO_KINDS for c in chain]
-    if stages not in ([], [True], [False], [True, False]):
-        return "the chain must hold at most one link per stage, hypo-ellipticity first"
-    hypo = chain[0] if stages[:1] == [True] else None
-    inj = chain[-1] if stages[-1:] == [False] else None
+    hypo = chain[0] if chain and chain[0].kind in HYPO_KINDS else None
+    inj = chain[-1] if chain and chain[-1].kind not in HYPO_KINDS else None
     try:
         verdict = _compose_verdict(hypo, inj, [])
     except ValueError as exc:
@@ -188,13 +186,16 @@ def _report_fault(doc: Mapping, chain: list[Certificate], a: MultiPoly) -> Optio
 def verify_report(doc: Mapping) -> list[tuple[str, VerifyResult]]:
     """Re-check a certify report against the spec it names.
 
-    Every link of the verdict chain is verified with the spec's model symbol
-    a, so its subject must be a's; the report's ``symbols.a`` must be a too.
-    Once every link holds, the chain must compose (``_compose_verdict``)
-    into the report's verdict, grade and exit code.  Returns (kind, result)
-    for each link in chain order, then ("verdict", failure) when the report
-    does not hold together; a report that does gets no entry beyond its
-    links.  A report that names no spec may only hold an empty chain.
+    A chain that holds more than one link per stage, or its injectivity link
+    first, is refused before any link is rebuilt: the result is the one
+    entry ("verdict", failure).  Otherwise every link of the verdict chain is
+    verified with the spec's model symbol a, so its subject must be a's; the
+    report's ``symbols.a`` must be a too.  Once every link holds, the chain
+    must compose (``_compose_verdict``) into the report's verdict, grade and
+    exit code.  Returns (kind, result) for each link in chain order, then
+    ("verdict", failure) when the report does not hold together; a report
+    that does gets no entry beyond its links.  A report that names no spec
+    may only hold an empty chain.
     Raises ValueError when there is no verdict chain or the spec does not
     parse.
     """
@@ -208,15 +209,19 @@ def verify_report(doc: Mapping) -> list[tuple[str, VerifyResult]]:
         return []
     spec, _ = parse_spec(doc["spec"])
     a = spec.a_symbol().promote(MODEL_VARS)
-    results, certs = [], []
+    links = []   # a Certificate, or the VerifyResult of a malformed link
     for raw in chain:
         try:
-            cert = Certificate.from_json(raw)
+            links.append(Certificate.from_json(raw))
         except (KeyError, TypeError, ValueError) as exc:
-            results.append(("malformed certificate", VerifyResult(False, str(exc))))
-            continue
-        certs.append(cert)
-        results.append((cert.kind, verify_certificate(cert, symbol=a)))
+            links.append(VerifyResult(False, str(exc)))
+    certs = [link for link in links if isinstance(link, Certificate)]
+    # the shape needs only the kinds, so it is checked before any rebuild
+    if [c.kind in HYPO_KINDS for c in certs] not in ([], [True], [False], [True, False]):
+        return [("verdict", VerifyResult(
+            False, "the chain must hold at most one link per stage, hypo-ellipticity first"))]
+    results = [(link.kind, verify_certificate(link, symbol=a)) if isinstance(link, Certificate)
+               else ("malformed certificate", link) for link in links]
     if all(result.ok for _, result in results):
         fault = _report_fault(doc, certs, a)
         if fault is not None:

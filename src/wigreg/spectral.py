@@ -41,7 +41,9 @@ Two independent checks tie the exact layer to the transform:
   more evaluation of v on each block.  All of this keeps the operations,
   and so the bits, of separate transforms.  The generator mode compares
   the forwards of D u and x u, which share v's values, with the two
-  factors applied to Wig_p[u (x) v] the same way;
+  factors applied to Wig_p[u (x) v]: the position factor first, which has
+  no derivative row and so leaves the transform as it is, then the
+  derivative factor the same way as B, in place over the transform;
 * wick_energy_compare compares the discrete energy form (A u | u), with A u
   computed symbolically as above, with the phase-space average of the
   coherent-state symbol W[a] against |V u|^2, V the coherent-state transform.
@@ -70,7 +72,7 @@ class BoundaryDecayWarning(UserWarning):
     """Samples do not decay at the grid boundary; wrap-around will pollute derivatives."""
 
 
-def _check_boundary_decay(samples: np.ndarray, what: str) -> None:
+def _check_boundary_decay(samples: np.ndarray) -> None:
     sup = float(np.max(np.abs(samples)))
     if sup == 0.0:
         return
@@ -80,7 +82,7 @@ def _check_boundary_decay(samples: np.ndarray, what: str) -> None:
     ))
     if edge > BOUNDARY_WARN_REL * sup:
         warnings.warn(
-            f"{what}: boundary magnitude {edge:.3e} exceeds {BOUNDARY_WARN_REL:.0e} "
+            f"apply_operator_2d: boundary magnitude {edge:.3e} exceeds {BOUNDARY_WARN_REL:.0e} "
             f"of the sup norm {sup:.3e}; expect wrap-around error of that order",
             BoundaryDecayWarning,
             stacklevel=3,
@@ -109,18 +111,16 @@ def _poly_times(coeffs: Mapping[int, complex], sym: Callable[[slice], np.ndarray
 
 
 class _CheckPlane(GridFunction2D):
-    """A plane of the intertwining check, which finds non-finite samples
-    once, in _relative_gaps, so the constructor does not scan it."""
+    """A plane the intertwining check owns.  The check finds non-finite
+    samples once, in _relative_gaps, so the constructor does not scan it,
+    and apply_operator_2d may overwrite it."""
 
     __slots__ = ()
-    _scan_finite = False
 
-
-class _ScratchTransform(_CheckPlane):
-    """A transform whose samples apply_operator_2d may overwrite: the
-    intertwining check's own forward, which nothing reads afterwards."""
-
-    __slots__ = ()
+    def __init__(self, grid: Grid2D, samples: np.ndarray):
+        self.grid = grid
+        self.samples = samples
+        self.dual_y = True
 
 
 def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunction2D:
@@ -130,19 +130,19 @@ def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunc
     P(X) = sum_j c[j,0] X^j.  P(X) takes w straight into the frame of X: a
     round trip through the frame of Y would spread rounding error evenly over
     the x axis, where X^j magnifies it at the window edges.  It runs first,
-    so the frame of Y may then be taken in place over a _ScratchTransform,
-    the one input whose samples are not left as they are.  The rows fold by
-    Horner in X from the top j down, so only the running total and one row
-    are alive at a time; the last row lands in w's frame of Y when that plane
-    is a copy or scratch.  P(X) w is added last.
+    so the frame of Y may then be taken in place over a _CheckPlane, the one
+    input whose samples are not left as they are.  The rows fold by Horner
+    in X from the top j down, so only the running total and one row are
+    alive at a time; the last row lands in w's frame of Y when that plane is
+    a copy or the check's own.  P(X) w is added last.
     """
     if not transform.dual_y:
         raise ValueError("the planar operator acts on a transform with a dual second axis")
     grid = transform.grid
     samples = transform.samples
-    _check_boundary_decay(samples, "apply_operator_2d")
+    _check_boundary_decay(samples)
     p, q = float(spec.p), float(spec.q)
-    scratch = isinstance(transform, _ScratchTransform)
+    owned = isinstance(transform, _CheckPlane)
     rows, plain = {}, {}
     for (j, k), c in spec.complex_coeffs().items():
         if k:
@@ -168,8 +168,8 @@ def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunc
         term = _poly_times(plain, x_sym, in_x, in_x if q else np.empty(samples.shape, complex))
     total = spare = None
     if rows:
-        in_y = np.fft.fft(samples, axis=0, out=samples if scratch else None) if p else samples
-        last = min(rows) if scratch or p else None
+        in_y = np.fft.fft(samples, axis=0, out=samples if owned else None) if p else samples
+        last = min(rows) if owned or p else None
         for j in range(max(rows), -1, -1):
             if total is not None:
                 for block in _row_blocks(total):
@@ -194,8 +194,7 @@ def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunc
     if q:
         np.fft.ifft(total, axis=1, out=total)
     # the check's planes give a plane of the check, which it scans itself
-    made = _CheckPlane if isinstance(transform, _CheckPlane) else GridFunction2D
-    return made(grid, total, dual_y=True)
+    return (_CheckPlane if owned else GridFunction2D)(grid, total)
 
 
 DEFAULT_GRID = Grid2D(12.0, 256)
@@ -261,16 +260,16 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
         base = to_polygauss(u)
         rights = (base.apply_d(), base.mul_t())
     _check_edges((u, *rights), v, pf, grid, INTERTWINE_BOUNDARY_TOL)
-    w = np.empty((grid.N, grid.N), dtype=complex)
-    deque(_forward_blocks((u,), v, pf, grid, (w,)), maxlen=0)
+    w = _CheckPlane(grid, np.empty((grid.N, grid.N), dtype=complex))
+    deque(_forward_blocks((u,), v, pf, grid, (w.samples,)), maxlen=0)
+    # the operator may work in w's plane: nothing reads w afterwards
     if mode == "full":
-        # the operator may work in w's plane: nothing reads w afterwards
-        lhs = [apply_operator_2d(spec, _ScratchTransform(grid, w)).samples]
+        lhs = [apply_operator_2d(spec, w).samples]
         names = ("intertwining",)
     else:
-        w = _CheckPlane(grid, w)
-        lhs = [apply_operator_2d(OperatorSpec({jk: GR_ONE}, p), w).samples
-               for jk in ((0, 1), (1, 0))]
+        # the position factor has no derivative row, so it leaves w as it is
+        position = apply_operator_2d(OperatorSpec({(1, 0): GR_ONE}, p), w).samples
+        lhs = [apply_operator_2d(OperatorSpec({(0, 1): GR_ONE}, p), w).samples, position]
         names = ("derivative_factor", "position_factor")
     del w
     return list(zip(names, _relative_gaps(lhs, _forward_blocks(rights, v, pf, grid))))

@@ -86,6 +86,9 @@ class Grid2D:
             raise ValueError("sample count N must be a power of two, at least 4")
         if n > MAX_GRID_N:
             raise ValueError(f"grid size N exceeds the limit of {MAX_GRID_N}")
+        if math.isinf(2.0 * self.L / n):
+            raise ValueError(f"grid half-width L = {self.L:g} is too large: "
+                             "its node spacing 2L/N overflows")
 
     @property
     def dx(self) -> float:
@@ -112,15 +115,11 @@ class GridFunction2D:
 
     __slots__ = ("grid", "samples", "dual_y")
 
-    # a private subclass whose samples its creator checks once itself turns
-    # the constructor's scan off
-    _scan_finite = True
-
     def __init__(self, grid: Grid2D, samples: np.ndarray, dual_y: bool = True):
         arr = np.asarray(samples, dtype=complex)
         if arr.shape != (grid.N, grid.N):
             raise ValueError(f"samples must be shaped ({grid.N}, {grid.N}), got {arr.shape}")
-        if self._scan_finite and not np.isfinite(arr).all():
+        if not np.isfinite(arr).all():
             raise ValueError("samples must be finite")
         self.grid = grid
         self.samples = arr

@@ -400,10 +400,11 @@ def test_verify_intertwine_reads_window_indices_as_bounded_json_integers(spec_fi
 @pytest.mark.parametrize("extra, message", [
     (["--L", "3", "--N", "64"], "enlarge L"),
     (["--L", "inf"], "L must be finite"),
+    (["--L", "1.7e308"], "grid half-width L = 1.7e+308 is too large: its node spacing 2L/N overflows"),
     (["--tol", "inf"], "--tol must be a finite number >= 0, got inf"),
     (["--tol", "nan"], "--tol must be a finite number >= 0, got nan"),
     (["--tol", "-1"], "--tol must be a finite number >= 0, got -1.0"),
-], ids=["narrow-L", "inf-L", "inf-tol", "nan-tol", "negative-tol"])
+], ids=["narrow-L", "inf-L", "huge-L", "inf-tol", "nan-tol", "negative-tol"])
 def test_verify_intertwine_rejects_bad_inputs(spec_file, capsys, extra, message):
     assert main(["verify-intertwine", spec_file(EQ44)] + extra) == 1
     captured = capsys.readouterr()
@@ -577,6 +578,31 @@ def test_oversized_grid_exits_with_message(spec_file, capsys, command):
     argv = [command[0], spec_file(EQ44)] + command[1:] + ["--N", "1048576"]
     assert main(argv) == 1
     assert "grid size N exceeds the limit of 4096" in capsys.readouterr().err
+
+
+def test_transform_forward_on_a_window_beyond_the_float_square_is_silent(spec_file, tmp_path, capfd):
+    # the nodes reach 1e200, whose square overflows; the windows are 0 there
+    out = tmp_path / "far.csv"
+    assert main(["transform", spec_file(EQ44), "--forward", "--N", "4", "--L", "1e200",
+                 "--out", str(out)]) == 0
+    assert capfd.readouterr().err == ""
+    assert np.isfinite(read_grid(str(out)).samples).all()
+
+
+def test_deeply_nested_json_exits_1_with_one_error_line(spec_file, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    fwd = tmp_path / "fwd.csv"
+    assert main(["transform", spec_file(EQ44), "--forward", "--N", "4", "--out", str(fwd)]) == 0
+    (tmp_path / "fwd.csv.manifest.json").write_text(deep.read_text())
+    capsys.readouterr()
+    for argv in (["certify", str(deep), "--quiet"],
+                 ["generate", "--positive-symbol", str(deep), "--p", "1/2"],
+                 ["transform", spec_file(EQ44), "--inverse", "--in", str(fwd),
+                  "--out", str(tmp_path / "never.csv")],
+                 ["verify-certificate", str(deep)]):
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err == "error: JSON nests too deeply to parse\n", argv[0]
 
 
 def test_transform_inverse_rejects_manifest_without_l(spec_file, tmp_path, capsys):
@@ -767,6 +793,22 @@ def test_verify_certificate_rejects_a_verdict_its_chain_does_not_compose(tmp_pat
     path.write_text(json.dumps(doc))
     assert main(["verify-certificate", str(path)]) == 1
     assert "names no spec" in capsys.readouterr().err
+
+
+def test_verify_certificate_refuses_a_chain_out_of_shape_before_rebuilding_a_link(tmp_path, capsys):
+    # 5000 copies of a sampled link: rebuilding each would take minutes
+    doc = json.loads((GOLDEN / "certify_dense6_p3o7.out").read_text())
+    link, = doc["verdict"]["chain"]
+    assert link["kind"] == "HypoUnfalsified"
+    doc["verdict"]["chain"] = [link] * 5000
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["verify-certificate", str(path)]) == 1
+    elapsed = time.perf_counter() - start
+    assert capsys.readouterr().out == \
+        "verdict: FAIL (the chain must hold at most one link per stage, hypo-ellipticity first)\n"
+    assert elapsed < 2.0, f"took {elapsed:.2f} s"
 
 
 def test_verify_certificate_names_a_malformed_certificate(tmp_path, capsys):

@@ -87,6 +87,15 @@ def test_hermite_decays_at_the_ends():
     assert np.max(np.abs(vals)) < 1e-15
 
 
+def test_windows_beyond_the_float_square_are_zero_without_warning():
+    # t^2 overflows from |t| ~ 1e154 on; a leaked RuntimeWarning fails the
+    # run.  A polynomial of degree one stays finite there, so the envelope's
+    # 0 gives 0
+    t = np.array([-1e200, -1e160, 1e160, 1e200])
+    assert not np.any(hermite_values(3, t))
+    assert not np.any(Hermite(1).to_polygauss()(t))
+
+
 def test_hermite_parity():
     vals_p = hermite_values(4, GRID)
     vals_m = hermite_values(4, -GRID)

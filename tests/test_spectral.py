@@ -14,7 +14,7 @@ from wigreg.hermite import PI_QUARTER_INV, Hermite, apply_model_operator
 from wigreg.spectral import (
     BoundaryDecayWarning,
     DEFAULT_GRID,
-    _ScratchTransform,
+    _CheckPlane,
     apply_operator_2d,
     coherent_transform,
     intertwine_residual,
@@ -142,7 +142,7 @@ def test_apply_operator_2d_matches_factorwise_oracle(p, n_pts):
 @pytest.mark.parametrize("p", [Fraction(-1), Fraction(0), Fraction(1, 3),
                                Fraction(1, 2), Fraction(1), Fraction(2)])
 def test_apply_operator_2d_matches_fresh_planes_oracle_bit_for_bit(p):
-    # block-wise symbols, in-place frames and the scratch plane change no bit
+    # block-wise symbols, in-place frames and the check's own plane change no bit
     rng = random.Random(f"bits:{p}")
     grid = Grid2D(12.0, 64)
     w = wig_forward(H1, H2, float(p), grid)
@@ -151,8 +151,8 @@ def test_apply_operator_2d_matches_fresh_planes_oracle_bit_for_bit(p):
     for spec in [plain, rows, QUARTIC.with_p(p)] + [_random_spec(rng, p) for _ in range(4)]:
         expected = fresh_planes_apply_operator_2d(spec, w)
         assert np.array_equal(apply_operator_2d(spec, w).samples, expected), spec.coeffs
-        scratch = _ScratchTransform(grid, w.samples.copy())
-        assert np.array_equal(apply_operator_2d(spec, scratch).samples, expected), spec.coeffs
+        owned = _CheckPlane(grid, w.samples.copy())
+        assert np.array_equal(apply_operator_2d(spec, owned).samples, expected), spec.coeffs
 
 
 @pytest.mark.filterwarnings("ignore::wigreg.spectral.BoundaryDecayWarning")
@@ -339,22 +339,33 @@ def test_intertwining_check_fails_on_the_operator_pair_before_any_plane(monkeypa
     assert u.shapes == v.shapes == [(n,), (n,)]
 
 
+def _peak_planes(p: Fraction, mode: str) -> float:
+    """The traced peak of QUARTIC's intertwining check at N = 512, in planes."""
+    grid = Grid2D(12.0, 512)
+    tracemalloc.start()
+    try:
+        intertwine_residual(QUARTIC, H1, H2, p, grid, mode=mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * grid.N ** 2)
+
+
 def test_intertwining_check_stays_within_its_plane_budget():
     # QUARTIC at p = 1/3 has a plain term and three derivative rows, so the
     # operator holds, besides the transform it consumes, the plain term, the
-    # running total and one row in flight; the generators hold the transform
-    # and the two factors' planes.  The right sides come a block of rows at a
-    # time, as do symbols and Horner values (an eighth of a plane at N = 512)
-    grid = Grid2D(12.0, 512)
-    plane = 16 * grid.N ** 2
-    for mode in ("full", "generators"):
-        tracemalloc.start()
-        try:
-            intertwine_residual(QUARTIC, H1, H2, Fraction(1, 3), grid, mode=mode)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4.75 * plane, (mode, peak / plane)
+    # running total and one row in flight.  The right side comes a block of
+    # rows at a time, as do symbols and Horner values (an eighth of a plane
+    # at N = 512)
+    assert _peak_planes(Fraction(1, 3), "full") < 4.75
+
+
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(1)])
+def test_generator_check_stays_within_its_plane_budget(p):
+    # the position factor runs first and leaves the transform as it is; the
+    # derivative factor then works in place over the transform, so besides
+    # it only the position factor's plane and blocks of rows are alive
+    assert _peak_planes(p, "generators") < 3.0
 
 
 class SpoiledWindow:

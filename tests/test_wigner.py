@@ -56,6 +56,10 @@ def test_grid_validation():
     assert Grid2D(12.0, MAX_GRID_N).N == MAX_GRID_N
     with pytest.raises(ValueError, match=f"grid size N exceeds the limit of {MAX_GRID_N}"):
         Grid2D(12.0, 2 * MAX_GRID_N)
+    # 2L overflows: the node spacing would be inf and the nodes NaN
+    with pytest.raises(ValueError, match=r"half-width L = 1\.7e\+308 is too large"):
+        Grid2D(1.7e308, 4)
+    assert Grid2D(8e307, 4).dx == 4e307
 
 
 def test_grid_nodes():
@@ -711,6 +715,7 @@ def _edit_manifest(path, **changes):
     ("L", -1.0, "L must be positive"),
     ("N", 24, "power of two"),
     ("N", 2 * MAX_GRID_N, "exceeds the limit"),
+    ("L", 1.7e308, "is too large: its node spacing 2L/N overflows"),
 ])
 def test_read_grid_validates_manifest(tmp_path, key, value, message):
     path = _small_grid_file(tmp_path)
