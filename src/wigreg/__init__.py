@@ -27,7 +27,7 @@ from .certify import (
     verify_certificate,
 )
 from .exact import GaussianRational, MultiPoly, parse_rational
-from .hermite import GaussianPacket, Hermite, PolyGauss, apply_model_operator, hermite_values
+from .hermite import Hermite, PolyGauss, apply_model_operator, hermite_values
 from .pipeline import (
     PositivityError,
     Report,
@@ -67,7 +67,6 @@ __all__ = [
     "BoundaryDecayError",
     "BoundaryDecayWarning",
     "Certificate",
-    "GaussianPacket",
     "GaussianRational",
     "Grid2D",
     "GridFunction2D",

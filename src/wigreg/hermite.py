@@ -1,6 +1,6 @@
 """Analytic Schwartz-class test functions evaluable at arbitrary real points.
 
-Three variants share one evaluation contract (call with a float array, get a
+Two variants share one evaluation contract (call with a float array, get a
 complex array back):
 
 * ``Hermite(n)``: the n-th L2-normalized Hermite function, evaluated through
@@ -9,8 +9,9 @@ complex array back):
       h_{n+1}(t) = sqrt(2/(n+1)) t h_n(t) - sqrt(n/(n+1)) h_{n-1}(t),
       h_0(t) = pi^(-1/4) exp(-t^2/2);
 
-* ``GaussianPacket(a, b, x0, amplitude)``: amplitude * exp(-a (t-x0)^2 + i b t);
-* ``PolyGauss``: a complex polynomial prefactor times that same envelope.
+* ``PolyGauss``: a complex polynomial prefactor times the envelope
+  exp(-a (t-x0)^2 + i b t); a Gaussian packet is ``PolyGauss([amplitude], a,
+  b, x0)``.
 
 PolyGauss is closed under multiplication by t and under D = -i d/dt, which is
 what lets the pipeline apply a polynomial model operator to a test function
@@ -31,6 +32,19 @@ PI_QUARTER_INV = float(np.pi ** -0.25)
 MAX_WINDOW_INDEX = 40
 
 
+def _gaussian(t: np.ndarray, a: float, x0) -> np.ndarray:
+    """exp(-a (t - x0)^2) in one fresh array, t and x0 broadcast together.
+
+    Beyond |t - x0| ~ 1e154 the square overflows to inf, whose exp(-inf) is
+    the 0 the envelope rounds to anyway.
+    """
+    out = np.subtract(t, x0, out=np.empty(np.broadcast(t, x0).shape))
+    with np.errstate(over="ignore"):
+        np.square(out, out=out)
+        out *= -a
+    return np.exp(out, out=out)
+
+
 def hermite_values(n: int, t: np.ndarray) -> np.ndarray:
     """Values of the n-th normalized Hermite function (stable recurrence)."""
     if not isinstance(n, int) or n < 0:
@@ -39,13 +53,7 @@ def hermite_values(n: int, t: np.ndarray) -> np.ndarray:
     # three buffers, each step in the order of
     # cur' = sqrt(2/(k+1)) * t * cur - sqrt(k/(k+1)) * prev
     prev = np.zeros_like(t)
-    cur = np.empty_like(t)
-    np.multiply(-0.5, t, out=cur)
-    # beyond |t| ~ 1e154 the square overflows to -inf, whose exp is the 0 it
-    # rounds to anyway
-    with np.errstate(over="ignore"):
-        cur *= t
-    np.exp(cur, out=cur)
+    cur = _gaussian(t, 0.5, 0.0)
     np.multiply(PI_QUARTER_INV, cur, out=cur)
     spare = np.empty_like(t)
     for k in range(n):
@@ -71,8 +79,7 @@ def hermite_poly_coeffs(n: int) -> np.ndarray:
     for k in range(n):
         shifted = np.concatenate(([0.0 + 0.0j], cur))
         padded_prev = np.concatenate((prev, np.zeros(shifted.size - prev.size, dtype=complex)))
-        padded_cur = np.concatenate((cur, np.zeros(shifted.size - cur.size, dtype=complex)))
-        prev, cur = padded_cur, np.sqrt(2.0 / (k + 1)) * shifted - np.sqrt(k / (k + 1.0)) * padded_prev
+        prev, cur = cur, np.sqrt(2.0 / (k + 1)) * shifted - np.sqrt(k / (k + 1.0)) * padded_prev
     return cur
 
 
@@ -85,27 +92,6 @@ class Hermite:
 
     def to_polygauss(self) -> "PolyGauss":
         return PolyGauss(hermite_poly_coeffs(self.n), a=0.5, b=0.0, x0=0.0)
-
-
-@dataclass(frozen=True)
-class GaussianPacket:
-    """amplitude * exp(-a (t - x0)^2 + i b t); width a must be positive."""
-
-    a: float = 1.0
-    b: float = 0.0
-    x0: float = 0.0
-    amplitude: complex = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.a > 0:
-            raise ValueError("packet width must be positive")
-
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return self.amplitude * np.exp(-self.a * (t - self.x0) ** 2 + 1j * self.b * t)
-
-    def to_polygauss(self) -> "PolyGauss":
-        return PolyGauss(np.array([self.amplitude], dtype=complex), a=self.a, b=self.b, x0=self.x0)
 
 
 class PolyGauss:
@@ -128,23 +114,23 @@ class PolyGauss:
         """Horner on the real and imaginary parts of the polynomial, each in
         place in its half of one complex output; t is real, so this gives the
         bits of the complex polyval.  A part whose coefficients are all zero
-        stays zero."""
+        stays zero.  Where the envelope is 0, a polynomial that overflowed
+        (|t| beyond ~1e154 at degree 2) gives 0, not inf * 0 = NaN."""
         t = np.asarray(t, dtype=float)
-        envelope = np.subtract(t, self.x0)
-        # a square that overflows gives exp(-inf) = 0, as hermite_values
-        with np.errstate(over="ignore"):
-            np.square(envelope, out=envelope)
-            envelope *= -self.a
-        np.exp(envelope, out=envelope)
+        envelope = _gaussian(t, self.a, self.x0)
+        vanishes = None if envelope.all() else envelope == 0
         values = np.zeros(t.shape, dtype=complex)
-        for part, coeffs in ((values.real, self.coeffs.real), (values.imag, self.coeffs.imag)):
-            if not coeffs.any():
-                continue
-            part += coeffs[-1]
-            for c in coeffs[-2::-1]:
-                part *= t
-                part += c
-            part *= envelope
+        with np.errstate(**({} if vanishes is None else {"over": "ignore", "invalid": "ignore"})):
+            for part, coeffs in ((values.real, self.coeffs.real), (values.imag, self.coeffs.imag)):
+                if not coeffs.any():
+                    continue
+                part += coeffs[-1]
+                for c in coeffs[-2::-1]:
+                    part *= t
+                    part += c
+                part *= envelope
+                if vanishes is not None:
+                    part[(part != part) & vanishes] = 0
         if self.b != 0:
             values *= np.exp(1j * self.b * t)
         return values

@@ -282,7 +282,9 @@ def check_positivity(a: MultiPoly) -> dict:
     equally central ones, when a sample is strictly negative; zero samples
     are allowed (positive almost everywhere suffices for the generated
     operator).  A sample beyond the float range raises a ValueError: the
-    sampled symbol leaves the float range.
+    sampled symbol leaves the float range.  A real quadratic is decided by
+    its minors alone: one that no sample catches but has a negative minor
+    raises a ValueError naming that minor.
     """
     minors = _psd_minors(a)
     if minors is not None and all(v >= 0 for v in minors):
@@ -309,11 +311,11 @@ def check_positivity(a: MultiPoly) -> dict:
             witness=witness,
             value=float(value),
         )
-    record = {"method": "sampled", "min_sample": float(low),
-              "radius": POSITIVITY_RADIUS, "count": POSITIVITY_COUNT}
     if minors is not None:
-        record["note"] = "exact PSD check failed; accepted on sampling evidence only"
-    return record
+        raise ValueError("symbol is a quadratic that is negative somewhere: its homogenized form "
+                         f"has the principal minor {next(v for v in minors if v < 0)} < 0")
+    return {"method": "sampled", "min_sample": float(low),
+            "radius": POSITIVITY_RADIUS, "count": POSITIVITY_COUNT}
 
 
 @dataclass

@@ -60,7 +60,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .exact import GR_ONE, MultiPoly
-from .hermite import PI_QUARTER_INV, apply_model_operator, to_polygauss
+from .hermite import PI_QUARTER_INV, _gaussian, apply_model_operator, to_polygauss
 from .symbols import MODEL_VARS, OperatorSpec
 from .wigner import (Grid2D, GridFunction2D, _alternating_phase, _check_edges, _forward_blocks,
                      _row_blocks, _wavenumbers)
@@ -285,7 +285,7 @@ def coherent_transform(u: Callable, grid: Grid2D) -> np.ndarray:
     conjugated window, one FFT per window center."""
     t = grid.x_nodes
     ut = np.asarray(u(t))
-    windowed = PI_QUARTER_INV * ut[None, :] * np.exp(-0.5 * (grid.x_nodes[:, None] - t[None, :]) ** 2)
+    windowed = PI_QUARTER_INV * ut[None, :] * _gaussian(grid.x_nodes[:, None], 0.5, t[None, :])
     spectrum = np.fft.fftshift(np.fft.fft(windowed, axis=1), axes=1)
     return grid.dx * _alternating_phase(grid.N)[None, :] * spectrum
 

@@ -795,11 +795,11 @@ def meshgrid_check_positivity(a: MultiPoly) -> dict:
             witness=witness,
             value=float(vals[idx]),
         )
-    record = {"method": "sampled", "min_sample": float(vals.min()),
-              "radius": POSITIVITY_RADIUS, "count": POSITIVITY_COUNT}
     if minors is not None:
-        record["note"] = "exact PSD check failed; accepted on sampling evidence only"
-    return record
+        raise ValueError("symbol is a quadratic that is negative somewhere: its homogenized form "
+                         f"has the principal minor {next(v for v in minors if v < 0)} < 0")
+    return {"method": "sampled", "min_sample": float(vals.min()),
+            "radius": POSITIVITY_RADIUS, "count": POSITIVITY_COUNT}
 
 
 def substitute_t_conjugate(symbol: MultiPoly, change: LinearChange) -> MultiPoly:

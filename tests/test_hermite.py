@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wigreg.hermite import (
-    GaussianPacket,
+    PI_QUARTER_INV,
     Hermite,
     PolyGauss,
     apply_model_operator,
@@ -96,6 +96,24 @@ def test_windows_beyond_the_float_square_are_zero_without_warning():
     assert not np.any(Hermite(1).to_polygauss()(t))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_polygauss_is_zero_where_its_polynomial_overflows_and_its_envelope_vanishes(n):
+    # Horner overflows to inf at |t| = 1e200 from degree 2 on; the envelope's
+    # 0 still gives 0, not inf * 0 = NaN, and no RuntimeWarning leaks
+    t = np.array([-1e200, 1e200])
+    values = Hermite(n).to_polygauss()(t)
+    assert np.array_equal(values, np.zeros(2, dtype=complex))
+    assert np.array_equal(values, Hermite(n)(t))
+
+
+def test_hermite_envelope_is_the_gaussian_bit_for_bit():
+    t = np.concatenate([SPECIAL_POINTS[np.isfinite(SPECIAL_POINTS)], np.linspace(-40.0, 40.0, 801),
+                        [1.5e154, 1.8e154, -1e200, 1e200]])
+    with np.errstate(over="ignore"):
+        expected = PI_QUARTER_INV * np.exp(-0.5 * t * t)
+    assert_same_bits(hermite_values(0, t), expected)
+
+
 def test_hermite_parity():
     vals_p = hermite_values(4, GRID)
     vals_m = hermite_values(4, -GRID)
@@ -105,12 +123,11 @@ def test_hermite_parity():
     assert np.allclose(odd_p, -odd_m)
 
 
-def test_gaussian_packet_evaluates_and_validates():
-    g = GaussianPacket(a=2.0, b=1.0, x0=0.5, amplitude=3.0)
+def test_gaussian_packet_is_a_constant_polygauss():
+    # amplitude * exp(-a (t - x0)^2 + i b t)
+    g = PolyGauss([3.0], a=2.0, b=1.0, x0=0.5)
     t = np.array([0.0, 0.5])
     assert np.allclose(g(t), 3.0 * np.exp(-2.0 * (t - 0.5) ** 2 + 1j * t))
-    with pytest.raises(ValueError):
-        GaussianPacket(a=0.0)
 
 
 def test_polygauss_matches_hermite_pointwise():
@@ -123,7 +140,7 @@ def test_polygauss_matches_hermite_pointwise():
 @pytest.mark.parametrize("pg", [
     Hermite(3).to_polygauss(),                                   # b == 0
     PolyGauss([0.5 - 1j, 2.0, 0.25j], a=0.7, x0=-0.4),           # b == 0
-    GaussianPacket(a=0.8, b=0.6, x0=0.3).to_polygauss().apply_d(),
+    PolyGauss([1.0], a=0.8, b=0.6, x0=0.3).apply_d(),
     PolyGauss([1.0, -0.5j], a=1.5, b=-2.0, x0=0.25),
 ])
 def test_polygauss_matches_complex_exponential_formula(monkeypatch, pg):
@@ -170,14 +187,14 @@ def test_polygauss_trims_trailing_zeros_and_requires_width():
 
 
 def test_mul_t_matches_pointwise_product():
-    pg = GaussianPacket(a=1.5, b=-2.0, x0=0.25).to_polygauss()
+    pg = PolyGauss([1.0], a=1.5, b=-2.0, x0=0.25)
     assert np.allclose(pg.mul_t()(GRID), GRID * pg(GRID))
 
 
 def test_apply_d_matches_central_differences():
     h = 1e-5
     for f in [Hermite(3).to_polygauss(),
-              GaussianPacket(a=0.7, b=1.3, x0=-0.4).to_polygauss()]:
+              PolyGauss([1.0], a=0.7, b=1.3, x0=-0.4)]:
         derived = f.apply_d()
         fd = -1j * (f(GRID + h) - f(GRID - h)) / (2 * h)
         scale = np.max(np.abs(fd)) + 1.0
@@ -194,8 +211,8 @@ def test_apply_d_reproduces_ladder_identity():
 
 
 def test_add_requires_identical_envelopes():
-    f = GaussianPacket(a=1.0).to_polygauss()
-    g = GaussianPacket(a=2.0).to_polygauss()
+    f = PolyGauss([1.0], a=1.0)
+    g = PolyGauss([1.0], a=2.0)
     with pytest.raises(ValueError):
         f.add(g)
 

@@ -398,8 +398,10 @@ def test_check_positivity_witness_is_central():
     assert err.value.value == -1.0
 
 
+NEAR_MISS_QUADRATIC = {(2, 0): 1, (1, 0): Fraction(-1, 10), (0, 2): 1, (0, 0): Fraction(2499, 10 ** 6)}
+
 POSITIVITY_TARGETS = [
-    # (variables, terms, "sampled" / "exact-psd" / "negative")
+    # (variables, terms, "sampled" / "exact-psd" / "negative" / "minor")
     (MODEL_VARS, {(4, 0): 1, (0, 4): 1, (0, 0): 1}, "sampled"),
     (MODEL_VARS, {(2, 0): 1, (1, 1): 3, (0, 2): 1, (0, 0): 1}, "negative"),   # indefinite
     (MODEL_VARS, {(2, 0): 1, (0, 2): 1, (1, 0): 1, (0, 0): Fraction(1, 4)}, "exact-psd"),
@@ -415,6 +417,9 @@ POSITIVITY_TARGETS = [
     (MODEL_VARS, {(1, 0): -1, (0, 0): Fraction(399, 20)}, "negative"),
     # (x^2 - 4)^2 - 1/100 is negative only at x = -2 and x = 2, two blocks apart
     (MODEL_VARS, {(4, 0): 1, (2, 0): -8, (0, 0): Fraction(1599, 100)}, "negative"),
+    # x^2 - x/10 + xi^2 + 2499/10^6 is -1/10^6 at (1/20, 0), between grid
+    # lines: no sample is negative, a minor is
+    (MODEL_VARS, NEAR_MISS_QUADRATIC, "minor"),
 ]
 
 
@@ -427,10 +432,26 @@ def test_check_positivity_axis_lines_match_meshgrid_oracle(vars_, terms, outcome
             return check(a)
         except PositivityError as exc:
             return "negative", exc.witness, exc.value, str(exc)
+        except ValueError as exc:
+            return "minor", str(exc)
 
     got = run(check_positivity)
     assert got == run(meshgrid_check_positivity)
     assert (got[0] if isinstance(got, tuple) else got["method"]) == outcome
+
+
+def test_generate_refuses_a_quadratic_with_a_negative_minor_that_no_sample_catches(tmp_path, capsys):
+    a = MultiPoly(MODEL_VARS, {e: gr(Fraction(c)) for e, c in NEAR_MISS_QUADRATIC.items()})
+    x, xi = Fraction(1, 20), Fraction(0)
+    assert sum(c * x ** j * xi ** k for (j, k), c in NEAR_MISS_QUADRATIC.items()) == Fraction(-1, 10 ** 6)
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(a.to_json()))
+    out = tmp_path / "out.json"
+    assert cli.main(["generate", "--positive-symbol", str(target), "--p", "1/2",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: symbol is a quadratic that is negative somewhere: "
+                                       "its homogenized form has the principal minor -1/1000000 < 0\n")
+    assert not out.exists()
 
 
 def test_sampled_positivity_stays_within_its_plane_budget():

@@ -15,7 +15,7 @@ from oracles import (
     shifted_wig_forward,
     table_read_grid,
 )
-from wigreg.hermite import GaussianPacket, Hermite, to_polygauss
+from wigreg.hermite import Hermite, PolyGauss, to_polygauss
 from wigreg import wigner
 from wigreg.wigner import (
     DEFAULT_BOUNDARY_TOL,
@@ -219,7 +219,7 @@ def test_forward_is_bilinear():
 
 
 def test_boundary_decay_guard():
-    wide = GaussianPacket(a=0.01)
+    wide = PolyGauss([1.0], a=0.01)
     with pytest.raises(BoundaryDecayError, match="enlarge L"):
         wig_forward(wide, wide, 0.5, GRID)
 
