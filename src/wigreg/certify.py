@@ -302,35 +302,29 @@ def _not_applicable(reason: str, witness: Optional[dict] = None) -> Certificate:
     return Certificate(kind="NotApplicable", grade="none", payload=payload, subject={})
 
 
-def _quadratic_shape(a: MultiPoly) -> Optional[dict[str, Fraction]]:
-    """Read a = a2 x^2 + 2 b1 x xi + c0 xi^2 + a1 x + 2 b0 xi + (a0 + i*t).
+def _quadratic_shape(a: MultiPoly) -> Optional[tuple[QuadraticCoeffs, Fraction]]:
+    """Read a = a2 x^2 + 2 b1 x xi + c0 xi^2 + a1 x + 2 b0 xi + a0 + i t as
+    (QuadraticCoeffs, t): the one reader of this layout.
 
-    Returns None when some non-constant coefficient is not real.
+    Returns None when a has total degree above 2 or some non-constant
+    coefficient is not real.
     """
     sym = _model_symbol(a)
-    if sym.total_degree() != 2:
+    if sym.total_degree() > 2 or not all(c.is_real() for e, c in sym.terms.items() if e != (0, 0)):
         return None
-    out: dict[str, Fraction] = {}
-    for exp, coef in sym.terms.items():
-        if exp != (0, 0) and not coef.is_real():
-            return None
-    out["a2"] = sym.coefficient({"x": 2}).re
-    out["b1"] = sym.coefficient({"x": 1, "xi": 1}).re / 2
-    out["c0"] = sym.coefficient({"xi": 2}).re
-    out["a1"] = sym.coefficient({"x": 1}).re
-    out["b0"] = sym.coefficient({"xi": 1}).re / 2
-    out["a0"] = sym.constant_term().re
-    out["const_im"] = sym.constant_term().im
-    return out
+    real = lambda exp: sym.terms.get(exp, GR_ZERO).re
+    qc = QuadraticCoeffs(a2=real((2, 0)), a1=real((1, 0)), a0=real((0, 0)),
+                         b1=real((1, 1)) / 2, b0=real((0, 1)) / 2, c0=real((0, 2)))
+    return qc, sym.constant_term().im
 
 
 def hypo_certify_quadratic(a: MultiPoly) -> Optional[Certificate]:
     """Certificate when the leading quadratic form a2 x^2 + 2 b1 x xi + c0 xi^2
     is positive-definite; the linear and constant parts never matter."""
     shape = _quadratic_shape(a)
-    if shape is None:
+    if shape is None or a.total_degree() != 2:
         return _not_applicable("needs total degree 2 with real non-constant coefficients")
-    a2, b1, c0 = shape["a2"], shape["b1"], shape["c0"]
+    a2, b1, c0 = shape[0].a2, shape[0].b1, shape[0].c0
     det = a2 * c0 - b1 * b1
     if a2 > 0 and det > 0:
         return Certificate(
@@ -510,8 +504,8 @@ def hypo_certify_first_order(a: MultiPoly,
 
 @dataclass(frozen=True)
 class QuadraticCoeffs:
-    """Real data of the symmetric quadratic model
-    a = a2 x^2 + a1 x + a0 - i b1 + 2(b1 x + b0) xi + c0 xi^2."""
+    """Real data of a quadratic model symbol (_quadratic_shape); the symmetric
+    model has t = -b1: a = a2 x^2 + a1 x + a0 - i b1 + 2(b1 x + b0) xi + c0 xi^2."""
 
     a2: Fraction
     a1: Fraction
@@ -532,14 +526,10 @@ def extract_quadratic_coeffs(a: MultiPoly) -> Optional[QuadraticCoeffs]:
     """Match the symmetric quadratic shape, requiring the constant imaginary
     part to equal -b1 (the symmetry lock)."""
     shape = _quadratic_shape(a)
-    if shape is None:
+    if shape is None or a.total_degree() != 2:
         return None
-    if shape["const_im"] != -shape["b1"]:
-        return None
-    return QuadraticCoeffs(
-        a2=shape["a2"], a1=shape["a1"], a0=shape["a0"],
-        b1=shape["b1"], b0=shape["b0"], c0=shape["c0"],
-    )
+    qc, t = shape
+    return qc if t == -qc.b1 else None
 
 
 @dataclass(frozen=True)
@@ -1037,16 +1027,14 @@ def _adjoint_analysis(subject: _Subject, operator: Optional[Certificate]) -> Opt
         return None
     adjoint = first_order_certify(shape.alpha, shape.m, side="adjoint")
     adj_nontrivial = adjoint.kind == "NotInjectiveWitness"
-    op_nontrivial = operator.kind == "NotInjectiveWitness"
-    if adj_nontrivial and not op_nontrivial:
+    # at most one side has a Schwartz kernel: m odd and Im alpha < 0 for A, > 0 for A*
+    if adj_nontrivial:
         remark = ("N(A*) != 0: the adjoint kernel contains "
                   f"{adjoint.payload['kernel']['rendered']}, so the operator is "
                   "injective but not surjective (index -1)")
-    elif op_nontrivial and not adj_nontrivial:
+    elif operator.kind == "NotInjectiveWitness":
         remark = ("N(A) != 0 while N(A*) = 0: the operator has a one-dimensional "
                   "kernel and dense range (index +1)")
-    elif adj_nontrivial and op_nontrivial:
-        remark = "both N(A) and N(A*) are nontrivial"
     else:
         remark = "both N(A) and N(A*) are trivial"
     return {

@@ -36,6 +36,7 @@ from .certify import (
     VerifyResult,
     _compose_verdict,
     _decide,
+    _quadratic_shape,
     verify_certificate,
 )
 from .exact import GR_ONE, GaussianRational, MultiPoly, load_json
@@ -253,19 +254,12 @@ def _psd_minors(a: MultiPoly) -> Optional[list[Fraction]]:
     All seven non-negative proves a >= 0 on the whole plane.  None when the
     symbol is not a real quadratic.
     """
-    if a.total_degree() > 2 or not a.is_real():
+    shape = _quadratic_shape(a)
+    if shape is None or shape[1] != 0:
         return None
-    m = [
-        [a.coefficient({"x": 2}).re, a.coefficient({"x": 1, "xi": 1}).re / 2,
-         a.coefficient({"x": 1}).re / 2],
-        [Fraction(0), a.coefficient({"xi": 2}).re, a.coefficient({"xi": 1}).re / 2],
-        [Fraction(0), Fraction(0), a.constant_term().re],
-    ]
-    m[1][0], m[2][0], m[2][1] = m[0][1], m[0][2], m[1][2]
-
-    def det2(i: int, j: int) -> Fraction:
-        return m[i][i] * m[j][j] - m[i][j] * m[j][i]
-
+    q = shape[0]
+    m = [[q.a2, q.b1, q.a1 / 2], [q.b1, q.c0, q.b0], [q.a1 / 2, q.b0, q.a0]]
+    det2 = lambda i, j: m[i][i] * m[j][j] - m[i][j] * m[j][i]
     det3 = (m[0][0] * det2(1, 2) - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
     return [m[0][0], m[1][1], m[2][2], det2(0, 1), det2(0, 2), det2(1, 2), det3]

@@ -225,6 +225,19 @@ def _relative_gaps(lhs: Sequence[np.ndarray],
     return [gap / max(size, 1e-300) for gap, size in zip(gaps, sizes)]
 
 
+def _check_operator_range(specs: Sequence[OperatorSpec], grid: Grid2D) -> None:
+    """Refuse, before any plane, a grid on which sum |c[j,k]| X^j Y^k overflows
+    for one of specs, X = L (1 + |q|) and Y = pi N (1 + |p|) / (2 L) the bounds
+    of |x - q omega_y| and |y + p omega_x| there: B's samples would not be finite."""
+    for spec in specs:
+        big_x = np.float64(grid.L) * (1 + abs(float(spec.q)))
+        big_y = np.pi * grid.N * (1 + abs(float(spec.p))) / np.float64(2 * grid.L)
+        if not isfinite(sum(abs(c) * big_x ** j * big_y ** k
+                            for (j, k), c in spec.complex_coeffs().items())):
+            raise ValueError("the operator's values overflow the float range on the grid "
+                             f"with L = {grid.L:g} and N = {grid.N}")
+
+
 @np.errstate(invalid="ignore", over="ignore")
 def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID,
                         mode: str = "full") -> list[tuple[str, float]]:
@@ -244,8 +257,9 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
     tolerance.  The right sides, the forwards of A u (or of D u and x u),
     are compared a block of rows at a time after the operator has run.
 
-    An inf or NaN sample raises _relative_gaps' ValueError, with no numpy
-    warning.
+    A grid the operator overflows is refused first (_check_operator_range);
+    any other inf or NaN sample raises _relative_gaps' ValueError, with no
+    numpy warning.
     """
     from fractions import Fraction
 
@@ -255,10 +269,13 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
     spec = spec.with_p(p)
     pf = float(p)
     if mode == "full":
+        operators = (spec,)
         rights = (apply_model_operator(spec.complex_coeffs(), u),)
     else:
+        operators = (OperatorSpec({(0, 1): GR_ONE}, p), OperatorSpec({(1, 0): GR_ONE}, p))
         base = to_polygauss(u)
         rights = (base.apply_d(), base.mul_t())
+    _check_operator_range(operators, grid)
     _check_edges((u, *rights), v, pf, grid, INTERTWINE_BOUNDARY_TOL)
     w = _CheckPlane(grid, np.empty((grid.N, grid.N), dtype=complex))
     deque(_forward_blocks((u,), v, pf, grid, (w.samples,)), maxlen=0)
@@ -268,8 +285,8 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
         names = ("intertwining",)
     else:
         # the position factor has no derivative row, so it leaves w as it is
-        position = apply_operator_2d(OperatorSpec({(1, 0): GR_ONE}, p), w).samples
-        lhs = [apply_operator_2d(OperatorSpec({(0, 1): GR_ONE}, p), w).samples, position]
+        position = apply_operator_2d(operators[1], w).samples
+        lhs = [apply_operator_2d(operators[0], w).samples, position]
         names = ("derivative_factor", "position_factor")
     del w
     return list(zip(names, _relative_gaps(lhs, _forward_blocks(rights, v, pf, grid))))

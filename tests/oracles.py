@@ -985,12 +985,13 @@ def fieldwise_verify_certificate(cert: Certificate, symbol: Optional[MultiPoly] 
         if cert.kind == "HypoQuadraticForm":
             sym = MultiPoly.from_json(cert.subject["symbol"])
             shape = _quadratic_shape(sym)
-            if shape is None:
+            if shape is None or sym.total_degree() != 2:
                 return VerifyResult(False, "subject symbol is not a real quadratic")
+            qc = shape[0]
             for key in ("a2", "b1", "c0"):
-                if parse_rational(cert.payload[key]) != shape[key]:
+                if parse_rational(cert.payload[key]) != getattr(qc, key):
                     return VerifyResult(False, f"payload {key} does not match the symbol")
-            a2, b1, c0 = shape["a2"], shape["b1"], shape["c0"]
+            a2, b1, c0 = qc.a2, qc.b1, qc.c0
             det = a2 * c0 - b1 * b1
             if parse_rational(cert.payload["det"]) != det:
                 return VerifyResult(False, "payload determinant mismatch")

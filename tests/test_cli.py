@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from wigreg import cli, wigner
 from wigreg.cli import main
 from wigreg.hermite import Hermite
+from wigreg.spectral import BoundaryDecayWarning
 from wigreg.wigner import read_grid
 
 EQ44 = {"p": "1/2", "coeffs": [{"j": 2, "k": 0, "re": "4"},
@@ -353,6 +355,19 @@ def test_symbol_unknown_name(spec_file, capsys):
     assert "unknown symbol name" in capsys.readouterr().err
 
 
+def test_symbol_prints_complex_coefficients(spec_file, capsys):
+    # coefficients i, -i, 3/2 i, 1+2i and 1-i; the mixed ones print bracketed
+    spec = {"p": "1/2", "coeffs": [
+        {"j": 2, "k": 0, "im": "1"}, {"j": 0, "k": 2, "im": "-1"}, {"j": 1, "k": 1, "im": "3/2"},
+        {"j": 1, "k": 0, "re": "1", "im": "2"}, {"j": 0, "k": 1, "re": "1", "im": "-1"},
+    ]}
+    assert main(["symbol", spec_file(spec), "--emit", "a,wick"]) == 0
+    assert capsys.readouterr().out == (
+        "a = i*x^2 + 3/2i*x*xi - i*xi^2 + (1+2i)*x + (1-i)*xi\n"
+        "wick = i*x^2 + 3/2i*x*xi - i*xi^2 + (1+2i)*x + (1-i)*xi + 3/4\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # verify-intertwine
 # ---------------------------------------------------------------------------
@@ -425,6 +440,23 @@ def test_verify_intertwine_fails_fast_on_the_operator_pair(spec_file, capsys, mo
     assert captured.out == ""
     assert captured.err == ("error: inputs reach 5.314e-06 at the z window edge "
                             "(need < 1.0e-08); enlarge L\n")
+
+
+def test_verify_intertwine_refuses_a_grid_the_operator_overflows(spec_file, capsys):
+    # 4 x^2 reaches 4 (1.5e200)^2 on the nodes and wavenumbers of L = 1e200:
+    # refused on lines, before any plane could warn of its boundary
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _exit_1_within_a_second(["verify-intertwine", spec_file(EQ44), "--N", "4",
+                                       "--L", "1e200", "--w", "hermite:0,0"], capsys).err
+    assert err == ("error: the operator's values overflow the float range on the grid "
+                   "with L = 1e+200 and N = 4\n")
+    # at L = 1e100 the samples stay finite: the check runs and fails as before
+    with pytest.warns(BoundaryDecayWarning):
+        assert main(["verify-intertwine", spec_file(EQ44), "--N", "64", "--L", "1e100",
+                     "--w", "hermite:0,0"]) == 1
+    assert capsys.readouterr().out == ("intertwining: 1.000e+00\n"
+                                       "FAIL (worst 1.000e+00 > tol 1.0e-06)\n")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -587,6 +619,47 @@ def test_transform_forward_on_a_window_beyond_the_float_square_is_silent(spec_fi
                  "--out", str(out)]) == 0
     assert capfd.readouterr().err == ""
     assert np.isfinite(read_grid(str(out)).samples).all()
+
+
+def _three_field_grid(spec_file, tmp_path) -> list[str]:
+    """An inverse transform of a forward grid CSV cut to x,y,re lines; its
+    manifest is the forward's own."""
+    fwd = tmp_path / "fwd.csv"
+    assert main(["transform", spec_file(EQ44), "--forward", "--N", "4", "--out", str(fwd)]) == 0
+    cut = tmp_path / "cut.csv"
+    cut.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in fwd.read_text().splitlines()))
+    (tmp_path / "cut.csv.manifest.json").write_text((tmp_path / "fwd.csv.manifest.json").read_text())
+    return ["transform", spec_file(EQ44), "--inverse", "--in", str(cut),
+            "--out", str(tmp_path / "never.csv")]
+
+
+def _spec_with(**entries):
+    return lambda spec_file, tmp_path: ["certify", spec_file({**EQ44, **entries}), "--quiet"]
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (lambda spec_file, tmp_path: ["verify-intertwine", spec_file(EQ44), "--w", "hermite:1"],
+     "window spec must be hermite:m,n"),
+    (lambda spec_file, tmp_path: ["symbol", spec_file(EQ44), "--emit", ","],
+     "--emit needs at least one of a, b, atilde, wick, conjugated"),
+    (lambda spec_file, tmp_path: ["certify", spec_file({"p": "1/2"}), "--quiet"],
+     "operator spec needs a 'coeffs' list"),
+    (_spec_with(coeffs=[5]), "coeffs[0] must be an object with 'j', 'k', 're' and 'im'"),
+    (_spec_with(T=[[1, 0]]), "T must be a 2x2 matrix of rationals"),
+    (_spec_with(T=[[1, 0], [0]]), "T must be a 2x2 matrix of rationals"),
+    (lambda spec_file, tmp_path: ["generate", "--positive-symbol", spec_file({}), "--p", "1/2"],
+     "polynomial JSON needs 'vars' and 'terms'"),
+    (_three_field_grid, "grid CSV lines have 3 fields, expected 4"),
+], ids=["window-one-index", "emit-empty", "no-coeffs", "coeff-number", "T-one-row", "T-short-row",
+        "polynomial-empty", "grid-three-fields"])
+def test_outside_input_is_refused_with_one_error_line(spec_file, tmp_path, capsys, make_argv,
+                                                      message):
+    argv = make_argv(spec_file, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_deeply_nested_json_exits_1_with_one_error_line(spec_file, tmp_path, capsys):

@@ -135,6 +135,17 @@ def test_certify_growing_kernel_is_regular_with_adjoint_remark():
     assert "index -1" in report.adjoint["remark"]
 
 
+def test_certify_even_power_first_order_has_both_kernels_trivial():
+    # D + i x^2: no Schwartz kernel on either side at even m
+    spec, _ = parse_spec({"p": "1/2", "coeffs": [{"j": 0, "k": 1, "re": "1"},
+                                                  {"j": 2, "k": 0, "im": "1"}]})
+    report = certify(spec)
+    assert (report.verdict.status, report.verdict.grade) == ("Regular", "exact")
+    assert [c.kind for c in report.verdict.chain] == ["HypoFirstOrder", "InjKernelEscape"]
+    assert not report.adjoint["adjoint_kernel_nontrivial"]
+    assert report.adjoint["remark"] == "both N(A) and N(A*) are trivial"
+
+
 def test_certify_incomplete_polygon_is_unknown():
     spec, _ = parse_spec(SEXTIC_JSON)
     report = certify(spec)
