@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import __version__
 from .certify import Certificate, VerifyResult, verify_certificate
-from .exact import MultiPoly, load_json, parse_int, parse_rational
+from .exact import MultiPoly, load_json, parse_int, parse_rational, rational_float
 from .hermite import MAX_WINDOW_INDEX, Hermite
 from .pipeline import (
     _as_is,
@@ -137,7 +137,7 @@ def _cmd_transform(args) -> int:
     spec, _ = parse_spec(_read_text(args.spec))
     if args.p is not None:
         spec = spec.with_p(parse_rational(args.p, "--p"))
-    p = float(spec.p)
+    p = rational_float(spec.p, "p")
     if args.forward:
         u, v = _parse_windows(args.w)
         grid = Grid2D(args.L, args.N)
@@ -153,6 +153,7 @@ def _cmd_transform(args) -> int:
                          f"but the inverse asks for p = {spec.p}")
         gf = read_grid(args.infile, manifest)
         pair = wig_inverse(gf, p)
+        del gf      # the writer then holds one plane, not two
         write_grid(pair, args.out, fmt=args.format, extra={"p": str(spec.p)})
     print(f"wrote {args.out} (and manifest)")
     return 0

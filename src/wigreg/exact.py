@@ -267,6 +267,16 @@ def _digit_count(n: int) -> int:
     return digits + (n >= 10 ** digits)
 
 
+def rational_float(value: Fraction, field: str) -> float:
+    """The float nearest to the rational ``field``; a ValueError gives its
+    digit count when it lies beyond the float range."""
+    try:
+        return value.numerator / value.denominator
+    except OverflowError:
+        digits = _digit_count(value.numerator // value.denominator)
+        raise ValueError(f"{field} has {digits} digits, beyond the float range") from None
+
+
 def _monomial_text(vars_: tuple[str, ...], exp: tuple) -> str:
     """x^2*xi for exp (2, 1) over (x, xi); empty for the constant monomial."""
     return "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(vars_, exp) if k)

@@ -59,7 +59,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .exact import GR_ONE, MultiPoly
+from .exact import GR_ONE, MultiPoly, rational_float
 from .hermite import PI_QUARTER_INV, _gaussian, apply_model_operator, to_polygauss
 from .symbols import MODEL_VARS, OperatorSpec
 from .wigner import (Grid2D, GridFunction2D, _alternating_phase, _check_edges, _forward_blocks,
@@ -267,7 +267,7 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
         raise ValueError("mode must be 'full' or 'generators'")
     p = Fraction(p)
     spec = spec.with_p(p)
-    pf = float(p)
+    pf = rational_float(p, "p")
     if mode == "full":
         operators = (spec,)
         rights = (apply_model_operator(spec.complex_coeffs(), u),)

@@ -32,7 +32,8 @@ Memory is counted in planes, one N x N complex array each.  The forward
 fills its output plane one block of x rows at a time, so it holds that plane
 and a few blocks of rows; the inverse runs in one plane besides its input; a
 CSV read holds the samples and the lines this process parses (two planes
-divided by the number of row blocks).
+divided by the number of row blocks), and a CSV write the work space of
+CSV_CHUNK values (under half a plane at N = 512).
 """
 
 from __future__ import annotations
@@ -369,30 +370,58 @@ def _split_rows(n: int, work: Callable, deliver: Callable) -> None:
             os.waitpid(pid, 0)
 
 
+# values formatted per call of g17.fields while writing a CSV: four rows at N = 512
+CSV_CHUNK = 4096
+
+
+def _node_fields(nodes: np.ndarray) -> np.ndarray:
+    """The "%.17g," text of each node, one NUL-padded row per node."""
+    texts = [b"%.17g," % x for x in nodes.tolist()]
+    width = max(map(len, texts))
+    joined = b"".join(text.ljust(width, b"\0") for text in texts)
+    return np.frombuffer(joined, dtype=np.uint8).reshape(len(texts), width)
+
+
 def _write_csv(gf: GridFunction2D, path: str) -> None:
     """Write x,y,re,im rows, byte for byte as np.savetxt with fmt="%.17g".
 
-    Each node coordinate is formatted once; one %-format per x row then
-    fills in that row's samples, so only one row of Python floats is alive
-    at a time.  Grids of at least 2 * MIN_BLOCK_POINTS points are formatted
-    in forked row blocks, one per usable CPU; this process writes its own
-    rows straight to the file and copies each child's text after them in
+    The node texts are formatted once.  The samples go through g17.fields,
+    CSV_CHUNK values at a time, into fixed-width lines of NUL-padded
+    fields: x text, y text, re field, ",", im field and a line feed.  One
+    line buffer per row block holds the y texts and separators; each chunk
+    fills in its x texts and fields, and dropping the NUL bytes leaves its
+    text.  Grids of at least 2 * MIN_BLOCK_POINTS points are formatted in
+    forked row blocks, one per usable CPU; this process writes its own rows
+    straight to the file and copies each child's text after them in
     chunks, so the bytes do not depend on the number of blocks.
     """
-    cells = [("%.17g" % y) + ",%.17g,%.17g" for y in gf.grid.axis_nodes(gf.dual_y).tolist()]
-    xs = gf.grid.x_nodes.tolist()
-    pairs = np.ascontiguousarray(gf.samples).view(np.float64)
+    from . import g17       # imported by the first CSV write only
+
+    n = gf.grid.N
+    xs = _node_fields(gf.grid.x_nodes)
+    ys = _node_fields(gf.grid.axis_nodes(gf.dual_y))
+    pairs = np.ascontiguousarray(gf.samples).view(np.float64).reshape(n, n, 2)
     with open(path, "wb") as fh:
 
         def work(lo: int, hi: int, out) -> None:
             write = (fh if out is None else out).write
-            for x, row in zip(xs[lo:hi], pairs[lo:hi]):
-                lead = "%.17g," % x
-                write(((lead + ("\n" + lead).join(cells) + "\n") % tuple(row.tolist()))
-                      .encode("ascii"))
+            rows = min(hi - lo, max(1, CSV_CHUNK // (2 * n)))
+            nodes = xs.shape[1] + ys.shape[1]
+            lines = np.zeros((rows, n, nodes + 2 * (g17.WIDTH + 1)), dtype=np.uint8)
+            lines[:, :, xs.shape[1]:nodes] = ys
+            cells = lines[:, :, nodes:].reshape(rows, n, 2, g17.WIDTH + 1)
+            cells[..., g17.WIDTH] = np.frombuffer(b",\n", dtype=np.uint8)
+            source, index = g17.buffers((rows, n, 2))
+            for start in range(lo, hi, rows):
+                stop = min(start + rows, hi)
+                block = lines[:stop - start]
+                block[:, :, :xs.shape[1]] = xs[start:stop, None]
+                g17.fields(pairs[start:stop], cells[:stop - start, ..., :g17.WIDTH],
+                           source, index[:stop - start])
+                write(block[block != 0])
 
         fh.write(b"x,y,re,im\n")
-        _split_rows(gf.grid.N, work, lambda lo, hi, src: shutil.copyfileobj(src, fh))
+        _split_rows(n, work, lambda lo, hi, src: shutil.copyfileobj(src, fh))
 
 
 def write_grid(gf: GridFunction2D, path: str, fmt: str = "csv",

@@ -442,6 +442,25 @@ def test_verify_intertwine_fails_fast_on_the_operator_pair(spec_file, capsys, mo
                             "(need < 1.0e-08); enlarge L\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["verify-intertwine", "--N", "16"],
+    ["verify-intertwine", "--N", "16", "--mode", "generators"],
+    ["transform", "--forward", "--N", "16"],
+    ["transform", "--inverse", "--in", "missing.csv"],
+], ids=["intertwine", "generators", "forward", "inverse"])
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_p_beyond_the_float_range_is_refused(spec_file, tmp_path, capsys, command, sign):
+    # a rational the spec reader accepts (401 digits, 1333 bits), but no float
+    name, *options = command
+    argv = [name, spec_file(EQ44), *options, "--p", sign + "1" + "0" * 400]
+    if name == "transform":
+        argv += ["--out", str(tmp_path / "grid.csv")]
+    captured = _exit_1_within_a_second(argv, capsys)
+    assert captured.err == "error: p has 401 digits, beyond the float range\n"
+    assert captured.out == ""
+    assert not (tmp_path / "grid.csv").exists()
+
+
 def test_verify_intertwine_refuses_a_grid_the_operator_overflows(spec_file, capsys):
     # 4 x^2 reaches 4 (1.5e200)^2 on the nodes and wavenumbers of L = 1e200:
     # refused on lines, before any plane could warn of its boundary

@@ -438,6 +438,21 @@ def test_read_grid_stays_within_its_plane_budget(tmp_path, monkeypatch):
         assert planes <= 1.75, (cpus, planes)
 
 
+def test_write_grid_stays_within_its_plane_budget(tmp_path, monkeypatch):
+    # on one CPU or two, the work space of one chunk of CSV_CHUNK values:
+    # 0.45 planes at N = 512 (0.04 when each row was %-formatted).  The first
+    # CSV write of a process also imports wigreg.g17 and builds its tables,
+    # about half a megabyte more; a small write does that here
+    write_grid(GridFunction2D(Grid2D(1.0, 4), np.ones((4, 4))), str(tmp_path / "small.csv"))
+    gf = wig_forward(H2, H1, 1.0 / 3.0, Grid2D(12.0, 512))
+    path = str(tmp_path / "grid.csv")
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        _, planes = peak_planes(lambda: write_grid(gf, path), 512)
+        assert planes <= 0.5, (cpus, planes)
+    assert read_grid(path).samples.tobytes() == gf.samples.tobytes()
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
