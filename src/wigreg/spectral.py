@@ -28,7 +28,7 @@ Two independent checks tie the exact layer to the transform:
 
 * intertwine_residual compares B applied to Wig_p[u (x) v] against
   Wig_p[(A u) (x) v], with A u computed symbolically (PolyGauss closure).
-  The edges of both pairs are checked on lines before any plane is built.
+  The edges of every pair are checked on lines before any plane is built.
   Then Wig_p[u (x) v] is filled a block of x rows at a time, and B runs on
   it: B takes its frame of Y by an FFT in place over that transform, which
   nothing reads again, and its last row lands in that same plane.  Since B
@@ -39,11 +39,11 @@ Two independent checks tie the exact layer to the transform:
   the right side Wig_p[(A u) (x) v] is built and compared block by block
   (wigner._forward_blocks), so it never fills a plane; the price is one
   more evaluation of v on each block.  All of this keeps the operations,
-  and so the bits, of separate transforms.  The generator mode compares
-  the forwards of D u and x u, which share v's values, with the two
-  factors applied to Wig_p[u (x) v]: the position factor first, which has
-  no derivative row and so leaves the transform as it is, then the
-  derivative factor the same way as B, in place over the transform;
+  and so the bits, of separate transforms.  The generator mode is two such
+  checks, one per factor and each with its transform of u (x) v: D u
+  against the derivative factor, which works in place over its transform,
+  then x u against the position factor, which takes its frame of X into a
+  plane of its own, so neither holds more than two planes;
 * wick_energy_compare compares the discrete energy form (A u | u), with A u
   computed symbolically as above, with the phase-space average of the
   coherent-state symbol W[a] against |V u|^2, V the coherent-state transform.
@@ -55,7 +55,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from math import isfinite
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -72,10 +72,28 @@ class BoundaryDecayWarning(UserWarning):
     """Samples do not decay at the grid boundary; wrap-around will pollute derivatives."""
 
 
-def _check_boundary_decay(samples: np.ndarray) -> None:
+@np.errstate(over="ignore", invalid="ignore")
+def _check_operator_range(spec: OperatorSpec, grid: Grid2D, sup: float = 1.0) -> None:
+    """Refuse a grid on which sup * sum |c[j,k]| X^j Y^k overflows, sup a bound of
+    the samples B acts on, X = L (1 + |q|) and Y = pi N (1 + |p|) / (2 L) the
+    bounds of |x - q omega_y| and |y + p omega_x| there."""
+    big_x = np.float64(grid.L) * (1 + abs(float(spec.q)))
+    big_y = np.pi * grid.N * (1 + abs(float(spec.p))) / np.float64(2 * grid.L)
+    if not isfinite(sup * sum(abs(c) * big_x ** j * big_y ** k
+                              for (j, k), c in spec.complex_coeffs().items())):
+        raise ValueError("the operator's values overflow the float range on the grid "
+                         f"with L = {grid.L:g} and N = {grid.N}")
+
+
+def _check_boundary_decay(spec: OperatorSpec, transform: GridFunction2D) -> None:
+    """Refuse finite samples that spec's operator would take beyond the float
+    range, then warn when they have not decayed at the grid boundary."""
+    samples = transform.samples
     sup = float(np.max(np.abs(samples)))
     if sup == 0.0:
         return
+    if isfinite(sup):
+        _check_operator_range(spec, transform.grid, sup)
     edge = float(max(
         np.max(np.abs(samples[0, :])), np.max(np.abs(samples[-1, :])),
         np.max(np.abs(samples[:, 0])), np.max(np.abs(samples[:, -1])),
@@ -112,7 +130,7 @@ def _poly_times(coeffs: Mapping[int, complex], sym: Callable[[slice], np.ndarray
 
 class _CheckPlane(GridFunction2D):
     """A plane the intertwining check owns.  The check finds non-finite
-    samples once, in _relative_gaps, so the constructor does not scan it,
+    samples once, in _relative_gap, so the constructor does not scan it,
     and apply_operator_2d may overwrite it."""
 
     __slots__ = ()
@@ -138,9 +156,9 @@ def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunc
     """
     if not transform.dual_y:
         raise ValueError("the planar operator acts on a transform with a dual second axis")
+    _check_boundary_decay(spec, transform)
     grid = transform.grid
     samples = transform.samples
-    _check_boundary_decay(samples)
     p, q = float(spec.p), float(spec.q)
     owned = isinstance(transform, _CheckPlane)
     rows, plain = {}, {}
@@ -203,39 +221,23 @@ DEFAULT_GRID = Grid2D(12.0, 256)
 INTERTWINE_BOUNDARY_TOL = 1e-8
 
 
-def _relative_gaps(lhs: Sequence[np.ndarray],
-                   rhs_blocks: Iterator[tuple[slice, list[np.ndarray]]]) -> list[float]:
-    """max|l - r| / max(max|l|, max|r|) for each plane l of lhs and the right
-    side r that rhs_blocks gives a block of rows at a time; the planes of lhs
-    are overwritten with the differences.  The maxima are taken block by
-    block, which gives the bits of whole planes, so no right side is ever a
+def _relative_gap(lhs: np.ndarray, rhs_blocks: Iterator[tuple[slice, np.ndarray]]) -> float:
+    """max|l - r| / max(max|l|, max|r|) for the plane l = lhs and the right
+    side r that rhs_blocks gives a block of rows at a time; lhs is
+    overwritten with the difference.  The maxima are taken block by block,
+    which gives the bits of whole planes, so the right side is never a
     plane.  A non-finite sample on either side makes its max|.| non-finite,
     which raises the ValueError of GridFunction2D's scan."""
-    sizes = [0.0] * len(lhs)
-    gaps = [0.0] * len(lhs)
-    for rows, blocks in rhs_blocks:
-        for i, (plane, rhs) in enumerate(zip(lhs, blocks)):
-            left = plane[rows]
-            top = (float(np.max(np.abs(left))), float(np.max(np.abs(rhs))))
-            if not all(map(isfinite, top)):
-                raise ValueError("samples must be finite")
-            sizes[i] = max(sizes[i], *top)
-            left -= rhs
-            gaps[i] = max(gaps[i], float(np.max(np.abs(left))))
-    return [gap / max(size, 1e-300) for gap, size in zip(gaps, sizes)]
-
-
-def _check_operator_range(specs: Sequence[OperatorSpec], grid: Grid2D) -> None:
-    """Refuse, before any plane, a grid on which sum |c[j,k]| X^j Y^k overflows
-    for one of specs, X = L (1 + |q|) and Y = pi N (1 + |p|) / (2 L) the bounds
-    of |x - q omega_y| and |y + p omega_x| there: B's samples would not be finite."""
-    for spec in specs:
-        big_x = np.float64(grid.L) * (1 + abs(float(spec.q)))
-        big_y = np.pi * grid.N * (1 + abs(float(spec.p))) / np.float64(2 * grid.L)
-        if not isfinite(sum(abs(c) * big_x ** j * big_y ** k
-                            for (j, k), c in spec.complex_coeffs().items())):
-            raise ValueError("the operator's values overflow the float range on the grid "
-                             f"with L = {grid.L:g} and N = {grid.N}")
+    size = gap = 0.0
+    for rows, rhs in rhs_blocks:
+        left = lhs[rows]
+        top = (float(np.max(np.abs(left))), float(np.max(np.abs(rhs))))
+        if not all(map(isfinite, top)):
+            raise ValueError("samples must be finite")
+        size = max(size, *top)
+        left -= rhs
+        gap = max(gap, float(np.max(np.abs(left))))
+    return gap / max(size, 1e-300)
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -249,17 +251,18 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
         Wig_p[(D u) (x) v] = (y + p D_x) Wig_p[u (x) v],
         Wig_p[(x u) (x) v] = (x - q D_y) Wig_p[u (x) v].
 
-    The edges of every pair are checked on lines before any plane, so a pair
-    that has not decayed at the window edge fails first.  The boundary
-    precondition, INTERTWINE_BOUNDARY_TOL, is looser than the standalone
-    transform: applying the operator multiplies the windows by polynomials,
-    and edge mass of 1e-8 still sits two orders below the 1e-6 comparison
-    tolerance.  The right sides, the forwards of A u (or of D u and x u),
-    are compared a block of rows at a time after the operator has run.
+    Each relation is one check: its operator applied to a transform of
+    u (x) v of its own, compared with the forward of its right side a block
+    of rows at a time.  The edges of every pair are checked on lines before
+    any plane, so a pair that has not decayed at the window edge fails
+    first.  The boundary precondition, INTERTWINE_BOUNDARY_TOL, is looser
+    than the standalone transform: applying the operator multiplies the
+    windows by polynomials, and edge mass of 1e-8 still sits two orders
+    below the 1e-6 comparison tolerance.
 
-    A grid the operator overflows is refused first (_check_operator_range);
-    any other inf or NaN sample raises _relative_gaps' ValueError, with no
-    numpy warning.
+    A grid an operator overflows is refused first (_check_operator_range),
+    and a transform it overflows before it runs; any other inf or NaN
+    sample raises _relative_gap's ValueError, with no numpy warning.
     """
     from fractions import Fraction
 
@@ -269,27 +272,24 @@ def intertwine_residual(spec: OperatorSpec, u, v, p, grid: Grid2D = DEFAULT_GRID
     spec = spec.with_p(p)
     pf = rational_float(p, "p")
     if mode == "full":
-        operators = (spec,)
-        rights = (apply_model_operator(spec.complex_coeffs(), u),)
+        checks = [("intertwining", spec, apply_model_operator(spec.complex_coeffs(), u))]
     else:
-        operators = (OperatorSpec({(0, 1): GR_ONE}, p), OperatorSpec({(1, 0): GR_ONE}, p))
         base = to_polygauss(u)
-        rights = (base.apply_d(), base.mul_t())
-    _check_operator_range(operators, grid)
-    _check_edges((u, *rights), v, pf, grid, INTERTWINE_BOUNDARY_TOL)
-    w = _CheckPlane(grid, np.empty((grid.N, grid.N), dtype=complex))
-    deque(_forward_blocks((u,), v, pf, grid, (w.samples,)), maxlen=0)
-    # the operator may work in w's plane: nothing reads w afterwards
-    if mode == "full":
-        lhs = [apply_operator_2d(spec, w).samples]
-        names = ("intertwining",)
-    else:
-        # the position factor has no derivative row, so it leaves w as it is
-        position = apply_operator_2d(operators[1], w).samples
-        lhs = [apply_operator_2d(operators[0], w).samples, position]
-        names = ("derivative_factor", "position_factor")
-    del w
-    return list(zip(names, _relative_gaps(lhs, _forward_blocks(rights, v, pf, grid))))
+        checks = [("derivative_factor", OperatorSpec({(0, 1): GR_ONE}, p), base.apply_d()),
+                  ("position_factor", OperatorSpec({(1, 0): GR_ONE}, p), base.mul_t())]
+    for _, operator, _ in checks:
+        _check_operator_range(operator, grid)
+    _check_edges((u, *(right for _, _, right in checks)), v, pf, grid, INTERTWINE_BOUNDARY_TOL)
+
+    def gap(operator: OperatorSpec, right: Callable) -> float:
+        w = _CheckPlane(grid, np.empty((grid.N, grid.N), dtype=complex))
+        deque(_forward_blocks(u, v, pf, grid, w.samples), maxlen=0)
+        # the operator may work in w's plane: nothing reads w afterwards
+        lhs = apply_operator_2d(operator, w).samples
+        del w
+        return _relative_gap(lhs, _forward_blocks(right, v, pf, grid))
+
+    return [(name, gap(operator, right)) for name, operator, right in checks]
 
 
 # ---------------------------------------------------------------------------

@@ -167,20 +167,16 @@ def _check_edges(firsts: Sequence[Callable], v: Callable, p: float, grid: Grid2D
             )
 
 
-def _forward_blocks(firsts: Sequence[Callable], v: Callable, p: float, grid: Grid2D,
-                    out: Optional[Sequence[np.ndarray]] = None
-                    ) -> Iterator[tuple[slice, list[np.ndarray]]]:
-    """Finished row blocks of Wig_p[f (x) v] for each first window f, sharing
-    v's values: pairs (rows, blocks), blocks[i] the samples of firsts[i] on
-    those x rows (_row_blocks), written into out[i][rows] when out is given
-    and into a block of their own otherwise.
+def _forward_blocks(u: Callable, v: Callable, p: float, grid: Grid2D,
+                    out: Optional[np.ndarray] = None) -> Iterator[tuple[slice, np.ndarray]]:
+    """Finished row blocks of Wig_p[u (x) v]: pairs (rows, block), block the
+    samples on those x rows (_row_blocks), written into out[rows] when out
+    is given and into a block of their own otherwise.
 
-    A block's arguments x + q z and x - p z and v's values on them are built
-    once, and each f is evaluated on the shared first argument, multiplied
-    by v's values, given the sign (-1)^l, transformed and scaled in place.
-    So every value has the bits it would have on whole planes, and only a
-    few blocks of rows are alive at a time.  The edges are not checked here
-    (_check_edges).
+    The product of u and v on a block's arguments x + q z and x - p z is
+    given the sign (-1)^l, transformed and scaled in place, so every value
+    has the bits it would have on a whole plane, and only a few blocks of
+    rows are alive at a time.  The edges are not checked here (_check_edges).
     """
     q = 1.0 - p
     x = grid.x_nodes
@@ -192,19 +188,13 @@ def _forward_blocks(firsts: Sequence[Callable], v: Callable, p: float, grid: Gri
     z = np.roll(x, n // 2)
     for rows in _row_blocks(np.broadcast_to(col, (n, n))):
         block = col[rows]
-        second = v(block - p * z if p else block)
-        first_arg = block + q * z if q else block
-        blocks = []
-        for i, f in enumerate(firsts):
-            g = np.empty((len(block), n), dtype=complex) if out is None else out[i][rows]
-            np.multiply(f(first_arg), second, out=g, dtype=complex)
-            np.negative(g[:, 1::2], out=g[:, 1::2])
-            np.fft.fft(g, axis=1, out=g)
-            g *= grid.dx / TWO_PI_SQRT
-            blocks.append(g)
-        # gone before the blocks go out, and so before the next block's
-        del second, first_arg
-        yield rows, blocks
+        g = np.empty((len(block), n), dtype=complex) if out is None else out[rows]
+        np.multiply(u(block + q * z if q else block), v(block - p * z if p else block),
+                    out=g, dtype=complex)
+        np.negative(g[:, 1::2], out=g[:, 1::2])
+        np.fft.fft(g, axis=1, out=g)
+        g *= grid.dx / TWO_PI_SQRT
+        yield rows, g
 
 
 def wig_forward(u: Callable, v: Callable, p: float, grid: Grid2D,
@@ -221,7 +211,7 @@ def wig_forward(u: Callable, v: Callable, p: float, grid: Grid2D,
     p = float(p)
     _check_edges((u,), v, p, grid, boundary_tol)
     samples = np.empty((grid.N, grid.N), dtype=complex)
-    deque(_forward_blocks((u,), v, p, grid, (samples,)), maxlen=0)
+    deque(_forward_blocks(u, v, p, grid, samples), maxlen=0)
     return GridFunction2D(grid, samples, dual_y=True)
 
 
@@ -534,6 +524,16 @@ def _reject_blank_or_comment(path: str) -> None:
                                  f"after the header holds x,y,re,im")
 
 
+def _csv_parse_error(exc: ValueError, line: int) -> ValueError:
+    """np.loadtxt's error for a call that starts on file line ``line``, its
+    row named by file line.  numpy counts rows from 0, and from 1 where the
+    number of columns changes; its "at row" follows any field it quotes."""
+    text = str(exc)
+    line -= text.startswith("the number of columns changed")
+    return ValueError(re.sub(r" at row (\d+)(?!.* at row )",
+                             lambda at: f" on grid CSV line {int(at[1]) + line}", text))
+
+
 def read_grid(path: str, manifest: Optional[dict] = None) -> GridFunction2D:
     """Read a grid file written by write_grid (manifest sidecar required).
 
@@ -541,15 +541,16 @@ def read_grid(path: str, manifest: Optional[dict] = None) -> GridFunction2D:
     samples are allocated.  A CSV of at least 2 * MIN_BLOCK_POINTS lines is
     parsed in forked row blocks, one per usable CPU.  Each process reads its
     rows from one handle a block of rows (_row_blocks) at a time, by
-    np.loadtxt calls that stop after their lines: the values, and the rows
-    numpy's errors name, are those of one call.  It checks each block's
-    nodes (_check_csv_nodes) and keeps only their re, im columns, copied
-    into the one plane of samples here, or sent through the pipe by a child
-    and read here, in row order, straight into that plane.  So besides the
-    samples the read holds one block of parsed lines.  Every line after the
-    header must hold a node: a blank or '#' line is rejected at any size
-    and any block count, by a ValueError that names it.  Both formats give
-    back the written samples bit for bit, the sign of every zero included.
+    np.loadtxt calls that stop after their lines: the values are those of
+    one call, and numpy's errors name the file line they met, whatever the
+    number of blocks.  It checks each block's nodes (_check_csv_nodes) and
+    keeps only their re, im columns, copied into the one plane of samples
+    here, or sent through the pipe by a child and read here, in row order,
+    straight into that plane.  So besides the samples the read holds one
+    block of parsed lines.  Every line after the header must hold a node: a
+    blank or '#' line is rejected at any size and any block count, by a
+    ValueError that names it.  Both formats give back the written samples
+    bit for bit, the sign of every zero included.
     ``manifest`` is read_manifest(path) when the caller already has it.
     """
     if manifest is None:
@@ -588,10 +589,7 @@ def read_grid(path: str, manifest: Optional[dict] = None) -> GridFunction2D:
                                       ndmin=2, comments=None,
                                       max_rows=None if first * n + want == n * n else want)
                 except ValueError as exc:
-                    # numpy counts rows from where its call started; its "at row" follows any field it quotes
-                    text = re.sub(r" at row (\d+)(?!.* at row )",
-                                  lambda at: f" at row {int(at[1]) + block.start * n}", str(exc))
-                    raise ValueError(text if lo == 0 else f"grid CSV from line {lo * n + 2}: {text}") from None
+                    raise _csv_parse_error(exc, 2 + first * n) from None
                 if rows.shape[0] != want:
                     raise ValueError(f"grid CSV has {first * n + rows.shape[0]} data lines, expected {n * n}")
                 if rows.shape[1] != 4:

@@ -167,6 +167,7 @@ from wigreg.wigner import (
     Grid2D,
     GridFunction2D,
     _alternating_phase,
+    _csv_parse_error,
     _one_line_per_row,
     _reject_blank_or_comment,
     _split_rows,
@@ -1189,9 +1190,7 @@ def table_read_grid(path: str) -> np.ndarray:
                                   comments=None,
                                   max_rows=None if hi == n else (hi - lo) * n)
         except ValueError as exc:
-            if lo == 0:
-                raise
-            raise ValueError(f"grid CSV from line {lo * n + 2}: {exc}") from None
+            raise _csv_parse_error(exc, 2 + lo * n) from None
         if rows.shape[0] != (hi - lo) * n:
             raise ValueError(f"grid CSV has {lo * n + rows.shape[0]} data lines, expected {n * n}")
         if rows.shape[1] != 4:

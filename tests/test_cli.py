@@ -463,13 +463,19 @@ def test_p_beyond_the_float_range_is_refused(spec_file, tmp_path, capsys, comman
 
 def test_verify_intertwine_refuses_a_grid_the_operator_overflows(spec_file, capsys):
     # 4 x^2 reaches 4 (1.5e200)^2 on the nodes and wavenumbers of L = 1e200:
-    # refused on lines, before any plane could warn of its boundary
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        err = _exit_1_within_a_second(["verify-intertwine", spec_file(EQ44), "--N", "4",
-                                       "--L", "1e200", "--w", "hermite:0,0"], capsys).err
-    assert err == ("error: the operator's values overflow the float range on the grid "
-                   "with L = 1e+200 and N = 4\n")
+    # refused on lines.  10^200 + x^2 stays finite on those of L = 1e150, but
+    # not on the transform of h0 (x) h0, which reaches 1e149 there: refused
+    # on the plane.  Both before any plane could warn of its boundary
+    big = spec_file({"p": "1/2", "coeffs": [{"j": 0, "k": 0, "re": "1" + "0" * 200},
+                                            {"j": 2, "k": 0, "re": "1"}]}, "big.json")
+    for spec, half_width in ((spec_file(EQ44), "1e200"), (big, "1e150")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            captured = _exit_1_within_a_second(["verify-intertwine", spec, "--N", "4",
+                                                "--L", half_width, "--w", "hermite:0,0"], capsys)
+        assert captured.err == ("error: the operator's values overflow the float range on the grid "
+                                f"with L = {float(half_width):g} and N = 4\n")
+        assert captured.out == ""
     # at L = 1e100 the samples stay finite: the check runs and fails as before
     with pytest.warns(BoundaryDecayWarning):
         assert main(["verify-intertwine", spec_file(EQ44), "--N", "64", "--L", "1e100",

@@ -145,7 +145,7 @@ def test_forward_matches_shifted_oracle_bit_for_bit(n):
 
 
 def forward_window_sets():
-    # one window; several first windows sharing v, PolyGauss ones among them
+    # one window; several first windows against one v, PolyGauss ones among them
     h1 = to_polygauss(H1)
     yield (H2,), H1
     yield (H0, h1, h1.apply_d(), h1.mul_t()), H2
@@ -159,7 +159,8 @@ def test_forward_blocks_match_the_one_plane_oracle_byte_for_byte(n):
         for firsts, v in forward_window_sets():
             oracle = one_plane_forward_samples(firsts, v, p, grid, DEFAULT_BOUNDARY_TOL)
             ours = [np.empty((n, n), dtype=complex) for _ in firsts]
-            deque(_forward_blocks(firsts, v, p, grid, ours), maxlen=0)
+            for u, out in zip(firsts, ours):
+                deque(_forward_blocks(u, v, p, grid, out), maxlen=0)
             assert [s.tobytes() for s in ours] == [s.tobytes() for s in oracle], (n, p, len(firsts))
 
 
@@ -483,8 +484,18 @@ N256_DEFECTS = {
     "missing_second_half": (lambda text: "".join(text.splitlines(keepends=True)[:1 + 32768]),
                             "has 32768 data lines, expected 65536"),
     # first block (this process) and last block (a child for 2 and 3 CPUs)
-    "non_numeric_first_block": (_non_numeric_field(5), "could not convert string 'abc'"),
-    "non_numeric_last_block": (_non_numeric_field(60000), "could not convert string 'abc'"),
+    "non_numeric_first_block": (_non_numeric_field(5), "^could not convert string 'abc' to float64 "
+                                                       "on grid CSV line 6, column 3\\.$"),
+    "non_numeric_last_block": (_non_numeric_field(60000), "^could not convert string 'abc' to float64 "
+                                                          "on grid CSV line 60001, column 3\\.$"),
+    # line 40000 is parsed by this process on one CPU and by a child, from
+    # its own first line, on two or three; numpy counts the row of a bad
+    # field from 0 and that of a short line from 1
+    "non_numeric_on_line_40000": (_non_numeric_field(39999), "^could not convert string 'abc' to float64 "
+                                                             "on grid CSV line 40000, column 3\\.$"),
+    "short_line_40000": (lambda text: "".join(line if number != 39999 else "1,2,3\n"
+                                              for number, line in enumerate(text.splitlines(True))),
+                         "^the number of columns changed from 4 to 3 on grid CSV line 40000;"),
 }
 
 
@@ -552,8 +563,9 @@ def test_child_block_error_names_its_first_line(tmp_path, monkeypatch, n256_csv_
     path.write_text(_non_numeric_field(60000)(text))
     (tmp_path / "grid.csv.manifest.json").write_text(manifest)
     use_cpus(monkeypatch, 2)
-    # block 1 holds x rows 128..255, from line 128 * 256 + 2
-    with pytest.raises(ValueError, match=r"grid CSV from line 32770: could not convert .* at row 27231"):
+    # block 1 holds x rows 128..255, from line 128 * 256 + 2; the bad field
+    # is on line 60001 of the file
+    with pytest.raises(ValueError, match=r"^could not convert .* on grid CSV line 60001, column 3"):
         read_grid(str(path))
     assert_no_child_left()
 
@@ -584,7 +596,7 @@ def test_read_grid_names_the_row_one_parse_names(tmp_path, monkeypatch, n256_csv
     with pytest.raises(ValueError) as oracle:
         table_read_grid(str(path))
     assert str(ours.value) == str(oracle.value)
-    assert " at row " in str(ours.value)
+    assert " on grid CSV line " in str(ours.value)
     assert_no_child_left()
 
 
@@ -600,7 +612,7 @@ def test_child_block_names_the_row_one_parse_names(tmp_path, monkeypatch):
     with pytest.raises(ValueError) as oracle:
         table_read_grid(str(path))
     assert str(ours.value) == str(oracle.value)
-    assert str(ours.value).startswith("grid CSV from line 131074: could not convert string 'abc'")
+    assert str(ours.value).startswith("could not convert string 'abc' to float64 on grid CSV line 200000,")
     assert_no_child_left()
 
 
