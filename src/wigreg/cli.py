@@ -120,7 +120,7 @@ def _cmd_verify_intertwine(args) -> int:
     if args.p is not None:
         spec = spec.with_p(parse_rational(args.p, "--p"))
     u, v = _parse_windows(args.w)
-    grid = Grid2D(args.L, args.N)
+    grid = Grid2D(args.L, _parse_int_arg(args.N, "--N", most=None))
     residuals = intertwine_residual(spec, u, v, spec.p, grid, mode=args.mode)
     worst = 0.0
     for name, value in residuals:
@@ -140,7 +140,7 @@ def _cmd_transform(args) -> int:
     p = rational_float(spec.p, "p")
     if args.forward:
         u, v = _parse_windows(args.w)
-        grid = Grid2D(args.L, args.N)
+        grid = Grid2D(args.L, _parse_int_arg(args.N, "--N", most=None))
         gf = wig_forward(u, v, p, grid)
         write_grid(gf, args.out, fmt=args.format, extra={"p": str(spec.p)})
     else:
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     vi.add_argument("--p", help="override the spec's rational p")
     vi.add_argument("--w", default="hermite:0,0", help="window pair, hermite:m,n")
     vi.add_argument("--L", type=float, default=12.0, help="grid half-width")
-    vi.add_argument("--N", type=int, default=256, help="grid size (power of two)")
+    vi.add_argument("--N", default="256", help="grid size (power of two)")
     vi.add_argument("--mode", choices=("full", "generators"), default="full")
     vi.add_argument("--tol", type=float, default=1e-6)
     vi.set_defaults(func=_cmd_verify_intertwine)
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--p", help="override the spec's rational p")
     t.add_argument("--w", default="hermite:0,0", help="window pair, hermite:m,n")
     t.add_argument("--L", type=float, default=12.0)
-    t.add_argument("--N", type=int, default=256)
+    t.add_argument("--N", default="256")
     t.add_argument("--in", dest="infile", help="input grid file (inverse only)")
     t.add_argument("--out", required=True, help="output grid file")
     t.add_argument("--format", choices=("csv", "raw"), default="csv")

@@ -37,13 +37,15 @@ Two independent checks tie the exact layer to the transform:
   the plane of the terms without a derivative, the running total and one
   row in flight: four planes at most, whatever the orders.  After B has run,
   the right side Wig_p[(A u) (x) v] is built and compared block by block
-  (wigner._forward_blocks), so it never fills a plane; the price is one
-  more evaluation of v on each block.  All of this keeps the operations,
-  and so the bits, of separate transforms.  The generator mode is two such
-  checks, one per factor and each with its transform of u (x) v: D u
-  against the derivative factor, which works in place over its transform,
-  then x u against the position factor, which takes its frame of X into a
-  plane of its own, so neither holds more than two planes;
+  (wigner._forward_blocks), so it never fills a plane.  Each forward
+  evaluates a window once on its lattice line where the grid and p put its
+  arguments on one, v included, so evaluating v for both sides costs two
+  lines; off the lattice, a window is evaluated on each block.  All of
+  this keeps the operations, and so the bits, of separate transforms.  The
+  generator mode is two such checks, one per factor and each with its
+  transform of u (x) v: D u against the derivative factor and x u against
+  the position factor, each of which works in place over its transform, so
+  each holds that plane and a few blocks of rows;
 * wick_energy_compare compares the discrete energy form (A u | u), with A u
   computed symbolically as above, with the phase-space average of the
   coherent-state symbol W[a] against |V u|^2, V the coherent-state transform.
@@ -149,10 +151,11 @@ def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunc
     round trip through the frame of Y would spread rounding error evenly over
     the x axis, where X^j magnifies it at the window edges.  It runs first,
     so the frame of Y may then be taken in place over a _CheckPlane, the one
-    input whose samples are not left as they are.  The rows fold by Horner
-    in X from the top j down, so only the running total and one row are
-    alive at a time; the last row lands in w's frame of Y when that plane is
-    a copy or the check's own.  P(X) w is added last.
+    input whose samples are not left as they are; when no row follows, P(X)
+    takes its frame of X in that plane instead.  The rows fold by Horner in
+    X from the top j down, so only the running total and one row are alive
+    at a time; the last row lands in w's frame of Y when that plane is a
+    copy or the check's own.  P(X) w is added last.
     """
     if not transform.dual_y:
         raise ValueError("the planar operator acts on a transform with a dual second axis")
@@ -182,8 +185,11 @@ def apply_operator_2d(spec: OperatorSpec, transform: GridFunction2D) -> GridFunc
         y_sym = lambda rows: dual_row + p_omega[rows, None]
     term = None
     if plain:
-        in_x = np.fft.fft(samples, axis=1) if q else samples
-        term = _poly_times(plain, x_sym, in_x, in_x if q else np.empty(samples.shape, complex))
+        # the check's own plane is free once no row is left to read it
+        spent = owned and not rows
+        in_x = np.fft.fft(samples, axis=1, out=samples if spent else None) if q else samples
+        term = _poly_times(plain, x_sym, in_x,
+                           in_x if q or spent else np.empty(samples.shape, complex))
     total = spare = None
     if rows:
         in_y = np.fft.fft(samples, axis=0, out=samples if owned else None) if p else samples

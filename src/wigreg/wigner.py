@@ -15,8 +15,18 @@ truncation:
 
     Wig[j, k] = (dz / sqrt(2 pi)) * DFT_l((-1)^l u(x_j + q z_l) v(x_j - p z_l))[k + N/2].
 
-When p = 0 the argument of v does not depend on z (and u's does not when
-p = 1); that window is evaluated once per x node and broadcast along z.
+Each window's arguments form the plane x_j + s_l, with s = q z for u and
+s = -p z for v.  A window whose argument does not depend on z (s = 0: v at
+p = 0, u at p = 1) is evaluated once on the nodes and broadcast along z.
+The other N x N arguments hold few distinct values: when L and p are
+dyadic, every x_j - x_0 and every s_l is an integer multiple of one small
+step, and every rounded sum x_j + s_l is an exact point of that lattice.
+Where exact arithmetic on the floats proves this, the lattice line holds at
+most LATTICE_POINTS_PER_NODE points per node and the indices of the
+arguments on it move in equal steps, the window is evaluated once on that
+line and each block of rows is copied from strided views of it; otherwise
+it is evaluated on each block's arguments.  Either way each sample has the
+same bits.
 
 Samples are stored row-major with the first index on the x axis and both axes
 ascending.  The inverse undoes the same DFT exactly and reads the pair
@@ -29,11 +39,12 @@ which one FFT along x, a phase factor and one inverse FFT give for every
 point at once.
 
 Memory is counted in planes, one N x N complex array each.  The forward
-fills its output plane one block of x rows at a time, so it holds that plane
-and a few blocks of rows; the inverse runs in one plane besides its input; a
-CSV read holds the samples and the lines this process parses (two planes
-divided by the number of row blocks), and a CSV write the work space of
-CSV_CHUNK values (under half a plane at N = 512).
+fills its output plane one block of x rows at a time, so it holds that
+plane, a few blocks of rows and the windows' lattice lines (O(N) each); the
+inverse runs in one plane besides its input; a CSV read holds the samples
+and the lines this process parses (two planes divided by the number of row
+blocks), and a CSV write the work space of CSV_CHUNK values (under half a
+plane at N = 512).
 """
 
 from __future__ import annotations
@@ -50,6 +61,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .exact import load_json
 
@@ -167,30 +179,114 @@ def _check_edges(firsts: Sequence[Callable], v: Callable, p: float, grid: Grid2D
             )
 
 
+# most points of a window's lattice line per x node; a window whose
+# argument plane needs more is evaluated a block of rows at a time
+LATTICE_POINTS_PER_NODE = 8
+
+
+def _lattice(x: np.ndarray, s: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """A line of floats t and integer indices kx, ks with fl(x_j + s_l) =
+    t[kx_j + ks_l] for every j and l, or None when this is not proved or t
+    would hold more than LATTICE_POINTS_PER_NODE points per x node.
+
+    Every value is read as a whole number X_j or S_l of units 2^-e, e the
+    finest exponent at which the largest |value| is below 2^52 units; a
+    value that is not a whole number of units refuses the lattice.  Every
+    exact sum X_j + S_l is then an integer below 2^53 in size.  When all
+    X_j - X_0 and S_l are multiples of one step h, every exact sum lies on
+    lo + k h, lo the least sum, and each such integer is a float.  Where it
+    stays a float in units of 2^-e, so does every exact sum, and the
+    rounded sum is that float.  A zero sum is +0 on the line and in the
+    plane, as long as no x_j is -0.  Each step is exact, and checked.
+    """
+    n = len(x)
+    values = np.concatenate((x, s))
+    top = float(np.max(np.abs(values)))
+    if not 0.0 < top < math.inf or np.signbit(x[x == 0]).any():
+        return None
+    e = 52 - math.frexp(top)[1]
+    with np.errstate(under="ignore"):
+        units = np.ldexp(values, e)
+    ints = units.astype(np.int64)
+    if not (np.array_equal(ints, units) and np.array_equal(np.ldexp(units, -e), values)):
+        return None
+    xs, ss = ints[:n], ints[n:]
+    step = np.gcd.reduce(np.concatenate((xs - xs[0], ss)))
+    lo = xs.min() + ss.min()
+    points = (xs.max() + ss.max() - lo) // step + 1
+    if points > LATTICE_POINTS_PER_NODE * n:
+        return None
+    whole = (lo + step * np.arange(points)).astype(float)
+    with np.errstate(over="ignore", under="ignore"):
+        line = np.ldexp(whole, -e)
+    if not np.array_equal(np.ldexp(line, e), whole):
+        return None
+    return line, (xs - xs.min()) // step, (ss - ss.min()) // step
+
+
+def _window_rows(f: Callable, x: np.ndarray, s: np.ndarray) -> Callable[[slice], np.ndarray]:
+    """f on the argument plane x_j + s_l, s in FFT order, as a function of a
+    block of rows.
+
+    A window whose argument does not move with z (s = 0) is f on the nodes,
+    a column per block: x_j + 0 is x_j, as no node is -0.  Otherwise, where
+    the plane lies on a lattice (_lattice) whose indices kx_j + ks_l move in
+    equal steps down the rows and along each half of z, f is evaluated once
+    on the lattice line, and each half of a block is a strided view of the
+    values, all on the line, copied into the block.  Any other plane is
+    evaluated a block at a time.
+    """
+    if not s.any():
+        column = np.asarray(f(x))
+        return lambda rows: column[rows, None]
+    n, half = len(x), len(s) // 2
+    lattice = _lattice(x, s)
+    if lattice is not None:
+        line, kx, ks = lattice
+        down, along = kx[1] - kx[0], ks[1] - ks[0]
+        starts = (ks[0], ks[half])
+        run = along * np.arange(half)
+        if (np.array_equal(kx, kx[0] + down * np.arange(n))
+                and np.array_equal(ks, np.concatenate([start + run for start in starts]))):
+            values = np.asarray(f(line))
+            strides = (down * values.strides[0], along * values.strides[0])
+
+            def gather(rows: slice) -> np.ndarray:
+                top, stop, _ = rows.indices(n)
+                return np.concatenate(
+                    [as_strided(values[kx[top] + start:], (stop - top, half), strides,
+                                writeable=False) for start in starts], axis=1)
+
+            return gather
+    return lambda rows: f(x[rows, None] + s)
+
+
 def _forward_blocks(u: Callable, v: Callable, p: float, grid: Grid2D,
                     out: Optional[np.ndarray] = None) -> Iterator[tuple[slice, np.ndarray]]:
     """Finished row blocks of Wig_p[u (x) v]: pairs (rows, block), block the
     samples on those x rows (_row_blocks), written into out[rows] when out
     is given and into a block of their own otherwise.
 
-    The product of u and v on a block's arguments x + q z and x - p z is
-    given the sign (-1)^l, transformed and scaled in place, so every value
-    has the bits it would have on a whole plane, and only a few blocks of
-    rows are alive at a time.  The edges are not checked here (_check_edges).
+    u's arguments are x_j + s_l with s = q z, and v's with s = -p z.  A
+    window whose argument does not move with z (s = 0) is evaluated on the
+    nodes, and any other once on its lattice line when its arguments are
+    proved to lie on one (_window_rows), else a block at a time.  The
+    product of the two on a block is given the sign (-1)^l, transformed and
+    scaled in place, so every value has the bits it would have on a whole
+    plane, and only a few blocks of rows are alive at a time.  The edges
+    are not checked here (_check_edges).
     """
     q = 1.0 - p
     x = grid.x_nodes
     # z in FFT order with the sign (-1)^l, so the FFT lands centred (see the
-    # module docstring); a window whose argument does not move with z is
-    # evaluated on the block's x column alone
+    # module docstring); x - p z is x + (-(p z)), bit for bit
     n = grid.N
-    col = x[:, None]
     z = np.roll(x, n // 2)
-    for rows in _row_blocks(np.broadcast_to(col, (n, n))):
-        block = col[rows]
-        g = np.empty((len(block), n), dtype=complex) if out is None else out[rows]
-        np.multiply(u(block + q * z if q else block), v(block - p * z if p else block),
-                    out=g, dtype=complex)
+    first = _window_rows(u, x, q * z)
+    second = _window_rows(v, x, -(p * z))
+    for rows in _row_blocks(np.broadcast_to(x[:, None], (n, n))):
+        g = np.empty((len(x[rows]), n), dtype=complex) if out is None else out[rows]
+        np.multiply(first(rows), second(rows), out=g, dtype=complex)
         np.negative(g[:, 1::2], out=g[:, 1::2])
         np.fft.fft(g, axis=1, out=g)
         g *= grid.dx / TWO_PI_SQRT
@@ -202,11 +298,13 @@ def wig_forward(u: Callable, v: Callable, p: float, grid: Grid2D,
     """Transform a pure tensor u (x) v on the given grid.
 
     Both inputs are evaluated analytically at the shifted arguments, so no
-    interpolation enters the forward direction.  The product must lie below
+    interpolation enters the forward direction; they must be pointwise
+    functions of their argument array.  The product must lie below
     ``boundary_tol`` at the z window edges; otherwise the quadrature window
-    is too small and a BoundaryDecayError reports the worst offender.  The
-    windows are evaluated a block of x rows at a time, so besides its one
-    output plane the forward holds only a few blocks of rows.
+    is too small and a BoundaryDecayError reports the worst offender.  Each
+    window is evaluated once on its lattice line, or a block of x rows at a
+    time off the lattice (_forward_blocks), so besides its one output plane
+    the forward holds only a few blocks of rows.
     """
     p = float(p)
     _check_edges((u,), v, p, grid, boundary_tol)

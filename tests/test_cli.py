@@ -412,6 +412,23 @@ def test_verify_intertwine_reads_window_indices_as_bounded_json_integers(spec_fi
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["verify-intertwine"],
+    ["transform", "--forward"],
+], ids=["intertwine", "forward"])
+@pytest.mark.parametrize("n", ["5_12", "+64", "064", " 64", "64 ", "64.0", "1e2", "-64"])
+def test_grid_size_is_read_as_a_json_integer(spec_file, tmp_path, capsys, command, n):
+    # as the window indices are: Python's int() would take the first four
+    name, *options = command
+    argv = [name, spec_file(EQ44), *options, f"--N={n}"]
+    if name == "transform":
+        argv += ["--out", str(tmp_path / "grid.csv")]
+    captured = _exit_1_within_a_second(argv, capsys)
+    assert captured.err == "error: --N must be a non-negative integer\n"
+    assert captured.out == ""
+    assert not (tmp_path / "grid.csv").exists()
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--L", "3", "--N", "64"], "enlarge L"),
     (["--L", "inf"], "L must be finite"),

@@ -315,16 +315,20 @@ class WindowRecorder:
 
 @pytest.mark.parametrize("mode", ["full", "generators"])
 def test_intertwining_check_evaluates_v_on_one_plane(mode):
-    # two edge lines for every pair, then for each check one plane for
-    # Wig_p[u, v] and one more, block by block, for its right side, which is
-    # compared after the operator has run; u is evaluated on the first plane
-    # of each check only
+    # two edge lines for every pair, then for each check v once for
+    # Wig_p[u, v] and once more for its right side, which is compared after
+    # the operator has run; u is evaluated for the first forward of each
+    # check only.  At L = 12 the nodes are multiples of dx = 3/8 and p = 1/3
+    # puts v's arguments x - z/3 on a line of 4N - 3 points of step dx/3,
+    # while fl(2/3 z) puts u's on none: u comes in blocks of rows (one at
+    # N = 64).  At L = 11.3 neither window is on a lattice
     n = 64
-    u, v = WindowRecorder(H1), WindowRecorder(H2)
-    intertwine_residual(EQ44, u, v, Fraction(1, 3), Grid2D(12.0, n), mode=mode)
     checks = 1 if mode == "full" else 2
-    assert v.shapes == [(n,), (n,)] + [(n, n), (n, n)] * checks
-    assert u.shapes == [(n,), (n,)] + [(n, n)] * checks
+    for L, v_line in [(12.0, (4 * n - 3,)), (11.3, (n, n))]:
+        u, v = WindowRecorder(H1), WindowRecorder(H2)
+        intertwine_residual(EQ44, u, v, Fraction(1, 3), Grid2D(L, n), mode=mode)
+        assert v.shapes == [(n,), (n,)] + [v_line, v_line] * checks, L
+        assert u.shapes == [(n,), (n,)] + [(n, n)] * checks, L
 
 
 def test_intertwining_check_fails_on_the_operator_pair_before_any_plane(monkeypatch):
@@ -341,12 +345,12 @@ def test_intertwining_check_fails_on_the_operator_pair_before_any_plane(monkeypa
     assert u.shapes == v.shapes == [(n,), (n,)]
 
 
-def _peak_planes(p: Fraction, mode: str) -> float:
-    """The traced peak of QUARTIC's intertwining check at N = 512, in planes."""
+def _peak_planes(p: Fraction, mode: str, spec: OperatorSpec = QUARTIC) -> float:
+    """The traced peak of an intertwining check at N = 512, in planes."""
     grid = Grid2D(12.0, 512)
     tracemalloc.start()
     try:
-        intertwine_residual(QUARTIC, H1, H2, p, grid, mode=mode)
+        intertwine_residual(spec, H1, H2, p, grid, mode=mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -364,10 +368,17 @@ def test_intertwining_check_stays_within_its_plane_budget():
 
 @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(1)])
 def test_generator_check_stays_within_its_plane_budget(p):
-    # one factor at a time: the derivative factor works in place over its
-    # transform, the position factor takes its frame of X into a plane of
-    # its own, and the right sides come a block of rows at a time
-    assert _peak_planes(p, "generators") < 2.5
+    # one factor at a time, each working in place over its transform, and
+    # the right sides come a block of rows at a time
+    assert _peak_planes(p, "generators") < 1.75
+
+
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(1)])
+def test_position_factor_check_works_in_its_transform_plane(p):
+    # x - q D_y alone: no derivative row follows its plain term, so it takes
+    # its frame of X in the check's own plane and holds that plane and a few
+    # blocks of rows
+    assert _peak_planes(p, "full", OperatorSpec({(1, 0): gr(1)}, p)) < 1.6
 
 
 class SpoiledWindow:

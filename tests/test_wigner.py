@@ -164,6 +164,101 @@ def test_forward_blocks_match_the_one_plane_oracle_byte_for_byte(n):
             assert [s.tobytes() for s in ours] == [s.tobytes() for s in oracle], (n, p, len(firsts))
 
 
+LATTICE_LS = [12.0, 10.0, 11.3, np.pi]
+LATTICE_PS = [0.0, 0.25, 1.0 / 3.0, 0.5, 1.0, -1.0, 2.0]
+
+
+def lattice_windows():
+    # Hermite windows, and PolyGauss windows with a phase b and a centre x0
+    yield H2, H1
+    yield (PolyGauss([1.0, 0.5j, -0.25], a=0.7, b=1.5, x0=0.75),
+           PolyGauss([2.0 - 1.0j, 0.0, 0.3], a=0.4, b=-0.3, x0=-1.25))
+
+
+def evaluated_on_one_line(window):
+    """True when a ShapeRecorder window was called once, on a line, and False
+    when it was called on blocks of rows only."""
+    dims = {len(shape) for shape in window.shapes}
+    assert dims == {2} or dims == {1} and len(window.shapes) == 1, window.shapes
+    return dims == {1}
+
+
+@pytest.mark.parametrize("L", LATTICE_LS)
+def test_forward_on_and_off_the_lattice_matches_the_one_plane_oracle_byte_for_byte(L):
+    # L = 12 and 10 put the nodes on a lattice of step dx (3/16 and 5/32 at
+    # N = 128), 11.3 and pi on none; p = 1/3 puts fl(q z) on none.  A window
+    # on a line is evaluated once, on a 1-D array, any other on blocks of
+    # rows.  The windows need not decay here: only the bits are compared
+    grid = Grid2D(L, 128)
+    dyadic = L in (12.0, 10.0)
+    for p in LATTICE_PS:
+        for u, v in lattice_windows():
+            oracle, = one_plane_forward_samples((u,), v, p, grid, np.inf)
+            ours = np.empty((grid.N, grid.N), dtype=complex)
+            u, v = ShapeRecorder(u), ShapeRecorder(v)
+            deque(_forward_blocks(u, v, p, grid, ours), maxlen=0)
+            assert ours.tobytes() == oracle.tobytes(), (L, p)
+            # a z-free window (v at p = 0, u at p = 1) is evaluated on the
+            # nodes; off a dyadic L no other window is on a line, and on one
+            # only fl(q z) at p = 1/3 is off
+            assert evaluated_on_one_line(u) == (p == 1.0 or dyadic and p != 1.0 / 3.0), (L, p)
+            v_line = evaluated_on_one_line(v)
+            if p != 1.0 / 3.0:
+                assert v_line == (p == 0.0 or dyadic), (L, p)
+
+
+def test_lattice_line_holds_every_rounded_sum_or_is_refused():
+    # dyadic x and s whose sums are floats: the line holds each rounded sum
+    x = Grid2D(12.0, 64).x_nodes
+    for s in (np.arange(-5, 6) * 2.0 ** -4, np.array([-0.0, 3.0, 1e-3 * 0]), np.full(3, 0.375)):
+        line, kx, ks = wigner._lattice(x, s)
+        assert np.array_equal(line[kx[:, None] + ks], x[:, None] + s)
+        assert len(line) <= wigner.LATTICE_POINTS_PER_NODE * len(x)
+    # refused: odd sums of even integers past 2^53 are no floats, though
+    # their lattice has step 1 and 2N points; a lattice beyond 8N points; an
+    # overflowing sum; a non-finite shift; a node -0, whose sum with -0 is -0
+    big = 2.0 ** 53 + 2.0 * np.arange(64)
+    assert wigner._lattice(big, np.array([0.0, 1.0])) is None
+    assert wigner._lattice(x, np.array([2.0 ** -40])) is None
+    with np.errstate(all="raise"):
+        assert wigner._lattice(np.array([1e308, 1.5e308]), np.array([1e308])) is None
+        assert wigner._lattice(x, np.array([np.inf, 0.0])) is None
+    assert wigner._lattice(np.array([-0.0, 0.5]), np.array([-0.0, 0.25])) is None
+
+
+def test_window_rows_give_each_block_the_bits_of_its_arguments():
+    # on a lattice in equal steps (strided views of the line), on a lattice
+    # in unequal steps and off any lattice (both evaluated on the block),
+    # and z-free (the nodes, broadcast along z)
+    x = Grid2D(12.0, 64).x_nodes
+    z = np.roll(x, 32)
+    u = ShapeRecorder(H2)
+    unequal = np.concatenate((np.arange(32), -np.arange(32, 0, -1))) * 2.0 ** -4
+    unequal[5] = 0.0
+    for s, line in [(0.5 * z, True), (-0.25 * z, True), (unequal, False), (0.3 * z, False),
+                    (np.zeros(1), True)]:
+        u.shapes.clear()
+        block = wigner._window_rows(u, x, s)
+        for rows in (slice(0, 24), slice(24, 64), slice(60, 90)):
+            ours = block(rows)
+            expected = np.broadcast_to(H2(x[rows, None] + s), ours.shape)
+            assert ours.tobytes() == np.ascontiguousarray(expected).tobytes(), (s[:3], rows)
+        assert evaluated_on_one_line(u) == line, s[:3]
+
+
+def test_forward_at_a_hostile_dyadic_p_runs_off_the_lattice_in_its_plane_budget():
+    # p = 2^-20 puts both windows' arguments on an exact lattice of step
+    # dx / 2^20, about N 2^20 points: both are evaluated a block at a time
+    p, grid = 1.0 / 1048576, Grid2D(12.0, 512)
+    x, z = grid.x_nodes, np.roll(grid.x_nodes, 256)
+    assert wigner._lattice(x, (1.0 - p) * z) is None
+    assert wigner._lattice(x, -(p * z)) is None
+    out, planes = peak_planes(lambda: wig_forward(H2, H1, p, grid), 512)
+    assert planes <= 1.5
+    oracle, = one_plane_forward_samples((H2,), H1, p, grid, DEFAULT_BOUNDARY_TOL)
+    assert out.samples.tobytes() == oracle.tobytes()
+
+
 def peak_planes(run, n):
     """run() and its tracemalloc peak in N x N complex planes; what was
     allocated before the call does not count."""
@@ -195,19 +290,35 @@ class ShapeRecorder:
 
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
 def test_forward_evaluates_a_z_free_window_on_one_column(p):
-    # after the two edge lines, each window is evaluated once per block of x
-    # rows; v's argument x - p z is z-free at p = 0 and u's argument x + q z
-    # at p = 1, so that window gets the block's column alone
+    # after the two edge lines, each window is evaluated once, on its lattice
+    # line.  At L = 12 the nodes are multiples of dx = 3/32 and z runs over
+    # -N/2 .. N/2 - 1 steps: x + z spans 2N - 1 points of step dx and x -+ z/2
+    # spans 3N - 2 of step dx/2.  v's argument x - p z is z-free at p = 0 and
+    # u's argument x + q z at p = 1, so that window gets the x column itself
     n = GRID.N
     u, v = ShapeRecorder(H1), ShapeRecorder(H2)
     wig_forward(u, v, p, GRID)
+    lines = {0.0: (2 * n - 1, n), 0.5: (3 * n - 2, 3 * n - 2), 1.0: (n, 2 * n - 1)}[p]
+    assert u.shapes == [(n,), (n,), (lines[0],)]
+    assert v.shapes == [(n,), (n,), (lines[1],)]
+
+
+@pytest.mark.parametrize("L, p, z_free", [(13.3, 0.0, "v"), (13.3, 1.0, "u"), (12.0, 1.0 / 3.0, None)])
+def test_forward_evaluates_a_window_off_the_lattice_a_block_at_a_time(L, p, z_free):
+    # at L = 13.3 the nodes lie on no lattice of at most 8N points, and at
+    # p = 1/3 neither does fl(q z); such a window is evaluated on each block
+    # of x rows, while a z-free window stays on the x column and v at
+    # p = 1/3, L = 12 on its line of 4N - 3 points, of step dx/3
+    n = 512
+    grid = Grid2D(L, n)
+    u, v = ShapeRecorder(H1), ShapeRecorder(H2)
+    wig_forward(u, v, p, grid)
+    line = {"u": [(n,)], "v": [(n,)], None: [(2045,)]}
+    blocked, lined = (u, v) if z_free != "u" else (v, u)
+    assert lined.shapes[2:] == line[z_free]
+    blocks = blocked.shapes[2:]
+    assert blocks == [(64, n)] * 8
     assert u.shapes[:2] == v.shapes[:2] == [(n,), (n,)]
-    u_blocks, v_blocks = u.shapes[2:], v.shapes[2:]
-    assert len(u_blocks) == len(v_blocks) > 1
-    assert [rows for rows, _ in u_blocks] == [rows for rows, _ in v_blocks]
-    assert sum(rows for rows, _ in u_blocks) == n
-    assert {cols for _, cols in u_blocks} == {1 if p == 1.0 else n}
-    assert {cols for _, cols in v_blocks} == {1 if p == 0.0 else n}
 
 
 def test_forward_is_bilinear():
