@@ -37,10 +37,10 @@ Two independent checks tie the exact layer to the transform:
   the plane of the terms without a derivative, the running total and one
   row in flight: four planes at most, whatever the orders.  After B has run,
   the right side Wig_p[(A u) (x) v] is built and compared block by block
-  (wigner._forward_blocks), so it never fills a plane.  Each forward
-  evaluates a window once on its lattice line where the grid and p put its
-  arguments on one, v included, so evaluating v for both sides costs two
-  lines; off the lattice, a window is evaluated on each block.  All of
+  (wigner._forward_blocks), so it never fills a plane.  Each forward reads
+  a window's blocks as views of one lattice line where the grid and p put
+  its arguments on one, v included, so v costs both sides two lines; off
+  the lattice, a window is evaluated on each block.  All of
   this keeps the operations, and so the bits, of separate transforms.  The
   generator mode is two such checks, one per factor and each with its
   transform of u (x) v: D u against the derivative factor and x u against

@@ -6,27 +6,25 @@ For a parameter p (q = 1 - p) the transform of a pure tensor u (x) v is
 
 Discretization: spatial nodes x_j = -L + j*(2L/N) serve both the x axis and
 the integration variable z; the dual axis carries y_k = k*pi/L for
-k = -N/2 .. N/2-1.  The forward takes the z nodes in FFT order, z_l = l*dz
-for l < N/2 and (l - N)*dz above (the x nodes rolled by N/2), so that
-exp(-i z_l y_k) = exp(-2 pi i l k / N) for every k.  Putting the sign (-1)^l
-on the product moves the output frequency k = -N/2 to index 0, so one FFT per
-x row lands in ascending order and evaluates the integral exactly up to
-truncation:
+k = -N/2 .. N/2-1.  The forward evaluates its windows on z in node order and
+writes their product in FFT order, z_l = l*dz for l < N/2 and (l - N)*dz
+above (nodes N/2 .. N-1, then 0 .. N/2-1), so that exp(-i z_l y_k) =
+exp(-2 pi i l k / N) for every k.  Putting the sign (-1)^l on the product
+moves the output frequency k = -N/2 to index 0, so one FFT per x row lands
+in ascending order and evaluates the integral exactly up to truncation:
 
     Wig[j, k] = (dz / sqrt(2 pi)) * DFT_l((-1)^l u(x_j + q z_l) v(x_j - p z_l))[k + N/2].
 
 Each window's arguments form the plane x_j + s_l, with s = q z for u and
-s = -p z for v.  A window whose argument does not depend on z (s = 0: v at
-p = 0, u at p = 1) is evaluated once on the nodes and broadcast along z.
-The other N x N arguments hold few distinct values: when L and p are
-dyadic, every x_j - x_0 and every s_l is an integer multiple of one small
-step, and every rounded sum x_j + s_l is an exact point of that lattice.
-Where exact arithmetic on the floats proves this, the lattice line holds at
-most LATTICE_POINTS_PER_NODE points per node and the indices of the
-arguments on it move in equal steps, the window is evaluated once on that
-line and each block of rows is copied from strided views of it; otherwise
-it is evaluated on each block's arguments.  Either way each sample has the
-same bits.
+s = -p z for v, and the plane holds few distinct values.  A window whose
+argument does not depend on z (s = 0: v at p = 0, u at p = 1) takes the
+nodes themselves.  When L and p are dyadic, the x_j and the s_l form
+exact progressions in one small unit, and every rounded sum x_j + s_l is
+an exact point of one lattice line.  Where exact arithmetic on the floats
+proves this and the line holds at most LATTICE_POINTS_PER_NODE points per
+node, the window is evaluated once on that line and each block of rows is
+one strided view of it; otherwise it is evaluated on each block's
+arguments.  Either way each sample has the same bits.
 
 Samples are stored row-major with the first index on the x axis and both axes
 ascending.  The inverse undoes the same DFT exactly and reads the pair
@@ -184,25 +182,32 @@ def _check_edges(firsts: Sequence[Callable], v: Callable, p: float, grid: Grid2D
 LATTICE_POINTS_PER_NODE = 8
 
 
-def _lattice(x: np.ndarray, s: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """A line of floats t and integer indices kx, ks with fl(x_j + s_l) =
-    t[kx_j + ks_l] for every j and l, or None when this is not proved or t
-    would hold more than LATTICE_POINTS_PER_NODE points per x node.
+def _lattice(x: np.ndarray, s: np.ndarray) -> Optional[tuple[np.ndarray, int, int, int]]:
+    """A line of floats t and integers k0, down, along with fl(x_j + s_l) =
+    t[k0 + down j + along l] for every j and l, or None when this is not
+    proved or t would hold more than LATTICE_POINTS_PER_NODE points per x
+    node.  x and s hold at least two values each.
 
-    Every value is read as a whole number X_j or S_l of units 2^-e, e the
-    finest exponent at which the largest |value| is below 2^52 units; a
-    value that is not a whole number of units refuses the lattice.  Every
-    exact sum X_j + S_l is then an integer below 2^53 in size.  When all
-    X_j - X_0 and S_l are multiples of one step h, every exact sum lies on
-    lo + k h, lo the least sum, and each such integer is a float.  Where it
-    stays a float in units of 2^-e, so does every exact sum, and the
-    rounded sum is that float.  A zero sum is +0 on the line and in the
-    plane, as long as no x_j is -0.  Each step is exact, and checked.
+    A node -0 refuses the line, as -0 + +0 is +0; then x_j + 0 is x_j, so
+    for s = 0 the line is x itself, with along = 0.  Otherwise every value
+    is read as a whole number X_j or S_l of units 2^-e, e the finest
+    exponent at which the largest |value| is below 2^52 units; a value that
+    is not a whole number of units refuses the lattice.  X and S must be
+    progressions, of steps hx and hs, and every exact sum X_j + S_l, an
+    integer below 2^53 in size, then lies on lo + k h, lo the least sum and
+    h = gcd(hx, hs); each such integer is a float.  Where it stays a float
+    in units of 2^-e, so does every exact sum, and the rounded sum is that
+    float.  A zero sum is +0 on the line and in the plane.  Each step is
+    exact, and checked.
     """
+    if np.signbit(x[x == 0]).any():
+        return None
+    if not s.any():
+        return x, 0, 1, 0
     n = len(x)
     values = np.concatenate((x, s))
     top = float(np.max(np.abs(values)))
-    if not 0.0 < top < math.inf or np.signbit(x[x == 0]).any():
+    if not top < math.inf:
         return None
     e = 52 - math.frexp(top)[1]
     with np.errstate(under="ignore"):
@@ -211,9 +216,12 @@ def _lattice(x: np.ndarray, s: np.ndarray) -> Optional[tuple[np.ndarray, np.ndar
     if not (np.array_equal(ints, units) and np.array_equal(np.ldexp(units, -e), values)):
         return None
     xs, ss = ints[:n], ints[n:]
-    step = np.gcd.reduce(np.concatenate((xs - xs[0], ss)))
-    lo = xs.min() + ss.min()
-    points = (xs.max() + ss.max() - lo) // step + 1
+    hx, hs = int(xs[1] - xs[0]), int(ss[1] - ss[0])
+    if (np.diff(xs) != hx).any() or (np.diff(ss) != hs).any():
+        return None
+    step = math.gcd(hx, hs) or 1
+    lo = int(xs.min() + ss.min())
+    points = (int(xs.max() + ss.max()) - lo) // step + 1
     if points > LATTICE_POINTS_PER_NODE * n:
         return None
     whole = (lo + step * np.arange(points)).astype(float)
@@ -221,44 +229,28 @@ def _lattice(x: np.ndarray, s: np.ndarray) -> Optional[tuple[np.ndarray, np.ndar
         line = np.ldexp(whole, -e)
     if not np.array_equal(np.ldexp(line, e), whole):
         return None
-    return line, (xs - xs.min()) // step, (ss - ss.min()) // step
+    return line, (int(xs[0] + ss[0]) - lo) // step, hx // step, hs // step
 
 
 def _window_rows(f: Callable, x: np.ndarray, s: np.ndarray) -> Callable[[slice], np.ndarray]:
-    """f on the argument plane x_j + s_l, s in FFT order, as a function of a
-    block of rows.
+    """f on the argument plane x_j + s_l as a function of a block of rows.
 
-    A window whose argument does not move with z (s = 0) is f on the nodes,
-    a column per block: x_j + 0 is x_j, as no node is -0.  Otherwise, where
-    the plane lies on a lattice (_lattice) whose indices kx_j + ks_l move in
-    equal steps down the rows and along each half of z, f is evaluated once
-    on the lattice line, and each half of a block is a strided view of the
-    values, all on the line, copied into the block.  Any other plane is
-    evaluated a block at a time.
+    Where the plane lies on a line (_lattice), f is evaluated once on it
+    and each block is one read-only strided view of the values; any other
+    plane is evaluated a block at a time.
     """
-    if not s.any():
-        column = np.asarray(f(x))
-        return lambda rows: column[rows, None]
-    n, half = len(x), len(s) // 2
     lattice = _lattice(x, s)
-    if lattice is not None:
-        line, kx, ks = lattice
-        down, along = kx[1] - kx[0], ks[1] - ks[0]
-        starts = (ks[0], ks[half])
-        run = along * np.arange(half)
-        if (np.array_equal(kx, kx[0] + down * np.arange(n))
-                and np.array_equal(ks, np.concatenate([start + run for start in starts]))):
-            values = np.asarray(f(line))
-            strides = (down * values.strides[0], along * values.strides[0])
+    if lattice is None:
+        return lambda rows: f(x[rows, None] + s)
+    line, k0, down, along = lattice
+    values = np.asarray(f(line))
+    strides = (down * values.strides[0], along * values.strides[0])
 
-            def gather(rows: slice) -> np.ndarray:
-                top, stop, _ = rows.indices(n)
-                return np.concatenate(
-                    [as_strided(values[kx[top] + start:], (stop - top, half), strides,
-                                writeable=False) for start in starts], axis=1)
+    def view(rows: slice) -> np.ndarray:
+        top, stop, _ = rows.indices(len(x))
+        return as_strided(values[k0 + down * top:], (stop - top, len(s)), strides, writeable=False)
 
-            return gather
-    return lambda rows: f(x[rows, None] + s)
+    return view
 
 
 def _forward_blocks(u: Callable, v: Callable, p: float, grid: Grid2D,
@@ -267,26 +259,28 @@ def _forward_blocks(u: Callable, v: Callable, p: float, grid: Grid2D,
     samples on those x rows (_row_blocks), written into out[rows] when out
     is given and into a block of their own otherwise.
 
-    u's arguments are x_j + s_l with s = q z, and v's with s = -p z.  A
-    window whose argument does not move with z (s = 0) is evaluated on the
-    nodes, and any other once on its lattice line when its arguments are
-    proved to lie on one (_window_rows), else a block at a time.  The
-    product of the two on a block is given the sign (-1)^l, transformed and
-    scaled in place, so every value has the bits it would have on a whole
-    plane, and only a few blocks of rows are alive at a time.  The edges
-    are not checked here (_check_edges).
+    Both windows run over z in node order, u's arguments x_j + s_l with
+    s = q z and v's with s = -p z (_window_rows: views of a line, or a
+    block at a time).  The product of the two on a block is written in FFT
+    order of z, given the sign (-1)^l, transformed and scaled in place, so
+    every value has the bits it would have on a whole plane, and only a few
+    blocks of rows are alive at a time.  The edges are not checked here
+    (_check_edges).
     """
     q = 1.0 - p
     x = grid.x_nodes
-    # z in FFT order with the sign (-1)^l, so the FFT lands centred (see the
-    # module docstring); x - p z is x + (-(p z)), bit for bit
-    n = grid.N
-    z = np.roll(x, n // 2)
-    first = _window_rows(u, x, q * z)
-    second = _window_rows(v, x, -(p * z))
+    n, half = grid.N, grid.N // 2
+    # x - p z is x + (-(p z)), bit for bit
+    first = _window_rows(u, x, q * x)
+    second = _window_rows(v, x, -(p * x))
     for rows in _row_blocks(np.broadcast_to(x[:, None], (n, n))):
         g = np.empty((len(x[rows]), n), dtype=complex) if out is None else out[rows]
-        np.multiply(first(rows), second(rows), out=g, dtype=complex)
+        a, b = first(rows), second(rows)
+        # FFT order of z starts at z = 0, node N/2 (see the module docstring)
+        np.multiply(a[:, half:], b[:, half:], out=g[:, :half], dtype=complex)
+        np.multiply(a[:, :half], b[:, :half], out=g[:, half:], dtype=complex)
+        # off its line a window is a block of values, freed before the caller's turn
+        del a, b
         np.negative(g[:, 1::2], out=g[:, 1::2])
         np.fft.fft(g, axis=1, out=g)
         g *= grid.dx / TWO_PI_SQRT
@@ -302,9 +296,10 @@ def wig_forward(u: Callable, v: Callable, p: float, grid: Grid2D,
     functions of their argument array.  The product must lie below
     ``boundary_tol`` at the z window edges; otherwise the quadrature window
     is too small and a BoundaryDecayError reports the worst offender.  Each
-    window is evaluated once on its lattice line, or a block of x rows at a
-    time off the lattice (_forward_blocks), so besides its one output plane
-    the forward holds only a few blocks of rows.
+    window is evaluated once on its lattice line, which each block of x
+    rows reads as a view, or a block at a time off the lattice
+    (_forward_blocks), so besides its one output plane the forward holds
+    only a few blocks of rows.
     """
     p = float(p)
     _check_edges((u,), v, p, grid, boundary_tol)
